@@ -288,10 +288,7 @@ def _cmd_trace(args, cfg, out):
                    "human": f"wrote {len(rows)} rows to {args.trace_out}"}
     else:
         body = "\n".join(f"{a:.17g},{b:.17g}" for a, b in rows)
-        payload = {"rows": len(rows),
-                   "human": header + "\n" + body}
-        if not args.json:
-            payload["human"] = header + "\n" + body
+        payload = {"rows": len(rows), "human": header + "\n" + body}
     _emit(payload, args, out)
     return 0
 

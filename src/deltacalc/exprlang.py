@@ -12,6 +12,8 @@ import math
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ExpressionError, ParseError
 from .rewrite import (
     CompTerm,
@@ -112,6 +114,14 @@ _BIN_PRECEDENCE = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
 _UNARY_PRECEDENCE = 25
 
 
+def _number(tok):
+    value = float(tok.text)
+    if not math.isfinite(value):
+        raise ParseError(f"number {tok.text!r} is out of range", position=tok.pos,
+                         expected=("finite number",))
+    return value
+
+
 class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
@@ -160,7 +170,7 @@ class _Parser:
             return self.parse_expr(_UNARY_PRECEDENCE)
         if tok.kind == "num":
             self.advance()
-            return Num(float(tok.text))
+            return Num(_number(tok))
         if tok.kind == "op" and tok.text == "(":
             self.advance()
             inner = self.parse_expr(0)
@@ -200,7 +210,7 @@ class _Parser:
             if name == "ddelta":
                 self.expect_op(",")
                 otok = self.cur
-                if otok.kind != "num" or float(otok.text) != int(float(otok.text)):
+                if otok.kind != "num" or _number(otok) != int(_number(otok)):
                     raise ParseError("ddelta order must be a nonnegative integer",
                                      position=otok.pos, expected=("integer",))
                 self.advance()
@@ -306,7 +316,6 @@ def _diff(node):
         return Neg(_diff(node.arg))
     if isinstance(node, Bin):
         a, b = node.left, node.right
-        da, db = None, None
         if node.op == "+":
             return _add(_diff(a), _diff(b))
         if node.op == "-":
@@ -337,33 +346,74 @@ def _diff(node):
     raise ExpressionError(f"cannot differentiate {type(node).__name__}")
 
 
-_CALL_IMPL = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
-              "atan": math.atan, "abs": abs}
+# One code object per tree, run with these names bound to `math` for a
+# float (the same operations, in the same order, as a recursive walk) or to
+# numpy ufuncs for an ndarray.
+_SCALAR_NAMES = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
+                 "atan": math.atan, "abs": abs, "inf": math.inf, "nan": math.nan}
+_ARRAY_NAMES = {"sin": np.sin, "cos": np.cos, "exp": np.exp,
+                "atan": np.arctan, "abs": np.abs, "inf": math.inf, "nan": math.nan}
 
 
-def _eval(node, x):
-    if isinstance(node, Num):
-        return node.value
+def _emit(node, lines, names):
+    """Append the statements computing `node` to `lines`; return the name or
+    literal that holds its value.  Repeated subtrees are computed once."""
     if isinstance(node, Var):
-        return x
+        return "x"
+    if isinstance(node, Num):
+        return f"({node.value!r})"  # inf and nan are bound names
+    key = repr(node)
+    if key in names:
+        return names[key]
     if isinstance(node, Neg):
-        return -_eval(node.arg, x)
-    if isinstance(node, Call):
-        return _CALL_IMPL[node.name](_eval(node.arg, x))
-    if isinstance(node, Bin):
-        a = _eval(node.left, x)
-        b = _eval(node.right, x)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            return a / b
-        if node.op == "^":
-            return a ** b
-    raise ExpressionError(f"cannot evaluate {type(node).__name__}")
+        expr = f"-{_emit(node.arg, lines, names)}"
+    elif isinstance(node, Call):
+        expr = f"{node.name}({_emit(node.arg, lines, names)})"
+    elif isinstance(node, Bin):
+        a = _emit(node.left, lines, names)
+        b = _emit(node.right, lines, names)
+        expr = f"{a} {'**' if node.op == '^' else node.op} {b}"
+    else:
+        raise ExpressionError(f"cannot evaluate {type(node).__name__}")
+    names[key] = f"t{len(names)}"
+    lines.append(f"    {names[key]} = {expr}")
+    return names[key]
+
+
+def _compile(node, label):
+    """Compile a delta-free tree to a function of a float or an ndarray."""
+    lines = []
+    result = _emit(node, lines, {})
+    source = "def f(x):\n" + "\n".join(lines + [f"    return {result}"])
+    code = compile(source, f"<expression {label}>", "exec")
+    scalar_ns, array_ns = dict(_SCALAR_NAMES), dict(_ARRAY_NAMES)
+    exec(code, scalar_ns)
+    exec(code, array_ns)
+    scalar_f, array_f = scalar_ns["f"], array_ns["f"]
+
+    def fn(x):
+        if isinstance(x, np.ndarray):
+            out = array_f(x)
+            return out if np.shape(out) == x.shape else np.full(x.shape, out)
+        try:
+            return float(scalar_f(x))
+        except (ZeroDivisionError, OverflowError) as exc:
+            raise ExpressionError(f"cannot evaluate {label} at x={x!r}: {exc}") from exc
+
+    return fn
+
+
+def _compile_on_first_call(node, label):
+    """_compile, deferred: derivative trees grow fast and most are never
+    evaluated."""
+    compiled = []
+
+    def fn(x):
+        if not compiled:
+            compiled.append(_compile(node, label))
+        return compiled[0](x)
+
+    return fn
 
 
 def _contains_abs(node):
@@ -394,20 +444,24 @@ def _contains_delta(node):
 
 
 def to_real_function(node, depth=4):
-    """Compile a delta-free tree to a RealFunction with symbolic derivatives."""
-    fn = lambda x, t=node: float(_eval(t, x))
+    """Compile a delta-free tree to a RealFunction with symbolic derivatives.
+
+    The function and its derivatives take a float or an ndarray; on a float,
+    division by zero and overflow raise ExpressionError.
+    """
+    label = render(node)
+    fn = _compile(node, label)
     if _contains_abs(node):
-        return RealFunction(fn, smoothness=0, label=render(node))
+        return RealFunction(fn, smoothness=0, label=label)
     derivs = []
     d = node
     try:
-        for _ in range(depth):
+        for k in range(1, depth + 1):
             d = _diff(d)
-            derivs.append(lambda x, t=d: float(_eval(t, x)))
+            derivs.append(_compile_on_first_call(d, f"({label})^({k})"))
     except ExpressionError:
         pass
-    return RealFunction(fn, derivs=tuple(derivs), smoothness=C_INF,
-                        label=render(node))
+    return RealFunction(fn, derivs=tuple(derivs), smoothness=C_INF, label=label)
 
 
 # ---------------------------------------------------------------------------

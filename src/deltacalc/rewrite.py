@@ -26,6 +26,7 @@ from .vintegral import (
     compose,
     convolve,
     integrate_rank,
+    profile_integral,
     reduce_sequence,
 )
 
@@ -386,21 +387,10 @@ def _term_rank_integral(expr, weight, kernel, n, lo, hi):
         if kern is None:
             raise ExpressionError("delta term evaluated without a kernel binding")
         d = kern.derivative(expr.order) if expr.order else kern
-        a, b = lo.bound_at(n), hi.bound_at(n)
-        prof = getattr(d, "profile", None)
-        if prof is not None:
-            plo, phi = d.profile_support
-            order = getattr(d, "profile_order", 0)
-            ulo = max(plo, n * (a - expr.shift))
-            uhi = min(phi, n * (b - expr.shift))
-            if uhi <= ulo:
-                return 0.0
-            if weight is None:
-                g = lambda u, n=n: (n**order) * prof(u)
-            else:
-                g = lambda u, n=n, s=expr.shift, w=weight: (
-                    (n**order) * prof(u) * w(s + u / n))
-            return _quad_piece(g, ulo, uhi, points=[0.0])
+        if isinstance(d, DiracKernel):
+            s = expr.shift
+            return profile_integral(d, n, s, weight, n * (lo.bound_at(n) - s),
+                                    n * (hi.bound_at(n) - s))
         return integrate_rank(d.translate(expr.shift), lo, hi, n, weight=weight)
     if isinstance(expr, CompTerm):
         kern = expr.kernel if expr.kernel is not None else kernel
@@ -611,10 +601,17 @@ def kernel_dependence_probe(g, kernels, schedule=DEFAULT_SCHEDULE, tol=1e-6):
 # Test-function batteries
 # ---------------------------------------------------------------------------
 
+def _lib(x):
+    """numpy for an ndarray, math for a float: battery functions take both."""
+    return np if isinstance(x, np.ndarray) else math
+
+
 def _poly(coeffs, label):
     # coeffs: ascending powers
     def mk(cs):
-        return lambda x, cs=tuple(cs): float(np.polyval(list(reversed(cs)), x))
+        c = list(reversed(cs))
+        return lambda x: (np.polyval(c, x) if isinstance(x, np.ndarray)
+                          else float(np.polyval(c, x)))
     derivs = []
     cs = list(coeffs)
     for _ in range(4):
@@ -625,7 +622,8 @@ def _poly(coeffs, label):
 
 
 def _trig(kind, w):
-    s, c = math.sin, math.cos
+    s = lambda x: _lib(x).sin(x)
+    c = lambda x: _lib(x).cos(x)
     if kind == "sin":
         fns = [lambda x, w=w: s(w * x), lambda x, w=w: w * c(w * x),
                lambda x, w=w: -w * w * s(w * x), lambda x, w=w: -w**3 * c(w * x)]
@@ -639,7 +637,7 @@ def _trig(kind, w):
 
 
 def _exp(sign):
-    e = math.exp
+    e = lambda x: _lib(x).exp(x)
     fn = lambda x, s=sign: e(s * x)
     derivs = tuple((lambda x, s=sign, k=k: (s**k) * e(s * x)) for k in (1, 2, 3))
     return RealFunction(fn, derivs=derivs, smoothness=C_INF,
@@ -656,26 +654,26 @@ def _runge(b):
 
 def _kink():
     # C0 but not C1 at the origin: exercises strong-mode equivalence.
-    fn = lambda x: abs(x) * (1.0 + 0.5 * math.sin(3.0 * x))
+    fn = lambda x: abs(x) * (1.0 + 0.5 * _lib(x).sin(3.0 * x))
     return RealFunction(fn, smoothness=0, label="|x|(1+0.5sin(3x))")
 
 
 def _atan():
-    fn = math.atan
+    fn = lambda x: np.arctan(x) if isinstance(x, np.ndarray) else math.atan(x)
     d1 = lambda x: 1.0 / (1.0 + x * x)
     d2 = lambda x: -2.0 * x / (1.0 + x * x) ** 2
     return RealFunction(fn, derivs=(d1, d2), smoothness=C_INF, label="atan(x)")
 
 
 def _xcos():
-    fn = lambda x: x * math.cos(x)
-    d1 = lambda x: math.cos(x) - x * math.sin(x)
-    d2 = lambda x: -2.0 * math.sin(x) - x * math.cos(x)
+    fn = lambda x: x * _lib(x).cos(x)
+    d1 = lambda x: _lib(x).cos(x) - x * _lib(x).sin(x)
+    d2 = lambda x: -2.0 * _lib(x).sin(x) - x * _lib(x).cos(x)
     return RealFunction(fn, derivs=(d1, d2), smoothness=C_INF, label="x*cos(x)")
 
 
 def _gauss():
-    e = math.exp
+    e = lambda x: _lib(x).exp(x)
     fn = lambda x: e(-0.25 * x * x)
     d1 = lambda x: -0.5 * x * e(-0.25 * x * x)
     d2 = lambda x: (0.25 * x * x - 0.5) * e(-0.25 * x * x)

@@ -8,6 +8,7 @@ per-rank supports, derivatives and convolutions cheap to manipulate.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,15 +53,18 @@ DISCONTINUOUS = -1
 class RealFunction:
     """A real function together with optional analytic derivatives.
 
-    `derivs` lists rules for f', f'', ... in order; `smoothness` is the
-    declared class (math.inf for C-infinity, an integer k for C^k, -1 for
-    discontinuous).
+    `derivs` lists rules for f', f'', ... in order; `nth_deriv`, when set,
+    maps every order k >= 1 to f^(k) and takes precedence.  `smoothness` is
+    the declared class (math.inf for C-infinity, an integer k for C^k, -1
+    for discontinuous).  Kernel profiles, compiled expressions and the test
+    batteries accept a float or an ndarray of floats.
     """
 
     fn: object
     derivs: tuple = ()
     smoothness: float = C_INF
     label: str = ""
+    nth_deriv: object = None
 
     def __call__(self, x):
         return self.fn(x)
@@ -73,13 +77,18 @@ class RealFunction:
                 f"{self.label or 'function'} is only C^{self.smoothness}, "
                 f"cannot take derivative of order {k}"
             )
+        new_smooth = C_INF if self.smoothness == C_INF else self.smoothness - k
+        label = f"{self.label}^({k})" if self.label else ""
+        if self.nth_deriv is not None:
+            return RealFunction(
+                self.nth_deriv(k), smoothness=new_smooth, label=label,
+                nth_deriv=lambda j, rule=self.nth_deriv, k=k: rule(k + j))
         if len(self.derivs) >= k:
-            new_smooth = C_INF if self.smoothness == C_INF else self.smoothness - k
             return RealFunction(
                 self.derivs[k - 1],
                 derivs=self.derivs[k:],
                 smoothness=new_smooth,
-                label=f"{self.label}^({k})" if self.label else "",
+                label=label,
             )
         # Fall back to finite differences on the last analytic derivative.
         base = self if not self.derivs else self.derivative(len(self.derivs))
@@ -94,7 +103,7 @@ class RealFunction:
 
 def _fd_derivative(f):
     def d(x, f=f):
-        h = 1e-5 * max(1.0, abs(x))
+        h = 1e-5 * np.maximum(1.0, np.abs(x))
         return (f(x - 2 * h) - 8 * f(x - h) + 8 * f(x + h) - f(x + 2 * h)) / (12 * h)
 
     new_smooth = C_INF if f.smoothness == C_INF else max(f.smoothness - 1, 0)
@@ -142,34 +151,42 @@ def _bump(x):
     return BUMP_NORMALIZATION * _raw_bump(x)
 
 
-def _bump_d1(x):
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        inside = np.abs(x) < 1.0
-        w = np.where(inside, 1.0 - x * x, 1.0)
-        out = np.where(inside, _raw_bump(x) * (-2.0 * x) / (w * w), 0.0)
-    out = BUMP_NORMALIZATION * out
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+def _bump_polynomial(k):
+    """Ascending coefficients of Q_k in p^(k)(x) = Q_k(x)/(1-x^2)^(2k) p(x).
+
+    Q_0 = 1 and Q_{j+1} = Q_j' (1-x^2)^2 + 4 j x (1-x^2) Q_j - 2 x Q_j.
+    """
+    poly = np.polynomial.polynomial
+    s = np.array([1.0, 0.0, -1.0])
+    q = np.array([1.0])
+    for j in range(k):
+        q = poly.polysub(
+            poly.polyadd(poly.polymul(poly.polyder(q), poly.polymul(s, s)),
+                         poly.polymulx(poly.polymul(s, q)) * (4.0 * j)),
+            2.0 * poly.polymulx(q))
+    return q
 
 
-def _bump_d2(x):
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        inside = np.abs(x) < 1.0
-        w = np.where(inside, 1.0 - x * x, 1.0)
-        term = (-2.0 * x / (w * w)) ** 2 + (-2.0 - 6.0 * x * x) / (w**3)
-        out = np.where(inside, _raw_bump(x) * term, 0.0)
-    out = BUMP_NORMALIZATION * out
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
+@functools.lru_cache(maxsize=16)
+def _bump_derivative(k):
+    """Closed form of the k-th derivative of the normalized bump."""
+    q = _bump_polynomial(k)
+
+    def dk(x):
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            p = _bump(x)
+            out = np.where(p > 0.0, np.polynomial.polynomial.polyval(x, q)
+                           / (1.0 - x * x) ** (2 * k) * p, 0.0)
+        if out.ndim == 0:
+            return float(out)
+        return out
+
+    return dk
 
 
-_BUMP_PROFILE = RealFunction(
-    _bump, derivs=(_bump_d1, _bump_d2), smoothness=C_INF, label="bump"
-)
+_BUMP_PROFILE = RealFunction(_bump, smoothness=C_INF, label="bump",
+                             nth_deriv=_bump_derivative)
 
 
 # ---------------------------------------------------------------------------
@@ -180,16 +197,14 @@ class VirtualFunction:
     """Rank-indexed family of real functions.
 
     `support` (optional) maps a rank to the interval outside of which the
-    rank function vanishes identically; `deriv_factory` (optional) produces
-    the rank-indexed derivative family analytically.
+    rank function vanishes identically.
     """
 
     def __init__(self, rank_eval, support=None, smoothness=C_INF,
-                 deriv_factory=None, regions=None, label=""):
+                 regions=None, label=""):
         self._rank_eval = rank_eval
         self._support = support
         self.smoothness = smoothness
-        self._deriv_factory = deriv_factory
         self.regions = regions
         self.label = label
 
@@ -221,8 +236,6 @@ class VirtualFunction:
             raise SmoothnessError(
                 f"{self.label or 'virtual function'} is not differentiable"
             )
-        if self._deriv_factory is not None:
-            return self._deriv_factory()
         return self._fd_rank_derivative()
 
     def _fd_rank_derivative(self):
@@ -230,7 +243,7 @@ class VirtualFunction:
         # resolved at every rank.
         def d(n, x, vf=self):
             r = vf.support_radius(n)
-            h = (r / 64.0) if r else 1e-6 * max(1.0, abs(x))
+            h = (r / 64.0) if r else 1e-6 * np.maximum(1.0, np.abs(x))
             return (vf.rank_eval(n, x + h) - vf.rank_eval(n, x - h)) / (2 * h)
 
         new_smooth = C_INF if self.smoothness == C_INF else self.smoothness - 1
@@ -249,13 +262,9 @@ class VirtualFunction:
         if self.regions is not None:
             def regions(n, a, c, r=self.regions, b=b):
                 return [(lo + b, hi + b) for lo, hi in r(n, a - b, c - b)]
-        deriv = None
-        if self._deriv_factory is not None:
-            deriv = lambda vf=self, b=b: vf.derivative().translate(b)
         return VirtualFunction(
             lambda n, x, vf=self, b=b: vf.rank_eval(n, x - b),
-            support=support, smoothness=self.smoothness,
-            deriv_factory=deriv, regions=regions,
+            support=support, smoothness=self.smoothness, regions=regions,
             label=f"{self.label}(x-{b:g})" if self.label else "",
         )
 
@@ -278,17 +287,28 @@ def eval_at(vf, xi):
 # ---------------------------------------------------------------------------
 
 class DiracKernel(VirtualFunction):
-    """Kernel family n * p(n x) for a fixed profile p on [lo, hi]."""
+    """Kernel family n * p(n x) for a fixed profile p on [lo, hi].
 
-    def __init__(self, profile, profile_support, smoothness, name, params=None):
+    With `order` k > 0 the family is the kernel's k-th derivative,
+    n^(k+1) p(n x) where p is then the profile's k-th derivative.
+    `profile_cuts` are the panel edges of its fixed-node quadrature: the
+    support's ends and middle, u = 0, and any `cuts` given (a mixture
+    passes its parts' edges).
+    """
+
+    def __init__(self, profile, profile_support, smoothness, name, params=None,
+                 order=0, cuts=()):
         self.profile = profile
         self.profile_support = (float(profile_support[0]), float(profile_support[1]))
         self.name = name
         self.params = dict(params or {})
+        self.order = int(order)
         lo, hi = self.profile_support
+        self.profile_cuts = tuple(sorted(
+            {lo, hi} | {float(c) for c in (0.0, 0.5 * (lo + hi), *cuts) if lo < c < hi}))
 
         super().__init__(
-            lambda n, x, p=profile: n * p(n * x),
+            lambda n, x, p=profile, k=self.order: n ** (k + 1) * p(n * x),
             support=lambda n, lo=lo, hi=hi: (lo / n, hi / n),
             smoothness=smoothness,
             label=name,
@@ -303,19 +323,10 @@ class DiracKernel(VirtualFunction):
                 f"kernel {self.name!r} (C^{self.smoothness}) is not "
                 f"{order}-times differentiable"
             )
-        dp = self.profile.derivative(order)
-        lo, hi = self.profile_support
         new_smooth = C_INF if self.smoothness == C_INF else self.smoothness - order
-        vf = VirtualFunction(
-            lambda n, x, dp=dp, k=order: (n ** (k + 1)) * dp(n * x),
-            support=lambda n, lo=lo, hi=hi: (lo / n, hi / n),
-            smoothness=new_smooth,
-            label=f"{self.name}^({order})",
-        )
-        vf.profile = dp
-        vf.profile_support = self.profile_support
-        vf.profile_order = order
-        return vf
+        return DiracKernel(self.profile.derivative(order), self.profile_support,
+                           new_smooth, f"{self.name}^({order})", self.params,
+                           order=self.order + order, cuts=self.profile_cuts)
 
 
 def bump_delta():
@@ -337,11 +348,12 @@ def square_delta():
 
 
 def _shift_profile(base, shift):
-    fn = lambda x, f=base.fn, s=shift: f(np.asarray(x, dtype=float) - s)
-    derivs = tuple(lambda x, d=d, s=shift: d(np.asarray(x, dtype=float) - s)
-                   for d in base.derivs)
-    return RealFunction(fn, derivs=derivs, smoothness=base.smoothness,
-                        label=f"{base.label}(u-{shift:g})")
+    def shifted(f, s=shift):
+        return lambda x: f(np.asarray(x, dtype=float) - s)
+
+    return RealFunction(shifted(base.fn), smoothness=base.smoothness,
+                        label=f"{base.label}(u-{shift:g})",
+                        nth_deriv=lambda k: shifted(base.derivative(k).fn))
 
 
 def shifted_delta(direction="+"):
@@ -364,20 +376,20 @@ def mixture(d1, d2):
         if isinstance(res, DiracFailure):
             raise ValueError(f"mixture operand {d.name!r} is not a Dirac kernel: {res}")
     p1, p2 = d1.profile, d2.profile
-    fn = lambda x: 0.5 * (np.asarray(p1.fn(x)) + np.asarray(p2.fn(x)))
-    nder = min(len(p1.derivs), len(p2.derivs))
-    derivs = tuple(
-        (lambda x, a=p1.derivs[i], b=p2.derivs[i]:
-         0.5 * (np.asarray(a(x)) + np.asarray(b(x))))
-        for i in range(nder)
-    )
+
+    def average(f1, f2):
+        return lambda x: 0.5 * (np.asarray(f1(x)) + np.asarray(f2(x)))
+
     smooth = min(d1.smoothness, d2.smoothness)
-    profile = RealFunction(fn, derivs=derivs, smoothness=smooth,
-                           label=f"mix[{p1.label},{p2.label}]")
+    profile = RealFunction(
+        average(p1.fn, p2.fn), smoothness=smooth,
+        label=f"mix[{p1.label},{p2.label}]",
+        nth_deriv=lambda k: average(p1.derivative(k).fn, p2.derivative(k).fn))
     lo = min(d1.profile_support[0], d2.profile_support[0])
     hi = max(d1.profile_support[1], d2.profile_support[1])
     return DiracKernel(profile, (lo, hi), smooth, "mixture",
-                       params={"of": [d1.name, d2.name]})
+                       params={"of": [d1.name, d2.name]},
+                       cuts=d1.profile_cuts + d2.profile_cuts)
 
 
 def cauchy_psi():
@@ -399,9 +411,10 @@ def point_altered_delta(at=7.0, value=3.0):
     base = bump_delta()
 
     def ev(n, x, base=base, at=at, value=value):
-        if x == at:
-            return float(value)
-        return base.rank_eval(n, x)
+        out = np.where(x == at, float(value), base.rank_eval(n, x))
+        if out.ndim == 0:
+            return float(out)
+        return out
 
     return VirtualFunction(
         ev,
@@ -464,6 +477,18 @@ def _outside_grid():
 _OUTSIDE_GRID = _outside_grid()
 
 
+def _rank_values(vf, n, xs):
+    """f_n on the grid xs: one array call, or one call per point when the
+    rank function takes only floats."""
+    try:
+        vals = np.asarray(vf.rank_eval(n, xs), dtype=float)
+        if vals.shape == xs.shape:
+            return vals
+    except (TypeError, ValueError):
+        pass
+    return np.array([vf.rank_eval(n, float(x)) for x in xs])
+
+
 def check_dirac(vf, schedule=DEFAULT_SCHEDULE, tol=1e-6, grid_points=1000):
     """Check the three defining kernel conditions; returns a certificate
     or the first violated condition.
@@ -486,7 +511,7 @@ def check_dirac(vf, schedule=DEFAULT_SCHEDULE, tol=1e-6, grid_points=1000):
     for n in schedule:
         lo, hi = vf.support_interval(n)
         xs = np.linspace(lo, hi, grid_points)
-        vals = np.array([vf.rank_eval(n, float(x)) for x in xs])
+        vals = _rank_values(vf, n, xs)
         if np.min(vals) < -1e-9:
             x_bad = float(xs[int(np.argmin(vals))])
             return DiracFailure(
@@ -506,12 +531,14 @@ def check_dirac(vf, schedule=DEFAULT_SCHEDULE, tol=1e-6, grid_points=1000):
         return DiracFailure("iii", f"support radius sequence classifies as {cls.value}")
     for n in (schedule[0], schedule[len(schedule) // 2], schedule[-1]):
         r = vf.support_radius(n)
-        for x in _OUTSIDE_GRID:
-            if abs(x) >= r and vf.rank_eval(n, float(x)) != 0.0:
-                return DiracFailure(
-                    "iii", f"support/zero check failed at x={float(x):g} "
-                           f"(rank n={n}, value {vf.rank_eval(n, float(x)):g})"
-                )
+        vals = _rank_values(vf, n, _OUTSIDE_GRID)
+        bad = np.flatnonzero((np.abs(_OUTSIDE_GRID) >= r) & (vals != 0.0))
+        if bad.size:
+            i = bad[0]
+            return DiracFailure(
+                "iii", f"support/zero check failed at x={_OUTSIDE_GRID[i]:g} "
+                       f"(rank n={n}, value {vals[i]:g})"
+            )
 
     return DiracCertificate(
         nonnegative=True,

@@ -8,6 +8,7 @@ Undetermined.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -35,6 +36,7 @@ __all__ = [
     "VirtualBound",
     "IntegralResult",
     "integrate_rank",
+    "profile_integral",
     "reduce_integral",
     "sift",
     "sift_derivative",
@@ -223,6 +225,104 @@ def integrate_rank(vf, lo, hi, n, weight=None):
     return _quad_piece(f, a, b)
 
 
+#: Gauss-Legendre nodes per panel of the two fixed rules whose agreement
+#: accepts a profile-kernel rank integral.
+_FIXED_NODES = (128, 256)
+
+
+_gauss_legendre = functools.lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
+
+
+@functools.lru_cache(maxsize=64)
+def _fixed_nodes(cuts):
+    """Nodes and weights of both fixed rules on the panels between `cuts`,
+    the first rule's first; read-only, shared by every call."""
+    lo, hi = np.array(cuts[:-1]), np.array(cuts[1:])
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    nodes, weights = [], []
+    for m in _FIXED_NODES:
+        t, w = _gauss_legendre(m)
+        nodes.append((mid[:, None] + half[:, None] * t).ravel())
+        weights.append((half[:, None] * w).ravel())
+    out = (np.concatenate(nodes), weights[0], weights[1])
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _is_float_array(v, shape):
+    return isinstance(v, np.ndarray) and v.dtype.kind == "f" and v.shape == shape
+
+
+def _fixed_rule(d, n, a, weight, ulo, uhi):
+    """n^k * integral of p(u) w(a + u/n) over [ulo, uhi] on fixed nodes, or
+    None where adaptive quadrature must decide: the two rules disagree,
+    the profile or weight takes no array, or a value is not finite."""
+    plo, phi = d.profile_support
+    k = d.order
+    # Over the whole support the integral of p = p0^(k), k >= 1, is 0, so
+    # w(a) may be subtracted: that removes the n^k growth of the rounding.
+    cancel = k > 0 and (ulo, uhi) == (plo, phi)
+    if cancel and weight is None:
+        return 0.0
+    inner = (c for c in d.profile_cuts if ulo < c < uhi)
+    u, w_coarse, w_fine = _fixed_nodes((ulo, *inner, uhi))
+    x = a + u / n
+    if cancel:
+        x = np.append(x, a)
+    with np.errstate(all="ignore"):
+        try:
+            p = d.profile.fn(u)
+            wv = np.ones_like(x) if weight is None else weight(x)
+        except (TypeError, ValueError, ArithmeticError):
+            return None
+        if not (_is_float_array(p, u.shape) and _is_float_array(wv, x.shape)):
+            return None
+        w_at_a = wv[-1] if cancel else 0.0
+        wv = wv[:u.size]
+        f = p * (wv - w_at_a)
+        scale, m = n ** k, w_coarse.size
+        coarse = scale * float(w_coarse @ f[:m])
+        fine = scale * float(w_fine @ f[m:])
+        # quad's integrand is p * w: the rounding of w counts in full.
+        resabs = scale * float(w_fine @ np.abs(p[m:] * wv[m:]))
+    if not (math.isfinite(coarse) and math.isfinite(fine) and math.isfinite(resabs)):
+        return None
+    # quad's own target, with its rounding floor relative to the integral
+    # of |integrand| (where quad stops with a roundoff warning).
+    tol = max(_QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"] * abs(fine),
+              50.0 * np.finfo(float).eps * resabs)
+    if abs(fine - coarse) > tol:
+        return None
+    return fine
+
+
+def profile_integral(d, n, a, weight, ulo=-math.inf, uhi=math.inf):
+    """Rank-n integral of d_n(x - a) w(x) for the profile kernel d.
+
+    With u = n(x - a) it is n^k * integral of p(u) w(a + u/n) over the
+    profile support cut to [ulo, uhi], where p is d's order-k profile, so
+    the quadrature nodes depend on neither n nor w.  Two Gauss-Legendre
+    rules on the panels between d.profile_cuts (u = 0, the middle of the
+    support) are evaluated in one array call; when they disagree, or w
+    takes no array, adaptive quad decides.  `weight` None integrates the
+    kernel alone.
+    """
+    plo, phi = d.profile_support
+    ulo, uhi = max(plo, ulo), min(phi, uhi)
+    if uhi <= ulo:
+        return 0.0
+    value = _fixed_rule(d, n, a, weight, ulo, uhi)
+    if value is not None:
+        return value
+    prof, scale = d.profile, n ** d.order
+    if weight is None:
+        g = lambda u: scale * prof(u)
+    else:
+        g = lambda u: scale * prof(u) * weight(a + u / n)
+    return _quad_piece(g, ulo, uhi, points=[0.0])
+
+
 def reduce_integral(vf, lo=NEG_INF, hi=POS_INF, schedule=DEFAULT_SCHEDULE,
                     tol=1e-9, weight=None):
     """Compute the rank sequence I_n and reduce it to an IntegralResult."""
@@ -235,15 +335,6 @@ def reduce_integral(vf, lo=NEG_INF, hi=POS_INF, schedule=DEFAULT_SCHEDULE,
 # Sifting
 # ---------------------------------------------------------------------------
 
-def _profile_of(d):
-    """(profile, support, derivative order) for self-similar kernels."""
-    prof = getattr(d, "profile", None)
-    if prof is None:
-        return None
-    order = getattr(d, "profile_order", 0)
-    return prof, d.profile_support, order
-
-
 def sift(d, f, a=0.0, schedule=DEFAULT_SCHEDULE, tol=1e-9):
     """Reduce the integral of d_n(x - a) f(x); equals f(a) for valid inputs.
 
@@ -253,15 +344,9 @@ def sift(d, f, a=0.0, schedule=DEFAULT_SCHEDULE, tol=1e-9):
     a = float(a)
     fn = f.fn if isinstance(f, RealFunction) else f
     schedule = list(schedule)
-    info = _profile_of(d)
-    if info is not None:
-        prof, (plo, phi), order = info
+    if isinstance(d, DiracKernel):
         return reduce_sequence(
-            schedule,
-            lambda n: _quad_piece(
-                lambda u, n=n: (n**order) * prof(u) * fn(a + u / n),
-                plo, phi, points=[0.0]),
-            tol)
+            schedule, lambda n: profile_integral(d, n, a, fn), tol)
     shifted = d.translate(a)
     return reduce_integral(shifted, schedule=schedule, tol=tol, weight=fn)
 
@@ -280,30 +365,13 @@ def sift_derivative(d, k, f, a=0.0, schedule=SHORT_SCHEDULE, tol=1e-9):
         raise SmoothnessError(
             f"kernel {getattr(d, 'name', d.label)!r} is not {k}-times differentiable"
         )
-    if isinstance(f, RealFunction):
-        if f.smoothness != C_INF and f.smoothness < k:
-            raise SmoothnessError(
-                f"test function {f.label!r} is only C^{f.smoothness}, "
-                f"needs C^{k} around a={a:g}"
-            )
-        fn = f.fn
-    else:
-        fn = f
-    a = float(a)
-    schedule = list(schedule)
-
+    if isinstance(f, RealFunction) and f.smoothness != C_INF and f.smoothness < k:
+        raise SmoothnessError(
+            f"test function {f.label!r} is only C^{f.smoothness}, "
+            f"needs C^{k} around a={a:g}"
+        )
     dk = d.derivative(k) if isinstance(d, DiracKernel) else _iter_derivative(d, k)
-    info = _profile_of(dk)
-    if info is not None:
-        prof, (plo, phi), order = info
-        return reduce_sequence(
-            schedule,
-            lambda n: _quad_piece(
-                lambda u, n=n: (n**order) * prof(u) * fn(a + u / n),
-                plo, phi, points=[0.0]),
-            tol)
-    shifted = dk.translate(a)
-    return reduce_integral(shifted, schedule=schedule, tol=tol, weight=fn)
+    return sift(dk, f, a=a, schedule=schedule, tol=tol)
 
 
 def _iter_derivative(vf, k):
@@ -373,7 +441,7 @@ def convolve(d1, d2, tol=1e-10):
     eps_3 = eps_1 + eps_2.
     """
     for d in (d1, d2):
-        if not isinstance(d, DiracKernel):
+        if not isinstance(d, DiracKernel) or d.order:
             raise TypeError("convolve requires profile-based Dirac kernels")
         if d.smoothness < 0:
             raise SmoothnessError(

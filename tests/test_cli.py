@@ -210,3 +210,56 @@ def test_json_floats_are_17_sig_digits():
     # Round-tripping through the text must preserve the float exactly.
     text_value = out.split('"value":')[1].split(",")[0]
     assert float(text_value) == payload["value"]
+
+
+# -- regressions and the fixed-node path ----------------------------------
+
+def test_division_by_zero_is_engine_error():
+    status, out, err = run(["simplify", "delta(1/x)"])
+    assert status == 1
+    assert "error (engine)" in err and "Traceback" not in err
+    status, _, err = run(["integrate", "delta(x)+1/x", "--json"])
+    assert status == 1
+    assert json.loads(err)["error"] == "engine"
+
+
+def test_fifth_derivative_sifting():
+    # (-1)^5 * 5! from closed-form bump derivatives of order 5.
+    status, out, _ = run(["integrate", "ddelta(x,5)*x^5", "--json"])
+    assert status == 0
+    assert abs(json.loads(out)["value"] + 120.0) < 1e-6
+
+
+def _readme_numerics_examples():
+    import shlex
+    from pathlib import Path
+
+    text = Path(__file__).resolve().parents[1].joinpath("README.md").read_text()
+    section = text.split("## Numerics", 1)[1].split("\n## ", 1)[0]
+    return [shlex.split(line[len("$ deltacalc "):])
+            for line in section.splitlines() if line.startswith("$ deltacalc ")]
+
+
+@pytest.mark.parametrize("kernel", ["bump", "square", "plus", "minus"])
+def test_readme_sift_examples_make_no_quad_call(kernel, monkeypatch):
+    from deltacalc import vintegral
+
+    calls = []
+    real = vintegral.quad
+    monkeypatch.setattr(vintegral, "quad",
+                        lambda *a, **kw: calls.append(a[1:3]) or real(*a, **kw))
+    examples = _readme_numerics_examples()
+    assert len(examples) >= 2
+    for argv in examples:
+        argv = [a for a in argv if a != "--kernel"][:2] + ["--kernel", kernel]
+        status, _, _ = run(argv)
+        # ddelta on the discontinuous square kernel is refused up front.
+        assert status == 0 or (kernel == "square" and "ddelta" in argv[1])
+    assert calls == []
+
+
+@pytest.mark.parametrize("text", ["x+1e999", "delta(x*1e999)", "ddelta(x,1e999)"])
+def test_infinite_literal_is_parse_error(text):
+    status, _, err = run(["simplify", text])
+    assert status == 2
+    assert "out of range" in err

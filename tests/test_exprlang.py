@@ -248,3 +248,136 @@ def test_lift_rejects_delta_inside_function():
 def test_ddelta_requires_shift_pattern():
     with pytest.raises(ExpressionError, match="x, x-a, or x\\+a"):
         parse_expression("ddelta(x^2,1)")
+
+
+# -- compiled closures -------------------------------------------------------
+
+import numpy as np  # noqa: E402
+
+from deltacalc.errors import DeltaCalcError  # noqa: E402
+from deltacalc.exprlang import _diff  # noqa: E402
+
+_REF_CALLS = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
+              "atan": math.atan, "abs": abs}
+_REF_SLOPES = {"sin": math.cos, "cos": lambda v: -math.sin(v), "exp": math.exp,
+               "atan": lambda v: 1.0 / (1.0 + v * v),
+               "abs": lambda v: 1.0}
+_POINTS = (-2.3, -0.7, 0.0, 0.4, 1.0, 3.1)
+
+
+def _ref_eval(node, x):
+    """The recursive walk that compiled closures replace."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, Neg):
+        return -_ref_eval(node.arg, x)
+    if isinstance(node, Call):
+        return _REF_CALLS[node.name](_ref_eval(node.arg, x))
+    a, b = _ref_eval(node.left, x), _ref_eval(node.right, x)
+    return {"+": lambda: a + b, "-": lambda: a - b, "*": lambda: a * b,
+            "/": lambda: a / b, "^": lambda: a ** b}[node.op]()
+
+
+def _ulp(v):
+    return float(np.spacing(abs(v)))
+
+
+def _ref_bound(node, x):
+    """Value and first-order error bound of the array path: each ufunc or
+    power may round differently from math by one ulp of its result, and
+    that difference propagates through the operations above it."""
+    if isinstance(node, Num):
+        return node.value, 0.0
+    if isinstance(node, Var):
+        return x, 0.0
+    if isinstance(node, Neg):
+        v, e = _ref_bound(node.arg, x)
+        return -v, e
+    if isinstance(node, Call):
+        v, e = _ref_bound(node.arg, x)
+        out = _REF_CALLS[node.name](v)
+        rounding = 0.0 if node.name == "abs" else _ulp(out)
+        return out, abs(_REF_SLOPES[node.name](v)) * e + rounding
+    (a, ea), (b, eb) = _ref_bound(node.left, x), _ref_bound(node.right, x)
+    if node.op in "+-":
+        out = a + b if node.op == "+" else a - b
+        return out, ea + eb + (_ulp(out) if ea or eb else 0.0)
+    if node.op == "*":
+        out = a * b
+        return out, abs(b) * ea + abs(a) * eb + (_ulp(out) if ea or eb else 0.0)
+    if node.op == "/":
+        out = a / b
+        return out, (ea + abs(out) * eb) / abs(b) + (_ulp(out) if ea or eb else 0.0)
+    out = a ** b
+    slope_b = abs(out * math.log(abs(a))) if eb and a else 0.0
+    slope_a = abs(b * a ** (b - 1.0)) if ea else 0.0
+    return out, slope_a * ea + slope_b * eb + _ulp(out)
+
+
+def _check_compiled(tree, fn):
+    xs = np.array(_POINTS)
+    try:
+        with np.errstate(all="ignore"):
+            array_out = fn(xs)
+    except ArithmeticError:
+        # Only a subtree free of x runs on floats, and it fails for every x.
+        for x in _POINTS:
+            with pytest.raises((ExpressionError, ValueError, TypeError)):
+                fn(x)
+        return
+    assert array_out.shape == xs.shape
+    for i, x in enumerate(_POINTS):
+        try:
+            want = float(_ref_eval(tree, x))
+        except (ZeroDivisionError, OverflowError):
+            with pytest.raises(ExpressionError):
+                fn(x)
+            continue
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                fn(x)
+            continue
+        got = fn(x)
+        assert type(got) is float
+        assert got.hex() == want.hex(), (render(tree), x)
+        try:
+            _v, bound = _ref_bound(tree, x)
+        except (ArithmeticError, ValueError):
+            continue  # a slope is infinite: no bound to hold to
+        if math.isfinite(want) and math.isfinite(bound):
+            assert abs(array_out[i] - want) <= 4.0 * bound, (render(tree), x)
+
+
+@given(_trees(3))
+@settings(max_examples=300, deadline=None)
+def test_compiled_matches_reference_walk(tree):
+    _check_compiled(tree, to_real_function(tree).fn)
+
+
+@pytest.mark.parametrize("text", [t for t in FULL_CORPUS if "delta" not in t])
+def test_compiled_corpus_and_derivatives(text):
+    tree = parse(text)
+    f = to_real_function(tree)
+    _check_compiled(tree, f.fn)
+    d = tree
+    for deriv in f.derivs:
+        d = _diff(d)
+        _check_compiled(d, deriv)
+
+
+def test_scalar_arithmetic_error_is_expression_error():
+    f = to_real_function(parse("1/(x-2)"))
+    with pytest.raises(ExpressionError, match="1/"):
+        f(2.0)
+    g = to_real_function(parse("exp(x)"))
+    with pytest.raises(DeltaCalcError):
+        g(1000.0)
+    assert np.isinf(f(np.array([2.0])))[0]
+
+
+def test_constant_tree_broadcasts_over_arrays():
+    f = to_real_function(parse("2+3"))
+    assert f(1.5) == 5.0
+    assert f(np.zeros(4)).tolist() == [5.0] * 4

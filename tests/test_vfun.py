@@ -192,3 +192,52 @@ def test_mixture_json_round_trip(mix):
 def test_unknown_kernel_record_rejected():
     with pytest.raises(ValueError):
         kernel_from_json({"name": "nope"})
+
+
+# -- closed-form bump derivatives and array evaluation -----------------------
+
+def test_bump_derivatives_match_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    from deltacalc.vfun import _BUMP_PROFILE
+
+    with mpmath.workdps(40):
+        raw = lambda t: mpmath.exp(-1 / (1 - t * t))
+        for k in range(7):
+            dk = _BUMP_PROFILE.derivative(k)
+            for x in (-0.83, -0.4, 0.0, 0.25, 0.6, 0.91):
+                want = float(BUMP_NORMALIZATION * mpmath.diff(raw, x, k))
+                assert abs(dk(x) - want) <= 1e-11 * max(1.0, abs(want)), (k, x)
+            assert dk(1.0) == dk(-1.5) == 0.0
+
+
+def test_shifted_and_mixed_profile_derivatives(plus, minus, mix):
+    from deltacalc.vfun import _BUMP_PROFILE
+
+    d3 = _BUMP_PROFILE.derivative(3)
+    u = np.linspace(-3.5, 3.5, 41)
+    assert np.array_equal(plus.derivative(3).profile(u), d3(u - 2.0))
+    assert np.array_equal(mix.derivative(3).profile(u),
+                          0.5 * (d3(u - 2.0) + d3(u + 2.0)))
+
+
+@pytest.mark.parametrize("name", ["bump", "square", "plus", "minus", "mixture"])
+def test_rank_eval_on_arrays_matches_floats(name, all_kernels):
+    k = all_kernels[name]
+    xs = np.linspace(-0.3, 0.3, 101)
+    for d in ([k] if k.smoothness < 1 else [k, k.derivative(1), k.derivative(4)]):
+        # numpy's vector loops may round exp differently by an ulp.
+        np.testing.assert_allclose(
+            d.rank_eval(16, xs), [d.rank_eval(16, float(x)) for x in xs],
+            rtol=4 * np.finfo(float).eps, atol=0.0)
+    pa = dc.point_altered_delta(at=0.0, value=3.0)
+    assert pa.rank_eval(16, np.array([0.0, 0.01])).tolist() == [
+        3.0, pa.rank_eval(16, 0.01)]
+
+
+def test_check_dirac_takes_float_only_rank_functions():
+    # A rank function that branches on a float cannot take the grids as
+    # arrays; the check evaluates them point by point instead.
+    square = dc.VirtualFunction(
+        lambda n, x: 0.5 * n if abs(n * x) < 1.0 else 0.0,
+        support=lambda n: (-1.0 / n, 1.0 / n), smoothness=-1, label="sq")
+    assert check_dirac(square).ok

@@ -243,3 +243,114 @@ def test_compose_one_sided_kernel(minus):
     comp = dc.compose(minus, math.exp)
     res = reduce_integral(comp)
     assert res.reduced and res.value == 0.0
+
+
+# -- fixed-node profile quadrature ------------------------------------------
+
+from deltacalc import vintegral  # noqa: E402
+from deltacalc.errors import QuadratureError  # noqa: E402
+from deltacalc.exprlang import parse, to_real_function  # noqa: E402
+from deltacalc.rewrite import sift_battery  # noqa: E402
+from deltacalc.vintegral import _fixed_rule, _quad_piece, profile_integral  # noqa: E402
+
+#: Highest rank reduce_expr_integral probes for each derivative order.
+RANK_CAP = {0: DEFAULT_SCHEDULE[-1], 1: 2**12, 2: 2**10}
+
+
+def _quad_reference(d, n, a, fn, ulo, uhi, subtract_fa=False):
+    # The adaptive integrand profile_integral falls back to.
+    scale = n ** d.order
+    fa = fn(a) if subtract_fa else 0.0
+    return _quad_piece(lambda u: scale * d.profile(u) * (fn(a + u / n) - fa),
+                       ulo, uhi, points=[0.0])
+
+
+@pytest.fixture
+def quad_calls(monkeypatch):
+    calls = []
+    real = vintegral.quad
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(vintegral, "quad", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, order", [
+    (name, order) for name in ("bump", "plus", "minus", "mixture")
+    for order in (0, 1, 2)] + [("square", 0), ("convolution", 0), ("convolution", 1)])
+def test_fixed_rule_matches_quad(name, order, all_kernels):
+    # Every derivative order up to 2 that the kernel has.
+    d = all_kernels[name].derivative(order)
+    tol = 1e-12 if order == 0 else 1e-8
+    # Every third rank down from the cap: each reference takes milliseconds.
+    ranks = [n for n in DEFAULT_SCHEDULE if n <= RANK_CAP[order]][::-3]
+    # quad resolves a contraction's derivative (a spline of 16k pieces) to
+    # only ~1e-11 within its 200 subintervals, an error scaled by n.  Since
+    # p' integrates to p(hi) - p(lo) = 0, the reference integrates
+    # p' * (f - f(a)) instead, the same integral.
+    subtract_fa = name == "convolution" and order > 0
+    accepted = total = 0
+    for f in sift_battery():
+        for a in (0.0, 0.3, -1.7):
+            for n in ranks:
+                total += 1
+                got = _fixed_rule(d, n, a, f.fn, *d.profile_support)
+                if got is None:
+                    continue
+                accepted += 1
+                want = _quad_reference(d, n, a, f.fn, *d.profile_support,
+                                       subtract_fa=subtract_fa)
+                assert abs(got - want) <= tol * max(1.0, abs(want)), (f.label, a, n)
+    # A mixture's bumps fill a third of each panel and a contraction's
+    # spline is only piecewise smooth: adaptive quad takes most of those.
+    assert accepted == total or name in ("mixture", "convolution")
+
+
+def test_math_only_weight_falls_back(bump, quad_calls):
+    got = profile_integral(bump, 64, 0.5, math.cos)
+    assert quad_calls
+    assert got == _quad_reference(bump, 64, 0.5, math.cos, -1.0, 1.0)
+
+
+def test_kink_inside_support_falls_back(bump, quad_calls):
+    # |x| at a = 0.3/n puts the kink at u = -0.3, inside a panel.
+    n = 64
+    f = to_real_function(parse("abs(x)")).fn
+    assert _fixed_rule(bump, n, 0.3 / n, f, -1.0, 1.0) is None
+    got = profile_integral(bump, n, 0.3 / n, f)
+    assert quad_calls
+    assert got == _quad_reference(bump, n, 0.3 / n, f, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("order", [0, 2])
+def test_cut_support_matches_quad(bump, order):
+    # --lower/--upper inside the support: no subtraction of f(a).
+    d = bump.derivative(order)
+    tol = 1e-12 if order == 0 else 1e-8
+    f = to_real_function(parse("exp(x)*cos(3*x)")).fn
+    for n in (16, 256, 1024):
+        for ulo, uhi in ((0.0, math.inf), (-math.inf, -0.25), (-0.5, 0.7)):
+            got = profile_integral(d, n, 0.2, f, ulo, uhi)
+            want = _quad_reference(d, n, 0.2, f, max(ulo, -1.0), min(uhi, 1.0))
+            assert abs(got - want) <= tol * max(1.0, abs(want)), (n, ulo, uhi)
+
+
+def test_non_finite_weight_raises_like_quad(bump, quad_calls):
+    # x^0.5 is nan on the array path and complex on the float path, where
+    # adaptive quadrature raises today's error.
+    f = to_real_function(parse("x^0.5")).fn
+    with pytest.raises(QuadratureError):
+        _quad_reference(bump, 16, 0.0, f, -1.0, 1.0)
+    with pytest.raises(QuadratureError):
+        profile_integral(bump, 16, 0.0, f)
+    assert quad_calls
+
+
+def test_sift_on_fixed_nodes_makes_no_quad_call(plus, quad_calls):
+    f = to_real_function(parse("x*cos(x)"))
+    res = dc.sift_derivative(plus, 2, f, a=0.4)
+    assert not quad_calls
+    assert abs(res.value - f.deriv_value(2, 0.4)) < 1e-8
