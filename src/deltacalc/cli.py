@@ -9,16 +9,17 @@ Exit status: 0 success, 1 engine rejection, 2 parse/config error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, DeltaCalcError, ParseError
-from .exprlang import parse, parse_expression, render
+from .exprlang import parse_expression
 from .rewrite import (
-    CompTerm,
     SmoothTerm,
     check_equivalence,
     kernel_dependence_probe,
@@ -27,28 +28,17 @@ from .rewrite import (
     simplify,
     standard_battery,
 )
-from .vfun import (
-    RealFunction,
-    bump_delta,
-    check_dirac,
-    kernel_to_json,
-    mixture,
-    shifted_delta,
-    square_delta,
-)
-from .vintegral import NEG_INF, POS_INF, VirtualBound, convolve, integrate_rank
+from .roots import WINDOW
+from .vfun import RealFunction, check_dirac, kernel_from_json, kernel_to_json
+from .vintegral import NEG_INF, POS_INF, VirtualBound
 
 __all__ = ["main", "run_command", "Config", "KERNELS"]
 
 
-KERNELS = {
-    "bump": bump_delta,
-    "square": square_delta,
-    "plus": lambda: shifted_delta("+"),
-    "minus": lambda: shifted_delta("-"),
-    "mix": lambda: mixture(shifted_delta("+"), shifted_delta("-")),
-    "conv": lambda: convolve(bump_delta(), bump_delta()),
-}
+KERNELS = {name: functools.partial(kernel_from_json, {"name": record})
+           for name, record in (("bump", "bump"), ("square", "square"),
+                                ("plus", "plus"), ("minus", "minus"),
+                                ("mix", "mixture"), ("conv", "convolution"))}
 
 BATTERIES = {
     "standard": standard_battery,
@@ -62,8 +52,7 @@ class Config:
     probe_min_exp: int = 4
     probe_max_exp: int = 20
     battery: str = "standard"
-    scan_window: tuple = (-50.0, 50.0)
-    grid_size: int = 4096
+    scan_window: tuple = WINDOW
     kernel: str = "bump"
 
     @property
@@ -77,15 +66,11 @@ class Config:
                               f"{sorted(KERNELS)}")
         return KERNELS[self.kernel]()
 
-    def make_battery(self, order=None):
+    def make_battery(self):
         if self.battery not in BATTERIES:
             raise ConfigError(f"unknown battery {self.battery!r}; choose from "
                               f"{sorted(BATTERIES)}")
-        fns = BATTERIES[self.battery]()
-        if order is not None:
-            from .vfun import C_INF
-            fns = [f for f in fns if f.smoothness == C_INF or f.smoothness >= order]
-        return fns
+        return BATTERIES[self.battery]()
 
 
 def _load_config(path):
@@ -95,20 +80,21 @@ def _load_config(path):
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     known = {"tolerance", "probe_min_exp", "probe_max_exp", "battery",
-             "scan_window", "grid_size", "kernel"}
+             "scan_window", "kernel"}
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if "scan_window" in raw:
-        raw["scan_window"] = tuple(float(v) for v in raw["scan_window"])
+        lo, hi = raw["scan_window"] = tuple(float(v) for v in raw["scan_window"])
+        if not -math.inf < lo < hi < math.inf:
+            raise ConfigError("scan_window must satisfy lo < hi, both finite")
     return Config(**raw)
 
 
 def _apply_flags(cfg, args):
     updates = {}
-    for key in ("tolerance", "probe_min_exp", "probe_max_exp", "battery",
-                "grid_size", "kernel"):
-        val = getattr(args, key.replace("-", "_"), None)
+    for key in ("tolerance", "probe_min_exp", "probe_max_exp", "battery", "kernel"):
+        val = getattr(args, key, None)
         if val is not None:
             updates[key] = val
     cfg = replace(cfg, **updates)
@@ -180,7 +166,8 @@ def _cmd_integrate(args, cfg, out):
     lo = NEG_INF if args.lower is None else VirtualBound.const(args.lower)
     hi = POS_INF if args.upper is None else VirtualBound.const(args.upper)
     res = reduce_expr_integral(expr, kernel=kernel, lo=lo, hi=hi,
-                               schedule=cfg.schedule, tol=cfg.tolerance)
+                               schedule=cfg.schedule, tol=cfg.tolerance,
+                               window=cfg.scan_window)
     if args.trace_out:
         _write_trace(args.trace_out, "n,I_n", res.rank_values)
     payload = res.to_json()
@@ -197,10 +184,10 @@ def _cmd_equiv(args, cfg, out):
     if isinstance(rhs, RealFunction):
         rhs = SmoothTerm(rhs)
     kernel = cfg.make_kernel()
-    battery = cfg.make_battery(order=args.order)
-    verdict = check_equivalence(lhs, rhs, kernel=kernel, battery=battery,
+    verdict = check_equivalence(lhs, rhs, kernel=kernel,
+                                battery=cfg.make_battery(), order=args.order,
                                 tol=max(cfg.tolerance, 1e-8) * 10,
-                                schedule=cfg.schedule)
+                                schedule=cfg.schedule, window=cfg.scan_window)
     payload = verdict.to_json()
     if verdict.variant == "consistent_equivalent":
         human = (f"ConsistentEquivalent over {verdict.battery_size} test "
@@ -243,7 +230,8 @@ def _cmd_probe_kernels(args, cfg, out):
         if name not in KERNELS:
             raise ConfigError(f"unknown kernel {name!r}")
     kernels = [KERNELS[name]() for name in names]
-    report = kernel_dependence_probe(g, kernels, schedule=cfg.schedule)
+    report = kernel_dependence_probe(g, kernels, schedule=cfg.schedule,
+                                     window=cfg.scan_window)
     payload = report.to_json()
     flag = "FLAGGED" if report.flagged else "ok"
     lines = [f"{name}: {_integral_human(res)}" for name, res in report.outcomes]
@@ -279,7 +267,7 @@ def _cmd_trace(args, cfg, out):
         if isinstance(expr, RealFunction):
             expr = SmoothTerm(expr)
         res = reduce_expr_integral(expr, kernel=kernel, schedule=cfg.schedule,
-                                   tol=cfg.tolerance)
+                                   tol=cfg.tolerance, window=cfg.scan_window)
         rows = list(res.rank_values)
         header = "n,I_n"
     if args.trace_out:
@@ -313,7 +301,6 @@ def _build_parser():
         p.add_argument("--probe-min-exp", type=int, dest="probe_min_exp")
         p.add_argument("--probe-max-exp", type=int, dest="probe_max_exp")
         p.add_argument("--battery", choices=sorted(BATTERIES))
-        p.add_argument("--grid-size", type=int, dest="grid_size")
         p.add_argument("--kernel", choices=sorted(KERNELS))
 
     p = sub.add_parser("simplify", help="rewrite to normal form")
@@ -392,7 +379,7 @@ def run_command(argv, out=None, err=None):
     try:
         cfg = _load_config(args.config) if args.config else Config()
         cfg = _apply_flags(cfg, args)
-    except ConfigError as exc:
+    except (ConfigError, TypeError, ValueError) as exc:
         return fail(2, "config", exc)
 
     try:

@@ -349,10 +349,30 @@ def _diff(node):
 # One code object per tree, run with these names bound to `math` for a
 # float (the same operations, in the same order, as a recursive walk) or to
 # numpy ufuncs for an ndarray.
-_SCALAR_NAMES = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
-                 "atan": math.atan, "abs": abs, "inf": math.inf, "nan": math.nan}
-_ARRAY_NAMES = {"sin": np.sin, "cos": np.cos, "exp": np.exp,
-                "atan": np.arctan, "abs": np.abs, "inf": math.inf, "nan": math.nan}
+# A power with an exponent other than an integer constant is emitted as
+# power(a, b).  On floats a negative base then gives a complex value, which
+# abs() may make real again; on arrays `_array_power` keeps that complex
+# value where numpy's power gives nan.
+
+
+def _float_power(a, b):
+    try:
+        return a ** b
+    except ArithmeticError:
+        return np.power(a, b)
+
+
+def _array_power(a, b):
+    out = np.power(a, b)
+    if np.iscomplexobj(out) or np.isnan(out).any():
+        out = np.asarray(np.frompyfunc(_float_power, 2, 1)(a, b), dtype=complex)
+    return out
+
+
+_SCALAR_NAMES = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "atan": math.atan,
+                 "abs": abs, "power": pow, "inf": math.inf, "nan": math.nan}
+_ARRAY_NAMES = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "atan": np.arctan,
+                "abs": np.abs, "power": _array_power, "inf": math.inf, "nan": math.nan}
 
 
 def _emit(node, lines, names):
@@ -373,6 +393,9 @@ def _emit(node, lines, names):
         a = _emit(node.left, lines, names)
         b = _emit(node.right, lines, names)
         expr = f"{a} {'**' if node.op == '^' else node.op} {b}"
+        if node.op == "^" and not (isinstance(node.right, Num)
+                                   and float(node.right.value).is_integer()):
+            expr = f"power({a}, {b})"
     else:
         raise ExpressionError(f"cannot evaluate {type(node).__name__}")
     names[key] = f"t{len(names)}"
@@ -390,6 +413,14 @@ def _compile(node, label):
     exec(code, scalar_ns)
     exec(code, array_ns)
     scalar_f, array_f = scalar_ns["f"], array_ns["f"]
+    if "power(" in source:
+        # A numpy scalar x would take numpy's power; a complex value is nan
+        # on an array, but where it is real.
+        scalar_f, complex_f = (lambda x, f=scalar_f: f(float(x))), array_f
+
+        def array_f(x):
+            out = complex_f(x)
+            return np.where(out.imag == 0, out.real, np.nan) if np.iscomplexobj(out) else out
 
     def fn(x):
         if isinstance(x, np.ndarray):

@@ -8,20 +8,20 @@ test functions.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ExpressionError, RewriteError, SmoothnessError
 from .limits import DEFAULT_SCHEDULE
-from .roots import certify_hypotheses, find_simple_roots
+from .roots import WINDOW, certify_hypotheses, find_simple_roots
 from .vfun import C_INF, DiracKernel, RealFunction, const_function
 from .vintegral import (
     NEG_INF,
     POS_INF,
     VirtualBound,
-    _classify_sequence,
     _quad_piece,
     compose,
     convolve,
@@ -243,21 +243,15 @@ class NormalForm:
 # Rewrite rules
 # ---------------------------------------------------------------------------
 
-def rewrite_composition(g, cert=None, window=None):
+def rewrite_composition(g, cert=None, window=WINDOW):
     """delta(g(x)) -> sum over simple roots of delta(x - a_i) / |g'(a_i)|.
 
     Requires certified hypotheses; an empty root set under certification
     means the composite is identically null.
     """
     if cert is None:
-        window = window or (-50.0, 50.0)
-        records = find_simple_roots(g, window=window)
-        cert = certify_hypotheses(g, records, window=window)
-    if not cert.certified:
-        raise RewriteError(
-            f"composition-rule hypotheses not certified "
-            f"({cert.verdict}): {cert.reason}"
-        )
+        cert = certify_hypotheses(g, find_simple_roots(g, window=window), window=window)
+    cert.require()
     terms = [(1.0 / abs(rec.g_prime), 0, rec.a) for rec in cert.roots]
     return NormalForm.from_terms(terms, STRONG)
 
@@ -301,7 +295,7 @@ def rewrite_convolution(d1, d2, a=0.0):
     return NormalForm.from_terms([(1.0, 0, float(a))], STRONG, kernel_binding=d3)
 
 
-def simplify(expr, window=None):
+def simplify(expr, window=WINDOW):
     """Rewrite an expression AST to its normal form."""
     if isinstance(expr, DeltaTerm):
         return NormalForm.from_terms([(1.0, expr.order, expr.shift)], STRONG,
@@ -361,19 +355,19 @@ def evaluate_normal_form(nf, f):
 # Numeric expression integration (termwise per rank)
 # ---------------------------------------------------------------------------
 
-def _term_rank_integral(expr, weight, kernel, n, lo, hi):
+def _term_rank_integral(expr, weight, kernel, n, lo, hi, window=WINDOW):
     """Per-rank integral of expr * weight over [lo(n), hi(n)], termwise."""
     if isinstance(expr, SumTerm):
-        return sum(_term_rank_integral(p, weight, kernel, n, lo, hi)
+        return sum(_term_rank_integral(p, weight, kernel, n, lo, hi, window)
                    for p in expr.parts)
     if isinstance(expr, ScaleTerm):
-        return expr.c * _term_rank_integral(expr.expr, weight, kernel, n, lo, hi)
+        return expr.c * _term_rank_integral(expr.expr, weight, kernel, n, lo, hi, window)
     if isinstance(expr, ProductTerm):
         if weight is None:
             w = expr.f.fn
         else:
             w = lambda x, f=expr.f.fn, g=weight: f(x) * g(x)
-        return _term_rank_integral(expr.delta, w, kernel, n, lo, hi)
+        return _term_rank_integral(expr.delta, w, kernel, n, lo, hi, window)
     if isinstance(expr, SmoothTerm):
         a, b = lo.bound_at(n), hi.bound_at(n)
         cval = expr.f(0.0)
@@ -396,7 +390,7 @@ def _term_rank_integral(expr, weight, kernel, n, lo, hi):
         kern = expr.kernel if expr.kernel is not None else kernel
         if kern is None:
             raise ExpressionError("delta term evaluated without a kernel binding")
-        comp = _composite_cached(expr, kern)
+        comp = _composite(expr.inner, kern, window)
         return integrate_rank(comp, lo, hi, n, weight=weight)
     if isinstance(expr, ContractionTerm):
         d3 = convolve(expr.d1, expr.d2)
@@ -405,14 +399,11 @@ def _term_rank_integral(expr, weight, kernel, n, lo, hi):
     raise ExpressionError(f"cannot integrate node {type(expr).__name__}")
 
 
-_COMPOSITE_CACHE = {}
-
-
-def _composite_cached(expr, kern):
-    key = (id(expr.inner), id(kern))
-    if key not in _COMPOSITE_CACHE:
-        _COMPOSITE_CACHE[key] = compose(kern, expr.inner)
-    return _COMPOSITE_CACHE[key]
+@functools.lru_cache(maxsize=2)
+def _composite(inner, kern, window):
+    """compose(kern, inner) over `window`, built once: the cache holds its
+    key objects, so no other composite can take their entry."""
+    return compose(kern, inner, window=window)
 
 
 def expr_rank_eval(expr, kernel, n, x):
@@ -440,8 +431,9 @@ def expr_rank_eval(expr, kernel, n, x):
 
 def reduce_expr_integral(expr, weight=None, kernel=None,
                          lo=NEG_INF, hi=POS_INF,
-                         schedule=DEFAULT_SCHEDULE, tol=1e-9):
-    """Reduce the virtual integral of expr * weight over [lo, hi]."""
+                         schedule=DEFAULT_SCHEDULE, tol=1e-9, window=WINDOW):
+    """Reduce the virtual integral of expr * weight over [lo, hi]; delta
+    composites are scanned over `window`."""
     lo = VirtualBound.coerce(lo)
     hi = VirtualBound.coerce(hi)
     if isinstance(weight, RealFunction):
@@ -455,7 +447,7 @@ def reduce_expr_integral(expr, weight=None, kernel=None,
         schedule = [n for n in schedule if n <= cap] or schedule[:5]
     return reduce_sequence(
         schedule,
-        lambda n: _term_rank_integral(expr, weight, kernel, n, lo, hi),
+        lambda n: _term_rank_integral(expr, weight, kernel, n, lo, hi, window),
         tol)
 
 
@@ -503,28 +495,26 @@ class EquivalenceVerdict:
 
 
 def check_equivalence(lhs, rhs, kernel=None, battery=None, tol=1e-7,
-                      order=None, schedule=DEFAULT_SCHEDULE):
+                      order=None, schedule=DEFAULT_SCHEDULE, window=WINDOW):
     """Decide Dirac equivalence of two expressions against a test battery.
 
     A finite battery can only ever certify "consistent"; any irreducible
     side or any deviation beyond 10*tol is decisive the other way.
     """
-    if battery is None:
-        battery = standard_battery(order=order)
-    elif order is not None:
-        battery = [f for f in battery
-                   if f.smoothness == C_INF or f.smoothness >= order]
+    battery = standard_battery() if battery is None else battery
+    if order is not None:
+        battery = [f for f in battery if f.smoothness >= order]
     if not battery:
         raise ValueError("battery must be nonempty")
     max_dev = 0.0
     for f in battery:
         left = reduce_expr_integral(lhs, weight=f, kernel=kernel,
-                                    schedule=schedule, tol=tol)
+                                    schedule=schedule, tol=tol, window=window)
         if not left.reduced:
             return EquivalenceVerdict("irreducible_side", side="lhs",
                                       witness=f.label)
         right = reduce_expr_integral(rhs, weight=f, kernel=kernel,
-                                     schedule=schedule, tol=tol)
+                                     schedule=schedule, tol=tol, window=window)
         if not right.reduced:
             return EquivalenceVerdict("irreducible_side", side="rhs",
                                       witness=f.label)
@@ -559,7 +549,8 @@ class ProbeReport:
         }
 
 
-def kernel_dependence_probe(g, kernels, schedule=DEFAULT_SCHEDULE, tol=1e-6):
+def kernel_dependence_probe(g, kernels, schedule=DEFAULT_SCHEDULE, tol=1e-6,
+                            window=WINDOW):
     """Integrate delta_k(g(x)) per kernel and flag kernel-dependent results.
 
     When outcomes differ (divergent vs zero vs distinct finite values) the
@@ -569,23 +560,19 @@ def kernel_dependence_probe(g, kernels, schedule=DEFAULT_SCHEDULE, tol=1e-6):
         raise ValueError("probe needs at least two kernels")
     outcomes = []
     for kern in kernels:
-        comp = compose(kern, g)
+        comp = compose(kern, g, window=window)
         res = reduce_sequence(
             list(schedule),
             lambda n: integrate_rank(comp, NEG_INF, POS_INF, n),
             1e-9)
         outcomes.append((getattr(kern, "name", kern.label), res))
-    kinds = {res.kind for _n, res in outcomes}
-    if kinds != {"reduced"}:
+    if {res.kind for _n, res in outcomes} != {"reduced"}:
         labels = sorted(f"{name}:{res.kind}" for name, res in outcomes)
-        flagged = len({res.kind for _n, res in outcomes}) > 1 or \
-            "irreducible" in kinds or "undetermined" in kinds
-        if flagged:
-            return ProbeReport(
-                getattr(g, "label", "g"), tuple(outcomes), True,
-                "no generic operational rule: outcomes differ in kind "
-                f"({', '.join(labels)})",
-            )
+        return ProbeReport(
+            getattr(g, "label", "g"), tuple(outcomes), True,
+            "no generic operational rule: outcomes differ in kind "
+            f"({', '.join(labels)})",
+        )
     vals = [res.value for _n, res in outcomes]
     if max(vals) - min(vals) > tol:
         return ProbeReport(

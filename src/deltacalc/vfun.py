@@ -477,16 +477,20 @@ def _outside_grid():
 _OUTSIDE_GRID = _outside_grid()
 
 
-def _rank_values(vf, n, xs):
-    """f_n on the grid xs: one array call, or one call per point when the
-    rank function takes only floats."""
+def on_points(fn, xs, finite=False):
+    """fn on the points xs: one array call where fn takes an ndarray, else
+    one call per point, where a failing float evaluation raises; with
+    `finite`, also where the array result is not finite everywhere."""
     try:
-        vals = np.asarray(vf.rank_eval(n, xs), dtype=float)
-        if vals.shape == xs.shape:
-            return vals
-    except (TypeError, ValueError):
-        pass
-    return np.array([vf.rank_eval(n, float(x)) for x in xs])
+        with np.errstate(all="ignore"):
+            vals = fn(xs)
+    except (TypeError, ValueError, ArithmeticError):
+        vals = None
+    if (isinstance(vals, np.ndarray) and vals.dtype.kind == "f"
+            and vals.shape == xs.shape
+            and (not finite or np.isfinite(vals).all())):
+        return vals
+    return np.array([fn(float(x)) for x in xs], dtype=float)
 
 
 def check_dirac(vf, schedule=DEFAULT_SCHEDULE, tol=1e-6, grid_points=1000):
@@ -511,7 +515,7 @@ def check_dirac(vf, schedule=DEFAULT_SCHEDULE, tol=1e-6, grid_points=1000):
     for n in schedule:
         lo, hi = vf.support_interval(n)
         xs = np.linspace(lo, hi, grid_points)
-        vals = _rank_values(vf, n, xs)
+        vals = on_points(lambda x: vf.rank_eval(n, x), xs)
         if np.min(vals) < -1e-9:
             x_bad = float(xs[int(np.argmin(vals))])
             return DiracFailure(
@@ -531,7 +535,7 @@ def check_dirac(vf, schedule=DEFAULT_SCHEDULE, tol=1e-6, grid_points=1000):
         return DiracFailure("iii", f"support radius sequence classifies as {cls.value}")
     for n in (schedule[0], schedule[len(schedule) // 2], schedule[-1]):
         r = vf.support_radius(n)
-        vals = _rank_values(vf, n, _OUTSIDE_GRID)
+        vals = on_points(lambda x: vf.rank_eval(n, x), _OUTSIDE_GRID)
         bad = np.flatnonzero((np.abs(_OUTSIDE_GRID) >= r) & (vals != 0.0))
         if bad.size:
             i = bad[0]
@@ -583,16 +587,16 @@ def kernel_to_json(kernel):
 
 def kernel_from_json(record):
     name = record["name"]
-    if name == "bump":
-        return bump_delta()
-    if name == "square":
-        return square_delta()
-    if name == "plus":
-        return shifted_delta("+")
-    if name == "minus":
-        return shifted_delta("-")
-    if name == "mixture":
-        parts = record.get("params", {}).get("of", ["plus", "minus"])
-        return mixture(kernel_from_json({"name": parts[0]}),
+    simple = {"bump": bump_delta, "square": square_delta,
+              "plus": lambda: shifted_delta("+"), "minus": lambda: shifted_delta("-")}
+    if name in simple:
+        return simple[name]()
+    if name in ("mixture", "convolution"):
+        from .vintegral import convolve
+
+        combine, default = ((mixture, ["plus", "minus"]) if name == "mixture"
+                            else (convolve, ["bump", "bump"]))
+        parts = record.get("params", {}).get("of", default)
+        return combine(kernel_from_json({"name": parts[0]}),
                        kernel_from_json({"name": parts[1]}))
     raise ValueError(f"unknown kernel descriptor {name!r}")

@@ -24,12 +24,12 @@ from .limits import (
     extract_limit,
     power_law_exponent,
 )
+from .roots import WINDOW, scan
 from .vfun import (
     C_INF,
     DiracKernel,
     RealFunction,
     VirtualFunction,
-    check_dirac,
 )
 
 __all__ = [
@@ -430,7 +430,11 @@ def _profile_convolution(p1, s1, p2, s2, tol=1e-10, start=513, max_points=16385)
     return prof, (lo, hi)
 
 
-_CONVOLVE_CACHE = {}
+@functools.lru_cache(maxsize=16)
+def _convolution(p1, s1, p2, s2, tol):
+    """The profile convolution table, cached by value: the cache holds its key
+    profiles, so no other pair can take their table."""
+    return _profile_convolution(p1.fn, s1, p2.fn, s2, tol=tol)
 
 
 def convolve(d1, d2, tol=1e-10):
@@ -448,14 +452,8 @@ def convolve(d1, d2, tol=1e-10):
                 f"kernel {d.name!r} is discontinuous; contraction requires "
                 "continuous kernels"
             )
-    key = (id(d1.profile), id(d2.profile))
-    if key not in _CONVOLVE_CACHE:
-        prof_fn, support = _profile_convolution(
-            d1.profile.fn, d1.profile_support, d2.profile.fn, d2.profile_support,
-            tol=tol,
-        )
-        _CONVOLVE_CACHE[key] = (prof_fn, support)
-    prof_fn, support = _CONVOLVE_CACHE[key]
+    prof_fn, support = _convolution(d1.profile, d1.profile_support,
+                                    d2.profile, d2.profile_support, tol)
     profile = RealFunction(prof_fn, smoothness=1,
                            label=f"conv[{d1.profile.label},{d2.profile.label}]")
     return DiracKernel(profile, support, 1, "convolution",
@@ -466,103 +464,25 @@ def convolve(d1, d2, tol=1e-10):
 # Composition d(g(x)) with nonzero-region tracking
 # ---------------------------------------------------------------------------
 
-_SCAN_WINDOW = (-60.0, 60.0)
-
-
-def _composition_seeds(g, window=_SCAN_WINDOW, grid=8193):
-    """Points where |g| comes near zero: sign-change roots plus refined
-    local minima of |g|.  These seed the per-rank region search, whose
-    regions shrink with the rank and escape any fixed grid."""
-    from scipy.optimize import brentq, minimize_scalar
-
-    xs = np.linspace(window[0], window[1], grid)
-    vals = np.array([g(float(x)) for x in xs])
-    seeds = []
-    sign = np.sign(vals)
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        seeds.append(float(brentq(g, xs[i], xs[i + 1], xtol=1e-14, rtol=8.9e-16)))
-    mags = np.abs(vals)
-    scale = float(np.max(mags)) or 1.0
-    for i in range(1, grid - 1):
-        if mags[i] <= mags[i - 1] and mags[i] <= mags[i + 1] and mags[i] < 0.05 * scale:
-            res = minimize_scalar(lambda x: abs(g(float(x))),
-                                  bounds=(float(xs[i - 1]), float(xs[i + 1])),
-                                  method="bounded")
-            if res.fun < 0.5:
-                seeds.append(float(res.x))
-    return sorted(seeds)
-
-
-def _bisect_boundary(inside, x_in, x_out, iters=200):
-    for _ in range(iters):
-        mid = 0.5 * (x_in + x_out)
-        if mid == x_in or mid == x_out:
-            break
-        if inside(mid):
-            x_in = mid
-        else:
-            x_out = mid
-    return 0.5 * (x_in + x_out)
-
-
-def _inside_regions(inside, a, b, seeds, coarse=4096):
-    wlo, whi = max(a, _SCAN_WINDOW[0]), min(b, _SCAN_WINDOW[1])
-    pts = []
-    if wlo < whi:
-        pts.extend(np.linspace(wlo, whi, coarse))
-    for s in seeds:
-        offs = 1e-14 * (1.8 ** np.arange(0, 85))
-        local = np.concatenate([[s], s - offs, s + offs])
-        pts.extend(local[(local >= a) & (local <= b)])
-    if not pts:
-        return []
-    pts = np.unique(np.asarray(pts, dtype=float))
-    flags = [inside(float(x)) for x in pts]
-
-    regions = []
-    i = 0
-    m = len(pts)
-    while i < m:
-        if not flags[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < m and flags[j + 1]:
-            j += 1
-        left = pts[i] if i == 0 else _bisect_boundary(inside, pts[i], pts[i - 1])
-        right = pts[j] if j == m - 1 else _bisect_boundary(inside, pts[j], pts[j + 1])
-        if i == 0 and pts[0] > a:
-            left = a if inside(a) else _bisect_boundary(inside, pts[0], a)
-        if j == m - 1 and pts[-1] < b:
-            right = b if inside(b) else _bisect_boundary(inside, pts[-1], b)
-        regions.append((float(left), float(right)))
-        i = j + 1
-    return regions
-
-
-def compose(d, g, window=_SCAN_WINDOW):
+def compose(d, g, window=WINDOW):
     """The composite virtual function x -> d_n(g(x)).
 
-    The per-rank nonzero set {x : g(x) in supp(d_n)} is located by a coarse
-    scan plus geometric probing around the near-zero seeds of g, so the
-    integrator never misses the shrinking regions around roots.
+    Its per-rank nonzero set {x : g(x) in supp(d_n)} is read off the scan of
+    g over `window` (roots.Scan.regions), once per rank and bounds; it
+    probes around the near-zero seeds of g, so the integrator never misses
+    the shrinking regions around roots.
     """
-    gfn = g.fn if isinstance(g, RealFunction) else g
     if not d.has_support:
         raise ValueError("compose requires a kernel with declared support")
-    seeds = _composition_seeds(gfn, window=window)
+    s = scan(g, window)
 
-    def regions(n, a, b, d=d, gfn=gfn, seeds=seeds):
-        slo, shi = d.support_interval(n)
-        inside = lambda x: slo < gfn(x) < shi
-        return _inside_regions(inside, a, b, seeds)
+    @functools.lru_cache(maxsize=64)
+    def regions(n, a, b):
+        return s.regions(a, b, d.support_interval(n))
 
-    label_g = g.label if isinstance(g, RealFunction) else "g"
     return VirtualFunction(
-        lambda n, x, d=d, gfn=gfn: d.rank_eval(n, gfn(x)),
-        support=None,
-        smoothness=min(d.smoothness,
-                       g.smoothness if isinstance(g, RealFunction) else C_INF),
+        lambda n, x, d=d, gfn=s.fn: d.rank_eval(n, gfn(x)),
+        smoothness=min(d.smoothness, getattr(g, "smoothness", C_INF)),
         regions=regions,
-        label=f"{getattr(d, 'name', d.label)}({label_g})",
+        label=f"{getattr(d, 'name', d.label)}({getattr(g, 'label', 'g')})",
     )

@@ -263,3 +263,116 @@ def test_infinite_literal_is_parse_error(text):
     status, _, err = run(["simplify", text])
     assert status == 2
     assert "out of range" in err
+
+
+# -- one scan window for every composite verb ------------------------------
+
+def test_flat_run_is_not_a_tangency():
+    # For x < -37, |e^x - 1| rounds to exactly 1: a plateau, not a dip.
+    status, out, err = run(["simplify", "delta(exp(x)-1)"])
+    assert status == 0, err
+    assert out.strip() == "1·δ(x)   [strong]"
+
+
+def test_off_grid_tangency_still_refused():
+    status, _, err = run(["simplify", "delta((x-1.7)^2)"])
+    assert status == 1
+    assert "touches zero without sign change" in err
+
+
+def test_simplify_and_integrate_agree_inside_window():
+    status, out, err = run(["simplify", "delta(x^2-3025)", "--json"])
+    assert status == 0, err
+    terms = json.loads(out)["terms"]
+    assert [t["a"] for t in terms] == [-55.0, 55.0]
+    assert all(abs(t["c"] - 1.0 / 110.0) < 1e-15 for t in terms)
+    status, out, _ = run(["integrate", "delta(x^2-3025)", "--json"])
+    assert status == 0
+    assert abs(json.loads(out)["value"] - 2.0 / 110.0) < 1e-9
+
+
+def test_integrate_sees_roots_behind_a_complex_power():
+    # On x < 0, x^2.5 is complex and abs() makes it real: the scan must see
+    # the root at -1 as well as the one at 1, each 1/|g'| = 0.4.
+    status, out, err = run(["integrate", "delta(abs(x^2.5)-1)", "--json"])
+    assert status == 0, err
+    assert abs(json.loads(out)["value"] - 0.8) < 1e-8
+
+
+@pytest.mark.parametrize("verb", ["simplify", "integrate"])
+def test_roots_past_window_are_refused(verb):
+    # Roots at +-100: the window sees |g| shrinking toward both edges.
+    status, out, err = run([verb, "delta(x^2-10000)"])
+    assert status == 1
+    assert out == ""
+    assert "outside_scan_risk" in err
+
+
+def test_recurring_roots_are_refused():
+    # A periodic g: its roots go on past both edges of any window.
+    for verb in ("simplify", "integrate"):
+        status, _, err = run([verb, "delta(sin(0.6*x))"])
+        assert status == 1
+        assert "outside_scan_risk" in err and "roots recur" in err
+
+
+def test_pole_is_not_a_root():
+    status, out, err = run(["simplify", "delta(1/(x-1.5)-2)"])
+    assert status == 0, err
+    assert out.strip() == "0.25·δ(x−2)   [strong]"
+
+
+def test_scan_window_reaches_integrate(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scan_window": [-10, 10]}))
+    status, _, err = run(["integrate", "delta(x^2-400)", "--config", str(cfg)])
+    assert status == 1
+    assert "outside_scan_risk" in err and "x=-10" in err
+    status, out, _ = run(["integrate", "delta(x^2-400)"])
+    assert status == 0 and out.startswith("Reduced(0.05")
+
+
+@pytest.mark.parametrize("window", [[10, -10], [0, 0], [-1], "wide"])
+def test_bad_scan_window_is_config_error(tmp_path, window):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scan_window": window}))
+    status, _, err = run(["simplify", "delta(x)", "--config", str(cfg)])
+    assert status == 2
+    assert "error (config)" in err
+
+
+def test_grid_size_is_gone(tmp_path):
+    status, _, _ = run(["integrate", "delta(x^2-4)", "--grid-size", "64"])
+    assert status == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid_size": 4096}))
+    status, _, err = run(["simplify", "delta(x^2-4)", "--config", str(cfg)])
+    assert status == 2
+    assert "grid_size" in err
+
+
+def test_equiv_order_filters_battery():
+    # The kink |x|(1+0.5sin(3x)) is C0 only: --order 1 drops it.
+    status, out, _ = run(["equiv", "delta(x)", "delta(x)", "--order", "1",
+                          "--json"] + FAST)
+    assert status == 0
+    assert json.loads(out)["battery"] == 19
+
+
+# -- no traceback on any parseable composite -------------------------------
+
+from hypothesis import HealthCheck, given, settings  # noqa: E402
+from test_exprlang import _trees  # noqa: E402
+
+from deltacalc.exprlang import render  # noqa: E402
+
+
+@given(_trees(3))
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_composite_never_raises(tree):
+    # Derandomized: an inner function with a thousand roots in the window
+    # (say cos(13*x)) takes seconds to integrate, so the examples are fixed.
+    text = f"delta({render(tree)})"
+    for argv in (["simplify", text], ["integrate", text, "--probe-max-exp", "8"]):
+        assert run(argv)[0] in (0, 1, 2), argv

@@ -356,6 +356,19 @@ def test_compiled_matches_reference_walk(tree):
     _check_compiled(tree, to_real_function(tree).fn)
 
 
+@pytest.mark.parametrize("text", ["abs(x^2.5)", "abs((x^2.5)^2.5)", "abs(13/x^2.5)",
+                                  "x^2.5", "x^x"])
+def test_negative_base_to_fractional_power(text):
+    # On floats (-2.3)^2.5 is complex and abs() makes it real again; the
+    # array path must agree, and give nan where the float path fails.
+    tree = parse(text)
+    _check_compiled(tree, to_real_function(tree).fn)
+    with np.errstate(all="ignore"):
+        out = to_real_function(tree).fn(np.array(_POINTS))
+    assert out.dtype == float
+    assert np.isnan(out[0]) == text.startswith("x^")
+
+
 @pytest.mark.parametrize("text", [t for t in FULL_CORPUS if "delta" not in t])
 def test_compiled_corpus_and_derivatives(text):
     tree = parse(text)

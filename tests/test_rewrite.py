@@ -111,6 +111,15 @@ def test_composition_refuses_scan_risk():
         rewrite_composition(g, cert=cert)
 
 
+def test_composite_cache_keys_on_the_inner_function(bump):
+    # Each loop frees the last inner function: an id()-keyed cache would
+    # hand its composite to the next one.
+    for c in (1.0, 2.0, 4.0, 5.0, 8.0, 10.0):
+        g = _rf(lambda x, c=c: c * x - 1.0, lambda x, c=c: c, label=f"{c:g}x-1")
+        res = reduce_expr_integral(CompTerm(g), kernel=bump)
+        assert res.reduced and abs(res.value - 1.0 / c) < 1e-9, c
+
+
 # -- product rules ---------------------------------------------------------
 
 def test_product_rule():

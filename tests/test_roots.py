@@ -1,5 +1,8 @@
 import math
 
+import pytest
+
+from deltacalc.errors import RewriteError
 from deltacalc.roots import (
     DERIV_FLOOR,
     certify_hypotheses,
@@ -114,3 +117,59 @@ def test_opaque_callable_uses_finite_differences():
     recs = find_simple_roots(lambda x: x - 1.25, window=(-5, 5))
     assert len(recs) == 1
     assert abs(recs[0].g_prime - 1.0) < 1e-6
+
+
+# -- the one scan ------------------------------------------------------------
+
+import numpy as np  # noqa: E402
+
+import deltacalc as dc  # noqa: E402
+from deltacalc import roots  # noqa: E402
+from deltacalc.rewrite import rewrite_composition  # noqa: E402
+from deltacalc.vintegral import NEG_INF, POS_INF, integrate_rank  # noqa: E402
+
+
+def test_one_grid_evaluation_per_composite():
+    sizes = []
+
+    def fn(x):
+        sizes.append(np.size(x))
+        return x * x - 4.0
+
+    g = _rf(fn, lambda x: 2.0 * x, "x^2-4")
+    assert len(rewrite_composition(g).terms) == 2
+    comp = dc.compose(dc.bump_delta(), g)
+    for n in (16, 1024, 2**16):
+        integrate_rank(comp, NEG_INF, POS_INF, n)
+    # Roots, certificate, seeds and every rank's regions read one array
+    # evaluation of g on the grid.
+    assert sizes.count(roots.GRID) == 1
+
+
+def test_flat_run_is_not_a_dip():
+    # |e^x - 1| rounds to exactly 1 on x < -37: no candidate tangency there.
+    g = _rf(lambda x: np.exp(x) - 1.0, np.exp, "exp(x)-1")
+    s = roots.scan(g)
+    assert all(x > -37.0 for x, _level, _i, _j in s.dips)
+    assert len(s.seeds) == 1 and abs(s.seeds[0]) < 1e-5
+    cert = certify_hypotheses(g, find_simple_roots(g))
+    assert cert.certified
+
+
+def test_exact_zero_plateau_gives_no_seeds():
+    s = roots.scan(lambda x: 0.0 * x)
+    assert len(s.roots) == roots.GRID
+    assert s.seeds == () and s.dips == ()
+
+
+def test_regions_refuse_only_where_g_meets_the_support_past_the_edge():
+    bump, minus = dc.bump_delta(), dc.shifted_delta("-")
+    far = _rf(lambda x: x * x - 10000.0, lambda x: 2.0 * x, "x^2-10000")
+    comp = dc.compose(bump, far)
+    assert integrate_rank(comp, -50.0, 50.0, 1024) == 0.0  # inside the window
+    with pytest.raises(RewriteError, match="outside_scan_risk"):
+        integrate_rank(comp, NEG_INF, POS_INF, 1024)
+    # exp(x) shrinks toward x = -60 but, without a sign change, never
+    # reaches the support of delta_-; it stays inside the bump's.
+    assert integrate_rank(dc.compose(minus, math.exp), NEG_INF, POS_INF, 1024) == 0.0
+    assert integrate_rank(dc.compose(bump, math.exp), NEG_INF, POS_INF, 64) > 64.0

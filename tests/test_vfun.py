@@ -189,6 +189,18 @@ def test_mixture_json_round_trip(mix):
     assert abs(back.rank_eval(16, 0.1) - mix.rank_eval(16, 0.1)) < 1e-12
 
 
+def test_convolution_json_round_trip(conv):
+    record = kernel_to_json(conv)
+    assert record["params"]["of"] == ["bump", "bump"]
+    back = kernel_from_json(record)
+    assert back.name == "convolution"
+    assert back.profile_support == conv.profile_support
+    # The fixture's table, found by value in the convolution cache.
+    assert back.profile.fn is conv.profile.fn
+    for x in np.linspace(-0.06, 0.06, 11):
+        assert back.rank_eval(32, float(x)) == conv.rank_eval(32, float(x))
+
+
 def test_unknown_kernel_record_rejected():
     with pytest.raises(ValueError):
         kernel_from_json({"name": "nope"})

@@ -354,3 +354,37 @@ def test_sift_on_fixed_nodes_makes_no_quad_call(plus, quad_calls):
     res = dc.sift_derivative(plus, 2, f, a=0.4)
     assert not quad_calls
     assert abs(res.value - f.deriv_value(2, 0.4)) < 1e-8
+
+
+# -- caches keyed by value ---------------------------------------------------
+
+def test_convolve_cache_keys_on_the_profiles(monkeypatch):
+    # A stub table that remembers which profiles it was built from.  Each
+    # loop frees the last profiles, so an id()-keyed cache would hand their
+    # table to the next ones.
+    def stub(p1, s1, p2, s2, tol=1e-10):
+        prof = lambda u: 0.0 * np.asarray(u, dtype=float)
+        prof.inputs = (p1, p2)
+        return prof, (s1[0] + s2[0], s1[1] + s2[1])
+
+    monkeypatch.setattr(vintegral, "_profile_convolution", stub)
+    for c in range(8):
+        p = RealFunction(lambda u, c=c: c + 0.0 * np.asarray(u), label=f"p{c}")
+        d = dc.DiracKernel(p, (-1.0, 1.0), C_INF, f"k{c}")
+        assert dc.convolve(d, d).profile.fn.inputs == (p.fn, p.fn)
+
+
+def test_equiv_finds_regions_once_per_rank(monkeypatch, bump):
+    from deltacalc import roots
+    from deltacalc.rewrite import CompTerm, DeltaTerm, ScaleTerm, check_equivalence
+
+    seen = []
+    real = roots.Scan.regions
+    monkeypatch.setattr(roots.Scan, "regions",
+                        lambda s, a, b, support: seen.append((a, b, support))
+                        or real(s, a, b, support))
+    g = RealFunction(lambda x: 2.0 * x, derivs=(lambda x: 2.0,), label="2x")
+    verdict = check_equivalence(CompTerm(g), ScaleTerm(0.5, DeltaTerm()),
+                                kernel=bump)
+    assert verdict.consistent and verdict.battery_size == 20
+    assert seen and len(seen) == len(set(seen))
