@@ -427,9 +427,13 @@ def _compile(node, label):
             out = array_f(x)
             return out if np.shape(out) == x.shape else np.full(x.shape, out)
         try:
-            return float(scalar_f(x))
-        except (ZeroDivisionError, OverflowError) as exc:
+            value = scalar_f(x)
+        except (ZeroDivisionError, OverflowError, TypeError) as exc:
+            # TypeError: a complex value reached a math function.
             raise ExpressionError(f"cannot evaluate {label} at x={x!r}: {exc}") from exc
+        if isinstance(value, complex):
+            raise ExpressionError(f"cannot evaluate {label} at x={x!r}: value is not real")
+        return float(value)
 
     return fn
 
@@ -478,7 +482,7 @@ def to_real_function(node, depth=4):
     """Compile a delta-free tree to a RealFunction with symbolic derivatives.
 
     The function and its derivatives take a float or an ndarray; on a float,
-    division by zero and overflow raise ExpressionError.
+    division by zero, overflow and complex values raise ExpressionError.
     """
     label = render(node)
     fn = _compile(node, label)

@@ -159,6 +159,12 @@ class ContractionTerm(DeltaExpr):
 ZERO_EXPR = SmoothTerm(const_function(0.0, label="0"))
 
 
+def _is_zero_term(expr):
+    """Whether a smooth summand is the structural zero: ZERO_EXPR or another
+    constant labelled "0".  Its values never decide it."""
+    return isinstance(expr.f, RealFunction) and expr.f.label == "0"
+
+
 # ---------------------------------------------------------------------------
 # Normal forms
 # ---------------------------------------------------------------------------
@@ -303,10 +309,7 @@ def simplify(expr, window=WINDOW):
     if isinstance(expr, CompTerm):
         return rewrite_composition(expr.inner, window=window)
     if isinstance(expr, SmoothTerm):
-        value_probe = expr.f(0.0)
-        if isinstance(expr.f, RealFunction) and expr.f.label == "0":
-            return NormalForm.from_terms([], STRONG)
-        if value_probe == 0.0 and expr.f(1.0) == 0.0 and expr.f(-1.3) == 0.0:
+        if _is_zero_term(expr):
             return NormalForm.from_terms([], STRONG)
         return NormalForm((), STRONG,
                           residual=f"smooth summand {expr.f.label or 'f(x)'}")
@@ -369,10 +372,9 @@ def _term_rank_integral(expr, weight, kernel, n, lo, hi, window=WINDOW):
             w = lambda x, f=expr.f.fn, g=weight: f(x) * g(x)
         return _term_rank_integral(expr.delta, w, kernel, n, lo, hi, window)
     if isinstance(expr, SmoothTerm):
-        a, b = lo.bound_at(n), hi.bound_at(n)
-        cval = expr.f(0.0)
-        if cval == 0.0 and expr.f(0.37) == 0.0 and expr.f(-1.1) == 0.0:
+        if _is_zero_term(expr):
             return 0.0
+        a, b = lo.bound_at(n), hi.bound_at(n)
         if weight is None:
             return _quad_piece(expr.f.fn, a, b)
         return _quad_piece(lambda x: expr.f(x) * weight(x), a, b)

@@ -477,18 +477,26 @@ def _outside_grid():
 _OUTSIDE_GRID = _outside_grid()
 
 
+def array_values(fn, x):
+    """fn on the ndarray x, or None where fn takes no array: it raises, or
+    returns anything but a float array of x's shape.  Call it under
+    np.errstate(all="ignore")."""
+    try:
+        v = fn(x)
+    except (TypeError, ValueError, ArithmeticError):
+        return None
+    if isinstance(v, np.ndarray) and v.dtype.kind == "f" and v.shape == x.shape:
+        return v
+    return None
+
+
 def on_points(fn, xs, finite=False):
     """fn on the points xs: one array call where fn takes an ndarray, else
     one call per point, where a failing float evaluation raises; with
     `finite`, also where the array result is not finite everywhere."""
-    try:
-        with np.errstate(all="ignore"):
-            vals = fn(xs)
-    except (TypeError, ValueError, ArithmeticError):
-        vals = None
-    if (isinstance(vals, np.ndarray) and vals.dtype.kind == "f"
-            and vals.shape == xs.shape
-            and (not finite or np.isfinite(vals).all())):
+    with np.errstate(all="ignore"):
+        vals = array_values(fn, xs)
+    if vals is not None and (not finite or np.isfinite(vals).all()):
         return vals
     return np.array([fn(float(x)) for x in xs], dtype=float)
 

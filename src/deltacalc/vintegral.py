@@ -30,6 +30,7 @@ from .vfun import (
     DiracKernel,
     RealFunction,
     VirtualFunction,
+    array_values,
 )
 
 __all__ = [
@@ -45,6 +46,7 @@ __all__ = [
 ]
 
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
+_EPS = float(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -190,10 +192,12 @@ def _quad_piece(f, a, b, points=None):
 
 
 def integrate_rank(vf, lo, hi, n, weight=None):
-    """Adaptive quadrature of f_n over [lo(n), hi(n)].
+    """Quadrature of f_n over [lo(n), hi(n)].
 
-    Integration is restricted to the declared support (or nonzero regions)
-    when available, and discontinuity edges become mandatory split points.
+    A composite's nonzero regions are integrated on fixed nodes
+    (`_regions_integral`).  Otherwise adaptive quadrature is restricted to
+    the declared support when available, and discontinuity edges become
+    mandatory split points.
     """
     lo = VirtualBound.coerce(lo)
     hi = VirtualBound.coerce(hi)
@@ -207,10 +211,8 @@ def integrate_rank(vf, lo, hi, n, weight=None):
         f = lambda x: vf.rank_eval(n, x) * weight(x)
 
     if vf.regions is not None:
-        total = 0.0
-        for rlo, rhi in vf.regions(n, a, b):
-            total += _quad_piece(f, max(a, rlo), min(b, rhi))
-        return total
+        pieces = [(max(a, rlo), min(b, rhi)) for rlo, rhi in vf.regions(n, a, b)]
+        return _regions_integral(vf, n, weight, f, [(p, q) for p, q in pieces if p < q])
 
     iv = vf.support_interval(n)
     if iv is not None:
@@ -226,32 +228,47 @@ def integrate_rank(vf, lo, hi, n, weight=None):
 
 
 #: Gauss-Legendre nodes per panel of the two fixed rules whose agreement
-#: accepts a profile-kernel rank integral.
+#: accepts a profile-kernel rank integral or a composite region's integral.
 _FIXED_NODES = (128, 256)
 
 
 _gauss_legendre = functools.lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 
 
-@functools.lru_cache(maxsize=64)
-def _fixed_nodes(cuts):
-    """Nodes and weights of both fixed rules on the panels between `cuts`,
-    the first rule's first; read-only, shared by every call."""
-    lo, hi = np.array(cuts[:-1]), np.array(cuts[1:])
+def _panel_rules(lo, hi):
+    """Nodes and weights of both fixed rules on the panels [lo[i], hi[i]]:
+    the first rule's nodes first, each rule's panel by panel."""
     half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
     nodes, weights = [], []
     for m in _FIXED_NODES:
         t, w = _gauss_legendre(m)
         nodes.append((mid[:, None] + half[:, None] * t).ravel())
         weights.append((half[:, None] * w).ravel())
-    out = (np.concatenate(nodes), weights[0], weights[1])
+    return np.concatenate(nodes), weights[0], weights[1]
+
+
+@functools.lru_cache(maxsize=64)
+def _fixed_nodes(cuts):
+    """_panel_rules on the panels between `cuts`; read-only, shared by every
+    call."""
+    out = _panel_rules(np.array(cuts[:-1]), np.array(cuts[1:]))
     for arr in out:
         arr.flags.writeable = False
     return out
 
 
-def _is_float_array(v, shape):
-    return isinstance(v, np.ndarray) and v.dtype.kind == "f" and v.shape == shape
+def _accepted(coarse, fine, resabs):
+    """Where the finer fixed rule's value may stand for adaptive quad's, on
+    floats or elementwise on arrays: all finite, and both rules within
+    quad's own target of each other, with its rounding floor relative to
+    `resabs`, the integral of |integrand| (where quad stops with a roundoff
+    warning).  Operators only: on floats, numpy calls would add a tenth to
+    a profile rank's cost.  Call it under np.errstate(all="ignore")."""
+    total, diff = coarse + fine + resabs, abs(fine - coarse)
+    # total - total is 0 where the three are finite and their sum is.
+    return (total - total == 0) & ((diff <= _QUAD_OPTS["epsabs"])
+                                   | (diff <= _QUAD_OPTS["epsrel"] * abs(fine))
+                                   | (diff <= 50.0 * _EPS * resabs))
 
 
 def _fixed_rule(d, n, a, weight, ulo, uhi):
@@ -271,12 +288,9 @@ def _fixed_rule(d, n, a, weight, ulo, uhi):
     if cancel:
         x = np.append(x, a)
     with np.errstate(all="ignore"):
-        try:
-            p = d.profile.fn(u)
-            wv = np.ones_like(x) if weight is None else weight(x)
-        except (TypeError, ValueError, ArithmeticError):
-            return None
-        if not (_is_float_array(p, u.shape) and _is_float_array(wv, x.shape)):
+        p = array_values(d.profile.fn, u)
+        wv = np.ones_like(x) if weight is None else array_values(weight, x)
+        if p is None or wv is None:
             return None
         w_at_a = wv[-1] if cancel else 0.0
         wv = wv[:u.size]
@@ -286,15 +300,36 @@ def _fixed_rule(d, n, a, weight, ulo, uhi):
         fine = scale * float(w_fine @ f[m:])
         # quad's integrand is p * w: the rounding of w counts in full.
         resabs = scale * float(w_fine @ np.abs(p[m:] * wv[m:]))
-    if not (math.isfinite(coarse) and math.isfinite(fine) and math.isfinite(resabs)):
-        return None
-    # quad's own target, with its rounding floor relative to the integral
-    # of |integrand| (where quad stops with a roundoff warning).
-    tol = max(_QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"] * abs(fine),
-              50.0 * np.finfo(float).eps * resabs)
-    if abs(fine - coarse) > tol:
-        return None
-    return fine
+        return fine if _accepted(coarse, fine, resabs) else None
+
+
+def _regions_integral(vf, n, weight, f, pieces):
+    """The integral of f = f_n * weight over the disjoint intervals `pieces`.
+
+    Both fixed rules are mapped onto every piece, and f_n and the weight
+    are each evaluated once, in one array call on all the nodes.  A piece
+    whose two rules disagree, or give a value that is not finite, goes to
+    adaptive quad, as does every piece where f_n or the weight takes no
+    array.
+    """
+    if not pieces:
+        return 0.0
+    x, w_coarse, w_fine = _panel_rules(*np.array(pieces).T)
+    with np.errstate(all="ignore"):
+        values = array_values(functools.partial(vf.rank_eval, n), x)
+        if values is not None and weight is not None:
+            wv = array_values(weight, x)
+            values = None if wv is None else values * wv
+        if values is None:
+            accepted = [False] * len(pieces)
+        else:
+            rows, m = (len(pieces), -1), w_coarse.size
+            coarse = (w_coarse * values[:m]).reshape(rows).sum(axis=1)
+            fine = (w_fine * values[m:]).reshape(rows).sum(axis=1)
+            resabs = (w_fine * np.abs(values[m:])).reshape(rows).sum(axis=1)
+            accepted = _accepted(coarse, fine, resabs)
+    return sum(float(fine[i]) if ok else _quad_piece(f, p, q)
+               for i, (ok, (p, q)) in enumerate(zip(accepted, pieces)))
 
 
 def profile_integral(d, n, a, weight, ulo=-math.inf, uhi=math.inf):

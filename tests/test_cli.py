@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import pytest
 
@@ -258,6 +259,44 @@ def test_readme_sift_examples_make_no_quad_call(kernel, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("kernel", ["bump", "square", "plus", "minus"])
+@pytest.mark.parametrize("argv", [
+    ["cos(x)*delta(x^2-4)"],
+    # About 400 regions a rank (414/13 on the bump kernel).
+    ["delta(cos(13-13*x))", "--lower", "-50", "--upper", "50", "--probe-max-exp", "8"]])
+def test_composite_regions_make_no_quad_call(argv, kernel, monkeypatch):
+    from deltacalc import vintegral
+
+    calls = []
+    real = vintegral.quad
+    monkeypatch.setattr(vintegral, "quad",
+                        lambda *a, **kw: calls.append(a[1:3]) or real(*a, **kw))
+    status, out, _ = run(["integrate", *argv, "--kernel", kernel, "--json"])
+    assert status == 0 and calls == []
+    if kernel == "bump":
+        want = 0.5 * math.cos(2.0) if argv[0].startswith("cos") else 414.0 / 13.0
+        assert abs(json.loads(out)["value"] - want) <= 1e-8
+
+
+def test_smooth_summand_is_not_zero_from_its_values():
+    # Each polynomial vanishes at the three points a probe once tried.
+    status, out, _ = run(["simplify", "delta(x)+x*(x-1)*(x+1.3)"])
+    assert status == 0 and "not reducible: smooth summand x*(x-1)*(x+1.3)" in out
+    status, out, _ = run(["integrate", "delta(x)+x*(x-0.37)*(x+1.1)",
+                          "--lower", "-1", "--upper", "2", "--json"])
+    assert status == 0 and abs(json.loads(out)["value"] - 6.3295) <= 1e-9
+    # The structural zero still is one.
+    status, out, _ = run(["simplify", "delta(x)+0"])
+    assert status == 0 and "not reducible" not in out and "1·δ(x)" in out
+
+
+def test_complex_inner_function_is_engine_error():
+    status, _, err = run(["integrate", "delta(x^2.5-1)"])
+    assert status == 1
+    assert "error (engine)" in err and "x^2.5-1" in err and "not real" in err
+    assert "float() argument" not in err
+
+
 @pytest.mark.parametrize("text", ["x+1e999", "delta(x*1e999)", "ddelta(x,1e999)"])
 def test_infinite_literal_is_parse_error(text):
     status, _, err = run(["simplify", text])
@@ -328,8 +367,8 @@ def test_scan_window_reaches_integrate(tmp_path):
     status, _, err = run(["integrate", "delta(x^2-400)", "--config", str(cfg)])
     assert status == 1
     assert "outside_scan_risk" in err and "x=-10" in err
-    status, out, _ = run(["integrate", "delta(x^2-400)"])
-    assert status == 0 and out.startswith("Reduced(0.05")
+    status, out, _ = run(["integrate", "delta(x^2-400)", "--json"])
+    assert status == 0 and abs(json.loads(out)["value"] - 0.05) <= 1e-10
 
 
 @pytest.mark.parametrize("window", [[10, -10], [0, 0], [-1], "wide"])

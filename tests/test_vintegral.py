@@ -356,6 +356,75 @@ def test_sift_on_fixed_nodes_makes_no_quad_call(plus, quad_calls):
     assert abs(res.value - f.deriv_value(2, 0.4)) < 1e-8
 
 
+# -- fixed-node region quadrature of composites ------------------------------
+
+#: Composites delta(g(x)) and their bounds (None: the rank's +/- n).
+REGION_CASES = [("x^2-4", None), ("x^3-2*x^2-x+2", None), ("exp(x)-2.5", None),
+                ("1/(x-1.5)-2", None), ("(x-1.3)^2", None), ("sin(3*x)", (-20.0, 20.0))]
+
+
+def _region_pieces(comp, n, a, b, weight):
+    # The adaptive quadrature integrate_rank falls back to, region by region.
+    if weight is None:
+        f = lambda x: comp.rank_eval(n, x)
+    else:
+        f = lambda x: comp.rank_eval(n, x) * weight(x)
+    return [_quad_piece(f, max(a, lo), min(b, hi)) for lo, hi in comp.regions(n, a, b)]
+
+
+def _composite(kern, text):
+    return dc.compose(kern, to_real_function(parse(text)))
+
+
+@pytest.mark.parametrize("name", ["bump", "square", "plus", "minus"])
+@pytest.mark.parametrize("text, bounds", REGION_CASES)
+def test_region_rule_matches_quad(name, text, bounds, request, quad_calls):
+    comp = _composite(request.getfixturevalue(name), text)
+    lo, hi = (NEG_INF, POS_INF) if bounds is None else map(VirtualBound.const, bounds)
+    weights = [None] + [f.fn for f in sift_battery()[2::3]]
+    # Each region's quad meets its target 1e-12 * max(1, |I_r|), and the
+    # sum meets theirs.  Up to rank 64 both rules do so without quad.  At
+    # higher ranks g's rounding, scaled by n inside the kernel, is itself
+    # up to ~1e-11 of the integral (sin(3x) near x = 20): the two differ
+    # at that level, and where the fixed rules do, quad decides.
+    for n, tol in ((16, 1e-12), (64, 1e-12), (4096, 1e-10), (65536, 1e-10)):
+        a, b = lo.bound_at(n), hi.bound_at(n)
+        for w in weights:
+            got = integrate_rank(comp, lo, hi, n, weight=w)
+            assert n > 64 or not quad_calls, (n, w)
+            pieces = _region_pieces(comp, n, a, b, w)
+            quad_calls.clear()
+            target = tol * sum(max(1.0, abs(v)) for v in pieces)
+            assert abs(got - sum(pieces)) <= target, (n, w)
+
+
+def test_region_rules_disagree_on_a_mixture(mix, quad_calls):
+    # The parts' edges lie inside each region: adaptive quad decides there.
+    comp = _composite(mix, "x^2-4")
+    got = integrate_rank(comp, NEG_INF, POS_INF, 64, weight=np.cos)
+    assert quad_calls
+    want = _region_pieces(comp, 64, -64.0, 64.0, np.cos)
+    assert abs(got - sum(want)) <= 1e-12 * sum(max(1.0, abs(v)) for v in want)
+
+
+def test_math_only_weight_falls_back_on_every_region(bump, quad_calls):
+    comp = _composite(bump, "x^3-2*x^2-x+2")
+    got = integrate_rank(comp, NEG_INF, POS_INF, 64, weight=math.cos)
+    assert len(quad_calls) == len(comp.regions(64, -64.0, 64.0)) == 3
+    assert got == sum(_region_pieces(comp, 64, -64.0, 64.0, math.cos))
+
+
+def test_non_finite_region_weight_raises_like_quad(bump):
+    # x^0.5 is nan on the array path and complex on the float path around
+    # the root x = -2, where adaptive quadrature raises today's error.
+    comp = _composite(bump, "x^2-4")
+    f = to_real_function(parse("x^0.5")).fn
+    with pytest.raises(QuadratureError):
+        _region_pieces(comp, 16, -16.0, 16.0, f)
+    with pytest.raises(QuadratureError):
+        integrate_rank(comp, NEG_INF, POS_INF, 16, weight=f)
+
+
 # -- caches keyed by value ---------------------------------------------------
 
 def test_convolve_cache_keys_on_the_profiles(monkeypatch):
