@@ -3,7 +3,7 @@
 Verbs: simplify, integrate, equiv, check-dirac, probe-kernels, trace.
 Human-readable output by default, --json for machine output (floats at 17
 significant digits, byte-deterministic), --trace-out for CSV rank traces.
-Exit status: 0 success, 1 engine rejection, 2 parse/config error.
+Exit status: 0 success, 1 engine rejection, 2 usage/parse/config error.
 """
 
 from __future__ import annotations
@@ -35,7 +35,10 @@ from .vintegral import NEG_INF, POS_INF, VirtualBound
 __all__ = ["main", "run_command", "Config", "KERNELS"]
 
 
-KERNELS = {name: functools.partial(kernel_from_json, {"name": record})
+#: Named kernels, each built on its first call and shared by every later
+#: one: a kernel is never mutated, so no query can change another's.
+KERNELS = {name: functools.lru_cache(maxsize=1)(
+               functools.partial(kernel_from_json, {"name": record}))
            for name, record in (("bump", "bump"), ("square", "square"),
                                 ("plus", "plus"), ("minus", "minus"),
                                 ("mix", "mixture"), ("conv", "convolution"))}
@@ -100,6 +103,8 @@ def _apply_flags(cfg, args):
     cfg = replace(cfg, **updates)
     if cfg.probe_min_exp < 1 or cfg.probe_max_exp <= cfg.probe_min_exp:
         raise ConfigError("probe exponents must satisfy 1 <= min < max")
+    if not 0 < cfg.tolerance < math.inf:
+        raise ConfigError(f"tolerance must be positive and finite, not {cfg.tolerance!r}")
     return cfg
 
 
@@ -249,6 +254,10 @@ def _write_trace(path, header, rows):
 
 
 def _cmd_trace(args, cfg, out):
+    if args.at_rank is not None and args.at_rank < 1:
+        raise ConfigError(f"--at-rank must be a rank >= 1, not {args.at_rank}")
+    if args.points < 1:
+        raise ConfigError(f"--points must be >= 1, not {args.points}")
     expr = parse_expression(args.expression)
     kernel = cfg.make_kernel()
     if args.at_rank is not None:
@@ -285,8 +294,30 @@ def _cmd_trace(args, cfg, out):
 # Argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
+class _ParserExit(Exception):
+    """What the parser would print before exiting with `status`: help text
+    (status 0), or a usage error with the usage line apart (status 2)."""
+
+    def __init__(self, status, message, usage=""):
+        super().__init__(message)
+        self.status, self.usage = status, usage
+
+
+class _RaisingParser(argparse.ArgumentParser):
+    """Raises _ParserExit where argparse prints and exits, so one parser
+    serves every call, each with its own output streams."""
+
+    def print_help(self, file=None):
+        raise _ParserExit(0, self.format_help())
+
+    def error(self, message):
+        raise _ParserExit(2, message, self.format_usage())
+
+
+@functools.lru_cache(maxsize=1)
 def _build_parser():
-    top = argparse.ArgumentParser(
+    """The CLI parser, built once; each parse gets a fresh Namespace."""
+    top = _RaisingParser(
         prog="deltacalc",
         description="Symbolic-numeric calculus of Dirac delta expressions "
                     "over rank-indexed virtual functions.",
@@ -355,13 +386,20 @@ _DISPATCH = {
 
 def run_command(argv, out=None, err=None):
     """Parse argv and run one verb; returns the exit status."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+        args = _build_parser().parse_args(argv)
+    except _ParserExit as exc:
+        if exc.status == 0:
+            out.write(str(exc))
+        elif "--json" in argv:
+            err.write(_json_text({"error": "usage", "message": str(exc),
+                                  "usage": exc.usage.strip()}) + "\n")
+        else:
+            err.write(f"{exc.usage}error (usage): {exc}\n")
+        return exc.status
 
     json_mode = getattr(args, "json", False)
 
@@ -390,7 +428,7 @@ def run_command(argv, out=None, err=None):
         return fail(2, "config", exc)
     except DeltaCalcError as exc:
         return fail(1, "engine", exc)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ArithmeticError) as exc:
         return fail(1, "engine", exc)
 
 

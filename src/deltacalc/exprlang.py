@@ -438,14 +438,17 @@ def _compile(node, label):
     return fn
 
 
-def _compile_on_first_call(node, label):
-    """_compile, deferred: derivative trees grow fast and most are never
-    evaluated."""
+def _derivative_on_first_call(trees, k, label):
+    """The k-th derivative of trees[0], derived and compiled on its first
+    call: derivative trees grow fast and most are never evaluated.
+    `trees`, shared by every order, holds each tree derived so far."""
     compiled = []
 
     def fn(x):
         if not compiled:
-            compiled.append(_compile(node, label))
+            while len(trees) <= k:
+                trees.append(_diff(trees[-1]))
+            compiled.append(_compile(trees[k], f"({label})^({k})"))
         return compiled[0](x)
 
     return fn
@@ -488,15 +491,17 @@ def to_real_function(node, depth=4):
     fn = _compile(node, label)
     if _contains_abs(node):
         return RealFunction(fn, smoothness=0, label=label)
-    derivs = []
-    d = node
+    # Only the first derivative is taken now, to learn whether the tree is
+    # differentiable.  If it is, so is every later one: _diff emits only
+    # numbers, x, negation, + - * /, ^ with a numeric exponent, and sin,
+    # cos, exp and atan of subtrees it has already differentiated.
     try:
-        for k in range(1, depth + 1):
-            d = _diff(d)
-            derivs.append(_compile_on_first_call(d, f"({label})^({k})"))
+        trees = [node, _diff(node)]
     except ExpressionError:
-        pass
-    return RealFunction(fn, derivs=tuple(derivs), smoothness=C_INF, label=label)
+        return RealFunction(fn, smoothness=C_INF, label=label)
+    derivs = tuple(_derivative_on_first_call(trees, k, label)
+                   for k in range(1, depth + 1))
+    return RealFunction(fn, derivs=derivs, smoothness=C_INF, label=label)
 
 
 # ---------------------------------------------------------------------------

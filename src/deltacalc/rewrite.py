@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExpressionError, RewriteError, SmoothnessError
+from .errors import DeltaCalcError, ExpressionError, RewriteError, SmoothnessError
 from .limits import DEFAULT_SCHEDULE
 from .roots import WINDOW, certify_hypotheses, find_simple_roots
 from .vfun import C_INF, DiracKernel, RealFunction, const_function
@@ -442,11 +442,16 @@ def reduce_expr_integral(expr, weight=None, kernel=None,
         weight = weight.fn
     schedule = list(schedule)
     # Derivative orders above 2 lose too many digits at very high ranks;
-    # cap the schedule by the largest order present.
+    # cap the schedule by the largest order present.  Far enough above the
+    # cap, a + u/n rounds to a and every I_n reads 0: refuse instead.
     max_order = _max_delta_order(expr)
     if max_order >= 1:
         cap = 2 ** max(8, 14 - 2 * max_order)
-        schedule = [n for n in schedule if n <= cap] or schedule[:5]
+        schedule = [n for n in schedule if n <= cap]
+        if not schedule:
+            raise DeltaCalcError(
+                f"every rank of the schedule lies above n = {cap}, the cap for "
+                f"delta derivatives of order {max_order}")
     return reduce_sequence(
         schedule,
         lambda n: _term_rank_integral(expr, weight, kernel, n, lo, hi, window),

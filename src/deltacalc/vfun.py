@@ -293,7 +293,9 @@ class DiracKernel(VirtualFunction):
     n^(k+1) p(n x) where p is then the profile's k-th derivative.
     `profile_cuts` are the panel edges of its fixed-node quadrature: the
     support's ends and middle, u = 0, and any `cuts` given (a mixture
-    passes its parts' edges).
+    passes its parts' edges).  `derivative(k)` is built once per order and
+    kept on the kernel, so its profile, the key of the node-value cache in
+    vintegral, is the same object at every rank.
     """
 
     def __init__(self, profile, profile_support, smoothness, name, params=None,
@@ -306,6 +308,7 @@ class DiracKernel(VirtualFunction):
         lo, hi = self.profile_support
         self.profile_cuts = tuple(sorted(
             {lo, hi} | {float(c) for c in (0.0, 0.5 * (lo + hi), *cuts) if lo < c < hi}))
+        self._derivatives = {}
 
         super().__init__(
             lambda n, x, p=profile, k=self.order: n ** (k + 1) * p(n * x),
@@ -318,15 +321,18 @@ class DiracKernel(VirtualFunction):
         """Rank family of the order-th derivative: n^{k+1} p^{(k)}(n x)."""
         if order == 0:
             return self
-        if self.smoothness != C_INF and self.smoothness < order:
-            raise SmoothnessError(
-                f"kernel {self.name!r} (C^{self.smoothness}) is not "
-                f"{order}-times differentiable"
-            )
-        new_smooth = C_INF if self.smoothness == C_INF else self.smoothness - order
-        return DiracKernel(self.profile.derivative(order), self.profile_support,
-                           new_smooth, f"{self.name}^({order})", self.params,
-                           order=self.order + order, cuts=self.profile_cuts)
+        if order not in self._derivatives:
+            if self.smoothness != C_INF and self.smoothness < order:
+                raise SmoothnessError(
+                    f"kernel {self.name!r} (C^{self.smoothness}) is not "
+                    f"{order}-times differentiable"
+                )
+            new_smooth = C_INF if self.smoothness == C_INF else self.smoothness - order
+            self._derivatives[order] = DiracKernel(
+                self.profile.derivative(order), self.profile_support, new_smooth,
+                f"{self.name}^({order})", self.params, order=self.order + order,
+                cuts=self.profile_cuts)
+        return self._derivatives[order]
 
 
 def bump_delta():

@@ -257,6 +257,18 @@ def _fixed_nodes(cuts):
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _profile_on_nodes(profile, cuts):
+    """The profile on _fixed_nodes(cuts), or None where it takes no array;
+    read-only, shared by every rank and weight.  The cache holds its key
+    profiles, so no other profile can take their values."""
+    with np.errstate(all="ignore"):
+        p = array_values(profile.fn, _fixed_nodes(cuts)[0])
+    if p is not None:
+        p.flags.writeable = False
+    return p
+
+
 def _accepted(coarse, fine, resabs):
     """Where the finer fixed rule's value may stand for adaptive quad's, on
     floats or elementwise on arrays: all finite, and both rules within
@@ -282,13 +294,13 @@ def _fixed_rule(d, n, a, weight, ulo, uhi):
     cancel = k > 0 and (ulo, uhi) == (plo, phi)
     if cancel and weight is None:
         return 0.0
-    inner = (c for c in d.profile_cuts if ulo < c < uhi)
-    u, w_coarse, w_fine = _fixed_nodes((ulo, *inner, uhi))
+    cuts = (ulo, *(c for c in d.profile_cuts if ulo < c < uhi), uhi)
+    u, w_coarse, w_fine = _fixed_nodes(cuts)
     x = a + u / n
     if cancel:
         x = np.append(x, a)
+    p = _profile_on_nodes(d.profile, cuts)
     with np.errstate(all="ignore"):
-        p = array_values(d.profile.fn, u)
         wv = np.ones_like(x) if weight is None else array_values(weight, x)
         if p is None or wv is None:
             return None

@@ -23,10 +23,6 @@ __all__ = [
     "omega",
     "partial",
     "from_sequence",
-    "add",
-    "sub",
-    "mul",
-    "div",
     "classify",
     "shadow",
     "eventually_compare",
@@ -151,22 +147,6 @@ def partial():
 def from_sequence(fn, tag=None):
     """Wrap an arbitrary rank -> real rule as a virtual number."""
     return VirtualNumber(fn, tag=tag)
-
-
-def add(a, b):
-    return VirtualNumber._coerce(a) + b
-
-
-def sub(a, b):
-    return VirtualNumber._coerce(a) - b
-
-
-def mul(a, b):
-    return VirtualNumber._coerce(a) * b
-
-
-def div(a, b):
-    return VirtualNumber._coerce(a) / VirtualNumber._coerce(b)
 
 
 def classify(v, schedule=DEFAULT_SCHEDULE, tol_small=1e-6, growth_margin=0.5):

@@ -415,3 +415,131 @@ def test_composite_never_raises(tree):
     text = f"delta({render(tree)})"
     for argv in (["simplify", text], ["integrate", text, "--probe-max-exp", "8"]):
         assert run(argv)[0] in (0, 1, 2), argv
+
+
+# -- argparse output goes to the caller's streams --------------------------
+
+def test_usage_error_goes_to_err(capsys):
+    status, out, err = run(["integrate"])
+    assert status == 2 and out == ""
+    assert err.startswith("usage: deltacalc integrate")
+    assert "error (usage): the following arguments are required: expression" in err
+    assert capsys.readouterr() == ("", "")
+
+
+def test_usage_error_under_json_is_an_error_object(capsys):
+    status, out, err = run(["integrate", "delta(x)", "--kernel", "nope", "--json"])
+    assert status == 2 and out == ""
+    msg = json.loads(err)
+    assert msg["error"] == "usage" and "invalid choice: 'nope'" in msg["message"]
+    assert msg["usage"].startswith("usage: deltacalc integrate")
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["integrate", "--help"]])
+def test_help_goes_to_out(argv, capsys):
+    status, out, err = run(argv)
+    assert status == 0 and err == ""
+    assert out.startswith("usage: deltacalc") and "-h, --help" in out
+    assert capsys.readouterr() == ("", "")
+
+
+# -- exit-code contract ----------------------------------------------------
+
+def test_rank_overflow_is_engine_error():
+    status, out, err = run(["integrate", "delta(x)", "--probe-min-exp", "1050",
+                            "--probe-max-exp", "1100"])
+    assert status == 1 and out == ""
+    assert err.startswith("error (engine)") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+def test_bad_tolerance_is_config_error(value):
+    status, out, err = run(["integrate", "delta(x)", "--tolerance", value])
+    assert status == 2 and out == ""
+    assert "error (config)" in err and "tolerance" in err
+
+
+@pytest.mark.parametrize("flags", [["--at-rank", "0"], ["--at-rank", "-4"],
+                                   ["--points", "-2"]])
+def test_bad_trace_sampling_is_config_error(flags):
+    status, out, err = run(["trace", "delta(x)", *flags])
+    assert status == 2 and out == ""
+    assert "error (config)" in err and flags[0] in err
+
+
+@pytest.mark.parametrize("text,exps,order,cap", [
+    ("ddelta(x,2)*cos(x)", ["30", "40"], 2, 1024),
+    ("ddelta(x-0.3,1)*sin(x)", ["60", "70"], 1, 4096)])
+def test_schedule_above_order_cap_is_refused(text, exps, order, cap):
+    # At such ranks a + u/n rounds to a, and every I_n read 0.
+    status, out, err = run(["integrate", text, "--probe-min-exp", exps[0],
+                            "--probe-max-exp", exps[1]])
+    assert status == 1 and out == ""
+    assert "error (engine)" in err and f"n = {cap}" in err and f"order {order}" in err
+
+
+def test_default_schedule_under_order_cap_still_reduces():
+    status, out, _ = run(["integrate", "ddelta(x,2)*cos(x)", "--json"])
+    assert status == 0 and abs(json.loads(out)["value"] + 1.0) < 1e-9
+
+
+# -- what a process builds once --------------------------------------------
+
+def test_parser_keeps_no_state_between_calls():
+    def kernel_of(argv):
+        status, out, _ = run(["check-dirac", "--json", *argv])
+        assert status == 0
+        return json.loads(out)["kernel"]["name"]
+
+    assert kernel_of(["--kernel", "square"]) == "square"
+    assert kernel_of([]) == "bump"
+    status, out, _ = run(["integrate", "delta(x-2)", "--lower", "3", "--upper", "4"]
+                         + FAST)
+    assert status == 0 and "Reduced(0" in out
+    status, out, _ = run(["integrate", "delta(x-2)"] + FAST)
+    assert status == 0 and "Reduced(1" in out
+    assert run(["integrate", "--no-such-flag"])[0] == 2
+    assert run(["integrate", "delta(x)"] + FAST)[0] == 0
+
+
+def test_named_kernel_is_built_once(monkeypatch):
+    from deltacalc import vfun, vintegral
+    from deltacalc.cli import KERNELS
+
+    assert KERNELS["mix"]() is KERNELS["mix"]()
+    argv = ["integrate", "cos(x)*delta(x-0.5)", "--kernel", "mix", "--json"]
+    first = run(argv)
+    quads, checks = [], []
+    real_quad, real_check = vintegral.quad, vfun.check_dirac
+    monkeypatch.setattr(vintegral, "quad",
+                        lambda *a, **kw: quads.append(a[1:3]) or real_quad(*a, **kw))
+    monkeypatch.setattr(vfun, "check_dirac",
+                        lambda *a, **kw: checks.append(a) or real_check(*a, **kw))
+    assert run(argv) == first
+    assert quads == [] and checks == []
+
+
+def test_outputs_do_not_depend_on_earlier_calls():
+    # The README examples on the four profile kernels, run twice in this
+    # process in two orders, against each run alone in a fresh process.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import deltacalc
+
+    commands = [[a for a in argv if a != "--kernel"][:2] + ["--kernel", kernel, "--json"]
+                for kernel in ("bump", "square", "plus", "minus")
+                for argv in _readme_numerics_examples()]
+    env = dict(os.environ, PYTHONPATH=str(Path(deltacalc.__file__).parents[1]))
+    fresh = []
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "deltacalc.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        fresh.append((proc.returncode, proc.stdout, proc.stderr))
+    assert sum(rc == 0 for rc, _, _ in fresh) >= 10
+    order = list(range(len(commands)))
+    for i in order + order[::2] + order[1::2][::-1]:
+        assert run(commands[i]) == fresh[i], commands[i]

@@ -395,3 +395,66 @@ def test_constant_tree_broadcasts_over_arrays():
     f = to_real_function(parse("2+3"))
     assert f(1.5) == 5.0
     assert f(np.zeros(4)).tolist() == [5.0] * 4
+
+
+# -- derivative trees are built on demand ----------------------------------
+
+def _eager_chain(tree, depth=4):
+    """The derivative trees to `depth`, each derived as soon as the last."""
+    trees = []
+    try:
+        for _ in range(depth):
+            trees.append(_diff(trees[-1] if trees else tree))
+    except ExpressionError:
+        pass
+    return trees
+
+
+def _outcome(fn, x):
+    try:
+        return fn(x).hex()
+    except DeltaCalcError as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("text", [t for t in FULL_CORPUS if "delta" not in t])
+def test_lazy_derivatives_equal_the_eager_chain(text):
+    from deltacalc.exprlang import _compile
+
+    tree = parse(text)
+    f = to_real_function(tree)
+    eager = _eager_chain(tree) if f.smoothness == math.inf else []
+    assert len(f.derivs) == len(eager)
+    xs = np.array(_POINTS)
+    # Highest order first: it derives the orders below it on the way.
+    for deriv, d in reversed(list(zip(f.derivs, eager))):
+        want = _compile(d, "eager")
+        with np.errstate(all="ignore"):
+            assert np.array_equal(deriv(xs), want(xs), equal_nan=True), text
+        assert [_outcome(deriv, x) for x in _POINTS] == \
+            [_outcome(want, x) for x in _POINTS], text
+
+
+def test_derivative_trees_wait_for_their_first_call(monkeypatch):
+    from deltacalc import exprlang
+
+    calls = []
+    real = exprlang._diff
+
+    def counting(node):
+        calls.append(node)
+        return real(node)
+
+    monkeypatch.setattr(exprlang, "_diff", counting)
+    tree = parse("x^3-2*x+1")
+    exprlang._diff(tree)
+    one_pass = len(calls)
+    calls.clear()
+    comp = parse_expression("delta(x^3-2*x+1)")
+    assert isinstance(comp, CompTerm) and len(comp.inner.derivs) == 4
+    assert len(calls) == one_pass
+    assert comp.inner.derivative(3)(0.5) == 6.0
+    assert len(calls) > one_pass
+    seen = len(calls)
+    assert comp.inner.derivative(2)(0.5) == 3.0
+    assert len(calls) == seen

@@ -457,3 +457,19 @@ def test_equiv_finds_regions_once_per_rank(monkeypatch, bump):
                                 kernel=bump)
     assert verdict.consistent and verdict.battery_size == 20
     assert seen and len(seen) == len(set(seen))
+
+
+def test_kernel_derivatives_and_their_node_values_are_built_once():
+    from deltacalc import vintegral
+    from deltacalc.vfun import bump_delta
+
+    k = bump_delta()
+    assert k.derivative(0) is k
+    d2 = k.derivative(2)
+    assert k.derivative(2) is d2 and d2.order == 2
+    assert d2.derivative(1) is d2.derivative(1)
+    p = vintegral._profile_on_nodes(d2.profile, d2.profile_cuts)
+    assert p is vintegral._profile_on_nodes(d2.profile, d2.profile_cuts)
+    assert not p.flags.writeable
+    u = vintegral._fixed_nodes(d2.profile_cuts)[0]
+    assert np.array_equal(p, d2.profile.fn(u))
