@@ -103,6 +103,9 @@ def _apply_flags(cfg, args):
     cfg = replace(cfg, **updates)
     if cfg.probe_min_exp < 1 or cfg.probe_max_exp <= cfg.probe_min_exp:
         raise ConfigError("probe exponents must satisfy 1 <= min < max")
+    if cfg.probe_max_exp > 1023:
+        # Above 2**1023 a rank is no longer a finite float.
+        raise ConfigError(f"--probe-max-exp must be at most 1023, not {cfg.probe_max_exp}")
     if not 0 < cfg.tolerance < math.inf:
         raise ConfigError(f"tolerance must be positive and finite, not {cfg.tolerance!r}")
     return cfg

@@ -9,6 +9,7 @@ plain RealFunction or a delta-expression AST.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -247,7 +248,9 @@ def _num_text(v):
 def render(node, parent_prec=0):
     """Render a tree back to source text; parse(render(t)) == t."""
     if isinstance(node, Num):
-        return _num_text(node.value)
+        # A folded negative constant reads like the Neg(Num) it came from.
+        text = _num_text(node.value)
+        return f"({text})" if node.value < 0 and parent_prec > _UNARY_PRECEDENCE else text
     if isinstance(node, Var):
         return "x"
     if isinstance(node, Call):
@@ -454,31 +457,26 @@ def _derivative_on_first_call(trees, k, label):
     return fn
 
 
-def _contains_abs(node):
-    if isinstance(node, Call) and node.name == "abs":
-        return True
-    for child in _children(node):
-        if _contains_abs(child):
-            return True
-    return False
-
-
 def _children(node):
     if isinstance(node, Bin):
         return (node.left, node.right)
-    if isinstance(node, (Neg,)):
-        return (node.arg,)
-    if isinstance(node, Call):
+    if isinstance(node, (Neg, Call)):
         return (node.arg,)
     if isinstance(node, Delta):
         return (node.inner,)
     return ()
 
 
-def _contains_delta(node):
-    if isinstance(node, Delta):
-        return True
-    return any(_contains_delta(c) for c in _children(node))
+def _contains(node, test):
+    return test(node) or any(_contains(c, test) for c in _children(node))
+
+
+def _is_abs(node):
+    return isinstance(node, Call) and node.name == "abs"
+
+
+def _is_delta(node):
+    return isinstance(node, Delta)
 
 
 def to_real_function(node, depth=4):
@@ -489,7 +487,7 @@ def to_real_function(node, depth=4):
     """
     label = render(node)
     fn = _compile(node, label)
-    if _contains_abs(node):
+    if _contains(node, _is_abs):
         return RealFunction(fn, smoothness=0, label=label)
     # Only the first derivative is taken now, to learn whether the tree is
     # differentiable.  If it is, so is every later one: _diff emits only
@@ -508,15 +506,45 @@ def to_real_function(node, depth=4):
 # Lifting to delta expressions
 # ---------------------------------------------------------------------------
 
+_FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+         "/": operator.truediv, "^": operator.pow}
+
+
+def _fold(node):
+    """Fold Num op Num and -Num where the result is a finite real float, and
+    0*E, E*0 and 0/E to 0 where E is delta-free."""
+    if isinstance(node, Neg):
+        arg = _fold(node.arg)
+        return Num(-arg.value) if isinstance(arg, Num) else Neg(arg)
+    if isinstance(node, Call):
+        return Call(node.name, _fold(node.arg))
+    if isinstance(node, Delta):
+        return Delta(_fold(node.inner), node.order)
+    if not isinstance(node, Bin):
+        return node
+    a, b = _fold(node.left), _fold(node.right)
+    if isinstance(a, Num) and isinstance(b, Num):
+        try:
+            value = _FOLD[node.op](a.value, b.value)
+        except ArithmeticError:
+            value = None
+        if isinstance(value, float) and math.isfinite(value):
+            return Num(value)
+    elif ((node.op in "*/" and _is_zero(a) or node.op == "*" and _is_zero(b))
+          and not _contains(node, _is_delta)):
+        return _ZERO
+    return Bin(node.op, a, b)
+
+
 def _shift_of(node):
-    """a such that node == x - a, else None (handles x, x-a, x+a, a alone no)."""
+    """a such that node == x - a (x, x-a, x+a or a+x), else None."""
     if isinstance(node, Var):
         return 0.0
-    if isinstance(node, Bin) and isinstance(node.left, Var):
-        if node.op == "-" and isinstance(node.right, Num):
-            return node.right.value
-        if node.op == "+" and isinstance(node.right, Num):
-            return -node.right.value
+    if isinstance(node, Bin) and node.op in "+-":
+        if isinstance(node.left, Var) and isinstance(node.right, Num):
+            return node.right.value if node.op == "-" else -node.right.value
+        if node.op == "+" and isinstance(node.left, Num) and isinstance(node.right, Var):
+            return -node.left.value
     return None
 
 
@@ -526,45 +554,36 @@ def _lift_delta(node):
         return DeltaTerm(order=node.order, shift=shift)
     if node.order > 0:
         raise ExpressionError(
-            "ddelta requires an inner expression of the form x, x-a, or x+a")
+            "ddelta requires an inner expression of the form x, x-a, or x+a "
+            "(or a+x), with a constant a")
     return CompTerm(inner=to_real_function(node.inner))
 
 
-def lift(node):
-    """Lift a tree to a DeltaExpr, or a RealFunction if delta-free."""
-    if not _contains_delta(node):
-        return to_real_function(node)
-    return _lift_distribution(node)
-
-
-def _lift_distribution(node):
-    if isinstance(node, Delta):
-        return _lift_delta(node)
+def _summands(node):
+    """(c, factor, atom) for each summand c * factor * atom of a folded
+    tree, in one walk: atom is a Delta node or a delta-free tree, and
+    factor the tree of the smooth factors it carries, or None."""
+    if isinstance(node, Delta) or not _contains(node, _is_delta):
+        return [(1.0, None, node)]
     if isinstance(node, Neg):
-        return ScaleTerm(-1.0, _lift_distribution(node.arg))
+        return [(-c, f, atom) for c, f, atom in _summands(node.arg)]
     if isinstance(node, Bin):
-        ldelta = _contains_delta(node.left)
-        rdelta = _contains_delta(node.right)
-        if node.op in ("+", "-"):
-            left = (_lift_distribution(node.left) if ldelta
-                    else SmoothTerm(to_real_function(node.left)))
-            right = (_lift_distribution(node.right) if rdelta
-                     else SmoothTerm(to_real_function(node.right)))
-            if node.op == "-":
-                right = ScaleTerm(-1.0, right)
-            return SumTerm((left, right))
+        if node.op in "+-":
+            sign = -1.0 if node.op == "-" else 1.0
+            return _summands(node.left) + [(sign * c, f, atom) for c, f, atom
+                                           in _summands(node.right)]
         if node.op == "*":
-            if ldelta and rdelta:
+            ldelta = _contains(node.left, _is_delta)
+            if ldelta and _contains(node.right, _is_delta):
                 raise ExpressionError(
                     "products of two delta terms are undefined outside a "
                     "contraction integral")
             dnode, snode = (node.left, node.right) if ldelta else (node.right, node.left)
-            return _apply_factor(_lift_distribution(dnode), snode)
+            return _times(_summands(dnode), snode)
         if node.op == "/":
-            if rdelta:
+            if _contains(node.right, _is_delta):
                 raise ExpressionError("division by a delta term is undefined")
-            return _apply_factor(_lift_distribution(node.left),
-                                 Bin("/", _ONE, node.right))
+            return _times(_summands(node.left), Bin("/", _ONE, node.right))
         if node.op == "^":
             raise ExpressionError("delta terms cannot be exponentiated")
     if isinstance(node, Call):
@@ -573,34 +592,30 @@ def _lift_distribution(node):
     raise ExpressionError(f"cannot lift {type(node).__name__}")
 
 
-def _apply_factor(dexpr, factor_node):
-    """Multiply a lifted delta expression by a smooth factor tree."""
-    if isinstance(factor_node, Num):
-        return ScaleTerm(factor_node.value, dexpr)
-    if isinstance(factor_node, Neg) and isinstance(factor_node.arg, Num):
-        return ScaleTerm(-factor_node.arg.value, dexpr)
-    factor = to_real_function(factor_node)
-    if isinstance(dexpr, (DeltaTerm, CompTerm)):
-        return ProductTerm(factor, dexpr)
-    if isinstance(dexpr, ScaleTerm):
-        return ScaleTerm(dexpr.c, _apply_factor(dexpr.expr, factor_node))
-    if isinstance(dexpr, SumTerm):
-        return SumTerm(tuple(_apply_factor(p, factor_node) for p in dexpr.parts))
-    if isinstance(dexpr, ProductTerm):
-        combined = RealFunction(
-            lambda x, f=dexpr.f, g=factor: f(x) * g(x),
-            smoothness=min(dexpr.f.smoothness, factor.smoothness),
-            label=f"{dexpr.f.label}*{factor.label}",
-        )
-        return ProductTerm(combined, dexpr.delta)
-    if isinstance(dexpr, SmoothTerm):
-        return SmoothTerm(RealFunction(
-            lambda x, f=dexpr.f, g=factor: f(x) * g(x),
-            smoothness=min(dexpr.f.smoothness, factor.smoothness),
-            label=f"{dexpr.f.label}*{factor.label}",
-        ))
-    raise ExpressionError(
-        f"cannot multiply {type(dexpr).__name__} by a smooth factor")
+def _times(summands, factor):
+    """Each summand times a smooth factor tree: a constant joins c."""
+    if isinstance(factor, Num):
+        return [(c * factor.value, f, atom) for c, f, atom in summands]
+    return [(c, factor if f is None else Bin("*", f, factor), atom)
+            for c, f, atom in summands]
+
+
+def lift(node):
+    """Lift a tree to a DeltaExpr, or a RealFunction if delta-free; constant
+    subtrees are folded first."""
+    node = _fold(node)
+    if not _contains(node, _is_delta):
+        return to_real_function(node)
+    terms = []
+    for c, f, atom in _summands(node):
+        if isinstance(atom, Delta):
+            term = _lift_delta(atom)
+            if f is not None:
+                term = ProductTerm(to_real_function(f), term)
+        else:
+            term = SmoothTerm(to_real_function(atom if f is None else Bin("*", atom, f)))
+        terms.append(term if c == 1.0 else ScaleTerm(c, term))
+    return terms[0] if len(terms) == 1 else SumTerm(tuple(terms))
 
 
 def parse_expression(text):

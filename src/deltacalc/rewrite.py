@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import DeltaCalcError, ExpressionError, RewriteError, SmoothnessError
 from .limits import DEFAULT_SCHEDULE
 from .roots import WINDOW, certify_hypotheses, find_simple_roots
-from .vfun import C_INF, DiracKernel, RealFunction, const_function
+from .vfun import C_INF, DiracKernel, RealFunction
 from .vintegral import (
     NEG_INF,
     POS_INF,
@@ -156,13 +157,42 @@ class ContractionTerm(DeltaExpr):
         return f"contract({self.d1.name},{self.d2.name},{self.shift:g})"
 
 
-ZERO_EXPR = SmoothTerm(const_function(0.0, label="0"))
-
-
 def _is_zero_term(expr):
-    """Whether a smooth summand is the structural zero: ZERO_EXPR or another
-    constant labelled "0".  Its values never decide it."""
+    """Whether a smooth summand is the structural zero: a constant labelled
+    "0".  Its values never decide it."""
     return isinstance(expr.f, RealFunction) and expr.f.label == "0"
+
+
+def _atoms(expr, c=1.0):
+    """Flatten the linear nodes (SumTerm, ScaleTerm, ProductTerm) of expr in
+    one walk: expr is the sum of c * factor * atom over the returned
+    (c, factor, atom), where factor is a RealFunction or None and atom a
+    DeltaTerm, CompTerm or SmoothTerm.  A contraction becomes the delta
+    term bound to its convolved kernel."""
+    if isinstance(expr, SumTerm):
+        return tuple(a for p in expr.parts for a in _atoms(p, c))
+    if isinstance(expr, ScaleTerm):
+        return _atoms(expr.expr, c * expr.c)
+    if isinstance(expr, ProductTerm):
+        return ((c, expr.f, expr.delta),)
+    if isinstance(expr, ContractionTerm):
+        return ((c, None, DeltaTerm(0, expr.shift,
+                                    kernel=convolve(expr.d1, expr.d2))),)
+    if isinstance(expr, (DeltaTerm, CompTerm, SmoothTerm)):
+        return ((c, None, expr),)
+    raise ExpressionError(f"cannot flatten node {type(expr).__name__}")
+
+
+def _kernel_of(atom, kernel):
+    kern = atom.kernel if atom.kernel is not None else kernel
+    if kern is None:
+        raise ExpressionError("delta term evaluated without a kernel binding")
+    return kern
+
+
+def _total(values):
+    """Left-to-right sum; a single value is returned as it is."""
+    return functools.reduce(operator.add, values)
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +237,6 @@ class NormalForm:
     @property
     def is_zero(self):
         return not self.terms and self.residual == "zero"
-
-    def scaled(self, c):
-        return NormalForm.from_terms(
-            [(c * t[0], t[1], t[2]) for t in self.terms],
-            self.strength, None if self.terms else self.residual,
-            self.kernel_binding,
-        )
 
     def render(self):
         if self.is_zero:
@@ -302,42 +325,26 @@ def rewrite_convolution(d1, d2, a=0.0):
 
 
 def simplify(expr, window=WINDOW):
-    """Rewrite an expression AST to its normal form."""
-    if isinstance(expr, DeltaTerm):
-        return NormalForm.from_terms([(1.0, expr.order, expr.shift)], STRONG,
-                                     kernel_binding=expr.kernel)
-    if isinstance(expr, CompTerm):
-        return rewrite_composition(expr.inner, window=window)
-    if isinstance(expr, SmoothTerm):
-        if _is_zero_term(expr):
-            return NormalForm.from_terms([], STRONG)
-        return NormalForm((), STRONG,
-                          residual=f"smooth summand {expr.f.label or 'f(x)'}")
-    if isinstance(expr, ScaleTerm):
-        return simplify(expr.expr, window=window).scaled(expr.c)
-    if isinstance(expr, SumTerm):
-        parts = [simplify(p, window=window) for p in expr.parts]
-        strength = STRONG
-        residual = None
-        terms = []
-        for nf in parts:
-            terms.extend(nf.terms)
+    """Rewrite an expression AST to its normal form, atom by atom."""
+    atoms = _atoms(expr)
+    terms, strength, residual, binding = [], STRONG, None, None
+    for c, f, atom in atoms:
+        if isinstance(atom, SmoothTerm):
+            if not _is_zero_term(atom):
+                residual = f"smooth summand {atom.f.label or 'f(x)'}"
+            continue
+        if isinstance(atom, CompTerm):
+            base = rewrite_composition(atom.inner, window=window).terms
+        else:
+            base = ((1.0, atom.order, atom.shift),)
+            if len(atoms) == 1:
+                binding = atom.kernel
+        for t, k, a in base:
+            nf = (NormalForm.from_terms([(1.0, k, a)]) if f is None
+                  else rewrite_deriv_product(f, k, a))
+            terms.extend((c * (t * u), j, b) for u, j, b in nf.terms)
             strength = _merge_strength(strength, nf.strength)
-            if nf.residual not in (None, "zero"):
-                residual = nf.residual
-        return NormalForm.from_terms(terms, strength, residual)
-    if isinstance(expr, ProductTerm):
-        if isinstance(expr.delta, DeltaTerm):
-            if expr.delta.order == 0:
-                return rewrite_product(expr.f, expr.delta.shift)
-            return rewrite_deriv_product(expr.f, expr.delta.order, expr.delta.shift)
-        base = rewrite_composition(expr.delta.inner, window=window)
-        terms = [(c * float(expr.f(a)), k, a) for c, k, a in base.terms]
-        return NormalForm.from_terms(terms, base.strength,
-                                     None if terms else base.residual)
-    if isinstance(expr, ContractionTerm):
-        return rewrite_convolution(expr.d1, expr.d2, expr.shift)
-    raise ExpressionError(f"cannot simplify node {type(expr).__name__}")
+    return NormalForm.from_terms(terms, strength, residual, binding)
 
 
 def evaluate_normal_form(nf, f):
@@ -358,47 +365,23 @@ def evaluate_normal_form(nf, f):
 # Numeric expression integration (termwise per rank)
 # ---------------------------------------------------------------------------
 
-def _term_rank_integral(expr, weight, kernel, n, lo, hi, window=WINDOW):
-    """Per-rank integral of expr * weight over [lo(n), hi(n)], termwise."""
-    if isinstance(expr, SumTerm):
-        return sum(_term_rank_integral(p, weight, kernel, n, lo, hi, window)
-                   for p in expr.parts)
-    if isinstance(expr, ScaleTerm):
-        return expr.c * _term_rank_integral(expr.expr, weight, kernel, n, lo, hi, window)
-    if isinstance(expr, ProductTerm):
-        if weight is None:
-            w = expr.f.fn
-        else:
-            w = lambda x, f=expr.f.fn, g=weight: f(x) * g(x)
-        return _term_rank_integral(expr.delta, w, kernel, n, lo, hi, window)
-    if isinstance(expr, SmoothTerm):
-        if _is_zero_term(expr):
+def _rank_integral(atom, weight, kernel, n, lo, hi, window):
+    """Rank-n integral of atom * weight over [lo(n), hi(n)]."""
+    if isinstance(atom, SmoothTerm):
+        if _is_zero_term(atom):
             return 0.0
-        a, b = lo.bound_at(n), hi.bound_at(n)
-        if weight is None:
-            return _quad_piece(expr.f.fn, a, b)
-        return _quad_piece(lambda x: expr.f(x) * weight(x), a, b)
-    if isinstance(expr, DeltaTerm):
-        kern = expr.kernel if expr.kernel is not None else kernel
-        if kern is None:
-            raise ExpressionError("delta term evaluated without a kernel binding")
-        d = kern.derivative(expr.order) if expr.order else kern
-        if isinstance(d, DiracKernel):
-            s = expr.shift
-            return profile_integral(d, n, s, weight, n * (lo.bound_at(n) - s),
-                                    n * (hi.bound_at(n) - s))
-        return integrate_rank(d.translate(expr.shift), lo, hi, n, weight=weight)
-    if isinstance(expr, CompTerm):
-        kern = expr.kernel if expr.kernel is not None else kernel
-        if kern is None:
-            raise ExpressionError("delta term evaluated without a kernel binding")
-        comp = _composite(expr.inner, kern, window)
+        f = atom.f.fn if weight is None else (lambda x: atom.f(x) * weight(x))
+        return _quad_piece(f, lo.bound_at(n), hi.bound_at(n))
+    kern = _kernel_of(atom, kernel)
+    if isinstance(atom, CompTerm):
+        comp = _composite(atom.inner, kern, window)
         return integrate_rank(comp, lo, hi, n, weight=weight)
-    if isinstance(expr, ContractionTerm):
-        d3 = convolve(expr.d1, expr.d2)
-        return _term_rank_integral(
-            DeltaTerm(0, expr.shift, kernel=d3), weight, kernel, n, lo, hi)
-    raise ExpressionError(f"cannot integrate node {type(expr).__name__}")
+    d = kern.derivative(atom.order) if atom.order else kern
+    if isinstance(d, DiracKernel):
+        s = atom.shift
+        return profile_integral(d, n, s, weight, n * (lo.bound_at(n) - s),
+                                n * (hi.bound_at(n) - s))
+    return integrate_rank(d.translate(atom.shift), lo, hi, n, weight=weight)
 
 
 @functools.lru_cache(maxsize=2)
@@ -410,25 +393,18 @@ def _composite(inner, kern, window):
 
 def expr_rank_eval(expr, kernel, n, x):
     """Pointwise value of the bound integrand at rank n (for traces)."""
-    if isinstance(expr, SumTerm):
-        return sum(expr_rank_eval(p, kernel, n, x) for p in expr.parts)
-    if isinstance(expr, ScaleTerm):
-        return expr.c * expr_rank_eval(expr.expr, kernel, n, x)
-    if isinstance(expr, ProductTerm):
-        return expr.f(x) * expr_rank_eval(expr.delta, kernel, n, x)
-    if isinstance(expr, SmoothTerm):
-        return float(expr.f(x))
-    if isinstance(expr, DeltaTerm):
-        kern = expr.kernel if expr.kernel is not None else kernel
-        d = kern.derivative(expr.order) if expr.order else kern
-        return float(d.rank_eval(n, x - expr.shift))
-    if isinstance(expr, CompTerm):
-        kern = expr.kernel if expr.kernel is not None else kernel
-        return float(kern.rank_eval(n, expr.inner(x)))
-    if isinstance(expr, ContractionTerm):
-        d3 = convolve(expr.d1, expr.d2)
-        return float(d3.rank_eval(n, x - expr.shift))
-    raise ExpressionError(f"cannot evaluate node {type(expr).__name__}")
+    values = []
+    for c, f, atom in _atoms(expr):
+        if isinstance(atom, SmoothTerm):
+            v = float(atom.f(x))
+        elif isinstance(atom, CompTerm):
+            v = float(_kernel_of(atom, kernel).rank_eval(n, atom.inner(x)))
+        else:
+            kern = _kernel_of(atom, kernel)
+            d = kern.derivative(atom.order) if atom.order else kern
+            v = float(d.rank_eval(n, x - atom.shift))
+        values.append(c * (v if f is None else f(x) * v))
+    return _total(values)
 
 
 def reduce_expr_integral(expr, weight=None, kernel=None,
@@ -440,11 +416,16 @@ def reduce_expr_integral(expr, weight=None, kernel=None,
     hi = VirtualBound.coerce(hi)
     if isinstance(weight, RealFunction):
         weight = weight.fn
+    # Each atom's weight: its factor times the caller's.
+    atoms = [(c, weight if f is None else f.fn if weight is None
+              else (lambda x, f=f.fn: f(x) * weight(x)), atom)
+             for c, f, atom in _atoms(expr)]
     schedule = list(schedule)
     # Derivative orders above 2 lose too many digits at very high ranks;
     # cap the schedule by the largest order present.  Far enough above the
     # cap, a + u/n rounds to a and every I_n reads 0: refuse instead.
-    max_order = _max_delta_order(expr)
+    max_order = max((atom.order for _c, _w, atom in atoms
+                     if isinstance(atom, DeltaTerm)), default=0)
     if max_order >= 1:
         cap = 2 ** max(8, 14 - 2 * max_order)
         schedule = [n for n in schedule if n <= cap]
@@ -454,20 +435,9 @@ def reduce_expr_integral(expr, weight=None, kernel=None,
                 f"delta derivatives of order {max_order}")
     return reduce_sequence(
         schedule,
-        lambda n: _term_rank_integral(expr, weight, kernel, n, lo, hi, window),
+        lambda n: _total(c * _rank_integral(atom, w, kernel, n, lo, hi, window)
+                         for c, w, atom in atoms),
         tol)
-
-
-def _max_delta_order(expr):
-    if isinstance(expr, DeltaTerm):
-        return expr.order
-    if isinstance(expr, SumTerm):
-        return max((_max_delta_order(p) for p in expr.parts), default=0)
-    if isinstance(expr, (ScaleTerm,)):
-        return _max_delta_order(expr.expr)
-    if isinstance(expr, ProductTerm):
-        return _max_delta_order(expr.delta)
-    return 0
 
 
 # ---------------------------------------------------------------------------

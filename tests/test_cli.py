@@ -51,6 +51,45 @@ def test_simplify_json():
     assert [t["a"] for t in payload["terms"]] == [-2.0, 2.0]
 
 
+def _simplify_json(text):
+    status, out, err = run(["simplify", "--json", "--", text])
+    assert status == 0, err
+    return json.loads(out)
+
+
+@pytest.mark.parametrize("text,c", [("3*(x+delta(x-1))", 3.0),
+                                    ("(x+delta(x-1))*2", 2.0),
+                                    ("-(x+delta(x-1))", -1.0),
+                                    ("(x+delta(x-1))/2", 0.5)])
+def test_scaled_sum_keeps_smooth_residual(text, c):
+    payload = _simplify_json(text)
+    assert payload["terms"] == [{"c": c, "k": 0, "a": 1.0}]
+    assert payload["residual"].startswith("smooth summand x")
+
+
+def test_factor_order_does_not_change_derivative_terms():
+    a = _simplify_json("x*ddelta(x-1,3)*exp(x)")["terms"]
+    b = _simplify_json("x*exp(x)*ddelta(x-1,3)")["terms"]
+    assert [(t["k"], t["a"]) for t in a] == [(t["k"], t["a"]) for t in b]
+    assert all(abs(s["c"] - t["c"]) <= 1e-12 for s, t in zip(a, b))
+    assert abs(a[0]["c"] + 4.0 * math.e) <= 1e-12
+
+
+def test_factor_product_has_exact_derivatives():
+    payload = _simplify_json("(x+1)*ddelta(x,2)*(x-1)")
+    assert payload["terms"] == [{"c": 2.0, "k": 0, "a": 0.0},
+                                {"c": -1.0, "k": 2, "a": 0.0}]
+    assert payload["strength"] == {"order": 2}
+
+
+@pytest.mark.parametrize("text", ["delta(x)+0*x", "delta(x)+(2-2)*x",
+                                  "delta(x)+0/(x+3)"])
+def test_folded_zero_summand_is_structural_zero(text):
+    payload = _simplify_json(text)
+    assert payload["terms"] == [{"c": 1.0, "k": 0, "a": 0.0}]
+    assert payload["residual"] is None
+
+
 def test_simplify_uncertified_is_engine_error():
     status, out, err = run(["simplify", "delta(x^2)"])
     assert status == 1
@@ -446,11 +485,24 @@ def test_help_goes_to_out(argv, capsys):
 
 # -- exit-code contract ----------------------------------------------------
 
-def test_rank_overflow_is_engine_error():
+def test_rank_overflow_is_config_error():
+    # 2**1050 is no float: refused before any rank is built.
     status, out, err = run(["integrate", "delta(x)", "--probe-min-exp", "1050",
                             "--probe-max-exp", "1100"])
-    assert status == 1 and out == ""
-    assert err.startswith("error (engine)") and "Traceback" not in err
+    assert status == 2 and out == ""
+    assert err.startswith("error (config)") and "--probe-max-exp" in err
+    assert "Traceback" not in err
+    status, out, _ = run(["integrate", "delta(x)", "--probe-min-exp", "1000",
+                          "--probe-max-exp", "1023", "--json"])
+    assert status == 0 and abs(json.loads(out)["value"] - 1.0) < 1e-9
+
+
+def test_leading_minus_expression_follows_double_dash():
+    status, out, err = run(["simplify", "-delta(x)"])
+    assert status == 2 and out == "" and "error (usage)" in err
+    status, out, _ = run(["simplify", "--json", "--", "-delta(x)"])
+    assert status == 0
+    assert json.loads(out)["terms"] == [{"c": -1.0, "k": 0, "a": 0.0}]
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])

@@ -250,6 +250,44 @@ def test_ddelta_requires_shift_pattern():
         parse_expression("ddelta(x^2,1)")
 
 
+@pytest.mark.parametrize("text,order,shift", [
+    ("ddelta(-1+x,1)", 1, 1.0), ("ddelta(x+-1,1)", 1, 1.0),
+    ("ddelta(x-(1+1),1)", 1, 2.0), ("delta(2+x)", 0, -2.0),
+    ("ddelta(x-2*0.25,2)", 2, 0.5), ("delta(x-1/4)", 0, 0.25)])
+def test_lift_folded_shift_forms(text, order, shift):
+    assert parse_expression(text) == DeltaTerm(order, shift)
+
+
+def test_parse_stays_syntactic_and_lift_folds():
+    assert parse("2-2") == Bin("-", Num(2.0), Num(2.0))
+    assert parse("-3") == Neg(Num(3.0))
+    assert parse_expression("2*3*delta(x)") == ScaleTerm(6.0, DeltaTerm(0, 0.0))
+    assert parse_expression("-0.5*delta(x)") == ScaleTerm(-0.5, DeltaTerm(0, 0.0))
+    for text in ("delta(x)+0*x", "delta(x)+x*0", "delta(x)+(2-2)*x",
+                 "delta(x)+0/(x+3)"):
+        out = parse_expression(text)
+        assert out.parts[1].f.label == "0", text
+    # Folding keeps a label that reads like the source.
+    assert to_real_function(parse("x^(-2)")).label == "x^(-2)"
+    assert lift(parse("x^(-2)")).label == "x^(-2)"
+    # No fold where the value would not be a finite real.
+    for text in ("1/0", "(-8)^(1/3)", "10^400", "0/0"):
+        assert isinstance(lift(parse(text)), RealFunction)
+    with pytest.raises(ExpressionError):
+        lift(parse("1/0"))(1.0)
+
+
+def test_lift_keeps_factor_derivatives():
+    # The factors of a product multiply as trees, so the binomial rule
+    # reads their symbolic derivatives, in either order.
+    a = parse_expression("x*ddelta(x-1,3)*exp(x)")
+    b = parse_expression("x*exp(x)*ddelta(x-1,3)")
+    assert isinstance(a, ProductTerm) and a.f.label == "x*exp(x)"
+    for k in range(4):
+        assert a.f.deriv_value(k, 1.0) == b.f.deriv_value(k, 1.0)
+    assert abs(a.f.deriv_value(3, 1.0) - 4.0 * math.e) < 1e-12
+
+
 # -- compiled closures -------------------------------------------------------
 
 import numpy as np  # noqa: E402
