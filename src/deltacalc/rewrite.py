@@ -27,7 +27,7 @@ from .vintegral import (
     compose,
     convolve,
     integrate_rank,
-    profile_integral,
+    reduce_integral,
     reduce_sequence,
 )
 
@@ -325,13 +325,14 @@ def rewrite_convolution(d1, d2, a=0.0):
 
 
 def simplify(expr, window=WINDOW):
-    """Rewrite an expression AST to its normal form, atom by atom."""
+    """Rewrite an expression AST to its normal form, atom by atom; the
+    residual names every smooth summand that is not the structural zero."""
     atoms = _atoms(expr)
-    terms, strength, residual, binding = [], STRONG, None, None
+    terms, strength, smooth, binding = [], STRONG, [], None
     for c, f, atom in atoms:
         if isinstance(atom, SmoothTerm):
             if not _is_zero_term(atom):
-                residual = f"smooth summand {atom.f.label or 'f(x)'}"
+                smooth.append(atom.f.label or "f(x)")
             continue
         if isinstance(atom, CompTerm):
             base = rewrite_composition(atom.inner, window=window).terms
@@ -344,6 +345,8 @@ def simplify(expr, window=WINDOW):
                   else rewrite_deriv_product(f, k, a))
             terms.extend((c * (t * u), j, b) for u, j, b in nf.terms)
             strength = _merge_strength(strength, nf.strength)
+    residual = (f"smooth summand{'s' if len(smooth) > 1 else ''} {', '.join(smooth)}"
+                if smooth else None)
     return NormalForm.from_terms(terms, strength, residual, binding)
 
 
@@ -377,11 +380,7 @@ def _rank_integral(atom, weight, kernel, n, lo, hi, window):
         comp = _composite(atom.inner, kern, window)
         return integrate_rank(comp, lo, hi, n, weight=weight)
     d = kern.derivative(atom.order) if atom.order else kern
-    if isinstance(d, DiracKernel):
-        s = atom.shift
-        return profile_integral(d, n, s, weight, n * (lo.bound_at(n) - s),
-                                n * (hi.bound_at(n) - s))
-    return integrate_rank(d.translate(atom.shift), lo, hi, n, weight=weight)
+    return integrate_rank(d, lo, hi, n, weight, atom.shift)
 
 
 @functools.lru_cache(maxsize=2)
@@ -537,11 +536,8 @@ def kernel_dependence_probe(g, kernels, schedule=DEFAULT_SCHEDULE, tol=1e-6,
         raise ValueError("probe needs at least two kernels")
     outcomes = []
     for kern in kernels:
-        comp = compose(kern, g, window=window)
-        res = reduce_sequence(
-            list(schedule),
-            lambda n: integrate_rank(comp, NEG_INF, POS_INF, n),
-            1e-9)
+        res = reduce_integral(compose(kern, g, window=window),
+                              schedule=schedule, tol=1e-9)
         outcomes.append((getattr(kern, "name", kern.label), res))
     if {res.kind for _n, res in outcomes} != {"reduced"}:
         labels = sorted(f"{name}:{res.kind}" for name, res in outcomes)

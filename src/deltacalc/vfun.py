@@ -571,15 +571,6 @@ def check_dirac(vf, schedule=DEFAULT_SCHEDULE, tol=1e-6, grid_points=1000):
 # Kernel descriptor serialization
 # ---------------------------------------------------------------------------
 
-_SUPPORT_RULES = {
-    "bump": "(-1/n, 1/n)",
-    "square": "(-1/n, 1/n)",
-    "plus": "(1/n, 3/n)",
-    "minus": "(-3/n, -1/n)",
-    "mixture": "(-3/n, 3/n)",
-}
-
-
 def kernel_to_json(kernel):
     smooth = kernel.smoothness
     if smooth == C_INF:
@@ -592,10 +583,7 @@ def kernel_to_json(kernel):
         "name": kernel.name,
         "params": kernel.params,
         "smoothness": smooth_text,
-        "support_rule": _SUPPORT_RULES.get(
-            kernel.name,
-            f"({kernel.profile_support[0]:g}/n, {kernel.profile_support[1]:g}/n)",
-        ),
+        "support_rule": "({:g}/n, {:g}/n)".format(*kernel.profile_support),
     }
 
 

@@ -191,19 +191,21 @@ def _quad_piece(f, a, b, points=None):
     return val
 
 
-def integrate_rank(vf, lo, hi, n, weight=None):
-    """Quadrature of f_n over [lo(n), hi(n)].
-
-    A composite's nonzero regions are integrated on fixed nodes
-    (`_regions_integral`).  Otherwise adaptive quadrature is restricted to
-    the declared support when available, and discontinuity edges become
-    mandatory split points.
-    """
-    lo = VirtualBound.coerce(lo)
-    hi = VirtualBound.coerce(hi)
-    a, b = lo.bound_at(n), hi.bound_at(n)
+def integrate_rank(vf, lo, hi, n, weight=None, shift=0.0):
+    """Rank-n integral of f_n(x - shift) * weight(x) over [lo(n), hi(n)],
+    and the one place that picks how a rank integral is taken: a profile
+    kernel in u = n(x - shift) (`profile_integral`), a composite region by
+    region (`_regions_integral`), any other virtual function by adaptive
+    quad over its declared support, with a discontinuous function's
+    support edges as split points."""
+    a = VirtualBound.coerce(lo).bound_at(n)
+    b = VirtualBound.coerce(hi).bound_at(n)
     if a > b:
         raise ValueError(f"empty orientation: lower bound {a} > upper bound {b}")
+    if isinstance(vf, DiracKernel):
+        return profile_integral(vf, n, shift, weight, n * (a - shift), n * (b - shift))
+    if shift:
+        vf = vf.translate(shift)
 
     if weight is None:
         f = lambda x: vf.rank_eval(n, x)
@@ -215,16 +217,11 @@ def integrate_rank(vf, lo, hi, n, weight=None):
         return _regions_integral(vf, n, weight, f, [(p, q) for p, q in pieces if p < q])
 
     iv = vf.support_interval(n)
-    if iv is not None:
-        slo, shi = iv
-        a2, b2 = max(a, slo), min(b, shi)
-        if a2 >= b2:
-            return 0.0
-        # Edges of a discontinuous kernel's support must be split points.
-        pts = [slo, shi] if vf.smoothness < 0 else None
-        return _quad_piece(f, a2, b2, points=pts)
-
-    return _quad_piece(f, a, b)
+    if iv is None:
+        return _quad_piece(f, a, b)
+    # Edges of a discontinuous kernel's support must be split points.
+    return _quad_piece(f, max(a, iv[0]), min(b, iv[1]),
+                       points=list(iv) if vf.smoothness < 0 else None)
 
 
 #: Gauss-Legendre nodes per panel of the two fixed rules whose agreement
@@ -283,6 +280,26 @@ def _accepted(coarse, fine, resabs):
                                    | (diff <= 50.0 * _EPS * resabs))
 
 
+def _rule_pair(values, w_coarse, w_fine, rows=1, scale=1.0, magnitude=None):
+    """Both fixed rules on `values`, laid out as _panel_rules lays out its
+    nodes, each summed per row of panels as a dot product times `scale`:
+    lists of the fine rule's sums and of whether each is `_accepted` (none
+    is where `values` is None), with the rounding floor taken from
+    |magnitude| (default: |values|).  Call it under np.errstate(all="ignore")."""
+    if values is None:
+        return [0.0] * rows, [False] * rows
+    m = w_coarse.size
+    magnitude = values if magnitude is None else magnitude
+    pairs = ((w_coarse, values[:m]), (w_fine, values[m:]),
+             (w_fine, np.abs(magnitude[m:])))
+    if rows == 1:  # the same dot products, without the ~5% a batched matmul adds to sift
+        sums = [[scale * float(w @ v)] for w, v in pairs]
+    else:
+        sums = [(scale * (v.reshape(rows, 1, -1) @ w.reshape(rows, -1, 1)))
+                .ravel().tolist() for w, v in pairs]
+    return sums[1], [_accepted(*row) for row in zip(*sums)]
+
+
 def _fixed_rule(d, n, a, weight, ulo, uhi):
     """n^k * integral of p(u) w(a + u/n) over [ulo, uhi] on fixed nodes, or
     None where adaptive quadrature must decide: the two rules disagree,
@@ -306,13 +323,10 @@ def _fixed_rule(d, n, a, weight, ulo, uhi):
             return None
         w_at_a = wv[-1] if cancel else 0.0
         wv = wv[:u.size]
-        f = p * (wv - w_at_a)
-        scale, m = n ** k, w_coarse.size
-        coarse = scale * float(w_coarse @ f[:m])
-        fine = scale * float(w_fine @ f[m:])
         # quad's integrand is p * w: the rounding of w counts in full.
-        resabs = scale * float(w_fine @ np.abs(p[m:] * wv[m:]))
-        return fine if _accepted(coarse, fine, resabs) else None
+        fine, ok = _rule_pair(p * (wv - w_at_a), w_coarse, w_fine, scale=n ** k,
+                              magnitude=p * wv)
+        return fine[0] if ok[0] else None
 
 
 def _regions_integral(vf, n, weight, f, pieces):
@@ -332,16 +346,9 @@ def _regions_integral(vf, n, weight, f, pieces):
         if values is not None and weight is not None:
             wv = array_values(weight, x)
             values = None if wv is None else values * wv
-        if values is None:
-            accepted = [False] * len(pieces)
-        else:
-            rows, m = (len(pieces), -1), w_coarse.size
-            coarse = (w_coarse * values[:m]).reshape(rows).sum(axis=1)
-            fine = (w_fine * values[m:]).reshape(rows).sum(axis=1)
-            resabs = (w_fine * np.abs(values[m:])).reshape(rows).sum(axis=1)
-            accepted = _accepted(coarse, fine, resabs)
-    return sum(float(fine[i]) if ok else _quad_piece(f, p, q)
-               for i, (ok, (p, q)) in enumerate(zip(accepted, pieces)))
+        fine, accepted = _rule_pair(values, w_coarse, w_fine, rows=len(pieces))
+    return sum(v if ok else _quad_piece(f, p, q)
+               for v, ok, (p, q) in zip(fine, accepted, pieces))
 
 
 def profile_integral(d, n, a, weight, ulo=-math.inf, uhi=math.inf):
@@ -390,12 +397,8 @@ def sift(d, f, a=0.0, schedule=DEFAULT_SCHEDULE, tol=1e-9):
     """
     a = float(a)
     fn = f.fn if isinstance(f, RealFunction) else f
-    schedule = list(schedule)
-    if isinstance(d, DiracKernel):
-        return reduce_sequence(
-            schedule, lambda n: profile_integral(d, n, a, fn), tol)
-    shifted = d.translate(a)
-    return reduce_integral(shifted, schedule=schedule, tol=tol, weight=fn)
+    return reduce_sequence(
+        list(schedule), lambda n: integrate_rank(d, NEG_INF, POS_INF, n, fn, a), tol)
 
 
 def sift_derivative(d, k, f, a=0.0, schedule=SHORT_SCHEDULE, tol=1e-9):
@@ -432,37 +435,48 @@ def _iter_derivative(vf, k):
 # Convolution (contraction)
 # ---------------------------------------------------------------------------
 
-def _profile_convolution(p1, s1, p2, s2, tol=1e-10, start=513, max_points=16385):
+#: The convolution table's first and largest grid, and its spline tolerance.
+_CONV_START, _CONV_MAX_POINTS, _CONV_TOL = 513, 16385, 1e-10
+
+
+def _profile_convolution(p1, s1, p2, s2):
     """Tabulate (p1 * p2)(u) on its support and return a clamped spline.
 
-    Sample count doubles until two refinements agree within tol at the
-    coarser grid's nodes.
+    At each grid point u, the integral of p1(u - t) p2(t) over the t where
+    it may be nonzero is taken on the fixed rules, at all points in one
+    array call, or by adaptive quad where they disagree.  The grid doubles
+    until two refinements agree within _CONV_TOL at the coarser grid's
+    nodes.
     """
     lo, hi = s1[0] + s2[0], s1[1] + s2[1]
 
-    def conv_at(u):
-        t0, t1 = max(s2[0], u - s1[1]), min(s2[1], u - s1[0])
-        if t1 <= t0:
-            return 0.0
-        val, _ = quad(lambda t: p1(u - t) * p2(t), t0, t1,
-                      epsabs=1e-13, epsrel=1e-13, limit=100)
-        return val
+    def conv_at(us):
+        t0 = np.maximum(s2[0], us - s1[1])
+        t1 = np.maximum(t0, np.minimum(s2[1], us - s1[0]))
+        t, w_coarse, w_fine = _panel_rules(t0, t1)
+        u = np.concatenate([np.repeat(us, m) for m in _FIXED_NODES])
+        with np.errstate(all="ignore"):
+            v1, v2 = array_values(p1, u - t), array_values(p2, t)
+            values = None if v1 is None or v2 is None else v1 * v2
+            fine, accepted = _rule_pair(values, w_coarse, w_fine, rows=us.size)
+        return [v if ok else _quad_piece(lambda t, c=c: p1(c - t) * p2(t), a, b)
+                for v, ok, c, a, b in zip(fine, accepted, us, t0, t1)]
 
-    n_pts = start
+    n_pts = _CONV_START
     xs = np.linspace(lo, hi, n_pts)
-    ys = np.array([conv_at(u) for u in xs])
-    while n_pts < max_points:
+    ys = np.array(conv_at(xs))
+    while n_pts < _CONV_MAX_POINTS:
         n_new = 2 * n_pts - 1
         xs_new = np.linspace(lo, hi, n_new)
         ys_new = np.empty(n_new)
         ys_new[0::2] = ys
-        ys_new[1::2] = [conv_at(u) for u in xs_new[1::2]]
+        ys_new[1::2] = conv_at(xs_new[1::2])
         spline_new = CubicSpline(xs_new, ys_new)
         spline_old = CubicSpline(xs, ys)
         probe = np.linspace(lo, hi, 4 * n_pts + 1)
         diff = float(np.max(np.abs(spline_new(probe) - spline_old(probe))))
         xs, ys, n_pts = xs_new, ys_new, n_new
-        if diff <= tol:
+        if diff <= _CONV_TOL:
             break
     spline = CubicSpline(xs, ys, bc_type="natural")
 
@@ -478,13 +492,13 @@ def _profile_convolution(p1, s1, p2, s2, tol=1e-10, start=513, max_points=16385)
 
 
 @functools.lru_cache(maxsize=16)
-def _convolution(p1, s1, p2, s2, tol):
+def _convolution(p1, s1, p2, s2):
     """The profile convolution table, cached by value: the cache holds its key
     profiles, so no other pair can take their table."""
-    return _profile_convolution(p1.fn, s1, p2.fn, s2, tol=tol)
+    return _profile_convolution(p1.fn, s1, p2.fn, s2)
 
 
-def convolve(d1, d2, tol=1e-10):
+def convolve(d1, d2):
     """Contraction of two continuous profile kernels; a Dirac kernel again.
 
     The rank family is n * (p1 * p2)(n x): convolving n p1(n .) with
@@ -500,7 +514,7 @@ def convolve(d1, d2, tol=1e-10):
                 "continuous kernels"
             )
     prof_fn, support = _convolution(d1.profile, d1.profile_support,
-                                    d2.profile, d2.profile_support, tol)
+                                    d2.profile, d2.profile_support)
     profile = RealFunction(prof_fn, smoothness=1,
                            label=f"conv[{d1.profile.label},{d2.profile.label}]")
     return DiracKernel(profile, support, 1, "convolution",

@@ -119,6 +119,14 @@ def test_integrate_with_bounds():
     assert "Reduced(0" in out
 
 
+@pytest.mark.parametrize("expr", ["delta(x-3)", "ddelta(x-3,1)", "delta(x^2-9)"])
+def test_reversed_bounds_are_refused_for_every_delta_term(expr):
+    # The oriented integral from 5 to 1 is not 0; no term may read it so.
+    status, out, err = run(["integrate", expr, "--lower", "5", "--upper", "1"] + FAST)
+    assert status == 1 and out == ""
+    assert "empty orientation" in err
+
+
 # -- equiv -----------------------------------------------------------------
 
 def test_equiv_scaling_identity():

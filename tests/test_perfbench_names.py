@@ -1,0 +1,30 @@
+"""The benchmark's span tracer rebinds package attributes by name; each
+name it looks up must still exist.  perfbench/tracer.py is read as text,
+not imported."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import deltacalc
+import deltacalc.cli  # noqa: F401  (the package does not import its CLI)
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _spans():
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["SPANS"]:
+            return [(mod, attr) for mod, attr, _name in ast.literal_eval(node.value)]
+    raise AssertionError("perfbench/tracer.py defines no SPANS")
+
+
+#: Names Tracer.install rebinds besides SPANS.
+OTHERS = [("vintegral", "quad"), ("exprlang", "to_real_function")]
+
+
+@pytest.mark.parametrize("mod, attr", _spans() + OTHERS)
+def test_traced_name_exists(mod, attr):
+    assert callable(getattr(getattr(deltacalc, mod), attr))

@@ -227,6 +227,19 @@ def test_simplify_sum_and_scale():
     assert nf.terms == ((1.0, 0, -1.0), (2.0, 0, 1.0))
 
 
+def test_simplify_names_every_smooth_summand():
+    x = _rf(lambda x: x, label="x")
+    sin = _rf(math.sin, label="sin(x)")
+    one = SumTerm((DeltaTerm(), SmoothTerm(sin)))
+    assert simplify(one).residual == "smooth summand sin(x)"
+    nf = simplify(SumTerm((DeltaTerm(), SmoothTerm(x), SmoothTerm(sin))))
+    assert nf.residual == "smooth summands x, sin(x)"
+    assert nf.render() == "1·δ(x)  [+ not reducible: smooth summands x, sin(x)]"
+    # The structural zero is no summand.
+    zero = SumTerm((DeltaTerm(), SmoothTerm(const_function(0.0)), SmoothTerm(sin)))
+    assert simplify(zero).residual == "smooth summand sin(x)"
+
+
 def test_simplify_product_with_composition():
     expr = ProductTerm(COS, CompTerm(X2M4))
     nf = simplify(expr)

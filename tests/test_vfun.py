@@ -182,6 +182,22 @@ def test_kernel_json_round_trip(name, all_kernels):
         assert back.rank_eval(n, float(x)) == all_kernels[key].rank_eval(n, float(x))
 
 
+def _support_rule_at(rule, n):
+    # "(a/n, b/n)" at rank n.
+    return tuple(float(end.strip().removesuffix("/n")) / n
+                 for end in rule.strip("()").split(","))
+
+
+@pytest.mark.parametrize("name", ["bump", "square", "plus", "minus", "mixture",
+                                  "convolution", "mixture(bump, square)"])
+def test_support_rule_matches_support_interval(name, all_kernels, bump, square):
+    kernel = (dc.mixture(bump, square) if name == "mixture(bump, square)"
+              else all_kernels[name])
+    rule = kernel_to_json(kernel)["support_rule"]
+    for n in (1, 8):
+        assert _support_rule_at(rule, n) == kernel.support_interval(n), rule
+
+
 def test_mixture_json_round_trip(mix):
     record = kernel_to_json(mix)
     assert record["params"]["of"] == ["plus", "minus"]

@@ -356,6 +356,35 @@ def test_sift_on_fixed_nodes_makes_no_quad_call(plus, quad_calls):
     assert abs(res.value - f.deriv_value(2, 0.4)) < 1e-8
 
 
+@pytest.mark.parametrize("name", ["bump", "square", "plus", "minus", "mix"])
+def test_check_dirac_makes_no_quad_call(name, request, quad_calls):
+    # A profile kernel's rank integrals go through profile_integral.
+    res = dc.check_dirac(request.getfixturevalue(name))
+    assert res.ok and abs(res.normalization - 1.0) < 1e-13
+    assert not quad_calls
+
+
+def test_convolution_table_makes_no_quad_call(bump, conv, quad_calls):
+    # The table of the fixture, built again past the convolution cache.
+    args = (bump.profile.fn, bump.profile_support) * 2
+    prof, support = vintegral._profile_convolution(*args)
+    assert not quad_calls
+    assert support == conv.profile_support
+    u = np.linspace(-2.0, 2.0, 4001)
+    assert np.array_equal(prof(u), conv.profile.fn(u))
+
+
+def test_rule_pair_sums_a_row_alone_as_among_others():
+    lo, hi = np.array([-1.0, 0.5, 2.0]), np.array([0.5, 2.0, 4.0])
+    x, w_coarse, w_fine = vintegral._panel_rules(lo, hi)
+    fine, ok = vintegral._rule_pair(np.cos(x) * np.exp(x), w_coarse, w_fine, rows=3)
+    assert all(ok)
+    for i in range(3):
+        xi, wc, wf = vintegral._panel_rules(lo[i:i + 1], hi[i:i + 1])
+        alone = vintegral._rule_pair(np.cos(xi) * np.exp(xi), wc, wf)
+        assert alone == ([fine[i]], [True])
+
+
 # -- fixed-node region quadrature of composites ------------------------------
 
 #: Composites delta(g(x)) and their bounds (None: the rank's +/- n).
