@@ -207,10 +207,7 @@ def integrate_rank(vf, lo, hi, n, weight=None, shift=0.0):
     if shift:
         vf = vf.translate(shift)
 
-    if weight is None:
-        f = lambda x: vf.rank_eval(n, x)
-    else:
-        f = lambda x: vf.rank_eval(n, x) * weight(x)
+    f = lambda x: vf.rank_eval(n, x) * (1.0 if weight is None else weight(x))
 
     if vf.regions is not None:
         pieces = [(max(a, rlo), min(b, rhi)) for rlo, rhi in vf.regions(n, a, b)]
@@ -292,11 +289,8 @@ def _rule_pair(values, w_coarse, w_fine, rows=1, scale=1.0, magnitude=None):
     magnitude = values if magnitude is None else magnitude
     pairs = ((w_coarse, values[:m]), (w_fine, values[m:]),
              (w_fine, np.abs(magnitude[m:])))
-    if rows == 1:  # the same dot products, without the ~5% a batched matmul adds to sift
-        sums = [[scale * float(w @ v)] for w, v in pairs]
-    else:
-        sums = [(scale * (v.reshape(rows, 1, -1) @ w.reshape(rows, -1, 1)))
-                .ravel().tolist() for w, v in pairs]
+    sums = [[scale * s for s in (v.reshape(rows, 1, -1) @ w.reshape(rows, -1, 1))
+             .ravel().tolist()] for w, v in pairs]
     return sums[1], [_accepted(*row) for row in zip(*sums)]
 
 
@@ -370,10 +364,7 @@ def profile_integral(d, n, a, weight, ulo=-math.inf, uhi=math.inf):
     if value is not None:
         return value
     prof, scale = d.profile, n ** d.order
-    if weight is None:
-        g = lambda u: scale * prof(u)
-    else:
-        g = lambda u: scale * prof(u) * weight(a + u / n)
+    g = lambda u: scale * prof(u) * (1.0 if weight is None else weight(a + u / n))
     return _quad_piece(g, ulo, uhi, points=[0.0])
 
 
@@ -392,13 +383,16 @@ def reduce_integral(vf, lo=NEG_INF, hi=POS_INF, schedule=DEFAULT_SCHEDULE,
 def sift(d, f, a=0.0, schedule=DEFAULT_SCHEDULE, tol=1e-9):
     """Reduce the integral of d_n(x - a) f(x); equals f(a) for valid inputs.
 
-    For profile kernels the substitution u = n(x - a) is applied first, so
-    per-rank values carry no large-magnitude cancellation.
+    Rank n integrates over [a - n, a + n], centred on the shift, so the
+    kernel's support lies inside the bounds at every a; `integrate_rank`
+    takes a profile kernel in u = n(x - a).
     """
     a = float(a)
     fn = f.fn if isinstance(f, RealFunction) else f
+    lo = VirtualBound.from_sequence(lambda n: a - n)
+    hi = VirtualBound.from_sequence(lambda n: a + n)
     return reduce_sequence(
-        list(schedule), lambda n: integrate_rank(d, NEG_INF, POS_INF, n, fn, a), tol)
+        list(schedule), lambda n: integrate_rank(d, lo, hi, n, fn, a), tol)
 
 
 def sift_derivative(d, k, f, a=0.0, schedule=SHORT_SCHEDULE, tol=1e-9):
@@ -435,22 +429,27 @@ def _iter_derivative(vf, k):
 # Convolution (contraction)
 # ---------------------------------------------------------------------------
 
-#: The convolution table's first and largest grid, and its spline tolerance.
-_CONV_START, _CONV_MAX_POINTS, _CONV_TOL = 513, 16385, 1e-10
+#: The convolution table's first and largest grid, its spline tolerance, and
+#: the grid points per array call (~3 MB an array at 384 nodes a point).
+_CONV_START, _CONV_MAX_POINTS, _CONV_TOL, _CONV_CHUNK = 513, 16385, 1e-10, 1024
 
 
 def _profile_convolution(p1, s1, p2, s2):
     """Tabulate (p1 * p2)(u) on its support and return a clamped spline.
 
     At each grid point u, the integral of p1(u - t) p2(t) over the t where
-    it may be nonzero is taken on the fixed rules, at all points in one
-    array call, or by adaptive quad where they disagree.  The grid doubles
-    until two refinements agree within _CONV_TOL at the coarser grid's
-    nodes.
+    it may be nonzero is taken on the fixed rules, in one array call per
+    _CONV_CHUNK points, or by adaptive quad where they disagree.  The grid
+    doubles until two refinements agree within _CONV_TOL at the coarser
+    grid's nodes.
     """
     lo, hi = s1[0] + s2[0], s1[1] + s2[1]
 
     def conv_at(us):
+        return [y for i in range(0, us.size, _CONV_CHUNK)
+                for y in conv_chunk(us[i:i + _CONV_CHUNK])]
+
+    def conv_chunk(us):
         t0 = np.maximum(s2[0], us - s1[1])
         t1 = np.maximum(t0, np.minimum(s2[1], us - s1[0]))
         t, w_coarse, w_fine = _panel_rules(t0, t1)

@@ -76,6 +76,16 @@ def test_sift_limit_matches_f_a(bump):
     assert abs(res.value - math.cos(2.0)) < 1e-9
 
 
+@pytest.mark.parametrize("a", [2e6, 3e5, 100.0, -7e5])
+@pytest.mark.parametrize("name", ["bump", "square", "mix"])
+def test_sift_far_from_the_origin(name, a, request):
+    # Each rank's bounds are centred on the shift, so the kernel's support
+    # lies inside them however far a is from 0 (not read as 0 outside +/- n).
+    res = dc.sift(request.getfixturevalue(name), math.cos, a=a)
+    assert res.reduced and abs(res.value - math.cos(a)) < 1e-9
+    assert all(v != 0.0 for _n, v in res.rank_values)
+
+
 def test_square_kernel_quadratic_sift_is_exact(square):
     # For f = x^2 + 5 the square-pulse rank integral has the closed form
     # I_n = 5 + 1/(3 n^2).
