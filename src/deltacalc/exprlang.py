@@ -479,12 +479,20 @@ def _is_delta(node):
     return isinstance(node, Delta)
 
 
-def to_real_function(node, depth=4):
-    """Compile a delta-free tree to a RealFunction with symbolic derivatives.
+def to_real_function(node):
+    """Compile a delta-free tree to a RealFunction with symbolic derivatives
+    of orders 1 to 4.
 
     The function and its derivatives take a float or an ndarray; on a float,
     division by zero, overflow and complex values raise ExpressionError.
     """
+    return _real_function(node)
+
+
+def _real_function(node):
+    # The body of to_real_function, under a name that instrumentation
+    # rebinding to_real_function leaves alone: the test batteries compile
+    # through it once per process and keep what it returns.
     label = render(node)
     fn = _compile(node, label)
     if _contains(node, _is_abs):
@@ -498,7 +506,7 @@ def to_real_function(node, depth=4):
     except ExpressionError:
         return RealFunction(fn, smoothness=C_INF, label=label)
     derivs = tuple(_derivative_on_first_call(trees, k, label)
-                   for k in range(1, depth + 1))
+                   for k in range(1, 5))
     return RealFunction(fn, derivs=derivs, smoothness=C_INF, label=label)
 
 

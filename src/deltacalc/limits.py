@@ -115,14 +115,18 @@ def extract_limit(values, schedule, tol=1e-9):
     return None
 
 
-def power_law_exponent(schedule, values, tail=8, r2_min=0.99, p_min=0.05):
-    """Fit |I_n| ~ C n^p on the last `tail` probes by log-log regression.
+#: Probes in the power-law fit, and the R^2 and exponent it must exceed.
+_FIT_TAIL, _FIT_R2_MIN, _FIT_P_MIN = 8, 0.99, 0.05
 
-    Returns (p, r_squared, sign) when the fit certifies power-law growth,
-    otherwise None.
+
+def power_law_exponent(schedule, values):
+    """Fit |I_n| ~ C n^p on the last _FIT_TAIL probes by log-log regression.
+
+    Returns (p, r_squared, sign) when the fit certifies power-law growth
+    (R^2 above _FIT_R2_MIN, p above _FIT_P_MIN), otherwise None.
     """
-    ns = np.asarray(schedule, dtype=float)[-tail:]
-    vs = np.asarray(values, dtype=float)[-tail:]
+    ns = np.asarray(schedule, dtype=float)[-_FIT_TAIL:]
+    vs = np.asarray(values, dtype=float)[-_FIT_TAIL:]
     if len(ns) < 4 or np.any(~np.isfinite(vs)) or np.any(np.abs(vs) == 0.0):
         return None
     x = np.log(ns)
@@ -134,6 +138,6 @@ def power_law_exponent(schedule, values, tail=8, r2_min=0.99, p_min=0.05):
     if ss_tot == 0.0:
         return None
     r2 = 1.0 - ss_res / ss_tot
-    if r2 > r2_min and p > p_min:
+    if r2 > _FIT_R2_MIN and p > _FIT_P_MIN:
         return float(p), r2, 1.0 if vs[-1] > 0 else -1.0
     return None

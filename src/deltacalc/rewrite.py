@@ -11,19 +11,16 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from .errors import DeltaCalcError, ExpressionError, RewriteError, SmoothnessError
 from .limits import DEFAULT_SCHEDULE
 from .roots import WINDOW, certify_hypotheses, find_simple_roots
-from .vfun import C_INF, DiracKernel, RealFunction
+from .vfun import C_INF, DiracKernel, RealFunction, VirtualFunction
 from .vintegral import (
     NEG_INF,
     POS_INF,
     VirtualBound,
-    _quad_piece,
     compose,
     convolve,
     integrate_rank,
@@ -373,8 +370,8 @@ def _rank_integral(atom, weight, kernel, n, lo, hi, window):
     if isinstance(atom, SmoothTerm):
         if _is_zero_term(atom):
             return 0.0
-        f = atom.f.fn if weight is None else (lambda x: atom.f(x) * weight(x))
-        return _quad_piece(f, lo.bound_at(n), hi.bound_at(n))
+        f = atom.f.fn
+        return integrate_rank(VirtualFunction(lambda _n, x: f(x)), lo, hi, n, weight)
     kern = _kernel_of(atom, kernel)
     if isinstance(atom, CompTerm):
         comp = _composite(atom.inner, kern, window)
@@ -525,12 +522,16 @@ class ProbeReport:
         }
 
 
-def kernel_dependence_probe(g, kernels, schedule=DEFAULT_SCHEDULE, tol=1e-6,
-                            window=WINDOW):
+#: The spread of reduced values above which the kernel probe flags them.
+_PROBE_SPREAD = 1e-6
+
+
+def kernel_dependence_probe(g, kernels, schedule=DEFAULT_SCHEDULE, window=WINDOW):
     """Integrate delta_k(g(x)) per kernel and flag kernel-dependent results.
 
-    When outcomes differ (divergent vs zero vs distinct finite values) the
-    composite admits no kernel-generic operational rule.
+    When outcomes differ (divergent vs zero vs distinct finite values, or
+    reduced values spread by more than _PROBE_SPREAD) the composite admits
+    no kernel-generic operational rule.
     """
     if len(kernels) < 2:
         raise ValueError("probe needs at least two kernels")
@@ -547,7 +548,7 @@ def kernel_dependence_probe(g, kernels, schedule=DEFAULT_SCHEDULE, tol=1e-6,
             f"({', '.join(labels)})",
         )
     vals = [res.value for _n, res in outcomes]
-    if max(vals) - min(vals) > tol:
+    if max(vals) - min(vals) > _PROBE_SPREAD:
         return ProbeReport(
             getattr(g, "label", "g"), tuple(outcomes), True,
             "no generic operational rule: reduced values disagree "
@@ -561,122 +562,48 @@ def kernel_dependence_probe(g, kernels, schedule=DEFAULT_SCHEDULE, tol=1e-6,
 # Test-function batteries
 # ---------------------------------------------------------------------------
 
-def _lib(x):
-    """numpy for an ndarray, math for a float: battery functions take both."""
-    return np if isinstance(x, np.ndarray) else math
-
-
-def _poly(coeffs, label):
-    # coeffs: ascending powers
-    def mk(cs):
-        c = list(reversed(cs))
-        return lambda x: (np.polyval(c, x) if isinstance(x, np.ndarray)
-                          else float(np.polyval(c, x)))
-    derivs = []
-    cs = list(coeffs)
-    for _ in range(4):
-        cs = [i * c for i, c in enumerate(cs)][1:] or [0.0]
-        derivs.append(mk(cs))
-    return RealFunction(mk(coeffs), derivs=tuple(derivs), smoothness=C_INF,
-                        label=label)
-
-
-def _trig(kind, w):
-    s = lambda x: _lib(x).sin(x)
-    c = lambda x: _lib(x).cos(x)
-    if kind == "sin":
-        fns = [lambda x, w=w: s(w * x), lambda x, w=w: w * c(w * x),
-               lambda x, w=w: -w * w * s(w * x), lambda x, w=w: -w**3 * c(w * x)]
-        label = f"sin({w:g}x)"
-    else:
-        fns = [lambda x, w=w: c(w * x), lambda x, w=w: -w * s(w * x),
-               lambda x, w=w: -w * w * c(w * x), lambda x, w=w: w**3 * s(w * x)]
-        label = f"cos({w:g}x)"
-    return RealFunction(fns[0], derivs=tuple(fns[1:]), smoothness=C_INF,
-                        label=label)
-
-
-def _exp(sign):
-    e = lambda x: _lib(x).exp(x)
-    fn = lambda x, s=sign: e(s * x)
-    derivs = tuple((lambda x, s=sign, k=k: (s**k) * e(s * x)) for k in (1, 2, 3))
-    return RealFunction(fn, derivs=derivs, smoothness=C_INF,
-                        label=f"exp({'+' if sign > 0 else '-'}x)")
-
-
-def _runge(b):
-    fn = lambda x, b=b: 1.0 / (1.0 + b * x * x)
-    d1 = lambda x, b=b: -2.0 * b * x / (1.0 + b * x * x) ** 2
-    d2 = lambda x, b=b: (6.0 * b * b * x * x - 2.0 * b) / (1.0 + b * x * x) ** 3
-    return RealFunction(fn, derivs=(d1, d2), smoothness=C_INF,
-                        label=f"1/(1+{b:g}x^2)")
-
-
-def _kink():
+#: Each battery member as (label, expression text).  A text runs the same
+#: float operations, in the same order, as the closed form of its label:
+#: a polynomial in Horner form, as np.polyval evaluates it, and every
+#: coefficient kept, as in sin(1*x) and exp(-1*x).
+_STANDARD = (
+    ("1", "1"), ("x", "x"), ("x^2", "x*x"), ("x^3", "x*x*x"), ("x^4", "x*x*x*x"),
+    ("sin(1x)", "sin(1*x)"), ("cos(1x)", "cos(1*x)"),
+    ("sin(2x)", "sin(2*x)"), ("cos(2x)", "cos(2*x)"),
+    ("sin(0.5x)", "sin(0.5*x)"), ("cos(0.5x)", "cos(0.5*x)"),
+    ("exp(+x)", "exp(1*x)"), ("exp(-x)", "exp(-1*x)"),
+    ("1/(1+1x^2)", "1/(1+1*x*x)"), ("1/(1+0.25x^2)", "1/(1+0.25*x*x)"),
     # C0 but not C1 at the origin: exercises strong-mode equivalence.
-    fn = lambda x: abs(x) * (1.0 + 0.5 * _lib(x).sin(3.0 * x))
-    return RealFunction(fn, smoothness=0, label="|x|(1+0.5sin(3x))")
+    ("|x|(1+0.5sin(3x))", "abs(x)*(1+0.5*sin(3*x))"),
+    ("x*cos(x)", "x*cos(x)"), ("atan(x)", "atan(x)"),
+    ("exp(-x^2/4)", "exp(-0.25*x*x)"),
+    ("2+0.5x-0.1x^3", "(-0.1*x*x+0.5)*x+2"),
+)
+
+_SIFT = (
+    ("1", "1"), ("x", "x"), ("x^2+5", "x*x+5"), ("x^3", "x*x*x"),
+    ("cos(1x)", "cos(1*x)"), ("sin(2x)", "sin(2*x)"), ("exp(-x)", "exp(-1*x)"),
+    ("1/(1+1x^2)", "1/(1+1*x*x)"), ("x*cos(x)", "x*cos(x)"),
+    ("exp(-x^2/4)", "exp(-0.25*x*x)"),
+)
 
 
-def _atan():
-    fn = lambda x: np.arctan(x) if isinstance(x, np.ndarray) else math.atan(x)
-    d1 = lambda x: 1.0 / (1.0 + x * x)
-    d2 = lambda x: -2.0 * x / (1.0 + x * x) ** 2
-    return RealFunction(fn, derivs=(d1, d2), smoothness=C_INF, label="atan(x)")
+@functools.cache
+def _member(label, text):
+    """The battery member `text`, compiled once per process by the
+    expression language: it takes a float or an ndarray and carries
+    symbolic derivatives."""
+    from .exprlang import _real_function, parse
+
+    return replace(_real_function(parse(text)), label=label)
 
 
-def _xcos():
-    fn = lambda x: x * _lib(x).cos(x)
-    d1 = lambda x: _lib(x).cos(x) - x * _lib(x).sin(x)
-    d2 = lambda x: -2.0 * _lib(x).sin(x) - x * _lib(x).cos(x)
-    return RealFunction(fn, derivs=(d1, d2), smoothness=C_INF, label="x*cos(x)")
-
-
-def _gauss():
-    e = lambda x: _lib(x).exp(x)
-    fn = lambda x: e(-0.25 * x * x)
-    d1 = lambda x: -0.5 * x * e(-0.25 * x * x)
-    d2 = lambda x: (0.25 * x * x - 0.5) * e(-0.25 * x * x)
-    return RealFunction(fn, derivs=(d1, d2), smoothness=C_INF,
-                        label="exp(-x^2/4)")
-
-
-def standard_battery(order=None):
+def standard_battery():
     """Default 20-function battery: polynomials to degree 4, three trig
     frequencies, exponentials, Runge rationals and one C0-only function."""
-    fns = [
-        _poly([1.0], "1"),
-        _poly([0.0, 1.0], "x"),
-        _poly([0.0, 0.0, 1.0], "x^2"),
-        _poly([0.0, 0.0, 0.0, 1.0], "x^3"),
-        _poly([0.0, 0.0, 0.0, 0.0, 1.0], "x^4"),
-        _trig("sin", 1.0), _trig("cos", 1.0),
-        _trig("sin", 2.0), _trig("cos", 2.0),
-        _trig("sin", 0.5), _trig("cos", 0.5),
-        _exp(1.0), _exp(-1.0),
-        _runge(1.0), _runge(0.25),
-        _kink(),
-        _xcos(),
-        _atan(),
-        _gauss(),
-        _poly([2.0, 0.5, 0.0, -0.1], "2+0.5x-0.1x^3"),
-    ]
-    if order is not None:
-        fns = [f for f in fns if f.smoothness == C_INF or f.smoothness >= order]
-    return fns
+    return [_member(*m) for m in _STANDARD]
 
 
 def sift_battery():
     """10 smooth functions used by the sifting acceptance checks."""
-    return [
-        _poly([1.0], "1"),
-        _poly([0.0, 1.0], "x"),
-        _poly([5.0, 0.0, 1.0], "x^2+5"),
-        _poly([0.0, 0.0, 0.0, 1.0], "x^3"),
-        _trig("cos", 1.0),
-        _trig("sin", 2.0),
-        _exp(-1.0),
-        _runge(1.0),
-        _xcos(),
-        _gauss(),
-    ]
+    return [_member(*m) for m in _SIFT]

@@ -95,12 +95,13 @@ def _deriv_of(g):
     return fd
 
 
-def _boundary(inside, x_in, x_out, end=False, iters=200):
+def _boundary(inside, x_in, x_out, end=False):
     """Where `inside` ends between x_in, inside, and x_out: bisected down to
-    adjacent floats; at an `end` of the scan, x_out itself if inside there."""
+    adjacent floats (at most 200 steps); at an `end` of the scan, x_out
+    itself if inside there."""
     if end and inside(x_out):
         return float(x_out)
-    for _ in range(iters):
+    for _ in range(200):
         mid = 0.5 * (x_in + x_out)
         if mid == x_in or mid == x_out:
             break
@@ -225,12 +226,12 @@ def find_simple_roots(g, window=WINDOW):
             for root in scan(g, window).roots]
 
 
-def _monotone_on(fn, lo, hi, samples=65):
-    d = np.diff(on_points(fn, np.linspace(lo, hi, samples)))
+def _monotone_on(fn, lo, hi):
+    d = np.diff(on_points(fn, np.linspace(lo, hi, 65)))
     return bool(np.all(d > 0) or np.all(d < 0))
 
 
-def certify_hypotheses(g, roots, window=WINDOW, deriv_floor=DERIV_FLOOR):
+def certify_hypotheses(g, roots, window=WINDOW):
     """Certify the composition-rule hypotheses over the scan window.
 
     Shrinks brackets until disjoint and strictly monotone, takes r as half
@@ -248,7 +249,7 @@ def certify_hypotheses(g, roots, window=WINDOW, deriv_floor=DERIV_FLOOR):
     # Derivative floor: below it the composition coefficient 1/|g'| is
     # numerically meaningless.
     for rec in roots:
-        if abs(rec.g_prime) <= deriv_floor:
+        if abs(rec.g_prime) <= DERIV_FLOOR:
             return violated(roots, f"non-simple root at x={rec.a:.6g}: "
                                    "derivative vanishes")
 

@@ -507,12 +507,17 @@ def on_points(fn, xs, finite=False):
     return np.array([fn(float(x)) for x in xs], dtype=float)
 
 
-def check_dirac(vf, schedule=DEFAULT_SCHEDULE, tol=1e-6, grid_points=1000):
+#: How far from 1 `check_dirac` lets the normalization be, and the points
+#: of its per-rank nonnegativity grid.
+_DIRAC_TOL, _DIRAC_GRID = 1e-6, 1000
+
+
+def check_dirac(vf, schedule=DEFAULT_SCHEDULE):
     """Check the three defining kernel conditions; returns a certificate
     or the first violated condition.
 
     (i) nonnegativity, sampled on a per-rank grid over the support;
-    (ii) full-line integral reduces to 1 within tol;
+    (ii) full-line integral reduces to 1 within _DIRAC_TOL;
     (iii) an infinitesimal support radius exists and the function is exactly
     zero at sampled points outside it.
     """
@@ -528,7 +533,7 @@ def check_dirac(vf, schedule=DEFAULT_SCHEDULE, tol=1e-6, grid_points=1000):
     # (i) nonnegativity over the support.
     for n in schedule:
         lo, hi = vf.support_interval(n)
-        xs = np.linspace(lo, hi, grid_points)
+        xs = np.linspace(lo, hi, _DIRAC_GRID)
         vals = on_points(lambda x: vf.rank_eval(n, x), xs)
         if np.min(vals) < -1e-9:
             x_bad = float(xs[int(np.argmin(vals))])
@@ -537,8 +542,8 @@ def check_dirac(vf, schedule=DEFAULT_SCHEDULE, tol=1e-6, grid_points=1000):
             )
 
     # (ii) unit normalization.
-    result = reduce_integral(vf, schedule=schedule, tol=min(tol, 1e-8))
-    if result.kind != "reduced" or abs(result.value - 1.0) > tol:
+    result = reduce_integral(vf, schedule=schedule, tol=1e-8)
+    if result.kind != "reduced" or abs(result.value - 1.0) > _DIRAC_TOL:
         got = result.value if result.kind == "reduced" else result.kind
         return DiracFailure("ii", f"full-line integral is {got}, not 1")
 

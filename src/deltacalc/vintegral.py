@@ -1,7 +1,7 @@
 """The reduced-integral engine.
 
 Virtual integrals are realized per rank (the +/- infinity bounds become
-+/- n), the rank sequence I_n is recorded, and the result is either a real
+shift -/+ n), the rank sequence I_n is recorded, and the result is either a real
 limit ("reduced"), a certified power-law divergence ("irreducible"), or
 Undetermined.
 """
@@ -54,33 +54,32 @@ _EPS = float(np.finfo(float).eps)
 # ---------------------------------------------------------------------------
 
 class VirtualBound:
-    """Integration bound realized per rank; +/- infinity maps to +/- n."""
+    """Integration bound realized per rank: at rank n, +/- infinity maps to
+    centre +/- n, where the centre is the shift of the term integrated."""
 
     def __init__(self, fn, kind):
         self._fn = fn
         self.kind = kind
 
-    def bound_at(self, n):
-        return float(self._fn(n))
+    def bound_at(self, n, centre=0.0):
+        # integrate_rank always passes the term's shift; the default centre
+        # is kept for tests that realise a bound on its own.
+        return float(self._fn(n, centre))
 
     @classmethod
     def neg_infinity(cls):
-        return cls(lambda n: -float(n), "neg_infinity")
+        return cls(lambda n, c: c - float(n), "neg_infinity")
 
     @classmethod
     def pos_infinity(cls):
-        return cls(lambda n: float(n), "pos_infinity")
+        return cls(lambda n, c: c + float(n), "pos_infinity")
 
     @classmethod
     def const(cls, r):
         r = float(r)
         if not math.isfinite(r):
             raise ValueError("constant bound must be finite")
-        return cls(lambda n: r, "const")
-
-    @classmethod
-    def from_sequence(cls, fn):
-        return cls(fn, "sequence")
+        return cls(lambda n, c: r, "const")
 
     @classmethod
     def coerce(cls, b):
@@ -147,17 +146,22 @@ def _classify_sequence(schedule, values, tol):
     return IntegralResult("undetermined", rank_values=pairs)
 
 
-def reduce_sequence(schedule, value_fn, tol, min_probes=7):
+#: Probes taken before `reduce_sequence` may stop early.
+_MIN_PROBES = 7
+
+
+def reduce_sequence(schedule, value_fn, tol):
     """Incrementally evaluate I_n over the schedule with early stopping.
 
-    Once enough probes agree under extrapolation the remaining (costlier,
-    higher-rank) quadratures are skipped; divergent-looking prefixes always
-    run the full schedule so the power-law certification sees every probe.
+    Once _MIN_PROBES or more probes agree under extrapolation the remaining
+    (costlier, higher-rank) quadratures are skipped; divergent-looking
+    prefixes always run the full schedule so the power-law certification
+    sees every probe.
     """
     values = []
     for i, n in enumerate(schedule):
         values.append(value_fn(n))
-        if i + 1 >= min_probes and i + 1 < len(schedule):
+        if i + 1 >= _MIN_PROBES and i + 1 < len(schedule):
             prefix = schedule[:i + 1]
             lim = extract_limit(values, prefix, tol=tol)
             if lim is not None:
@@ -193,15 +197,21 @@ def _quad_piece(f, a, b, points=None):
 
 def integrate_rank(vf, lo, hi, n, weight=None, shift=0.0):
     """Rank-n integral of f_n(x - shift) * weight(x) over [lo(n), hi(n)],
-    and the one place that picks how a rank integral is taken: a profile
-    kernel in u = n(x - shift) (`profile_integral`), a composite region by
-    region (`_regions_integral`), any other virtual function by adaptive
-    quad over its declared support, with a discontinuous function's
-    support edges as split points."""
-    a = VirtualBound.coerce(lo).bound_at(n)
-    b = VirtualBound.coerce(hi).bound_at(n)
+    where an infinite bound is shift -/+ n, so a kernel's support lies
+    inside the bounds at every shift.  This is the one place that picks how
+    a rank integral is taken: a profile kernel in u = n(x - shift)
+    (`profile_integral`), a composite region by region (`_regions_integral`),
+    any other virtual function by adaptive quad over its declared support,
+    with a discontinuous function's support edges as split points."""
+    lo, hi = VirtualBound.coerce(lo), VirtualBound.coerce(hi)
+    # Reversed bounds are refused as n -> infinity, where an infinite bound
+    # is itself; a finite bound beyond one rank's window only empties it.
+    a, b = lo.bound_at(math.inf, shift), hi.bound_at(math.inf, shift)
     if a > b:
         raise ValueError(f"empty orientation: lower bound {a} > upper bound {b}")
+    a, b = lo.bound_at(n, shift), hi.bound_at(n, shift)
+    if a > b:
+        return 0.0
     if isinstance(vf, DiracKernel):
         return profile_integral(vf, n, shift, weight, n * (a - shift), n * (b - shift))
     if shift:
@@ -381,18 +391,14 @@ def reduce_integral(vf, lo=NEG_INF, hi=POS_INF, schedule=DEFAULT_SCHEDULE,
 # ---------------------------------------------------------------------------
 
 def sift(d, f, a=0.0, schedule=DEFAULT_SCHEDULE, tol=1e-9):
-    """Reduce the integral of d_n(x - a) f(x); equals f(a) for valid inputs.
-
-    Rank n integrates over [a - n, a + n], centred on the shift, so the
-    kernel's support lies inside the bounds at every a; `integrate_rank`
-    takes a profile kernel in u = n(x - a).
+    """Reduce the integral of d_n(x - a) f(x) over the whole line; equals
+    f(a) for valid inputs.  `integrate_rank` takes a profile kernel in
+    u = n(x - a).
     """
     a = float(a)
     fn = f.fn if isinstance(f, RealFunction) else f
-    lo = VirtualBound.from_sequence(lambda n: a - n)
-    hi = VirtualBound.from_sequence(lambda n: a + n)
     return reduce_sequence(
-        list(schedule), lambda n: integrate_rank(d, lo, hi, n, fn, a), tol)
+        list(schedule), lambda n: integrate_rank(d, NEG_INF, POS_INF, n, fn, a), tol)
 
 
 def sift_derivative(d, k, f, a=0.0, schedule=SHORT_SCHEDULE, tol=1e-9):

@@ -149,14 +149,19 @@ def from_sequence(fn, tag=None):
     return VirtualNumber(fn, tag=tag)
 
 
-def classify(v, schedule=DEFAULT_SCHEDULE, tol_small=1e-6, growth_margin=0.5):
+#: Magnitude below which `classify` calls a sequence small, and the margin
+#: below the schedule's step ratio that still counts as growth.
+_TOL_SMALL, _GROWTH_MARGIN = 1e-6, 0.5
+
+
+def classify(v, schedule=DEFAULT_SCHEDULE):
     """Classify a virtual number by probing its sequence.
 
-    Infinitesimal: |v| at the last probe is below tol_small and the magnitude
-    trend over the last 4 probes is non-increasing.  Infinite: the magnitude
-    multiplies by at least (schedule step ratio - growth_margin) on each of
-    the last 4 steps.  FiniteAppreciable: the probes extrapolate to a nonzero
-    limit.  Anything else is Indeterminate.
+    Infinitesimal: |v| at the last probe is below _TOL_SMALL and the
+    magnitude trend over the last 4 probes is non-increasing.  Infinite: the
+    magnitude multiplies by at least (schedule step ratio - _GROWTH_MARGIN)
+    on each of the last 4 steps.  FiniteAppreciable: the probes extrapolate
+    to a nonzero limit.  Anything else is Indeterminate.
     """
     schedule = list(schedule)
     if len(schedule) < 4 or any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -165,11 +170,11 @@ def classify(v, schedule=DEFAULT_SCHEDULE, tol_small=1e-6, growth_margin=0.5):
     mags = [abs(x) for x in vals]
 
     tail = mags[-4:]
-    if mags[-1] < tol_small and all(b <= a for a, b in zip(tail, tail[1:])):
+    if mags[-1] < _TOL_SMALL and all(b <= a for a, b in zip(tail, tail[1:])):
         return NumberClass.INFINITESIMAL
 
     step_ratios = [schedule[i + 1] / schedule[i] for i in range(len(schedule) - 1)]
-    growth_floor = [r - growth_margin for r in step_ratios[-4:]]
+    growth_floor = [r - _GROWTH_MARGIN for r in step_ratios[-4:]]
     grew = [
         prev > 0 and cur / prev >= floor
         for prev, cur, floor in zip(mags[-5:-1], mags[-4:], growth_floor)
@@ -177,10 +182,10 @@ def classify(v, schedule=DEFAULT_SCHEDULE, tol_small=1e-6, growth_margin=0.5):
     if len(grew) == 4 and all(grew) and mags[-1] > 1.0:
         return NumberClass.INFINITE
 
-    limit = extract_limit(vals, schedule, tol=max(tol_small * 1e-3, 1e-12))
-    if limit is not None and abs(limit[0]) >= tol_small:
+    limit = extract_limit(vals, schedule, tol=max(_TOL_SMALL * 1e-3, 1e-12))
+    if limit is not None and abs(limit[0]) >= _TOL_SMALL:
         return NumberClass.FINITE_APPRECIABLE
-    if limit is not None and abs(limit[0]) < tol_small and \
+    if limit is not None and abs(limit[0]) < _TOL_SMALL and \
             all(b <= a for a, b in zip(tail, tail[1:])):
         return NumberClass.INFINITESIMAL
     return NumberClass.INDETERMINATE
@@ -209,11 +214,15 @@ _RELATIONS = {
 }
 
 
-def eventually_compare(a, b, rel, schedule=DEFAULT_SCHEDULE, min_stable=4):
+#: The shortest stable suffix on which `eventually_compare` decides.
+_MIN_STABLE = 4
+
+
+def eventually_compare(a, b, rel, schedule=DEFAULT_SCHEDULE):
     """Decide an eventual order relation between two virtual numbers.
 
     Holds/Fails require the relation (resp. its negation) to be stable on a
-    suffix of the probe schedule of length >= min_stable; the cutoff rank is
+    suffix of the probe schedule of length >= _MIN_STABLE; the cutoff rank is
     the first rank of the maximal stable suffix.
     """
     if rel not in _RELATIONS:
@@ -229,9 +238,9 @@ def eventually_compare(a, b, rel, schedule=DEFAULT_SCHEDULE, min_stable=4):
         return len(fs) - i, i  # (suffix length, start index)
 
     length, start = stable_suffix(flags)
-    if length >= min_stable:
+    if length >= _MIN_STABLE:
         return OrderVerdict("holds", cutoff_rank=schedule[start])
     length, start = stable_suffix([not f for f in flags])
-    if length >= min_stable:
+    if length >= _MIN_STABLE:
         return OrderVerdict("fails", cutoff_rank=schedule[start])
     return OrderVerdict("undetermined")

@@ -139,7 +139,7 @@ def test_06_kernel_dependence(bump, square, plus, minus, mix):
 
 def test_07_derivative_sifting(bump):
     worst1 = 0.0
-    for f in standard_battery(order=1):
+    for f in [f for f in standard_battery() if f.smoothness >= 1]:
         res = dc.sift_derivative(bump, 1, f, a=0.5)
         assert res.reduced, f.label
         worst1 = max(worst1, abs(res.value + f.deriv_value(1, 0.5)))
@@ -196,7 +196,7 @@ def test_10_product_rules(bump):
     for n in (1, 2):
         for a in (0.0, 0.5):
             nf = rewrite_deriv_product(g, n, a)
-            for f in standard_battery(order=2)[:6]:
+            for f in [f for f in standard_battery() if f.smoothness >= 2][:6]:
                 sym = evaluate_normal_form(nf, f)
                 res = reduce_expr_integral(
                     ProductTerm(g, DeltaTerm(n, a)), weight=f, kernel=bump)

@@ -119,12 +119,40 @@ def test_integrate_with_bounds():
     assert "Reduced(0" in out
 
 
-@pytest.mark.parametrize("expr", ["delta(x-3)", "ddelta(x-3,1)", "delta(x^2-9)"])
+@pytest.mark.parametrize("expr", ["delta(x-3)", "ddelta(x-3,1)", "delta(x^2-9)", "x"])
 def test_reversed_bounds_are_refused_for_every_delta_term(expr):
     # The oriented integral from 5 to 1 is not 0; no term may read it so.
     status, out, err = run(["integrate", expr, "--lower", "5", "--upper", "1"] + FAST)
     assert status == 1 and out == ""
     assert "empty orientation" in err
+
+
+@pytest.mark.parametrize("expr, bounds, truth", [
+    ("exp(-x)", ["--lower", "20"], math.exp(-20)),
+    ("delta(x+100)", ["--lower", "0"], 0.0),
+    ("delta(x-100)", ["--upper", "0"], 0.0),
+    ("delta(x-100)", ["--lower", "0"], 1.0),
+])
+def test_one_finite_bound_beyond_a_ranks_window_reads_zero_there(expr, bounds, truth):
+    # At rank 16 the window [20, 16] or [0, -84] is empty, not reversed:
+    # that rank reads 0 and later ranks reach the limit.
+    status, out, err = run(["integrate", expr, *bounds, "--json"])
+    assert status == 0, err
+    payload = json.loads(out)
+    assert payload["variant"] == "reduced"
+    assert abs(payload["value"] - truth) <= 1e-9 * max(1.0, abs(truth))
+
+
+@pytest.mark.parametrize("expr, truth", [("cos(x)*delta(x-5e5)", math.cos(5e5)),
+                                         ("sin(x)*ddelta(x+3e4,1)", -math.cos(3e4))])
+def test_far_shift_sifts_instead_of_reading_zero(expr, truth):
+    # The infinite bounds are centred on the shift, so no rank puts the
+    # kernel's support outside them.
+    status, out, err = run(["integrate", expr, "--json"])
+    assert status == 0, err
+    payload = json.loads(out)
+    assert payload["variant"] == "reduced"
+    assert abs(payload["value"] - truth) <= 1e-9
 
 
 # -- equiv -----------------------------------------------------------------

@@ -3,6 +3,7 @@ name it looks up must still exist.  perfbench/tracer.py is read as text,
 not imported."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import pytest
@@ -22,9 +23,17 @@ def _spans():
 
 
 #: Names Tracer.install rebinds besides SPANS.
-OTHERS = [("vintegral", "quad"), ("exprlang", "to_real_function")]
+OTHERS = [("vintegral", "quad"), ("exprlang", "to_real_function"),
+          ("rewrite", "standard_battery"), ("rewrite", "sift_battery")]
 
 
 @pytest.mark.parametrize("mod, attr", _spans() + OTHERS)
 def test_traced_name_exists(mod, attr):
     assert callable(getattr(getattr(deltacalc, mod), attr))
+
+
+def test_traced_real_function_fields_exist():
+    # The tracer wraps a RealFunction's `fn` and `derivs` with dataclasses.replace.
+    fields = {f.name for f in dataclasses.fields(deltacalc.RealFunction)}
+    assert {"fn", "derivs"} <= fields
+    assert set(deltacalc.cli.BATTERIES) == {"standard", "sift"}

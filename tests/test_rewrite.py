@@ -1,8 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from deltacalc.errors import ExpressionError, RewriteError, SmoothnessError
+from deltacalc.limits import SHORT_SCHEDULE
 from deltacalc.rewrite import (
     STRONG,
     CompTerm,
@@ -290,15 +292,138 @@ def test_check_equivalence_irreducible_side(square):
     assert verdict.side == "lhs"
 
 
-def test_order_filter_drops_kink():
-    battery = standard_battery(order=1)
-    assert all(f.smoothness == C_INF or f.smoothness >= 1 for f in battery)
-    assert len(battery) == 19  # the C^0 member is excluded
+def test_order_filter_drops_kink(bump):
+    # The kink |x|(1+0.5sin(3x)) is C0 only: order 1 checks the other 19.
+    verdict = check_equivalence(DeltaTerm(), DeltaTerm(), kernel=bump, order=1,
+                                schedule=SHORT_SCHEDULE)
+    assert verdict.consistent and verdict.battery_size == 19
 
 
 def test_batteries_sizes():
     assert len(standard_battery()) == 20
     assert len(sift_battery()) == 10
+
+
+# -- battery members against their closed forms ----------------------------
+# Each reference takes the module to evaluate with (math on a float, numpy
+# on an ndarray), as the hand-written battery closures did.
+
+def _poly(*coeffs):
+    """np.polyval on coefficients, highest power first."""
+    c = np.array(coeffs)
+    return (lambda m, x: np.polyval(c, x),
+            [lambda m, x, k=k: np.polyval(np.polyder(c, k), x) for k in (1, 2, 3, 4)])
+
+
+def _sin(w):
+    return (lambda m, x: m.sin(w * x),
+            [lambda m, x: w * m.cos(w * x), lambda m, x: -w * w * m.sin(w * x),
+             lambda m, x: -w**3 * m.cos(w * x), lambda m, x: w**4 * m.sin(w * x)])
+
+
+def _cos(w):
+    return (lambda m, x: m.cos(w * x),
+            [lambda m, x: -w * m.sin(w * x), lambda m, x: -w * w * m.cos(w * x),
+             lambda m, x: w**3 * m.sin(w * x), lambda m, x: w**4 * m.cos(w * x)])
+
+
+def _exp(s):
+    return (lambda m, x: m.exp(s * x),
+            [lambda m, x, k=k: s**k * m.exp(s * x) for k in (1, 2, 3, 4)])
+
+
+def _runge(b):
+    return (lambda m, x: 1.0 / (1.0 + b * x * x),
+            [lambda m, x: -2.0 * b * x / (1.0 + b * x * x) ** 2,
+             lambda m, x: (6.0 * b * b * x * x - 2.0 * b) / (1.0 + b * x * x) ** 3,
+             lambda m, x: 24.0 * b * b * x * (1.0 - b * x * x) / (1.0 + b * x * x) ** 4,
+             lambda m, x: (24.0 * b * b * (5.0 * b * b * x**4 - 10.0 * b * x * x + 1.0)
+                           / (1.0 + b * x * x) ** 5)])
+
+
+_KINK = (lambda m, x: abs(x) * (1.0 + 0.5 * m.sin(3.0 * x)), None)
+_ATAN = (lambda m, x: np.arctan(x) if m is np else math.atan(x),
+         [lambda m, x: 1.0 / (1.0 + x * x), lambda m, x: -2.0 * x / (1.0 + x * x) ** 2,
+          lambda m, x: (6.0 * x * x - 2.0) / (1.0 + x * x) ** 3,
+          lambda m, x: 24.0 * x * (1.0 - x * x) / (1.0 + x * x) ** 4])
+_XCOS = (lambda m, x: x * m.cos(x),
+         [lambda m, x: m.cos(x) - x * m.sin(x),
+          lambda m, x: -2.0 * m.sin(x) - x * m.cos(x),
+          lambda m, x: x * m.sin(x) - 3.0 * m.cos(x),
+          lambda m, x: x * m.cos(x) + 4.0 * m.sin(x)])
+_GAUSS = (lambda m, x: m.exp(-0.25 * x * x),
+          [lambda m, x: -0.5 * x * m.exp(-0.25 * x * x),
+           lambda m, x: (0.25 * x * x - 0.5) * m.exp(-0.25 * x * x),
+           lambda m, x: (0.75 * x - x**3 / 8.0) * m.exp(-0.25 * x * x),
+           lambda m, x: (x**4 / 16.0 - 0.75 * x * x + 0.75) * m.exp(-0.25 * x * x)])
+
+#: Every member of each battery, in order: label and closed form.
+_MEMBERS = {
+    "standard": [
+        ("1", _poly(1.0)), ("x", _poly(1.0, 0.0)), ("x^2", _poly(1.0, 0.0, 0.0)),
+        ("x^3", _poly(1.0, 0.0, 0.0, 0.0)), ("x^4", _poly(1.0, 0.0, 0.0, 0.0, 0.0)),
+        ("sin(1x)", _sin(1.0)), ("cos(1x)", _cos(1.0)),
+        ("sin(2x)", _sin(2.0)), ("cos(2x)", _cos(2.0)),
+        ("sin(0.5x)", _sin(0.5)), ("cos(0.5x)", _cos(0.5)),
+        ("exp(+x)", _exp(1.0)), ("exp(-x)", _exp(-1.0)),
+        ("1/(1+1x^2)", _runge(1.0)), ("1/(1+0.25x^2)", _runge(0.25)),
+        ("|x|(1+0.5sin(3x))", _KINK), ("x*cos(x)", _XCOS), ("atan(x)", _ATAN),
+        ("exp(-x^2/4)", _GAUSS), ("2+0.5x-0.1x^3", _poly(-0.1, 0.0, 0.5, 2.0)),
+    ],
+    "sift": [
+        ("1", _poly(1.0)), ("x", _poly(1.0, 0.0)), ("x^2+5", _poly(1.0, 0.0, 5.0)),
+        ("x^3", _poly(1.0, 0.0, 0.0, 0.0)), ("cos(1x)", _cos(1.0)),
+        ("sin(2x)", _sin(2.0)), ("exp(-x)", _exp(-1.0)), ("1/(1+1x^2)", _runge(1.0)),
+        ("x*cos(x)", _XCOS), ("exp(-x^2/4)", _GAUSS),
+    ],
+}
+
+_BATTERIES = {"standard": standard_battery, "sift": sift_battery}
+_VALUE_POINTS = np.concatenate([np.linspace(-30.0, 30.0, 1201), [1e-3, -2.5e-7, 250.0]])
+_DERIV_POINTS = np.linspace(-3.0, 3.0, 25)
+
+
+@pytest.mark.parametrize("name, i", [(name, i) for name, members in _MEMBERS.items()
+                                     for i in range(len(members))])
+def test_battery_member(name, i):
+    battery = _BATTERIES[name]()
+    label, (value, derivs) = _MEMBERS[name][i]
+    assert len(battery) == len(_MEMBERS[name])
+    f = battery[i]
+    assert f.label == label
+    assert f.smoothness == (C_INF if derivs else 0)
+    # Values bit-equal to the closed form, on floats and on an ndarray.
+    floats = np.array([f(float(x)) for x in _VALUE_POINTS])
+    assert all(isinstance(f(float(x)), float) for x in _VALUE_POINTS[:3])
+    want = np.array([float(value(math, float(x))) for x in _VALUE_POINTS])
+    assert floats.tobytes() == want.tobytes()
+    got = f(_VALUE_POINTS)
+    assert isinstance(got, np.ndarray) and got.shape == _VALUE_POINTS.shape
+    assert got.tobytes() == np.asarray(value(np, _VALUE_POINTS), dtype=float).tobytes()
+    if derivs is None:
+        with pytest.raises(SmoothnessError):
+            f.derivative(1)
+        return
+    for k, dk in enumerate(derivs, start=1):
+        fk = f.derivative(k)
+        for x in _DERIV_POINTS:
+            exact = dk(math, float(x))
+            assert abs(fk(float(x)) - exact) <= 1e-12 * max(1.0, abs(exact)), (k, x)
+
+
+def test_battery_members_compile_past_a_rebound_to_real_function(monkeypatch):
+    # Members are cached for the process: instrumentation that rebinds
+    # exprlang.to_real_function must not end up inside them.
+    from deltacalc import exprlang, rewrite
+
+    monkeypatch.setattr(exprlang, "to_real_function",
+                        lambda node: pytest.fail("battery compiled via to_real_function"))
+    rewrite._member.cache_clear()
+    try:
+        assert [f.label for f in sift_battery()] == [label for label, _ in _MEMBERS["sift"]]
+        assert len(standard_battery()) == len(_MEMBERS["standard"])
+    finally:
+        rewrite._member.cache_clear()
 
 
 # -- kernel dependence probe -----------------------------------------------

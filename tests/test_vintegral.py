@@ -33,6 +33,17 @@ def test_virtual_bounds_realize_per_rank():
     assert VirtualBound.coerce(math.inf).kind == "pos_infinity"
 
 
+def test_orientation_is_judged_on_the_limit_bounds(bump):
+    # An infinite bound is oriented by its sign at every rank; a finite one
+    # beyond a rank's window empties that rank instead.
+    with pytest.raises(ValueError, match="empty orientation"):
+        integrate_rank(bump, POS_INF, NEG_INF, 16)
+    with pytest.raises(ValueError, match="empty orientation"):
+        integrate_rank(bump, VirtualBound.const(1.0), NEG_INF, 16, shift=50.0)
+    assert integrate_rank(bump, VirtualBound.const(0.0), POS_INF, 16, shift=-100.0) == 0.0
+    assert integrate_rank(bump, VirtualBound.const(0.0), POS_INF, 16, shift=100.0) == pytest.approx(1.0)
+
+
 def test_infinite_constant_bound_rejected():
     with pytest.raises(ValueError):
         VirtualBound.const(math.inf)
