@@ -62,7 +62,6 @@ from .vfun import (
 )
 from .vintegral import (
     IntegralResult,
-    VirtualBound,
     compose,
     convolve,
     integrate_rank,

@@ -30,7 +30,6 @@ from .rewrite import (
 )
 from .roots import WINDOW
 from .vfun import RealFunction, check_dirac, kernel_from_json, kernel_to_json
-from .vintegral import NEG_INF, POS_INF, VirtualBound
 
 __all__ = ["main", "run_command", "Config", "KERNELS"]
 
@@ -171,8 +170,10 @@ def _cmd_integrate(args, cfg, out):
     if isinstance(expr, RealFunction):
         expr = SmoothTerm(expr)
     kernel = cfg.make_kernel()
-    lo = NEG_INF if args.lower is None else VirtualBound.const(args.lower)
-    hi = POS_INF if args.upper is None else VirtualBound.const(args.upper)
+    if not all(math.isfinite(b) for b in (args.lower, args.upper) if b is not None):
+        raise ValueError("constant bound must be finite")
+    lo = -math.inf if args.lower is None else args.lower
+    hi = math.inf if args.upper is None else args.upper
     res = reduce_expr_integral(expr, kernel=kernel, lo=lo, hi=hi,
                                schedule=cfg.schedule, tol=cfg.tolerance,
                                window=cfg.scan_window)
@@ -236,7 +237,10 @@ def _cmd_probe_kernels(args, cfg, out):
     names = [s.strip() for s in args.kernels.split(",") if s.strip()]
     for name in names:
         if name not in KERNELS:
-            raise ConfigError(f"unknown kernel {name!r}")
+            raise ConfigError(f"--kernels: unknown kernel {name!r}")
+    if len(names) < 2 or len(set(names)) < len(names):
+        raise ConfigError(f"--kernels needs two or more distinct kernel names, "
+                          f"not {args.kernels!r}")
     kernels = [KERNELS[name]() for name in names]
     report = kernel_dependence_probe(g, kernels, schedule=cfg.schedule,
                                      window=cfg.scan_window)

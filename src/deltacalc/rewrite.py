@@ -18,9 +18,6 @@ from .limits import DEFAULT_SCHEDULE
 from .roots import WINDOW, certify_hypotheses, find_simple_roots
 from .vfun import C_INF, DiracKernel, RealFunction, VirtualFunction
 from .vintegral import (
-    NEG_INF,
-    POS_INF,
-    VirtualBound,
     compose,
     convolve,
     integrate_rank,
@@ -63,9 +60,6 @@ COEFF_EPS = 1e-14
 class DeltaExpr:
     """Base class for delta-expression nodes."""
 
-    def render(self):
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class DeltaTerm(DeltaExpr):
@@ -79,13 +73,6 @@ class DeltaTerm(DeltaExpr):
         if self.order < 0:
             raise ExpressionError("derivative order must be >= 0")
 
-    def render(self):
-        inner = "x" if self.shift == 0 else (
-            f"x-{self.shift:g}" if self.shift > 0 else f"x+{-self.shift:g}")
-        if self.order == 0:
-            return f"delta({inner})"
-        return f"ddelta({inner},{self.order})"
-
 
 @dataclass(frozen=True)
 class CompTerm(DeltaExpr):
@@ -94,16 +81,10 @@ class CompTerm(DeltaExpr):
     inner: RealFunction
     kernel: object = None
 
-    def render(self):
-        return f"delta({self.inner.label or 'g(x)'})"
-
 
 @dataclass(frozen=True)
 class SmoothTerm(DeltaExpr):
     f: RealFunction
-
-    def render(self):
-        return self.f.label or "f(x)"
 
 
 @dataclass(frozen=True)
@@ -111,16 +92,10 @@ class ScaleTerm(DeltaExpr):
     c: float
     expr: DeltaExpr
 
-    def render(self):
-        return f"{self.c:g}*({self.expr.render()})"
-
 
 @dataclass(frozen=True)
 class SumTerm(DeltaExpr):
     parts: tuple
-
-    def render(self):
-        return " + ".join(p.render() for p in self.parts)
 
 
 @dataclass(frozen=True)
@@ -138,9 +113,6 @@ class ProductTerm(DeltaExpr):
                 "integral"
             )
 
-    def render(self):
-        return f"({self.f.label or 'f(x)'})*{self.delta.render()}"
-
 
 @dataclass(frozen=True)
 class ContractionTerm(DeltaExpr):
@@ -149,9 +121,6 @@ class ContractionTerm(DeltaExpr):
     d1: DiracKernel
     d2: DiracKernel
     shift: float = 0.0
-
-    def render(self):
-        return f"contract({self.d1.name},{self.d2.name},{self.shift:g})"
 
 
 def _is_zero_term(expr):
@@ -366,7 +335,7 @@ def evaluate_normal_form(nf, f):
 # ---------------------------------------------------------------------------
 
 def _rank_integral(atom, weight, kernel, n, lo, hi, window):
-    """Rank-n integral of atom * weight over [lo(n), hi(n)]."""
+    """Rank-n integral of atom * weight over [lo, hi]."""
     if isinstance(atom, SmoothTerm):
         if _is_zero_term(atom):
             return 0.0
@@ -404,12 +373,10 @@ def expr_rank_eval(expr, kernel, n, x):
 
 
 def reduce_expr_integral(expr, weight=None, kernel=None,
-                         lo=NEG_INF, hi=POS_INF,
+                         lo=-math.inf, hi=math.inf,
                          schedule=DEFAULT_SCHEDULE, tol=1e-9, window=WINDOW):
     """Reduce the virtual integral of expr * weight over [lo, hi]; delta
     composites are scanned over `window`."""
-    lo = VirtualBound.coerce(lo)
-    hi = VirtualBound.coerce(hi)
     if isinstance(weight, RealFunction):
         weight = weight.fn
     # Each atom's weight: its factor times the caller's.

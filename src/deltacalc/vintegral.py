@@ -1,8 +1,9 @@
 """The reduced-integral engine.
 
-Virtual integrals are realized per rank (the +/- infinity bounds become
-shift -/+ n), the rank sequence I_n is recorded, and the result is either a real
-limit ("reduced"), a certified power-law divergence ("irreducible"), or
+Virtual integrals are realized per rank (bounds are floats; in
+`integrate_rank` alone an infinite bound becomes shift -/+ n), the rank
+sequence I_n is recorded, and the result is either a real limit
+("reduced"), a certified power-law divergence ("irreducible"), or
 Undetermined.
 """
 
@@ -34,7 +35,6 @@ from .vfun import (
 )
 
 __all__ = [
-    "VirtualBound",
     "IntegralResult",
     "integrate_rank",
     "profile_integral",
@@ -47,56 +47,6 @@ __all__ = [
 
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
 _EPS = float(np.finfo(float).eps)
-
-
-# ---------------------------------------------------------------------------
-# Bounds
-# ---------------------------------------------------------------------------
-
-class VirtualBound:
-    """Integration bound realized per rank: at rank n, +/- infinity maps to
-    centre +/- n, where the centre is the shift of the term integrated."""
-
-    def __init__(self, fn, kind):
-        self._fn = fn
-        self.kind = kind
-
-    def bound_at(self, n, centre=0.0):
-        # integrate_rank always passes the term's shift; the default centre
-        # is kept for tests that realise a bound on its own.
-        return float(self._fn(n, centre))
-
-    @classmethod
-    def neg_infinity(cls):
-        return cls(lambda n, c: c - float(n), "neg_infinity")
-
-    @classmethod
-    def pos_infinity(cls):
-        return cls(lambda n, c: c + float(n), "pos_infinity")
-
-    @classmethod
-    def const(cls, r):
-        r = float(r)
-        if not math.isfinite(r):
-            raise ValueError("constant bound must be finite")
-        return cls(lambda n, c: r, "const")
-
-    @classmethod
-    def coerce(cls, b):
-        if isinstance(b, VirtualBound):
-            return b
-        if b == math.inf:
-            return cls.pos_infinity()
-        if b == -math.inf:
-            return cls.neg_infinity()
-        return cls.const(b)
-
-    def __repr__(self):
-        return f"VirtualBound({self.kind})"
-
-
-NEG_INF = VirtualBound.neg_infinity()
-POS_INF = VirtualBound.pos_infinity()
 
 
 # ---------------------------------------------------------------------------
@@ -128,24 +78,6 @@ class IntegralResult:
         return out
 
 
-def _reduced(value, err, pairs):
-    return IntegralResult("reduced", value=float(value),
-                          error_estimate=float(err), rank_values=tuple(pairs))
-
-
-def _classify_sequence(schedule, values, tol):
-    pairs = tuple(zip(schedule, values))
-    lim = extract_limit(values, schedule, tol=tol)
-    if lim is not None:
-        return _reduced(lim[0], lim[1], pairs)
-    fit = power_law_exponent(schedule, values)
-    if fit is not None:
-        p, _r2, sign = fit
-        return IntegralResult("irreducible", exponent=p, sign=sign,
-                              rank_values=pairs)
-    return IntegralResult("undetermined", rank_values=pairs)
-
-
 #: Probes taken before `reduce_sequence` may stop early.
 _MIN_PROBES = 7
 
@@ -161,12 +93,18 @@ def reduce_sequence(schedule, value_fn, tol):
     values = []
     for i, n in enumerate(schedule):
         values.append(value_fn(n))
-        if i + 1 >= _MIN_PROBES and i + 1 < len(schedule):
-            prefix = schedule[:i + 1]
-            lim = extract_limit(values, prefix, tol=tol)
+        if i + 1 >= _MIN_PROBES or i + 1 == len(schedule):
+            lim = extract_limit(values, schedule[:i + 1], tol=tol)
             if lim is not None:
-                return _reduced(lim[0], lim[1], tuple(zip(prefix, values)))
-    return _classify_sequence(schedule, values, tol)
+                return IntegralResult("reduced", value=float(lim[0]),
+                                      error_estimate=float(lim[1]),
+                                      rank_values=tuple(zip(schedule, values)))
+    pairs = tuple(zip(schedule, values))
+    fit = power_law_exponent(schedule, values)
+    if fit is None:
+        return IntegralResult("undetermined", rank_values=pairs)
+    p, _r2, sign = fit
+    return IntegralResult("irreducible", exponent=p, sign=sign, rank_values=pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -196,24 +134,28 @@ def _quad_piece(f, a, b, points=None):
 
 
 def integrate_rank(vf, lo, hi, n, weight=None, shift=0.0):
-    """Rank-n integral of f_n(x - shift) * weight(x) over [lo(n), hi(n)],
-    where an infinite bound is shift -/+ n, so a kernel's support lies
-    inside the bounds at every shift.  This is the one place that picks how
-    a rank integral is taken: a profile kernel in u = n(x - shift)
-    (`profile_integral`), a composite region by region (`_regions_integral`),
-    any other virtual function by adaptive quad over its declared support,
-    with a discontinuous function's support edges as split points."""
-    lo, hi = VirtualBound.coerce(lo), VirtualBound.coerce(hi)
-    # Reversed bounds are refused as n -> infinity, where an infinite bound
-    # is itself; a finite bound beyond one rank's window only empties it.
-    a, b = lo.bound_at(math.inf, shift), hi.bound_at(math.inf, shift)
-    if a > b:
-        raise ValueError(f"empty orientation: lower bound {a} > upper bound {b}")
-    a, b = lo.bound_at(n, shift), hi.bound_at(n, shift)
-    if a > b:
+    """Rank-n integral of f_n(x - shift) * weight(x) over [lo, hi].
+
+    This is the one place that realises an infinite bound, as the offset
+    -/+ n from the shift, so a kernel's support lies inside the bounds at
+    every shift, and the one place that picks how a rank integral is
+    taken: a profile kernel in
+    u = n(x - shift) (`profile_integral`), a composite region by region
+    (`_regions_integral`), any other virtual function by adaptive quad over
+    its declared support, with a discontinuous function's support edges as
+    split points."""
+    # Reversed bounds (or nan) are refused; a finite bound beyond one
+    # rank's window only empties that rank.
+    if not (lo <= hi and lo < math.inf and hi > -math.inf):
+        raise ValueError(f"empty orientation: lower bound {lo} > upper bound {hi}")
+    # Offsets from the shift: no shift can round a rank's window away.
+    da = -float(n) if lo == -math.inf else lo - shift
+    db = float(n) if hi == math.inf else hi - shift
+    if da > db:
         return 0.0
     if isinstance(vf, DiracKernel):
-        return profile_integral(vf, n, shift, weight, n * (a - shift), n * (b - shift))
+        return profile_integral(vf, n, shift, weight, n * da, n * db)
+    a, b = shift + da, shift + db
     if shift:
         vf = vf.translate(shift)
 
@@ -378,7 +320,7 @@ def profile_integral(d, n, a, weight, ulo=-math.inf, uhi=math.inf):
     return _quad_piece(g, ulo, uhi, points=[0.0])
 
 
-def reduce_integral(vf, lo=NEG_INF, hi=POS_INF, schedule=DEFAULT_SCHEDULE,
+def reduce_integral(vf, lo=-math.inf, hi=math.inf, schedule=DEFAULT_SCHEDULE,
                     tol=1e-9, weight=None):
     """Compute the rank sequence I_n and reduce it to an IntegralResult."""
     schedule = list(schedule)
@@ -398,7 +340,7 @@ def sift(d, f, a=0.0, schedule=DEFAULT_SCHEDULE, tol=1e-9):
     a = float(a)
     fn = f.fn if isinstance(f, RealFunction) else f
     return reduce_sequence(
-        list(schedule), lambda n: integrate_rank(d, NEG_INF, POS_INF, n, fn, a), tol)
+        list(schedule), lambda n: integrate_rank(d, -math.inf, math.inf, n, fn, a), tol)
 
 
 def sift_derivative(d, k, f, a=0.0, schedule=SHORT_SCHEDULE, tol=1e-9):

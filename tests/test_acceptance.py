@@ -29,7 +29,7 @@ from deltacalc.rewrite import (
     standard_battery,
 )
 from deltacalc.vfun import C_INF, RealFunction, const_function
-from deltacalc.vintegral import NEG_INF, POS_INF, _quad_piece, integrate_rank
+from deltacalc.vintegral import _quad_piece, integrate_rank
 
 REPORT = []
 
@@ -76,13 +76,13 @@ def test_03_composition_rule(bump):
     fcos = standard_battery()[6]
     errs.append(abs(evaluate_normal_form(nf, fcos) - want))
     comp = dc.compose(bump, X2M4)
-    direct = integrate_rank(comp, NEG_INF, POS_INF, 2**16, weight=math.cos)
+    direct = integrate_rank(comp, -math.inf, math.inf, 2**16, weight=math.cos)
     errs.append(abs(direct - want))
     # 3x: coefficient 1/3.
     g3 = _rf(lambda x: 3.0 * x, lambda x: 3.0, label="3x")
     nf3 = rewrite_composition(g3)
     errs.append(abs(nf3.terms[0][0] - 1.0 / 3.0))
-    direct3 = integrate_rank(dc.compose(bump, g3), NEG_INF, POS_INF, 2**16,
+    direct3 = integrate_rank(dc.compose(bump, g3), -math.inf, math.inf, 2**16,
                              weight=math.cos)
     errs.append(abs(direct3 - 1.0 / 3.0))
     # sin x on [-1, 7]: roots 0, pi, 2pi, all with |g'| = 1.

@@ -144,15 +144,35 @@ def test_one_finite_bound_beyond_a_ranks_window_reads_zero_there(expr, bounds, t
 
 
 @pytest.mark.parametrize("expr, truth", [("cos(x)*delta(x-5e5)", math.cos(5e5)),
-                                         ("sin(x)*ddelta(x+3e4,1)", -math.cos(3e4))])
+                                         ("sin(x)*ddelta(x+3e4,1)", -math.cos(3e4)),
+                                         ("delta(x-1e19)", 1.0)])
 def test_far_shift_sifts_instead_of_reading_zero(expr, truth):
-    # The infinite bounds are centred on the shift, so no rank puts the
-    # kernel's support outside them.
+    # The infinite bounds are offsets from the shift, so no rank puts the
+    # kernel's support outside them, even where a -/+ n rounds to a.
     status, out, err = run(["integrate", expr, "--json"])
     assert status == 0, err
     payload = json.loads(out)
     assert payload["variant"] == "reduced"
     assert abs(payload["value"] - truth) <= 1e-9
+
+
+@pytest.mark.parametrize("expr, bounds", [("delta(x-1e19)", ["--lower", "0"]),
+                                          ("delta(x+1e19)", ["--upper", "0"])])
+def test_far_shift_inside_one_finite_bound_sifts_whole(expr, bounds):
+    # The kernel's whole support lies between the finite bound and the
+    # infinite one at every rank: the integral is 1, not 1/2.
+    status, out, err = run(["integrate", expr, *bounds, "--json"])
+    assert status == 0, err
+    payload = json.loads(out)
+    assert payload["variant"] == "reduced"
+    assert all(abs(v - 1.0) <= 1e-9 for _n, v in payload["rank_values"])
+
+
+@pytest.mark.parametrize("bound", ["--lower=inf", "--lower=nan", "--upper=-inf"])
+def test_non_finite_bound_is_refused(bound):
+    status, out, err = run(["integrate", "delta(x)", bound] + FAST)
+    assert status == 1 and out == ""
+    assert "error (engine)" in err and "constant bound must be finite" in err
 
 
 # -- equiv -----------------------------------------------------------------
@@ -167,6 +187,15 @@ def test_equiv_distinct():
     status, out, _ = run(["equiv", "delta(x)", "delta(x-1)"] + FAST)
     assert status == 0
     assert "Distinct" in out
+
+
+def test_equiv_far_shifted_delta_is_not_zero():
+    # Every rank of delta(x-1e19) against 1 reads 1, so 0*x is distinct.
+    status, out, err = run(["equiv", "delta(x-1e19)", "0*x", "--json"] + FAST)
+    assert status == 0, err
+    payload = json.loads(out)
+    assert payload["variant"] == "distinct"
+    assert abs(payload["lhs"] - 1.0) <= 1e-9 and payload["rhs"] == 0.0
 
 
 # -- check-dirac / probe-kernels -------------------------------------------
@@ -191,6 +220,15 @@ def test_probe_kernels_flags_square_of_x():
 def test_probe_kernels_rejects_delta_argument():
     status, _out, err = run(["probe-kernels", "delta(x)"])
     assert status == 1
+
+
+@pytest.mark.parametrize("kernels", ["bump", "bump,bump", "bump,square,bump",
+                                     "bump,nope", ""])
+def test_probe_kernels_needs_two_distinct_known_kernels(kernels):
+    # One kernel, or one kernel twice, agrees with itself and proves nothing.
+    status, out, err = run(["probe-kernels", "x^2", "--kernels", kernels] + FAST)
+    assert status == 2 and out == ""
+    assert "error (config)" in err and "--kernels" in err
 
 
 # -- trace -----------------------------------------------------------------

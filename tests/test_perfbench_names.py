@@ -4,6 +4,7 @@ not imported."""
 
 import ast
 import dataclasses
+import inspect
 from pathlib import Path
 
 import pytest
@@ -37,3 +38,12 @@ def test_traced_real_function_fields_exist():
     fields = {f.name for f in dataclasses.fields(deltacalc.RealFunction)}
     assert {"fn", "derivs"} <= fields
     assert set(deltacalc.cli.BATTERIES) == {"standard", "sift"}
+
+
+def test_traced_reduce_sequence_arguments_exist():
+    # Tracer._after_reduce_sequence compares len(result.rank_values) with
+    # the length of the call's first argument, the schedule.
+    params = list(inspect.signature(deltacalc.vintegral.reduce_sequence).parameters)
+    assert params[0] == "schedule"
+    fields = {f.name for f in dataclasses.fields(deltacalc.IntegralResult)}
+    assert "rank_values" in fields

@@ -126,7 +126,7 @@ import numpy as np  # noqa: E402
 import deltacalc as dc  # noqa: E402
 from deltacalc import roots  # noqa: E402
 from deltacalc.rewrite import rewrite_composition  # noqa: E402
-from deltacalc.vintegral import NEG_INF, POS_INF, integrate_rank  # noqa: E402
+from deltacalc.vintegral import integrate_rank  # noqa: E402
 
 
 def test_one_grid_evaluation_per_composite():
@@ -140,7 +140,7 @@ def test_one_grid_evaluation_per_composite():
     assert len(rewrite_composition(g).terms) == 2
     comp = dc.compose(dc.bump_delta(), g)
     for n in (16, 1024, 2**16):
-        integrate_rank(comp, NEG_INF, POS_INF, n)
+        integrate_rank(comp, -math.inf, math.inf, n)
     # Roots, certificate, seeds and every rank's regions read one array
     # evaluation of g on the grid.
     assert sizes.count(roots.GRID) == 1
@@ -168,8 +168,8 @@ def test_regions_refuse_only_where_g_meets_the_support_past_the_edge():
     comp = dc.compose(bump, far)
     assert integrate_rank(comp, -50.0, 50.0, 1024) == 0.0  # inside the window
     with pytest.raises(RewriteError, match="outside_scan_risk"):
-        integrate_rank(comp, NEG_INF, POS_INF, 1024)
+        integrate_rank(comp, -math.inf, math.inf, 1024)
     # exp(x) shrinks toward x = -60 but, without a sign change, never
     # reaches the support of delta_-; it stays inside the bump's.
-    assert integrate_rank(dc.compose(minus, math.exp), NEG_INF, POS_INF, 1024) == 0.0
-    assert integrate_rank(dc.compose(bump, math.exp), NEG_INF, POS_INF, 64) > 64.0
+    assert integrate_rank(dc.compose(minus, math.exp), -math.inf, math.inf, 1024) == 0.0
+    assert integrate_rank(dc.compose(bump, math.exp), -math.inf, math.inf, 64) > 64.0

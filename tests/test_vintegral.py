@@ -7,13 +7,7 @@ import deltacalc as dc
 from deltacalc.errors import SmoothnessError
 from deltacalc.limits import DEFAULT_SCHEDULE
 from deltacalc.vfun import C_INF, RealFunction
-from deltacalc.vintegral import (
-    NEG_INF,
-    POS_INF,
-    VirtualBound,
-    integrate_rank,
-    reduce_integral,
-)
+from deltacalc.vintegral import integrate_rank, reduce_integral
 
 # High-precision reference values (30-digit adaptive quadrature, frozen):
 # I_n for the bump kernel against cos at shift a=2, rank n = 2^16.
@@ -26,27 +20,28 @@ BUMP_M2 = 0.158113636263798
 
 # -- bounds ----------------------------------------------------------------
 
-def test_virtual_bounds_realize_per_rank():
-    assert NEG_INF.bound_at(100) == -100.0
-    assert POS_INF.bound_at(7) == 7.0
-    assert VirtualBound.const(2.5).bound_at(99) == 2.5
-    assert VirtualBound.coerce(math.inf).kind == "pos_infinity"
+def test_infinite_bounds_are_the_shift_minus_plus_n_at_rank_n():
+    # A constant integrates to the length of each rank's window.
+    one = dc.VirtualFunction(lambda _n, x: 1.0, smoothness=C_INF, label="1")
+    for n, shift in ((16, 0.0), (64, 2.5), (1024, -7.0)):
+        assert integrate_rank(one, -math.inf, math.inf, n, shift=shift) == pytest.approx(2 * n)
+        assert integrate_rank(one, -math.inf, 3.0, n, shift=shift) == pytest.approx(n + 3.0 - shift)
 
 
 def test_orientation_is_judged_on_the_limit_bounds(bump):
     # An infinite bound is oriented by its sign at every rank; a finite one
     # beyond a rank's window empties that rank instead.
     with pytest.raises(ValueError, match="empty orientation"):
-        integrate_rank(bump, POS_INF, NEG_INF, 16)
+        integrate_rank(bump, math.inf, -math.inf, 16)
     with pytest.raises(ValueError, match="empty orientation"):
-        integrate_rank(bump, VirtualBound.const(1.0), NEG_INF, 16, shift=50.0)
-    assert integrate_rank(bump, VirtualBound.const(0.0), POS_INF, 16, shift=-100.0) == 0.0
-    assert integrate_rank(bump, VirtualBound.const(0.0), POS_INF, 16, shift=100.0) == pytest.approx(1.0)
+        integrate_rank(bump, 1.0, -math.inf, 16, shift=50.0)
+    assert integrate_rank(bump, 0.0, math.inf, 16, shift=-100.0) == 0.0
+    assert integrate_rank(bump, 0.0, math.inf, 16, shift=100.0) == pytest.approx(1.0)
 
 
-def test_infinite_constant_bound_rejected():
+def test_infinite_constant_bound_rejected(bump):
     with pytest.raises(ValueError):
-        VirtualBound.const(math.inf)
+        integrate_rank(bump, math.inf, math.inf, 16)
 
 
 # -- normalization ---------------------------------------------------------
@@ -60,14 +55,14 @@ def test_all_kernels_normalize(all_kernels):
 
 def test_half_line_integral(bump):
     # Symmetric kernel: mass 1/2 on each side of the origin.
-    res = reduce_integral(bump, lo=VirtualBound.const(0.0), hi=POS_INF)
+    res = reduce_integral(bump, lo=0.0, hi=math.inf)
     assert abs(res.value - 0.5) < 1e-8
 
 
 def test_integral_misses_shifted_support(plus):
     # delta_+ lives on (1/n, 3/n): integrating the negative half-line gives
     # exactly zero at every rank.
-    res = reduce_integral(plus, lo=NEG_INF, hi=VirtualBound.const(0.0))
+    res = reduce_integral(plus, lo=-math.inf, hi=0.0)
     assert res.reduced and res.value == 0.0
     assert all(v == 0.0 for _n, v in res.rank_values)
 
@@ -78,7 +73,7 @@ def test_sift_frozen_rank_value(bump):
     # Pin one raw rank value against the frozen high-precision reference.
     n = 2**16
     shifted = bump.translate(2.0)
-    val = integrate_rank(shifted, NEG_INF, POS_INF, n, weight=math.cos)
+    val = integrate_rank(shifted, -math.inf, math.inf, n, weight=math.cos)
     assert abs(val - SIFT_COS_AT_2_RANK_2_16) < 5e-10
 
 
@@ -87,11 +82,12 @@ def test_sift_limit_matches_f_a(bump):
     assert abs(res.value - math.cos(2.0)) < 1e-9
 
 
-@pytest.mark.parametrize("a", [2e6, 3e5, 100.0, -7e5])
+@pytest.mark.parametrize("a", [2e6, 3e5, 100.0, -7e5, 1e18])
 @pytest.mark.parametrize("name", ["bump", "square", "mix"])
 def test_sift_far_from_the_origin(name, a, request):
-    # Each rank's bounds are centred on the shift, so the kernel's support
-    # lies inside them however far a is from 0 (not read as 0 outside +/- n).
+    # Each rank's window is taken as offsets from the shift, so the kernel's
+    # support lies inside it however far a is from 0 (not read as 0 outside
+    # +/- n, nor where a -/+ n rounds to a).
     res = dc.sift(request.getfixturevalue(name), math.cos, a=a)
     assert res.reduced and abs(res.value - math.cos(a)) < 1e-9
     assert all(v != 0.0 for _n, v in res.rank_values)
@@ -102,7 +98,7 @@ def test_square_kernel_quadratic_sift_is_exact(square):
     # I_n = 5 + 1/(3 n^2).
     f = lambda x: x * x + 5.0
     for n in (16, 256, 4096):
-        val = integrate_rank(square, NEG_INF, POS_INF, n, weight=f)
+        val = integrate_rank(square, -math.inf, math.inf, n, weight=f)
         assert abs(val - (5.0 + 1.0 / (3.0 * n * n))) < 1e-12
     res = dc.sift(square, f, a=0.0)
     assert abs(res.value - 5.0) < 1e-9
@@ -229,7 +225,7 @@ def test_compose_frozen_rank_value(bump):
                      label="x^2-4")
     comp = dc.compose(bump, g)
     n = 2**16
-    val = integrate_rank(comp, NEG_INF, POS_INF, n, weight=math.cos)
+    val = integrate_rank(comp, -math.inf, math.inf, n, weight=math.cos)
     assert abs(val - COMP_COS_RANK_2_16) < 5e-10
 
 
@@ -255,7 +251,7 @@ def test_compose_tracks_shrinking_regions(bump):
                      label="x-c")
     comp = dc.compose(bump, g)
     n = 2**20
-    val = integrate_rank(comp, NEG_INF, POS_INF, n)
+    val = integrate_rank(comp, -math.inf, math.inf, n)
     assert abs(val - 1.0) < 1e-9
 
 
@@ -430,7 +426,7 @@ def _composite(kern, text):
 @pytest.mark.parametrize("text, bounds", REGION_CASES)
 def test_region_rule_matches_quad(name, text, bounds, request, quad_calls):
     comp = _composite(request.getfixturevalue(name), text)
-    lo, hi = (NEG_INF, POS_INF) if bounds is None else map(VirtualBound.const, bounds)
+    lo, hi = (-math.inf, math.inf) if bounds is None else bounds
     weights = [None] + [f.fn for f in sift_battery()[2::3]]
     # Each region's quad meets its target 1e-12 * max(1, |I_r|), and the
     # sum meets theirs.  Up to rank 64 both rules do so without quad.  At
@@ -438,7 +434,7 @@ def test_region_rule_matches_quad(name, text, bounds, request, quad_calls):
     # up to ~1e-11 of the integral (sin(3x) near x = 20): the two differ
     # at that level, and where the fixed rules do, quad decides.
     for n, tol in ((16, 1e-12), (64, 1e-12), (4096, 1e-10), (65536, 1e-10)):
-        a, b = lo.bound_at(n), hi.bound_at(n)
+        a, b = (-n, n) if bounds is None else bounds
         for w in weights:
             got = integrate_rank(comp, lo, hi, n, weight=w)
             assert n > 64 or not quad_calls, (n, w)
@@ -451,7 +447,7 @@ def test_region_rule_matches_quad(name, text, bounds, request, quad_calls):
 def test_region_rules_disagree_on_a_mixture(mix, quad_calls):
     # The parts' edges lie inside each region: adaptive quad decides there.
     comp = _composite(mix, "x^2-4")
-    got = integrate_rank(comp, NEG_INF, POS_INF, 64, weight=np.cos)
+    got = integrate_rank(comp, -math.inf, math.inf, 64, weight=np.cos)
     assert quad_calls
     want = _region_pieces(comp, 64, -64.0, 64.0, np.cos)
     assert abs(got - sum(want)) <= 1e-12 * sum(max(1.0, abs(v)) for v in want)
@@ -459,7 +455,7 @@ def test_region_rules_disagree_on_a_mixture(mix, quad_calls):
 
 def test_math_only_weight_falls_back_on_every_region(bump, quad_calls):
     comp = _composite(bump, "x^3-2*x^2-x+2")
-    got = integrate_rank(comp, NEG_INF, POS_INF, 64, weight=math.cos)
+    got = integrate_rank(comp, -math.inf, math.inf, 64, weight=math.cos)
     assert len(quad_calls) == len(comp.regions(64, -64.0, 64.0)) == 3
     assert got == sum(_region_pieces(comp, 64, -64.0, 64.0, math.cos))
 
@@ -472,7 +468,7 @@ def test_non_finite_region_weight_raises_like_quad(bump):
     with pytest.raises(QuadratureError):
         _region_pieces(comp, 16, -16.0, 16.0, f)
     with pytest.raises(QuadratureError):
-        integrate_rank(comp, NEG_INF, POS_INF, 16, weight=f)
+        integrate_rank(comp, -math.inf, math.inf, 16, weight=f)
 
 
 # -- caches keyed by value ---------------------------------------------------
