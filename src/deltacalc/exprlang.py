@@ -311,42 +311,72 @@ def _mul(a, b):
 
 
 def _diff(node):
-    if isinstance(node, (Num,)):
-        return _ZERO
-    if isinstance(node, Var):
-        return _ONE
-    if isinstance(node, Neg):
-        return Neg(_diff(node.arg))
-    if isinstance(node, Bin):
-        a, b = node.left, node.right
-        if node.op == "+":
-            return _add(_diff(a), _diff(b))
-        if node.op == "-":
-            return Bin("-", _diff(a), _diff(b))
-        if node.op == "*":
-            return _add(_mul(_diff(a), b), _mul(a, _diff(b)))
-        if node.op == "/":
-            num = Bin("-", _mul(_diff(a), b), _mul(a, _diff(b)))
-            return Bin("/", num, Bin("^", b, Num(2.0)))
-        if node.op == "^":
-            if not isinstance(b, Num):
-                raise ExpressionError(
-                    "exponent must be a numeric constant for differentiation")
-            k = b.value
-            return _mul(_mul(Num(k), Bin("^", a, Num(k - 1.0))), _diff(a))
-    if isinstance(node, Call):
-        inner = _diff(node.arg)
-        if node.name == "sin":
-            return _mul(Call("cos", node.arg), inner)
-        if node.name == "cos":
-            return _mul(Neg(Call("sin", node.arg)), inner)
-        if node.name == "exp":
-            return _mul(Call("exp", node.arg), inner)
-        if node.name == "atan":
-            return Bin("/", inner, _add(_ONE, Bin("^", node.arg, Num(2.0))))
-        if node.name == "abs":
-            raise ExpressionError("abs(...) is not differentiable at 0")
-    raise ExpressionError(f"cannot differentiate {type(node).__name__}")
+    """The derivative tree of a delta-free tree; a subtree that `node` holds
+    more than once, as one object, is differentiated once."""
+    done = {}
+
+    def d(n):
+        if id(n) not in done:
+            done[id(n)] = rule(n)
+        return done[id(n)]
+
+    def rule(n):
+        if isinstance(n, Num):
+            return _ZERO
+        if isinstance(n, Var):
+            return _ONE
+        if isinstance(n, Neg):
+            return Neg(d(n.arg))
+        if isinstance(n, Bin):
+            a, b = n.left, n.right
+            if n.op == "+":
+                return _add(d(a), d(b))
+            if n.op == "-":
+                return Bin("-", d(a), d(b))
+            if n.op == "*":
+                return _add(_mul(d(a), b), _mul(a, d(b)))
+            if n.op == "/":
+                num = Bin("-", _mul(d(a), b), _mul(a, d(b)))
+                return Bin("/", num, Bin("^", b, Num(2.0)))
+            if n.op == "^":
+                if not isinstance(b, Num):
+                    raise ExpressionError(
+                        "exponent must be a numeric constant for differentiation")
+                k = b.value
+                return _mul(_mul(Num(k), Bin("^", a, Num(k - 1.0))), d(a))
+        if isinstance(n, Call):
+            inner = d(n.arg)
+            if n.name == "sin":
+                return _mul(Call("cos", n.arg), inner)
+            if n.name == "cos":
+                return _mul(Neg(Call("sin", n.arg)), inner)
+            if n.name == "exp":
+                return _mul(Call("exp", n.arg), inner)
+            if n.name == "atan":
+                return Bin("/", inner, _add(_ONE, Bin("^", n.arg, Num(2.0))))
+            if n.name == "abs":
+                raise ExpressionError("abs(...) is not differentiable at 0")
+        raise ExpressionError(f"cannot differentiate {type(n).__name__}")
+
+    return d(node)
+
+
+def _share(node):
+    """node with its equal subtrees made one object.  As a tree, the product
+    rule doubles a product's terms at every order; shared, a chain of
+    derivatives grows with its distinct subtrees."""
+    made, shared = {}, {}
+
+    def share(n):
+        if id(n) not in shared:
+            fields = [share(f) if isinstance(f, Node) else f for f in vars(n).values()]
+            # Children by identity, which `made` keeps from reuse; numbers
+            # by repr, which keeps -0.0 apart from 0.0.
+            key = (type(n), *[id(f) if isinstance(f, Node) else repr(f) for f in fields])
+            shared[id(n)] = made.setdefault(key, type(n)(*fields))
+        return shared[id(n)]
+
+    return share(node)
 
 
 # One code object per tree, run with these names bound to `math` for a
@@ -380,14 +410,16 @@ _ARRAY_NAMES = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "atan": np.arctan,
 
 def _emit(node, lines, names):
     """Append the statements computing `node` to `lines`; return the name or
-    literal that holds its value.  Repeated subtrees are computed once."""
+    literal that holds its value.  `names` maps each statement's expression
+    to its name, so equal subtrees are computed once, and each node met to
+    the same, by identity (the caller holds the tree), so a subtree that
+    is one object is walked once."""
     if isinstance(node, Var):
         return "x"
     if isinstance(node, Num):
         return f"({node.value!r})"  # inf and nan are bound names
-    key = repr(node)
-    if key in names:
-        return names[key]
+    if id(node) in names:
+        return names[id(node)]
     if isinstance(node, Neg):
         expr = f"-{_emit(node.arg, lines, names)}"
     elif isinstance(node, Call):
@@ -401,9 +433,11 @@ def _emit(node, lines, names):
             expr = f"power({a}, {b})"
     else:
         raise ExpressionError(f"cannot evaluate {type(node).__name__}")
-    names[key] = f"t{len(names)}"
-    lines.append(f"    {names[key]} = {expr}")
-    return names[key]
+    if expr not in names:
+        names[expr] = f"t{len(lines)}"
+        lines.append(f"    {names[expr]} = {expr}")
+    names[id(node)] = names[expr]
+    return names[expr]
 
 
 def _compile(node, label):
@@ -441,20 +475,24 @@ def _compile(node, label):
     return fn
 
 
-def _derivative_on_first_call(trees, k, label):
-    """The k-th derivative of trees[0], derived and compiled on its first
-    call: derivative trees grow fast and most are never evaluated.
-    `trees`, shared by every order, holds each tree derived so far."""
-    compiled = []
+def _derivative_rule(trees, label):
+    """The nth_deriv rule of trees[0]: order k is derived and compiled on
+    its first call, as derivative trees grow fast and most are never
+    evaluated.  `trees` holds each tree derived so far, `compiled` each
+    order called so far."""
+    compiled = {}
 
-    def fn(x):
-        if not compiled:
-            while len(trees) <= k:
-                trees.append(_diff(trees[-1]))
-            compiled.append(_compile(trees[k], f"({label})^({k})"))
-        return compiled[0](x)
+    def rule(k):
+        def fn(x):
+            if k not in compiled:
+                while len(trees) <= k:
+                    trees.append(_diff(_share(trees[-1])))
+                compiled[k] = _compile(trees[k], f"({label})^({k})")
+            return compiled[k](x)
 
-    return fn
+        return fn
+
+    return rule
 
 
 def _children(node):
@@ -481,7 +519,7 @@ def _is_delta(node):
 
 def to_real_function(node):
     """Compile a delta-free tree to a RealFunction with symbolic derivatives
-    of orders 1 to 4.
+    of every order, each derived and compiled on its first call.
 
     The function and its derivatives take a float or an ndarray; on a float,
     division by zero, overflow and complex values raise ExpressionError.
@@ -505,9 +543,8 @@ def _real_function(node):
         trees = [node, _diff(node)]
     except ExpressionError:
         return RealFunction(fn, smoothness=C_INF, label=label)
-    derivs = tuple(_derivative_on_first_call(trees, k, label)
-                   for k in range(1, 5))
-    return RealFunction(fn, derivs=derivs, smoothness=C_INF, label=label)
+    return RealFunction(fn, smoothness=C_INF, label=label,
+                        nth_deriv=_derivative_rule(trees, label))
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,10 @@ import math
 import operator
 from dataclasses import dataclass, replace
 
-from .errors import DeltaCalcError, ExpressionError, RewriteError, SmoothnessError
+from .errors import DeltaCalcError, ExpressionError, RewriteError
 from .limits import DEFAULT_SCHEDULE
 from .roots import WINDOW, certify_hypotheses, find_simple_roots
-from .vfun import C_INF, DiracKernel, RealFunction, VirtualFunction
+from .vfun import DiracKernel, RealFunction, VirtualFunction
 from .vintegral import (
     compose,
     convolve,
@@ -272,13 +272,12 @@ def rewrite_deriv_product(g, n, a):
     a = float(a)
     if n == 0:
         return rewrite_product(g, a)
-    if isinstance(g, RealFunction) and g.smoothness != C_INF and g.smoothness < n:
-        raise SmoothnessError(
-            f"factor {g.label!r} is only C^{g.smoothness}, rule needs C^{n}"
-        )
     terms = []
     for i in range(n + 1):
         coeff = ((-1.0) ** n) * ((-1.0) ** i) * math.comb(n, i) * g.deriv_value(n - i, a)
+        if not math.isfinite(coeff):
+            raise RewriteError(f"factor {g.label!r} has a derivative of order "
+                               f"{n - i} that is not finite at a={a:g}")
         terms.append((coeff, i, a))
     return NormalForm.from_terms(terms, ("order", n))
 
@@ -317,14 +316,9 @@ def simplify(expr, window=WINDOW):
 
 
 def evaluate_normal_form(nf, f):
-    """sum_i c_i (-1)^{k_i} f^{(k_i)}(a_i)."""
+    """sum_i c_i (-1)^{k_i} f^{(k_i)}(a_i); `f.derivative` refuses an
+    order that f lacks."""
     total = 0.0
-    max_k = max((k for _c, k, _a in nf.terms), default=0)
-    if isinstance(f, RealFunction) and f.smoothness != C_INF and f.smoothness < max_k:
-        raise SmoothnessError(
-            f"test function {f.label!r} is only C^{f.smoothness}; the normal "
-            f"form contains a derivative term of order {max_k}"
-        )
     for c, k, a in nf.terms:
         total += c * ((-1.0) ** k) * float(f.deriv_value(k, a))
     return total

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
 from .errors import DeltaCalcError, RewriteError
-from .vfun import RealFunction, on_points
+from .vfun import RealFunction, difference, on_points
 
 __all__ = [
     "RootRecord",
@@ -82,17 +82,11 @@ def _fn_of(g):
 
 
 def _deriv_of(g):
-    if isinstance(g, RealFunction):
-        try:
-            return g.derivative(1).fn
-        except Exception:
-            pass
-
-    def fd(x, f=_fn_of(g)):
-        h = 1e-6 * max(1.0, abs(x))
-        return (f(x + h) - f(x - h)) / (2 * h)
-
-    return fd
+    """g' for the root slopes: g's own where g is C^1, else one `difference`
+    of g (a C^0 or opaque g)."""
+    if isinstance(g, RealFunction) and g.smoothness >= 1:
+        return g.derivative(1).fn
+    return difference(_fn_of(g))
 
 
 def _boundary(inside, x_in, x_out, end=False):

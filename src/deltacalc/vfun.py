@@ -70,54 +70,57 @@ class RealFunction:
         return self.fn(x)
 
     def derivative(self, k=1):
+        """f^(k), decided here alone.  Past the declared smoothness it is
+        refused; else it comes from `nth_deriv`, else from `derivs`.  One
+        order past those it is one `difference` of the last, declared C^0
+        so that no difference is taken of it; past that, refused."""
         if k == 0:
             return self
-        if self.smoothness != C_INF and self.smoothness < k:
+        name = self.label or "function"
+        if self.smoothness < k:
             raise SmoothnessError(
-                f"{self.label or 'function'} is only C^{self.smoothness}, "
+                f"{name} is only C^{self.smoothness}, "
                 f"cannot take derivative of order {k}"
             )
-        new_smooth = C_INF if self.smoothness == C_INF else self.smoothness - k
+        new_smooth = self.smoothness - k
         label = f"{self.label}^({k})" if self.label else ""
         if self.nth_deriv is not None:
             return RealFunction(
                 self.nth_deriv(k), smoothness=new_smooth, label=label,
                 nth_deriv=lambda j, rule=self.nth_deriv, k=k: rule(k + j))
-        if len(self.derivs) >= k:
-            return RealFunction(
-                self.derivs[k - 1],
-                derivs=self.derivs[k:],
-                smoothness=new_smooth,
-                label=label,
-            )
-        # Fall back to finite differences on the last analytic derivative.
-        base = self if not self.derivs else self.derivative(len(self.derivs))
-        out = base
-        for _ in range(k - len(self.derivs)):
-            out = _fd_derivative(out)
-        return out
+        given = len(self.derivs)
+        if k <= given:
+            return RealFunction(self.derivs[k - 1], derivs=self.derivs[k:],
+                                smoothness=new_smooth, label=label)
+        if k == given + 1:
+            return RealFunction(difference(self.derivs[-1] if given else self.fn),
+                                smoothness=0, label=label)
+        raise SmoothnessError(
+            f"{name} has derivatives to order {given} and one difference "
+            f"reaches order {given + 1}, cannot take derivative of order {k}"
+        )
 
     def deriv_value(self, k, x):
         return self.derivative(k)(x)
 
 
-def _fd_derivative(f):
-    def d(x, f=f):
+def difference(fn):
+    """The five-point difference quotient of fn, with step 1e-5 * max(1, |x|):
+    the package's one difference quotient."""
+    def d(x):
         h = 1e-5 * np.maximum(1.0, np.abs(x))
-        return (f(x - 2 * h) - 8 * f(x - h) + 8 * f(x + h) - f(x + 2 * h)) / (12 * h)
+        return (fn(x - 2 * h) - 8 * fn(x - h) + 8 * fn(x + h) - fn(x + 2 * h)) / (12 * h)
 
-    new_smooth = C_INF if f.smoothness == C_INF else max(f.smoothness - 1, 0)
-    return RealFunction(d, smoothness=new_smooth, label=f"fd[{f.label}]")
+    return d
 
 
 def const_function(c, label=None):
     c = float(c)
-    zero = RealFunction(lambda x: 0.0, smoothness=C_INF, label="0")
     return RealFunction(
         lambda x, c=c: c,
-        derivs=(zero.fn,),
         smoothness=C_INF,
         label=label if label is not None else f"{c:g}",
+        nth_deriv=lambda k: lambda x: 0.0,
     )
 
 
@@ -231,27 +234,6 @@ class VirtualFunction:
             return None
         return from_sequence(lambda n: self.support_radius(n))
 
-    def derivative(self):
-        if self.smoothness != C_INF and self.smoothness < 1:
-            raise SmoothnessError(
-                f"{self.label or 'virtual function'} is not differentiable"
-            )
-        return self._fd_rank_derivative()
-
-    def _fd_rank_derivative(self):
-        # Step tied to the support so the kernel's internal structure is
-        # resolved at every rank.
-        def d(n, x, vf=self):
-            r = vf.support_radius(n)
-            h = (r / 64.0) if r else 1e-6 * np.maximum(1.0, np.abs(x))
-            return (vf.rank_eval(n, x + h) - vf.rank_eval(n, x - h)) / (2 * h)
-
-        new_smooth = C_INF if self.smoothness == C_INF else self.smoothness - 1
-        return VirtualFunction(
-            d, support=self._support, smoothness=new_smooth,
-            label=f"d/dx {self.label}",
-        )
-
     def translate(self, b):
         """Shift the argument by the finite real b: x -> x - b."""
         b = float(b)
@@ -290,16 +272,15 @@ class DiracKernel(VirtualFunction):
     """Kernel family n * p(n x) for a fixed profile p on [lo, hi].
 
     With `order` k > 0 the family is the kernel's k-th derivative,
-    n^(k+1) p(n x) where p is then the profile's k-th derivative.
-    `profile_cuts` are the panel edges of its fixed-node quadrature: the
-    support's ends and middle, u = 0, and any `cuts` given (a mixture
-    passes its parts' edges).  `derivative(k)` is built once per order and
+    n^(k+1) p(n x) where p is then the profile's k-th derivative; its
+    smoothness is the profile's.  `profile_cuts` are the panel edges of its
+    fixed-node quadrature: the support's ends and middle, u = 0, and any
+    `cuts` given (a mixture passes its parts' edges).  `derivative(k)` is built once per order and
     kept on the kernel, so its profile, the key of the node-value cache in
     vintegral, is the same object at every rank.
     """
 
-    def __init__(self, profile, profile_support, smoothness, name, params=None,
-                 order=0, cuts=()):
+    def __init__(self, profile, profile_support, name, params=None, order=0, cuts=()):
         self.profile = profile
         self.profile_support = (float(profile_support[0]), float(profile_support[1]))
         self.name = name
@@ -313,23 +294,18 @@ class DiracKernel(VirtualFunction):
         super().__init__(
             lambda n, x, p=profile, k=self.order: n ** (k + 1) * p(n * x),
             support=lambda n, lo=lo, hi=hi: (lo / n, hi / n),
-            smoothness=smoothness,
+            smoothness=profile.smoothness,
             label=name,
         )
 
     def derivative(self, order=1):
-        """Rank family of the order-th derivative: n^{k+1} p^{(k)}(n x)."""
+        """Rank family of the order-th derivative: n^{k+1} p^{(k)}(n x);
+        `profile.derivative` decides whether it exists."""
         if order == 0:
             return self
         if order not in self._derivatives:
-            if self.smoothness != C_INF and self.smoothness < order:
-                raise SmoothnessError(
-                    f"kernel {self.name!r} (C^{self.smoothness}) is not "
-                    f"{order}-times differentiable"
-                )
-            new_smooth = C_INF if self.smoothness == C_INF else self.smoothness - order
             self._derivatives[order] = DiracKernel(
-                self.profile.derivative(order), self.profile_support, new_smooth,
+                self.profile.derivative(order), self.profile_support,
                 f"{self.name}^({order})", self.params, order=self.order + order,
                 cuts=self.profile_cuts)
         return self._derivatives[order]
@@ -337,7 +313,7 @@ class DiracKernel(VirtualFunction):
 
 def bump_delta():
     """Smooth bump kernel: n * p(n x) with p the normalized C-inf bump."""
-    return DiracKernel(_BUMP_PROFILE, (-1.0, 1.0), C_INF, "bump")
+    return DiracKernel(_BUMP_PROFILE, (-1.0, 1.0), "bump")
 
 
 def square_delta():
@@ -350,7 +326,7 @@ def square_delta():
         return out
 
     profile = RealFunction(p, smoothness=DISCONTINUOUS, label="square")
-    return DiracKernel(profile, (-1.0, 1.0), DISCONTINUOUS, "square")
+    return DiracKernel(profile, (-1.0, 1.0), "square")
 
 
 def _shift_profile(base, shift):
@@ -370,7 +346,7 @@ def shifted_delta(direction="+"):
     profile = _shift_profile(_BUMP_PROFILE, s)
     support = (s - 1.0, s + 1.0)
     name = "plus" if direction == "+" else "minus"
-    return DiracKernel(profile, support, C_INF, name)
+    return DiracKernel(profile, support, name)
 
 
 def mixture(d1, d2):
@@ -386,14 +362,13 @@ def mixture(d1, d2):
     def average(f1, f2):
         return lambda x: 0.5 * (np.asarray(f1(x)) + np.asarray(f2(x)))
 
-    smooth = min(d1.smoothness, d2.smoothness)
     profile = RealFunction(
-        average(p1.fn, p2.fn), smoothness=smooth,
+        average(p1.fn, p2.fn), smoothness=min(d1.smoothness, d2.smoothness),
         label=f"mix[{p1.label},{p2.label}]",
         nth_deriv=lambda k: average(p1.derivative(k).fn, p2.derivative(k).fn))
     lo = min(d1.profile_support[0], d2.profile_support[0])
     hi = max(d1.profile_support[1], d2.profile_support[1])
-    return DiracKernel(profile, (lo, hi), smooth, "mixture",
+    return DiracKernel(profile, (lo, hi), "mixture",
                        params={"of": [d1.name, d2.name]},
                        cuts=d1.profile_cuts + d2.profile_cuts)
 

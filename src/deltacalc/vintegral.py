@@ -312,6 +312,10 @@ def profile_integral(d, n, a, weight, ulo=-math.inf, uhi=math.inf):
     ulo, uhi = max(plo, ulo), min(phi, uhi)
     if uhi <= ulo:
         return 0.0
+    if d.order and weight is not None and a + ulo / n == a + uhi / n:
+        # w would be read at one point, and a derivative kernel give 0.
+        raise QuadratureError(f"at rank n={n}, every node a + u/n of a derivative "
+                              f"kernel rounds to its shift a={a:g}", rank=n)
     value = _fixed_rule(d, n, a, weight, ulo, uhi)
     if value is not None:
         return value
@@ -346,31 +350,23 @@ def sift(d, f, a=0.0, schedule=DEFAULT_SCHEDULE, tol=1e-9):
 def sift_derivative(d, k, f, a=0.0, schedule=SHORT_SCHEDULE, tol=1e-9):
     """Reduce the integral of d_n^{(k)}(x - a) f(x) = (-1)^k f^{(k)}(a).
 
-    Requires a k-times differentiable kernel and a k-times differentiable f.
-    The default schedule stops at moderate ranks: the integrand magnitude
-    grows like n^k and higher ranks lose the O(1) answer to cancellation.
+    Requires a profile kernel whose profile has a k-th derivative and a
+    k-times differentiable f.  The default schedule stops at moderate
+    ranks: the integrand magnitude grows like n^k and higher ranks lose the
+    O(1) answer to cancellation.
     """
     k = int(k)
     if k < 0:
         raise ValueError("derivative order must be >= 0")
-    if d.smoothness != C_INF and d.smoothness < k:
-        raise SmoothnessError(
-            f"kernel {getattr(d, 'name', d.label)!r} is not {k}-times differentiable"
-        )
+    if not isinstance(d, DiracKernel):
+        raise TypeError("sift_derivative requires a profile-based Dirac kernel")
+    dk = d.derivative(k)
     if isinstance(f, RealFunction) and f.smoothness != C_INF and f.smoothness < k:
         raise SmoothnessError(
             f"test function {f.label!r} is only C^{f.smoothness}, "
             f"needs C^{k} around a={a:g}"
         )
-    dk = d.derivative(k) if isinstance(d, DiracKernel) else _iter_derivative(d, k)
     return sift(dk, f, a=a, schedule=schedule, tol=tol)
-
-
-def _iter_derivative(vf, k):
-    out = vf
-    for _ in range(k):
-        out = out.derivative()
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +460,7 @@ def convolve(d1, d2):
                                     d2.profile, d2.profile_support)
     profile = RealFunction(prof_fn, smoothness=1,
                            label=f"conv[{d1.profile.label},{d2.profile.label}]")
-    return DiracKernel(profile, support, 1, "convolution",
+    return DiracKernel(profile, support, "convolution",
                        params={"of": [d1.name, d2.name]})
 
 

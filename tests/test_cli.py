@@ -82,6 +82,56 @@ def test_factor_product_has_exact_derivatives():
     assert payload["strength"] == {"order": 2}
 
 
+@pytest.mark.parametrize("text, n, a, g_deriv", [
+    ("exp(x)*ddelta(x-1,7)", 7, 1.0, lambda j: math.e),
+    ("x^9*ddelta(x-1,8)", 8, 1.0, lambda j: float(math.perm(9, j))),
+    ("sin(x)*ddelta(x,6)", 6, 0.0, lambda j: (0.0, 1.0, 0.0, -1.0)[j % 4]),
+])
+def test_high_order_normal_form_is_exact(text, n, a, g_deriv):
+    # The binomial rule's coefficients (-1)^(n+i) C(n,i) g^(n-i)(a), exact
+    # zeros left out.  Orders past 4 were differences of differences: c0
+    # read -2.46108 for exp (truth -e) and -4.96056e+07 for x^9 (truth 9!),
+    # and sin gained a spurious -7.4e-12 delta(x).
+    want = [(c, i) for i in range(n + 1)
+            if (c := (-1.0) ** (n + i) * math.comb(n, i) * g_deriv(n - i)) != 0.0]
+    got = _simplify_json(text)["terms"]
+    assert [(t["k"], t["a"]) for t in got] == [(i, a) for _c, i in want]
+    for t, (c, _i) in zip(got, want):
+        assert abs(t["c"] - c) <= 1e-12 * abs(c), (t, c)
+
+
+def test_difference_of_a_difference_is_refused():
+    # x^x has no derivative rule: one difference serves order 1 only.
+    status, out, err = run(["simplify", "x^x*ddelta(x-1,2)"])
+    assert status == 1 and out == ""
+    assert "error (engine)" in err and "order 2" in err
+
+
+@pytest.mark.parametrize("text, want", [
+    ("x^x*ddelta(x-1,1)", "-1·δ(x−1) + 1·δ′(x−1)   [order 1]"),
+    ("delta(abs(x)-1)", "1·δ(x+1) + 1·δ(x−1)   [strong]"),
+])
+def test_one_difference_still_serves(text, want):
+    # Order 1 of x^x, and the root slopes of the C^0 abs(x)-1.
+    status, out, err = run(["simplify", text])
+    assert status == 0, err
+    assert out.strip() == want
+
+
+def test_non_finite_derivative_coefficient_is_refused():
+    # The quotient rule squares atan's denominator at every order: at order
+    # 14 the tree overflows to nan at 0.3, a coefficient no term may carry.
+    status, out, err = run(["simplify", "atan(x)*ddelta(x-0.3,14)"])
+    assert status == 1 and out == ""
+    assert "not finite" in err
+
+
+def test_discontinuous_kernel_has_no_derivative():
+    status, out, err = run(["integrate", "x*ddelta(x,1)", "--kernel", "square"])
+    assert status == 1 and out == ""
+    assert "square is only C^-1, cannot take derivative of order 1" in err
+
+
 @pytest.mark.parametrize("text", ["delta(x)+0*x", "delta(x)+(2-2)*x",
                                   "delta(x)+0/(x+3)"])
 def test_folded_zero_summand_is_structural_zero(text):
@@ -166,6 +216,24 @@ def test_far_shift_inside_one_finite_bound_sifts_whole(expr, bounds):
     payload = json.loads(out)
     assert payload["variant"] == "reduced"
     assert all(abs(v - 1.0) <= 1e-9 for _n, v in payload["rank_values"])
+
+
+@pytest.mark.parametrize("shift", ["1e19", "1e15"])
+def test_far_shifted_derivative_kernel_is_refused(shift):
+    # Every node a + u/n rounds to a, so w is read at one point and the
+    # rank integral was exactly 0 (the truth is -1).
+    status, out, err = run(["integrate", f"x*ddelta(x-{shift},1)"])
+    assert status == 1 and out == ""
+    assert "error (engine)" in err and f"a={float(shift):g}" in err
+
+
+def test_far_shifted_derivative_kernel_alone_integrates_to_zero():
+    # Without a weight no node is read: the integral of a kernel
+    # derivative is 0 at any shift.
+    status, out, err = run(["integrate", "ddelta(x-1e19,1)", "--json"])
+    assert status == 0, err
+    payload = json.loads(out)
+    assert payload["variant"] == "reduced" and payload["value"] == 0.0
 
 
 @pytest.mark.parametrize("bound", ["--lower=inf", "--lower=nan", "--upper=-inf"])

@@ -413,10 +413,10 @@ def test_compiled_corpus_and_derivatives(text):
     tree = parse(text)
     f = to_real_function(tree)
     _check_compiled(tree, f.fn)
-    d = tree
-    for deriv in f.derivs:
-        d = _diff(d)
-        _check_compiled(d, deriv)
+    chain = _eager_chain(tree) if f.smoothness == math.inf else []
+    assert (f.nth_deriv is not None) == bool(chain)
+    for k, d in enumerate(chain, start=1):
+        _check_compiled(d, f.derivative(k).fn)
 
 
 def test_scalar_arithmetic_error_is_expression_error():
@@ -438,7 +438,7 @@ def test_constant_tree_broadcasts_over_arrays():
 
 # -- derivative trees are built on demand ----------------------------------
 
-def _eager_chain(tree, depth=4):
+def _eager_chain(tree, depth=5):
     """The derivative trees to `depth`, each derived as soon as the last."""
     trees = []
     try:
@@ -463,10 +463,11 @@ def test_lazy_derivatives_equal_the_eager_chain(text):
     tree = parse(text)
     f = to_real_function(tree)
     eager = _eager_chain(tree) if f.smoothness == math.inf else []
-    assert len(f.derivs) == len(eager)
+    assert (f.nth_deriv is not None) == bool(eager)
     xs = np.array(_POINTS)
     # Highest order first: it derives the orders below it on the way.
-    for deriv, d in reversed(list(zip(f.derivs, eager))):
+    for k, d in reversed(list(enumerate(eager, start=1))):
+        deriv = f.derivative(k).fn
         want = _compile(d, "eager")
         with np.errstate(all="ignore"):
             assert np.array_equal(deriv(xs), want(xs), equal_nan=True), text
@@ -490,10 +491,36 @@ def test_derivative_trees_wait_for_their_first_call(monkeypatch):
     one_pass = len(calls)
     calls.clear()
     comp = parse_expression("delta(x^3-2*x+1)")
-    assert isinstance(comp, CompTerm) and len(comp.inner.derivs) == 4
+    assert isinstance(comp, CompTerm) and comp.inner.nth_deriv is not None
     assert len(calls) == one_pass
     assert comp.inner.derivative(3)(0.5) == 6.0
     assert len(calls) > one_pass
     seen = len(calls)
     assert comp.inner.derivative(2)(0.5) == 3.0
     assert len(calls) == seen
+
+
+def test_high_order_derivatives_are_derived_from_shared_trees(monkeypatch):
+    # As a tree, the 10th derivative of a product of four factors has 71
+    # million nodes: the product rule doubles its terms at every order.
+    # Derived from trees whose equal subtrees are one object, it is made of
+    # about 2,100 objects.
+    from deltacalc import exprlang
+
+    mpmath = pytest.importorskip("mpmath")
+    compiled, real = [], exprlang._compile
+    monkeypatch.setattr(exprlang, "_compile",
+                        lambda node, label: compiled.append(node) or real(node, label))
+    f = to_real_function(parse("exp(x)*sin(x)*cos(x)*atan(x)"))
+    got = f.derivative(10)(0.3)
+    seen, todo = set(), [compiled[-1]]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(exprlang._children(node))
+    assert len(seen) < 3000
+    with mpmath.workdps(30):
+        want = float(mpmath.diff(lambda t: mpmath.exp(t) * mpmath.sin(t) * mpmath.cos(t)
+                                 * mpmath.atan(t), 0.3, 10))
+    assert abs(got - want) <= 1e-12 * abs(want)

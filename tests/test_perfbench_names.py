@@ -40,6 +40,16 @@ def test_traced_real_function_fields_exist():
     assert set(deltacalc.cli.BATTERIES) == {"standard", "sift"}
 
 
+def test_traced_expression_keeps_its_derivative_rule():
+    # Tracer._wrap_real_function replaces `fn` and `derivs`; an expression's
+    # derivatives come from its rule, `nth_deriv`, which the copy keeps.
+    from deltacalc.exprlang import parse, to_real_function
+
+    rf = to_real_function(parse("x^3-2*x"))
+    traced = dataclasses.replace(rf, fn=lambda x, f=rf.fn: f(x), derivs=())
+    assert traced.derivative(3)(0.5) == 6.0
+
+
 def test_traced_reduce_sequence_arguments_exist():
     # Tracer._after_reduce_sequence compares len(result.rank_values) with
     # the length of the call's first argument, the schedule.

@@ -33,6 +33,25 @@ def test_real_function_fd_fallback():
     assert abs(f.deriv_value(1, 2.0) - 12.0) < 1e-7
 
 
+def test_one_difference_past_the_rules_then_refusal():
+    f = RealFunction(lambda x: x**3, label="x^3")
+    with pytest.raises(SmoothnessError, match="order 2"):
+        f.derivative(2)
+    # A difference quotient is never differenced again.
+    with pytest.raises(SmoothnessError, match="order 1"):
+        f.derivative(1).derivative(1)
+    g = RealFunction(math.sin, derivs=(math.cos,), label="sin")
+    assert abs(g.derivative(2)(0.5) + math.sin(0.5)) < 1e-8
+    with pytest.raises(SmoothnessError, match="order 3"):
+        g.derivative(3)
+
+
+def test_constant_has_every_derivative():
+    from deltacalc.vfun import const_function
+
+    assert const_function(3.0).derivative(6)(1.5) == 0.0
+
+
 def test_smoothness_gate():
     f = RealFunction(abs, smoothness=0, label="|x|")
     with pytest.raises(SmoothnessError):
@@ -163,7 +182,7 @@ def test_check_dirac_rejects_wrong_mass():
 
     doubled = RealFunction(lambda x: 2.0 * _BUMP_PROFILE.fn(x),
                            smoothness=C_INF, label="2*bump")
-    k = DiracKernel(doubled, (-1.0, 1.0), C_INF, "double")
+    k = DiracKernel(doubled, (-1.0, 1.0), "double")
     res = check_dirac(k)
     assert not res.ok
     assert res.condition == "ii"

@@ -152,6 +152,20 @@ def test_sift_derivative_smoothness_gates(bump, square):
         dc.sift_derivative(square, 1, math.sin, a=0.0)
 
 
+def test_sift_derivative_needs_a_profile_kernel():
+    with pytest.raises(TypeError):
+        dc.sift_derivative(dc.cauchy_psi(), 1, math.sin)
+
+
+def test_kernel_smoothness_is_its_profiles(conv):
+    # The contraction's profile is C^1: one difference serves order 1.
+    assert conv.smoothness == 1 and conv.derivative(1).smoothness == 0
+    with pytest.raises(SmoothnessError, match="order 2"):
+        conv.derivative(2)
+    with pytest.raises(SmoothnessError, match="order 1"):
+        conv.derivative(1).derivative(1)
+
+
 # -- irreducible and undetermined outcomes ---------------------------------
 
 def test_constant_offset_is_irreducible(bump):
@@ -485,7 +499,7 @@ def test_convolve_cache_keys_on_the_profiles(monkeypatch):
     monkeypatch.setattr(vintegral, "_profile_convolution", stub)
     for c in range(8):
         p = RealFunction(lambda u, c=c: c + 0.0 * np.asarray(u), label=f"p{c}")
-        d = dc.DiracKernel(p, (-1.0, 1.0), C_INF, f"k{c}")
+        d = dc.DiracKernel(p, (-1.0, 1.0), f"k{c}")
         assert dc.convolve(d, d).profile.fn.inputs == (p.fn, p.fn)
 
 
