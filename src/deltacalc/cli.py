@@ -207,6 +207,8 @@ def _cmd_equiv(args, cfg, out):
     else:
         human = (f"IrreducibleSide: {verdict.side} does not reduce against "
                  f"{verdict.witness}")
+    if verdict.skipped:
+        human += f"; skipped, not finite at a shift: {', '.join(verdict.skipped)}"
     payload["human"] = human
     _emit(payload, args, out)
     return 0

@@ -336,6 +336,12 @@ def _diff(node):
             if n.op == "*":
                 return _add(_mul(d(a), b), _mul(a, d(b)))
             if n.op == "/":
+                if isinstance(b, Bin) and b.op == "^" and isinstance(b.right, Num):
+                    # a / v^p: (a' v - p a v') / v^(p+1), so that order k
+                    # holds v^(k+1) where squaring would give v^(2^k).
+                    v, p = b.left, b.right.value
+                    num = Bin("-", _mul(d(a), v), _mul(_mul(Num(p), a), d(v)))
+                    return Bin("/", num, Bin("^", v, Num(p + 1.0)))
                 num = Bin("-", _mul(d(a), b), _mul(a, d(b)))
                 return Bin("/", num, Bin("^", b, Num(2.0)))
             if n.op == "^":
@@ -466,8 +472,11 @@ def _compile(node, label):
         try:
             value = scalar_f(x)
         except (ZeroDivisionError, OverflowError, TypeError) as exc:
-            # TypeError: a complex value reached a math function.
-            raise ExpressionError(f"cannot evaluate {label} at x={x!r}: {exc}") from exc
+            # TypeError: a complex value reached a math function.  A float
+            # `**` overflows with the bare errno pair (34, '...').
+            reason = ("result out of range"
+                      if isinstance(exc, OverflowError) and len(exc.args) == 2 else exc)
+            raise ExpressionError(f"cannot evaluate {label} at x={x!r}: {reason}") from exc
         if isinstance(value, complex):
             raise ExpressionError(f"cannot evaluate {label} at x={x!r}: value is not real")
         return float(value)

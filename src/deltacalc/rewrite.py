@@ -410,6 +410,7 @@ class EquivalenceVerdict:
     battery_size: int = 0
     max_deviation: float | None = None
     side: str = ""
+    skipped: tuple = ()  # labels of battery members not finite at a shift
 
     @property
     def consistent(self):
@@ -425,7 +426,16 @@ class EquivalenceVerdict:
                        max_deviation=self.max_deviation)
         else:
             out.update(side=self.side, witness=self.witness)
+        if self.skipped:
+            out["skipped"] = list(self.skipped)
         return out
+
+
+def _finite_at(f, x):
+    try:
+        return math.isfinite(f(x))
+    except (ArithmeticError, DeltaCalcError):
+        return False
 
 
 def check_equivalence(lhs, rhs, kernel=None, battery=None, tol=1e-7,
@@ -433,33 +443,41 @@ def check_equivalence(lhs, rhs, kernel=None, battery=None, tol=1e-7,
     """Decide Dirac equivalence of two expressions against a test battery.
 
     A finite battery can only ever certify "consistent"; any irreducible
-    side or any deviation beyond 10*tol is decisive the other way.
+    side or any deviation beyond 10*tol is decisive the other way.  A
+    member that is not finite at some delta term's shift (exp(x) past
+    x ~ 709) is skipped and named in the verdict's `skipped`.
     """
     battery = standard_battery() if battery is None else battery
     if order is not None:
         battery = [f for f in battery if f.smoothness >= order]
     if not battery:
         raise ValueError("battery must be nonempty")
+    shifts = {atom.shift for _c, _f, atom in _atoms(lhs) + _atoms(rhs)
+              if isinstance(atom, DeltaTerm)}
+    finite = [all(_finite_at(f, a) for a in shifts) for f in battery]
+    skipped = tuple(f.label for f, ok in zip(battery, finite) if not ok)
+    battery = [f for f, ok in zip(battery, finite) if ok]
+    if not battery:
+        raise DeltaCalcError("no test function is finite at the shifts "
+                             + ", ".join(f"{a:g}" for a in sorted(shifts)))
+    verdict = functools.partial(EquivalenceVerdict, skipped=skipped)
     max_dev = 0.0
     for f in battery:
         left = reduce_expr_integral(lhs, weight=f, kernel=kernel,
                                     schedule=schedule, tol=tol, window=window)
         if not left.reduced:
-            return EquivalenceVerdict("irreducible_side", side="lhs",
-                                      witness=f.label)
+            return verdict("irreducible_side", side="lhs", witness=f.label)
         right = reduce_expr_integral(rhs, weight=f, kernel=kernel,
                                      schedule=schedule, tol=tol, window=window)
         if not right.reduced:
-            return EquivalenceVerdict("irreducible_side", side="rhs",
-                                      witness=f.label)
+            return verdict("irreducible_side", side="rhs", witness=f.label)
         dev = abs(left.value - right.value)
         if dev > 10.0 * tol:
-            return EquivalenceVerdict("distinct", witness=f.label,
-                                      lhs_value=left.value,
-                                      rhs_value=right.value)
+            return verdict("distinct", witness=f.label, lhs_value=left.value,
+                           rhs_value=right.value)
         max_dev = max(max_dev, dev)
-    return EquivalenceVerdict("consistent_equivalent",
-                              battery_size=len(battery), max_deviation=max_dev)
+    return verdict("consistent_equivalent", battery_size=len(battery),
+                   max_deviation=max_dev)
 
 
 # ---------------------------------------------------------------------------

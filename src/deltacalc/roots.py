@@ -11,7 +11,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import DeltaCalcError, RewriteError
 from .vfun import RealFunction, difference, on_points
@@ -109,6 +108,8 @@ def _boundary(inside, x_in, x_out, end=False):
 def _crossing(fn, lo, hi, ends):
     """The root where g changes sign between lo and hi (brentq), or None at
     a pole: where g fails, or |g| ends up above its values `ends` there."""
+    from scipy.optimize import brentq
+
     try:
         x = brentq(fn, float(lo), float(hi), xtol=1e-14, rtol=8.9e-16)
         return float(x) if abs(fn(x)) <= np.min(np.abs(ends)) else None
@@ -148,6 +149,8 @@ class Scan:
                                   & (level[1:-1] < 0.05 * self.scale))
         dips = []
         for i, j in zip(starts[runs] - 1, ends[runs] + 1):
+            from scipy.optimize import minimize_scalar
+
             res = minimize_scalar(lambda x: abs(fn(float(x))),
                                   bounds=(float(xs[i]), float(xs[j])),
                                   method="bounded")

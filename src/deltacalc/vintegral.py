@@ -15,8 +15,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.interpolate import CubicSpline
 
 from .errors import QuadratureError, SmoothnessError
 from .limits import (
@@ -111,9 +109,20 @@ def reduce_sequence(schedule, value_fn, tol):
 # Per-rank quadrature
 # ---------------------------------------------------------------------------
 
+def quad(f, a, b, **kwargs):
+    """SciPy's adaptive quad, imported when called, so that importing the
+    package loads no SciPy.  `_quad_piece` looks this name up when it runs,
+    so rebinding it reaches every call."""
+    from scipy.integrate import quad
+
+    return quad(f, a, b, **kwargs)
+
+
 def _quad_piece(f, a, b, points=None):
     if b <= a:
         return 0.0
+    from scipy.integrate import IntegrationWarning
+
     try:
         with warnings.catch_warnings():
             # Roundoff warnings are routine for near-zero integrands at the
@@ -387,6 +396,8 @@ def _profile_convolution(p1, s1, p2, s2):
     doubles until two refinements agree within _CONV_TOL at the coarser
     grid's nodes.
     """
+    from scipy.interpolate import CubicSpline
+
     lo, hi = s1[0] + s2[0], s1[1] + s2[1]
 
     def conv_at(us):

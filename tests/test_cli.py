@@ -100,6 +100,23 @@ def test_high_order_normal_form_is_exact(text, n, a, g_deriv):
         assert abs(t["c"] - c) <= 1e-12 * abs(c), (t, c)
 
 
+@pytest.mark.parametrize("g, n", [("1/(1+x^2)", 16), ("atan(x)", 14), ("atan(x)", 16)])
+def test_quotient_derivatives_stay_finite_at_high_order(g, n):
+    # The quotient rule squared the denominator at every order, so order k
+    # held (1+x^2)^(2^k): order 16 of 1/(1+x^2) overflowed a float power
+    # (exit 1) and atan's order-14 coefficients were refused as not finite.
+    mpmath = pytest.importorskip("mpmath")
+    exact = {"1/(1+x^2)": lambda t: 1 / (1 + t * t), "atan(x)": mpmath.atan}[g]
+    got = _simplify_json(f"{g}*ddelta(x-0.3,{n})")["terms"]
+    assert [t["k"] for t in got] == list(range(n + 1))
+    with mpmath.workdps(40):
+        for t in got:
+            i = t["k"]
+            want = float((-1) ** (n + i) * math.comb(n, i)
+                         * mpmath.diff(exact, mpmath.mpf(0.3), n - i))
+            assert abs(t["c"] - want) <= 1e-12 * abs(want), (t, want)
+
+
 def test_difference_of_a_difference_is_refused():
     # x^x has no derivative rule: one difference serves order 1 only.
     status, out, err = run(["simplify", "x^x*ddelta(x-1,2)"])
@@ -119,9 +136,9 @@ def test_one_difference_still_serves(text, want):
 
 
 def test_non_finite_derivative_coefficient_is_refused():
-    # The quotient rule squares atan's denominator at every order: at order
-    # 14 the tree overflows to nan at 0.3, a coefficient no term may carry.
-    status, out, err = run(["simplify", "atan(x)*ddelta(x-0.3,14)"])
+    # (e^x)^2 has the derivative 2e^800 at 400: the product overflows to
+    # inf, a coefficient no term may carry.
+    status, out, err = run(["simplify", "exp(x)*exp(x)*ddelta(x-400,1)"])
     assert status == 1 and out == ""
     assert "not finite" in err
 
@@ -264,6 +281,24 @@ def test_equiv_far_shifted_delta_is_not_zero():
     payload = json.loads(out)
     assert payload["variant"] == "distinct"
     assert abs(payload["lhs"] - 1.0) <= 1e-9 and payload["rhs"] == 0.0
+
+
+def test_equiv_far_shift_skips_members_that_overflow():
+    # exp(x) overflows at x ~ 709.8, so the rank integrals against it failed
+    # and the command exited 1; the member is skipped and named.
+    status, out, err = run(["equiv", "delta(x-800)", "delta(x-800)", "--json"] + FAST)
+    assert status == 0, err
+    payload = json.loads(out)
+    assert payload["variant"] == "consistent_equivalent"
+    assert payload["battery"] == 19 and payload["skipped"] == ["exp(+x)"]
+    status, out, err = run(["equiv", "delta(x-800)", "delta(x-800)"] + FAST)
+    assert status == 0, err
+    assert out.strip().endswith("skipped, not finite at a shift: exp(+x)")
+
+
+def test_equiv_without_skips_has_no_skipped_field():
+    status, out, _ = run(["equiv", "delta(x-1)", "delta(x-1)", "--json"] + FAST)
+    assert status == 0 and "skipped" not in json.loads(out)
 
 
 # -- check-dirac / probe-kernels -------------------------------------------
@@ -476,6 +511,15 @@ def test_complex_inner_function_is_engine_error():
     assert status == 1
     assert "error (engine)" in err and "x^2.5-1" in err and "not real" in err
     assert "float() argument" not in err
+
+
+def test_power_overflow_reads_as_out_of_range():
+    # A float `**` overflows with the bare pair (34, 'Numerical result out
+    # of range'); the message says what happened in words.
+    status, out, err = run(["integrate", "x^400*delta(x-10)"])
+    assert status == 1 and out == ""
+    assert "error (engine)" in err and "x^400" in err and "result out of range" in err
+    assert "(34" not in err and "Numerical" not in err
 
 
 @pytest.mark.parametrize("text", ["x+1e999", "delta(x*1e999)", "ddelta(x,1e999)"])

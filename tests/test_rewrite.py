@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from deltacalc.errors import ExpressionError, RewriteError, SmoothnessError
+from deltacalc.errors import DeltaCalcError, ExpressionError, RewriteError, SmoothnessError
 from deltacalc.limits import SHORT_SCHEDULE
 from deltacalc.rewrite import (
     STRONG,
@@ -297,6 +297,21 @@ def test_order_filter_drops_kink(bump):
     verdict = check_equivalence(DeltaTerm(), DeltaTerm(), kernel=bump, order=1,
                                 schedule=SHORT_SCHEDULE)
     assert verdict.consistent and verdict.battery_size == 19
+
+
+def test_member_not_finite_at_a_shift_is_skipped(bump):
+    overflows = _rf(math.exp, math.exp, label="exp(x)")
+    one = const_function(1.0, label="1")
+    lhs = rhs = DeltaTerm(0, 800.0)
+    verdict = check_equivalence(lhs, rhs, kernel=bump, battery=[overflows, one],
+                                schedule=SHORT_SCHEDULE)
+    assert verdict.consistent and verdict.battery_size == 1
+    assert verdict.skipped == ("exp(x)",)
+    assert verdict.to_json()["skipped"] == ["exp(x)"]
+    # With no member left there is nothing to compare: refused.
+    with pytest.raises(DeltaCalcError, match="no test function is finite at the shifts 800"):
+        check_equivalence(lhs, rhs, kernel=bump, battery=[overflows],
+                          schedule=SHORT_SCHEDULE)
 
 
 def test_batteries_sizes():

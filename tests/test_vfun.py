@@ -66,6 +66,17 @@ def test_bump_normalization_constant():
     assert abs(BUMP_NORMALIZATION - 2.25228362104358) < 1e-12
 
 
+def test_bump_normalization_literal_matches_quad():
+    # The constant is written out so that importing the package needs no
+    # SciPy; it is the float adaptive quad gives at 1e-14.
+    from scipy.integrate import quad
+
+    from deltacalc.vfun import _raw_bump
+
+    val, _ = quad(_raw_bump, -1.0, 1.0, epsabs=1e-14, epsrel=1e-14, limit=200)
+    assert abs(BUMP_NORMALIZATION - 1.0 / val) <= 1e-14 * BUMP_NORMALIZATION
+
+
 def test_bump_center_value(bump):
     # f_n(0) = n * c / e with c the normalization constant.
     for n in (16, 1024):
