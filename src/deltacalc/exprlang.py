@@ -336,14 +336,13 @@ def _diff(node):
             if n.op == "*":
                 return _add(_mul(d(a), b), _mul(a, d(b)))
             if n.op == "/":
-                if isinstance(b, Bin) and b.op == "^" and isinstance(b.right, Num):
-                    # a / v^p: (a' v - p a v') / v^(p+1), so that order k
-                    # holds v^(k+1) where squaring would give v^(2^k).
-                    v, p = b.left, b.right.value
-                    num = Bin("-", _mul(d(a), v), _mul(_mul(Num(p), a), d(v)))
-                    return Bin("/", num, Bin("^", v, Num(p + 1.0)))
-                num = Bin("-", _mul(d(a), b), _mul(a, d(b)))
-                return Bin("/", num, Bin("^", b, Num(2.0)))
+                # a / v^p: (a' v - p a v') / v^(p+1), so that order k
+                # holds v^(k+1) where squaring b would give v^(2^k).
+                v, p = ((b.left, b.right.value)
+                        if isinstance(b, Bin) and b.op == "^" and isinstance(b.right, Num)
+                        else (b, 1.0))
+                num = Bin("-", _mul(d(a), v), _mul(_mul(Num(p), a), d(v)))
+                return Bin("/", num, Bin("^", v, Num(p + 1.0)))
             if n.op == "^":
                 if not isinstance(b, Num):
                     raise ExpressionError(

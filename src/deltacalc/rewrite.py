@@ -444,8 +444,9 @@ def check_equivalence(lhs, rhs, kernel=None, battery=None, tol=1e-7,
 
     A finite battery can only ever certify "consistent"; any irreducible
     side or any deviation beyond 10*tol is decisive the other way.  A
-    member that is not finite at some delta term's shift (exp(x) past
-    x ~ 709) is skipped and named in the verdict's `skipped`.
+    member whose integrals fail and that is not finite at some delta
+    term's shift (exp(x) past x ~ 709) is skipped and named in the
+    verdict's `skipped`.
     """
     battery = standard_battery() if battery is None else battery
     if order is not None:
@@ -454,21 +455,25 @@ def check_equivalence(lhs, rhs, kernel=None, battery=None, tol=1e-7,
         raise ValueError("battery must be nonempty")
     shifts = {atom.shift for _c, _f, atom in _atoms(lhs) + _atoms(rhs)
               if isinstance(atom, DeltaTerm)}
-    finite = [all(_finite_at(f, a) for a in shifts) for f in battery]
-    skipped = tuple(f.label for f, ok in zip(battery, finite) if not ok)
-    battery = [f for f, ok in zip(battery, finite) if ok]
-    if not battery:
-        raise DeltaCalcError("no test function is finite at the shifts "
-                             + ", ".join(f"{a:g}" for a in sorted(shifts)))
-    verdict = functools.partial(EquivalenceVerdict, skipped=skipped)
+    skipped = []
+
+    def verdict(*args, **kw):
+        return EquivalenceVerdict(*args, skipped=tuple(skipped), **kw)
+
     max_dev = 0.0
     for f in battery:
-        left = reduce_expr_integral(lhs, weight=f, kernel=kernel,
-                                    schedule=schedule, tol=tol, window=window)
-        if not left.reduced:
-            return verdict("irreducible_side", side="lhs", witness=f.label)
-        right = reduce_expr_integral(rhs, weight=f, kernel=kernel,
-                                     schedule=schedule, tol=tol, window=window)
+        try:
+            left = reduce_expr_integral(lhs, weight=f, kernel=kernel,
+                                        schedule=schedule, tol=tol, window=window)
+            if not left.reduced:
+                return verdict("irreducible_side", side="lhs", witness=f.label)
+            right = reduce_expr_integral(rhs, weight=f, kernel=kernel,
+                                         schedule=schedule, tol=tol, window=window)
+        except (ArithmeticError, DeltaCalcError):
+            if all(_finite_at(f, a) for a in shifts):
+                raise
+            skipped.append(f.label)
+            continue
         if not right.reduced:
             return verdict("irreducible_side", side="rhs", witness=f.label)
         dev = abs(left.value - right.value)
@@ -476,7 +481,10 @@ def check_equivalence(lhs, rhs, kernel=None, battery=None, tol=1e-7,
             return verdict("distinct", witness=f.label, lhs_value=left.value,
                            rhs_value=right.value)
         max_dev = max(max_dev, dev)
-    return verdict("consistent_equivalent", battery_size=len(battery),
+    if len(skipped) == len(battery):
+        raise DeltaCalcError("no test function is finite at the shifts "
+                             + ", ".join(f"{a:g}" for a in sorted(shifts)))
+    return verdict("consistent_equivalent", battery_size=len(battery) - len(skipped),
                    max_deviation=max_dev)
 
 

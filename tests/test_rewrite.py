@@ -314,6 +314,23 @@ def test_member_not_finite_at_a_shift_is_skipped(bump):
                           schedule=SHORT_SCHEDULE)
 
 
+def test_member_is_probed_only_when_its_integrals_fail(bump):
+    # Rank integrals evaluate a member on arrays; the finiteness probe is
+    # the only scalar call, and an ordinary query makes none.
+    args = []
+    cos = _rf(lambda x: args.append(x) or np.cos(x), label="cos")
+    lhs = rhs = DeltaTerm(0, 3.0)
+    verdict = check_equivalence(lhs, rhs, kernel=bump, battery=[cos],
+                                schedule=SHORT_SCHEDULE)
+    assert verdict.consistent and verdict.skipped == ()
+    assert args and all(isinstance(x, np.ndarray) for x in args)
+    # exp is finite at 709.7, so its failing integral is not skipped.
+    overflows = _rf(math.exp, math.exp, label="exp(x)")
+    with pytest.raises(DeltaCalcError, match="diverged"):
+        check_equivalence(DeltaTerm(0, 709.7), DeltaTerm(0, 709.7), kernel=bump,
+                          battery=[overflows, cos], schedule=SHORT_SCHEDULE)
+
+
 def test_batteries_sizes():
     assert len(standard_battery()) == 20
     assert len(sift_battery()) == 10
