@@ -394,6 +394,9 @@ def _share(node):
 
 
 def _float_power(a, b):
+    """a ** b on single values, each taken as a float where it has no
+    imaginary part, as on the float path."""
+    a, b = (v.real if isinstance(v, complex) and v.imag == 0 else v for v in (a, b))
     try:
         return a ** b
     except ArithmeticError:

@@ -15,11 +15,13 @@ from dataclasses import dataclass, replace
 
 from .errors import DeltaCalcError, ExpressionError, RewriteError
 from .limits import DEFAULT_SCHEDULE
-from .roots import WINDOW, certify_hypotheses, find_simple_roots
+# perfbench/tracer.py rebinds certify_hypotheses and find_simple_roots here.
+from .roots import WINDOW, certify_hypotheses, find_simple_roots, scan  # noqa: F401
 from .vfun import DiracKernel, RealFunction, VirtualFunction
 from .vintegral import (
     compose,
     convolve,
+    derivative_schedule,
     integrate_rank,
     reduce_integral,
     reduce_sequence,
@@ -241,11 +243,12 @@ class NormalForm:
 def rewrite_composition(g, cert=None, window=WINDOW):
     """delta(g(x)) -> sum over simple roots of delta(x - a_i) / |g'(a_i)|.
 
-    Requires certified hypotheses; an empty root set under certification
-    means the composite is identically null.
+    Requires certified hypotheses (by default, those of g's scan over
+    `window`); an empty root set under certification means the composite
+    is identically null.
     """
     if cert is None:
-        cert = certify_hypotheses(g, find_simple_roots(g, window=window), window=window)
+        cert = scan(g, window).certificate
     cert.require()
     terms = [(1.0 / abs(rec.g_prime), 0, rec.a) for rec in cert.roots]
     return NormalForm.from_terms(terms, STRONG)
@@ -377,21 +380,10 @@ def reduce_expr_integral(expr, weight=None, kernel=None,
     atoms = [(c, weight if f is None else f.fn if weight is None
               else (lambda x, f=f.fn: f(x) * weight(x)), atom)
              for c, f, atom in _atoms(expr)]
-    schedule = list(schedule)
-    # Derivative orders above 2 lose too many digits at very high ranks;
-    # cap the schedule by the largest order present.  Far enough above the
-    # cap, a + u/n rounds to a and every I_n reads 0: refuse instead.
     max_order = max((atom.order for _c, _w, atom in atoms
                      if isinstance(atom, DeltaTerm)), default=0)
-    if max_order >= 1:
-        cap = 2 ** max(8, 14 - 2 * max_order)
-        schedule = [n for n in schedule if n <= cap]
-        if not schedule:
-            raise DeltaCalcError(
-                f"every rank of the schedule lies above n = {cap}, the cap for "
-                f"delta derivatives of order {max_order}")
     return reduce_sequence(
-        schedule,
+        derivative_schedule(schedule, max_order),
         lambda n: _total(c * _rank_integral(atom, w, kernel, n, lo, hi, window)
                          for c, w, atom in atoms),
         tol)
@@ -438,23 +430,34 @@ def _finite_at(f, x):
         return False
 
 
+def _delta_points(exprs, window):
+    """Where the delta terms of exprs sit: each delta term's shift and each
+    composite's roots on its scan over `window`."""
+    points = set()
+    for _c, _f, atom in (a for e in exprs for a in _atoms(e)):
+        if isinstance(atom, DeltaTerm):
+            points.add(atom.shift)
+        elif isinstance(atom, CompTerm):
+            points.update(scan(atom.inner, window).roots)
+    return points
+
+
 def check_equivalence(lhs, rhs, kernel=None, battery=None, tol=1e-7,
                       order=None, schedule=DEFAULT_SCHEDULE, window=WINDOW):
     """Decide Dirac equivalence of two expressions against a test battery.
 
     A finite battery can only ever certify "consistent"; any irreducible
-    side or any deviation beyond 10*tol is decisive the other way.  A
-    member whose integrals fail and that is not finite at some delta
-    term's shift (exp(x) past x ~ 709) is skipped and named in the
-    verdict's `skipped`.
+    side or any deviation beyond 10*tol relative to max(1, |lhs|, |rhs|)
+    is decisive the other way.  A member whose integrals fail and that is
+    not finite at some point where a delta term sits (exp(x) past x ~ 709)
+    is skipped and named in the verdict's `skipped`.
     """
     battery = standard_battery() if battery is None else battery
     if order is not None:
         battery = [f for f in battery if f.smoothness >= order]
     if not battery:
         raise ValueError("battery must be nonempty")
-    shifts = {atom.shift for _c, _f, atom in _atoms(lhs) + _atoms(rhs)
-              if isinstance(atom, DeltaTerm)}
+    points = None
     skipped = []
 
     def verdict(*args, **kw):
@@ -470,20 +473,22 @@ def check_equivalence(lhs, rhs, kernel=None, battery=None, tol=1e-7,
             right = reduce_expr_integral(rhs, weight=f, kernel=kernel,
                                          schedule=schedule, tol=tol, window=window)
         except (ArithmeticError, DeltaCalcError):
-            if all(_finite_at(f, a) for a in shifts):
+            if points is None:
+                points = _delta_points((lhs, rhs), window)
+            if all(_finite_at(f, a) for a in points):
                 raise
             skipped.append(f.label)
             continue
         if not right.reduced:
             return verdict("irreducible_side", side="rhs", witness=f.label)
         dev = abs(left.value - right.value)
-        if dev > 10.0 * tol:
+        if dev > 10.0 * tol * max(1.0, abs(left.value), abs(right.value)):
             return verdict("distinct", witness=f.label, lhs_value=left.value,
                            rhs_value=right.value)
         max_dev = max(max_dev, dev)
     if len(skipped) == len(battery):
         raise DeltaCalcError("no test function is finite at the shifts "
-                             + ", ".join(f"{a:g}" for a in sorted(shifts)))
+                             + ", ".join(f"{a:g}" for a in sorted(points)))
     return verdict("consistent_equivalent", battery_size=len(battery) - len(skipped),
                    max_deviation=max_dev)
 

@@ -88,12 +88,9 @@ def _deriv_of(g):
     return difference(_fn_of(g))
 
 
-def _boundary(inside, x_in, x_out, end=False):
-    """Where `inside` ends between x_in, inside, and x_out: bisected down to
-    adjacent floats (at most 200 steps); at an `end` of the scan, x_out
-    itself if inside there."""
-    if end and inside(x_out):
-        return float(x_out)
+def _bisect(inside, x_in, x_out):
+    """Where `inside` ends between x_in, inside, and x_out: the pair
+    (x_in, x_out) bisected down to adjacent floats (at most 200 steps)."""
     for _ in range(200):
         mid = 0.5 * (x_in + x_out)
         if mid == x_in or mid == x_out:
@@ -102,7 +99,7 @@ def _boundary(inside, x_in, x_out, end=False):
             x_in = mid
         else:
             x_out = mid
-    return float(0.5 * (x_in + x_out))
+    return x_in, x_out
 
 
 def _crossing(fn, lo, hi, ends):
@@ -122,9 +119,11 @@ class Scan:
 
     `xs`, `vals`: the grid and g on it.  `roots`: ascending sign-change
     roots (brentq) and exact zeros.  `dips`: minima of |g| below 5% of
-    `scale` = max(max |g|, 1), as (x, |g(x)|, i, j), refined between grid
-    neighbours xs[i], xs[j] that are both larger (so a plateau is none).
-    `seeds`: sign-change roots and dips with |g| < 0.5, where regions shrink.
+    `scale` = max(max |g|, 1) with no sign change across them, and exact
+    zeros, as (x, |g(x)|, i, j): between grid neighbours xs[i], xs[j] that
+    are both larger (so a plateau is none), x is bisected to the first
+    float where |g| stops falling.  `seeds`: sign-change roots and dips with
+    |g| < 0.5, where regions shrink.
     """
 
     def __init__(self, g, window):
@@ -147,16 +146,17 @@ class Scan:
         runs = 1 + np.flatnonzero((level[1:-1] < level[:-2])
                                   & (level[1:-1] < level[2:])
                                   & (level[1:-1] < 0.05 * self.scale))
+        # Where g changes sign across a run, `_crossing` has its root.
+        lo, hi = starts[runs] - 1, ends[runs] + 1
+        dip = (sign[lo] == sign[hi]) | (level[runs] == 0.0)
         dips = []
-        for i, j in zip(starts[runs] - 1, ends[runs] + 1):
-            from scipy.optimize import minimize_scalar
-
-            res = minimize_scalar(lambda x: abs(fn(float(x))),
-                                  bounds=(float(xs[i]), float(xs[j])),
-                                  method="bounded")
-            dips.append((float(res.x), float(res.fun), int(i), int(j)))
+        if dip.any():
+            dfn = _deriv_of(g)
+            falls = lambda x: fn(x) * dfn(x) < 0.0
+            for i, j in zip(lo[dip], hi[dip]):
+                _x, x = _bisect(falls, float(xs[i]), float(xs[j]))
+                dips.append((x, abs(float(fn(x))), int(i), int(j)))
         self.dips = tuple(dips)
-        # An exact zero is a dip too, unless in a run of zeros on the grid.
         self.seeds = tuple(sorted(crossings + [x for x, level, _i, _j in dips
                                                if level < 0.5]))
 
@@ -199,9 +199,20 @@ class Scan:
         change = np.flatnonzero(flags[1:] != flags[:-1])
         inside = lambda x: slo < self.fn(x) < shi
         last = len(xs) - 1
-        return tuple((_boundary(inside, xs[i], xs[i - 1] if i else a, end=not i),
-                      _boundary(inside, xs[j], xs[j + 1] if j < last else b,
-                                end=j == last))
+
+        def end(k, step):
+            """Where the region holding xs[k] ends toward xs[k + step]; at
+            an end of [a, b], that end itself if g is inside there."""
+            if 0 <= k + step <= last:
+                x_out = xs[k + step]
+            else:
+                x_out = a if step < 0 else b
+                if inside(x_out):
+                    return float(x_out)
+            x_in, x_out = _bisect(inside, xs[k], x_out)
+            return float(0.5 * (x_in + x_out))
+
+        return tuple((end(i, -1), end(j, 1))
                      for i, j in zip(change[0::2], change[1::2] - 1))
 
 
@@ -279,20 +290,12 @@ def certify_hypotheses(g, roots, window=WINDOW):
     for rec in shrunk:
         outside &= ~((s.xs >= rec.bracket[0]) & (s.xs <= rec.bracket[1]))
     mags = np.abs(s.vals[outside])
-    min_mag = float(np.min(mags)) if len(mags) else 0.0
-    for x, level, i, j in s.dips:
-        if outside[i:j + 1].all():
-            min_mag = min(min_mag, level)
-            if level <= 1e-10 * s.scale:
-                return violated(shrunk, f"non-simple root at x={x:.6g}: |g| touches "
-                                        "zero without sign change (derivative "
-                                        f"{float(_deriv_of(g)(x)):.3g})")
-
-    r = min_mag / 2.0
-    if not r > 0.0:
-        return violated(shrunk, "|g| reaches zero outside the root brackets")
+    dips = [(x, level) for x, level, i, j in s.dips if outside[i:j + 1].all()]
+    r = min([float(np.min(mags)) if len(mags) else 0.0]
+            + [level for _x, level in dips]) / 2.0
 
     # Roots recurring up to both edges (a periodic g): more lie past them.
+    # This comes first: the dips of such a g may hide root pairs as well.
     gap = max(np.diff(locs), default=0.0)
     if len(locs) >= 4 and max(locs[0] - a, b - locs[-1]) <= gap:
         return HypothesisCertificate(
@@ -301,6 +304,14 @@ def certify_hypotheses(g, roots, window=WINDOW):
             "more may lie outside the scan window",
             edges=((a, -np.inf, np.inf), (b, -np.inf, np.inf)),
         )
+
+    for x, level in dips:
+        if level <= 1e-10 * s.scale:
+            return violated(shrunk, f"non-simple root at x={x:.6g}: |g| touches "
+                                    "zero without sign change (derivative "
+                                    f"{float(_deriv_of(g)(x)):.3g})")
+    if not r > 0.0:
+        return violated(shrunk, "|g| reaches zero outside the root brackets")
 
     # Axis-asymptotic tails, past which g is taken to go on toward zero.
     width = b - a

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import QuadratureError, SmoothnessError
+from .errors import DeltaCalcError, QuadratureError, SmoothnessError
 from .limits import (
     DEFAULT_SCHEDULE,
     SHORT_SCHEDULE,
@@ -39,6 +39,7 @@ __all__ = [
     "reduce_integral",
     "sift",
     "sift_derivative",
+    "derivative_schedule",
     "convolve",
     "compose",
 ]
@@ -356,13 +357,29 @@ def sift(d, f, a=0.0, schedule=DEFAULT_SCHEDULE, tol=1e-9):
         list(schedule), lambda n: integrate_rank(d, -math.inf, math.inf, n, fn, a), tol)
 
 
+def derivative_schedule(schedule, k):
+    """The ranks of `schedule` that a delta derivative of order k may use:
+    n <= 2^max(8, 14 - 2k) for k >= 1, every rank for k = 0.  Higher ranks
+    lose too many digits: the integrand grows like n^k.  Far enough above
+    the cap, a + u/n rounds to a and every I_n reads 0: refuse instead."""
+    schedule = list(schedule)
+    if k < 1:
+        return schedule
+    cap = 2 ** max(8, 14 - 2 * k)
+    schedule = [n for n in schedule if n <= cap]
+    if not schedule:
+        raise DeltaCalcError(
+            f"every rank of the schedule lies above n = {cap}, the cap for "
+            f"delta derivatives of order {k}")
+    return schedule
+
+
 def sift_derivative(d, k, f, a=0.0, schedule=SHORT_SCHEDULE, tol=1e-9):
     """Reduce the integral of d_n^{(k)}(x - a) f(x) = (-1)^k f^{(k)}(a).
 
     Requires a profile kernel whose profile has a k-th derivative and a
-    k-times differentiable f.  The default schedule stops at moderate
-    ranks: the integrand magnitude grows like n^k and higher ranks lose the
-    O(1) answer to cancellation.
+    k-times differentiable f.  The schedule is capped by
+    `derivative_schedule`, as for a delta derivative in an expression.
     """
     k = int(k)
     if k < 0:
@@ -375,7 +392,7 @@ def sift_derivative(d, k, f, a=0.0, schedule=SHORT_SCHEDULE, tol=1e-9):
             f"test function {f.label!r} is only C^{f.smoothness}, "
             f"needs C^{k} around a={a:g}"
         )
-    return sift(dk, f, a=a, schedule=schedule, tol=tol)
+    return sift(dk, f, a=a, schedule=derivative_schedule(schedule, k), tol=tol)
 
 
 # ---------------------------------------------------------------------------

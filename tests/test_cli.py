@@ -296,6 +296,34 @@ def test_equiv_far_shift_skips_members_that_overflow():
     assert out.strip().endswith("skipped, not finite at a shift: exp(+x)")
 
 
+@pytest.mark.parametrize("lhs, rhs", [("delta(2*x-20)", "0.5*delta(x-10)"),
+                                      ("x^4*delta(x-30)", "810000*delta(x-30)")])
+def test_equiv_compares_large_integrals_relatively(lhs, rhs):
+    # Each side is reduced to a relative tolerance: x^3 at 10 gives 500 on
+    # both sides to 3.4e-9 relative, past an absolute 10*tol.
+    status, out, err = run(["equiv", lhs, rhs, "--json"])
+    assert status == 0, err
+    assert json.loads(out)["variant"] == "consistent_equivalent"
+
+
+def test_equiv_relative_deviation_is_still_decisive():
+    status, out, _ = run(["equiv", "delta(x-30)", "1.001*delta(x-30)", "--json"])
+    assert status == 0
+    assert json.loads(out)["variant"] == "distinct"
+
+
+@pytest.mark.parametrize("rhs", ["delta(2*x-1600)", "0.5*delta(x-800)"])
+def test_equiv_skips_members_that_overflow_at_a_composite_root(tmp_path, rhs):
+    # delta(2*x-1600) sits at its root 800, where exp(x) overflows.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scan_window": [790, 810]}))
+    argv = ["equiv", "delta(2*x-1600)", rhs, "--config", str(cfg)]
+    status, out, err = run(argv)
+    assert status == 0, err
+    assert out.startswith("ConsistentEquivalent over 19 ")
+    assert out.strip().endswith("skipped, not finite at a shift: exp(+x)")
+
+
 def test_equiv_without_skips_has_no_skipped_field():
     status, out, _ = run(["equiv", "delta(x-1)", "delta(x-1)", "--json"] + FAST)
     assert status == 0 and "skipped" not in json.loads(out)
@@ -573,11 +601,27 @@ def test_roots_past_window_are_refused(verb):
 
 
 def test_recurring_roots_are_refused():
-    # A periodic g: its roots go on past both edges of any window.
-    for verb in ("simplify", "integrate"):
-        status, _, err = run([verb, "delta(sin(0.6*x))"])
-        assert status == 1
-        assert "outside_scan_risk" in err and "roots recur" in err
+    # A periodic g: its roots go on past both edges of any window.  Most
+    # root pairs of cos(x) - 0.9999999 lie between two grid points, where a
+    # dip touches zero: the refusal is still the scan risk, not a tangency.
+    for g in ("sin(0.6*x)", "cos(x)-0.9999999"):
+        for verb in ("simplify", "integrate"):
+            status, _, err = run([verb, f"delta({g})"])
+            assert status == 1
+            assert "outside_scan_risk" in err and "roots recur" in err
+
+
+def test_root_pair_inside_one_grid_step_is_not_a_null():
+    # |x-1| - 0.001 has roots at 0.999 and 1.001, both between the same two
+    # grid points, and |g| = 0.001 between them: the dip is bisected down
+    # to a root instead of resting on that local maximum, so no normal form
+    # drops the two terms.
+    status, out, err = run(["simplify", "delta(abs(x-1)-0.001)"])
+    assert status == 1 and out == ""
+    assert "touches zero without sign change" in err
+    status, out, err = run(["integrate", "delta(abs(x-1)-0.001)", "--json"])
+    assert status == 0, err
+    assert abs(json.loads(out)["value"] - 2.0) < 1e-9
 
 
 def test_pole_is_not_a_root():

@@ -156,6 +156,33 @@ def test_flat_run_is_not_a_dip():
     assert cert.certified
 
 
+def test_sign_changes_are_not_dips():
+    # Each sign change is refined once, by brentq, as a root.
+    s = roots.scan(QUAD)
+    assert s.dips == ()
+    assert len(s.roots) == 2 and s.seeds == s.roots
+
+
+def test_dip_is_bisected_to_the_touch():
+    g = _rf(lambda x: (x - 1.7) ** 2, lambda x: 2.0 * (x - 1.7), "(x-1.7)^2")
+    s = roots.scan(g)
+    assert len(s.dips) == 1
+    x, level, i, j = s.dips[0]
+    assert abs(x - 1.7) <= 2 * math.ulp(1.7)
+    assert level == (x - 1.7) ** 2 and s.xs[i] < x < s.xs[j]
+    assert s.certificate.verdict == "violated"
+    assert "without sign change" in s.certificate.reason
+
+
+def test_exact_zero_on_the_grid_is_a_seed():
+    # 1.25 is a grid point: g is exactly 0 there, with no sign change
+    # between grid neighbours for brentq to refine.
+    s = roots.scan(lambda x: x - 1.25)
+    assert s.roots == (1.25,)
+    assert len(s.dips) == 1 and s.dips[0][1] == 0.0
+    assert s.seeds == (1.25,)
+
+
 def test_exact_zero_plateau_gives_no_seeds():
     s = roots.scan(lambda x: 0.0 * x)
     assert len(s.roots) == roots.GRID

@@ -1,13 +1,17 @@
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
 import deltacalc as dc
-from deltacalc.errors import SmoothnessError
-from deltacalc.limits import DEFAULT_SCHEDULE
+from deltacalc.cli import run_command
+from deltacalc.errors import DeltaCalcError, SmoothnessError
+from deltacalc.exprlang import parse, to_real_function
+from deltacalc.limits import DEFAULT_SCHEDULE, SHORT_SCHEDULE
 from deltacalc.vfun import C_INF, RealFunction
-from deltacalc.vintegral import integrate_rank, reduce_integral
+from deltacalc.vintegral import derivative_schedule, integrate_rank, reduce_integral
 
 # High-precision reference values (30-digit adaptive quadrature, frozen):
 # I_n for the bump kernel against cos at shift a=2, rank n = 2^16.
@@ -142,6 +146,33 @@ def test_derivative_integral_is_zero(bump):
     res = reduce_integral(bump.derivative(1))
     assert res.reduced
     assert abs(res.value) < 1e-9
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sift_derivative_and_the_cli_share_one_schedule_rule(k):
+    # At k = 3 a schedule to n = 4096 gives Reduced(0.74081769), 5.3e-7
+    # from the truth; capped at n = 256, as in the CLI, the library refuses.
+    lib = dc.sift_derivative(dc.bump_delta(), k, to_real_function(parse("exp(-x)")),
+                             a=0.3)
+    out = io.StringIO()
+    assert run_command(["integrate", f"exp(-x)*ddelta(x-0.3,{k})", "--json"], out=out) == 0
+    cli = json.loads(out.getvalue())
+    assert (lib.kind, [list(r) for r in lib.rank_values]) == (cli["variant"],
+                                                             cli["rank_values"])
+    if k == 3:
+        assert not lib.reduced
+    else:
+        assert lib.value == cli["value"]
+        assert abs(lib.value - math.exp(-0.3)) <= 1e-9
+
+
+def test_derivative_schedule_caps_every_caller_schedule():
+    assert derivative_schedule(DEFAULT_SCHEDULE, 0) == list(DEFAULT_SCHEDULE)
+    assert max(derivative_schedule(DEFAULT_SCHEDULE, 1)) == 4096
+    assert derivative_schedule(SHORT_SCHEDULE, 2) == [16, 32, 64, 128, 256, 512, 1024]
+    assert max(derivative_schedule(SHORT_SCHEDULE, 9)) == 256
+    with pytest.raises(DeltaCalcError, match="above n = 256"):
+        derivative_schedule([512, 1024], 3)
 
 
 def test_sift_derivative_smoothness_gates(bump, square):
@@ -280,7 +311,6 @@ def test_compose_one_sided_kernel(minus):
 
 from deltacalc import vintegral  # noqa: E402
 from deltacalc.errors import QuadratureError  # noqa: E402
-from deltacalc.exprlang import parse, to_real_function  # noqa: E402
 from deltacalc.rewrite import sift_battery  # noqa: E402
 from deltacalc.vintegral import _fixed_rule, _quad_piece, profile_integral  # noqa: E402
 
