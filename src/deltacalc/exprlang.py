@@ -390,7 +390,9 @@ def _share(node):
 # A power with an exponent other than an integer constant is emitted as
 # power(a, b).  On floats a negative base then gives a complex value, which
 # abs() may make real again; on arrays `_array_power` keeps that complex
-# value where numpy's power gives nan.
+# value where numpy's power gives nan.  In a tree with such a power, an
+# integer constant power is emitted as ipow(a, b): on arrays
+# `_array_int_power` keeps the real entries of a complex base real.
 
 
 def _float_power(a, b):
@@ -410,10 +412,21 @@ def _array_power(a, b):
     return out
 
 
+def _array_int_power(a, b):
+    """a ** b for an integer constant b; where a complex array a has no
+    imaginary part, a float power, as on the float path (a complex power
+    of a negative real leaves a rounding error in the imaginary part)."""
+    if np.iscomplexobj(a):
+        return np.where(a.imag == 0, a.real ** b, a ** b)
+    return a ** b
+
+
 _SCALAR_NAMES = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "atan": math.atan,
-                 "abs": abs, "power": pow, "inf": math.inf, "nan": math.nan}
+                 "abs": abs, "power": pow, "ipow": operator.pow,
+                 "inf": math.inf, "nan": math.nan}
 _ARRAY_NAMES = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "atan": np.arctan,
-                "abs": np.abs, "power": _array_power, "inf": math.inf, "nan": math.nan}
+                "abs": np.abs, "power": _array_power, "ipow": _array_int_power,
+                "inf": math.inf, "nan": math.nan}
 
 
 def _emit(node, lines, names):
@@ -453,6 +466,8 @@ def _compile(node, label):
     lines = []
     result = _emit(node, lines, {})
     source = "def f(x):\n" + "\n".join(lines + [f"    return {result}"])
+    if "power(" in source:
+        source = re.sub(r"(\S+) \*\* (\S+)$", r"ipow(\1, \2)", source, flags=re.M)
     code = compile(source, f"<expression {label}>", "exec")
     scalar_ns, array_ns = dict(_SCALAR_NAMES), dict(_ARRAY_NAMES)
     exec(code, scalar_ns)

@@ -43,6 +43,13 @@ def aitken(values):
     return out
 
 
+def _increments(v):
+    """|v[i+1] - v[i]| for a list of floats.  Sequences here have a few
+    dozen terms at most: on floats, numpy calls would cost more than the
+    arithmetic."""
+    return [abs(b - a) for a, b in zip(v, v[1:])]
+
+
 def looks_divergent(values):
     """Heuristic growth check applied before any extrapolation.
 
@@ -50,16 +57,16 @@ def looks_divergent(values):
     ratio-2 schedule extrapolates to 1), so growing sequences must be caught
     on the raw values.
     """
-    v = np.asarray(values, dtype=float)
+    v = [float(x) for x in values]
     if len(v) < 5:
         return False
     tail = v[-5:]
-    inc = np.abs(np.diff(tail))
-    if np.any(inc == 0.0):
+    inc = _increments(tail)
+    if 0.0 in inc:
         return False
-    ratios = inc[1:] / inc[:-1]
-    growing_mag = np.all(np.abs(tail[1:]) >= np.abs(tail[:-1]))
-    return bool(np.all(ratios >= 0.95) and growing_mag and abs(v[-1]) > abs(v[-5]))
+    ratios = [b / a for a, b in zip(inc, inc[1:])]
+    growing_mag = all(abs(b) >= abs(a) for a, b in zip(tail, tail[1:]))
+    return all(r >= 0.95 for r in ratios) and growing_mag and abs(v[-1]) > abs(v[-5])
 
 
 def _uniform_ratio(schedule):
@@ -89,8 +96,8 @@ def extract_limit(values, schedule, tol=1e-9):
         return None
     # Acceleration can also resum bounded oscillation (Aitken maps +-1 to 0),
     # so require the raw increments to be dying before extrapolating.
-    inc = np.abs(np.diff(v))
-    if inc.max() > 0.0 and inc[-1] > 0.5 * inc.max() and inc[-1] > tol * scale:
+    inc = _increments(v)
+    if max(inc) > 0.0 and inc[-1] > 0.5 * max(inc) and inc[-1] > tol * scale:
         return None
 
     ratio = _uniform_ratio(schedule)
@@ -102,10 +109,12 @@ def extract_limit(values, schedule, tol=1e-9):
             diag = list(aitken(diag))
         diag = diag[-6:] if len(diag) > 6 else diag
 
+    # Near the float max the table overflows: a limit or an error that is
+    # not finite is never accepted.
     best = None
     for i in range(len(diag) - 1):
         err = abs(diag[i + 1] - diag[i])
-        if best is None or err < best[0]:
+        if math.isfinite(err) and (best is None or err < best[0]):
             best = (err, diag[i + 1])
     if best is None:
         return None

@@ -331,19 +331,20 @@ def evaluate_normal_form(nf, f):
 # Numeric expression integration (termwise per rank)
 # ---------------------------------------------------------------------------
 
-def _rank_integral(atom, weight, kernel, n, lo, hi, window):
-    """Rank-n integral of atom * weight over [lo, hi]."""
+def _rank_integral(atom, weight, kernel, ranks, lo, hi, window):
+    """Rank-n integrals of atom * weight over [lo, hi], one per rank n of
+    the tuple `ranks`."""
     if isinstance(atom, SmoothTerm):
         if _is_zero_term(atom):
-            return 0.0
+            return [0.0] * len(ranks)
         f = atom.f.fn
-        return integrate_rank(VirtualFunction(lambda _n, x: f(x)), lo, hi, n, weight)
+        return integrate_rank(VirtualFunction(lambda _n, x: f(x)), lo, hi, ranks, weight)
     kern = _kernel_of(atom, kernel)
     if isinstance(atom, CompTerm):
         comp = _composite(atom.inner, kern, window)
-        return integrate_rank(comp, lo, hi, n, weight=weight)
+        return integrate_rank(comp, lo, hi, ranks, weight=weight)
     d = kern.derivative(atom.order) if atom.order else kern
-    return integrate_rank(d, lo, hi, n, weight, atom.shift)
+    return integrate_rank(d, lo, hi, ranks, weight, atom.shift)
 
 
 @functools.lru_cache(maxsize=2)
@@ -382,11 +383,21 @@ def reduce_expr_integral(expr, weight=None, kernel=None,
              for c, f, atom in _atoms(expr)]
     max_order = max((atom.order for _c, _w, atom in atoms
                      if isinstance(atom, DeltaTerm)), default=0)
-    return reduce_sequence(
-        derivative_schedule(schedule, max_order),
-        lambda n: _total(c * _rank_integral(atom, w, kernel, n, lo, hi, window)
-                         for c, w, atom in atoms),
-        tol)
+
+    def values_at(ranks):
+        try:
+            columns = [[c * v for v in _rank_integral(atom, w, kernel, ranks, lo, hi, window)]
+                       for c, w, atom in atoms]
+        except DeltaCalcError:
+            if len(ranks) == 1 or len(atoms) == 1:
+                raise
+            # Rank by rank, atom by atom: the first to fail names the error.
+            for n in ranks:
+                values_at((n,))
+            raise
+        return [_total(column) for column in zip(*columns)]
+
+    return reduce_sequence(derivative_schedule(schedule, max_order), values_at, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +493,8 @@ def check_equivalence(lhs, rhs, kernel=None, battery=None, tol=1e-7,
         if not right.reduced:
             return verdict("irreducible_side", side="rhs", witness=f.label)
         dev = abs(left.value - right.value)
-        if dev > 10.0 * tol * max(1.0, abs(left.value), abs(right.value)):
+        # A deviation that is not a number is decisive too.
+        if not dev <= 10.0 * tol * max(1.0, abs(left.value), abs(right.value)):
             return verdict("distinct", witness=f.label, lhs_value=left.value,
                            rhs_value=right.value)
         max_dev = max(max_dev, dev)

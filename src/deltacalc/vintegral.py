@@ -82,22 +82,26 @@ _MIN_PROBES = 7
 
 
 def reduce_sequence(schedule, value_fn, tol):
-    """Incrementally evaluate I_n over the schedule with early stopping.
+    """Evaluate I_n over the schedule with early stopping.
 
-    Once _MIN_PROBES or more probes agree under extrapolation the remaining
+    `value_fn` takes a tuple of ranks and returns their I_n.  Its first
+    call gets the first _MIN_PROBES ranks, which are always taken, since
+    `extract_limit` is not consulted before them; each later call gets one
+    rank.  Once the probes agree under extrapolation the remaining
     (costlier, higher-rank) quadratures are skipped; divergent-looking
     prefixes always run the full schedule so the power-law certification
     sees every probe.
     """
-    values = []
-    for i, n in enumerate(schedule):
-        values.append(value_fn(n))
-        if i + 1 >= _MIN_PROBES or i + 1 == len(schedule):
-            lim = extract_limit(values, schedule[:i + 1], tol=tol)
-            if lim is not None:
-                return IntegralResult("reduced", value=float(lim[0]),
-                                      error_estimate=float(lim[1]),
-                                      rank_values=tuple(zip(schedule, values)))
+    values = list(value_fn(tuple(schedule[:_MIN_PROBES])))
+    while True:
+        lim = extract_limit(values, schedule[:len(values)], tol=tol)
+        if lim is not None:
+            return IntegralResult("reduced", value=float(lim[0]),
+                                  error_estimate=float(lim[1]),
+                                  rank_values=tuple(zip(schedule, values)))
+        if len(values) == len(schedule):
+            break
+        values.extend(value_fn((schedule[len(values)],)))
     pairs = tuple(zip(schedule, values))
     fit = power_law_exponent(schedule, values)
     if fit is None:
@@ -143,32 +147,39 @@ def _quad_piece(f, a, b, points=None):
     return val
 
 
-def integrate_rank(vf, lo, hi, n, weight=None, shift=0.0):
-    """Rank-n integral of f_n(x - shift) * weight(x) over [lo, hi].
+def integrate_rank(vf, lo, hi, ranks, weight=None, shift=0.0):
+    """Rank-n integrals of f_n(x - shift) * weight(x) over [lo, hi], one per
+    rank n of the tuple `ranks`.
 
     This is the one place that realises an infinite bound, as the offset
     -/+ n from the shift, so a kernel's support lies inside the bounds at
     every shift, and the one place that picks how a rank integral is
-    taken: a profile kernel in
-    u = n(x - shift) (`profile_integral`), a composite region by region
+    taken: a profile kernel in u = n(x - shift), all ranks at once
+    (`profile_integral`), a composite region by region
     (`_regions_integral`), any other virtual function by adaptive quad over
     its declared support, with a discontinuous function's support edges as
-    split points."""
+    split points.  The ranks are taken in order: the lowest that fails
+    raises its error."""
     # Reversed bounds (or nan) are refused; a finite bound beyond one
     # rank's window only empties that rank.
     if not (lo <= hi and lo < math.inf and hi > -math.inf):
         raise ValueError(f"empty orientation: lower bound {lo} > upper bound {hi}")
     # Offsets from the shift: no shift can round a rank's window away.
-    da = -float(n) if lo == -math.inf else lo - shift
-    db = float(n) if hi == math.inf else hi - shift
-    if da > db:
-        return 0.0
+    offsets = [(-float(n) if lo == -math.inf else lo - shift,
+                float(n) if hi == math.inf else hi - shift) for n in ranks]
     if isinstance(vf, DiracKernel):
-        return profile_integral(vf, n, shift, weight, n * da, n * db)
-    a, b = shift + da, shift + db
+        return profile_integral(vf, ranks, shift, weight,
+                                [n * da for n, (da, _db) in zip(ranks, offsets)],
+                                [n * db for n, (_da, db) in zip(ranks, offsets)])
     if shift:
         vf = vf.translate(shift)
+    return [0.0 if da > db else _rank_quad(vf, n, shift + da, shift + db, weight)
+            for n, (da, db) in zip(ranks, offsets)]
 
+
+def _rank_quad(vf, n, a, b, weight):
+    """The rank-n integral of f_n * weight over [a, b] for a virtual function
+    that is not a profile kernel."""
     f = lambda x: vf.rank_eval(n, x) * (1.0 if weight is None else weight(x))
 
     if vf.regions is not None:
@@ -239,50 +250,61 @@ def _accepted(coarse, fine, resabs):
                                    | (diff <= 50.0 * _EPS * resabs))
 
 
-def _rule_pair(values, w_coarse, w_fine, rows=1, scale=1.0, magnitude=None):
-    """Both fixed rules on `values`, laid out as _panel_rules lays out its
-    nodes, each summed per row of panels as a dot product times `scale`:
-    lists of the fine rule's sums and of whether each is `_accepted` (none
-    is where `values` is None), with the rounding floor taken from
-    |magnitude| (default: |values|).  Call it under np.errstate(all="ignore")."""
+def _rule_pair(values, w_coarse, w_fine, rows=1, scale=None, magnitude=None):
+    """Both fixed rules on `values`, each summed per row as a dot product
+    times that row's `scale` (default 1): lists of the fine rule's sums and
+    of whether each is `_accepted` (none is where `values` is None), with
+    the rounding floor taken from |magnitude| (default: |values|).  A row is
+    a panel where `values` is laid out as _panel_rules lays out its nodes,
+    or a row of a 2-D `values`, each row all of the rules' nodes.  Call it
+    under np.errstate(all="ignore")."""
     if values is None:
         return [0.0] * rows, [False] * rows
     m = w_coarse.size
     magnitude = values if magnitude is None else magnitude
-    pairs = ((w_coarse, values[:m]), (w_fine, values[m:]),
-             (w_fine, np.abs(magnitude[m:])))
-    sums = [[scale * s for s in (v.reshape(rows, 1, -1) @ w.reshape(rows, -1, 1))
-             .ravel().tolist()] for w, v in pairs]
+    pairs = ((w_coarse, values[..., :m]), (w_fine, values[..., m:]),
+             (w_fine, np.abs(magnitude[..., m:])))
+    scale = [1.0] * rows if scale is None else scale
+    sums = []
+    for w, v in pairs:
+        v = v.reshape(rows, 1, -1)
+        dots = (v @ w.reshape(-1, v.shape[-1], 1)).ravel().tolist()
+        sums.append([c * s for c, s in zip(scale, dots)])
     return sums[1], [_accepted(*row) for row in zip(*sums)]
 
 
-def _fixed_rule(d, n, a, weight, ulo, uhi):
-    """n^k * integral of p(u) w(a + u/n) over [ulo, uhi] on fixed nodes, or
-    None where adaptive quadrature must decide: the two rules disagree,
-    the profile or weight takes no array, or a value is not finite."""
+def _fixed_rule(d, ranks, a, weight, ulo, uhi):
+    """n^k * integral of p(u) w(a + u/n) over [ulo, uhi] on fixed nodes, for
+    each rank n of `ranks` in one array call: one value per rank, None where
+    adaptive quadrature must decide (the two rules disagree, the profile or
+    weight takes no array, or a value is not finite)."""
     plo, phi = d.profile_support
     k = d.order
     # Over the whole support the integral of p = p0^(k), k >= 1, is 0, so
     # w(a) may be subtracted: that removes the n^k growth of the rounding.
     cancel = k > 0 and (ulo, uhi) == (plo, phi)
     if cancel and weight is None:
-        return 0.0
+        return [0.0] * len(ranks)
     cuts = (ulo, *(c for c in d.profile_cuts if ulo < c < uhi), uhi)
     u, w_coarse, w_fine = _fixed_nodes(cuts)
-    x = a + u / n
+    # One row of nodes per rank, each ending in a where w(a) is subtracted.
+    x = a + u / np.array(ranks, dtype=float)[:, None]
     if cancel:
-        x = np.append(x, a)
+        x = np.concatenate((x, np.full((len(ranks), 1), a)), axis=1)
     p = _profile_on_nodes(d.profile, cuts)
     with np.errstate(all="ignore"):
-        wv = np.ones_like(x) if weight is None else array_values(weight, x)
+        wv = np.ones_like(x) if weight is None else array_values(weight, x.ravel())
         if p is None or wv is None:
-            return None
-        w_at_a = wv[-1] if cancel else 0.0
-        wv = wv[:u.size]
-        # quad's integrand is p * w: the rounding of w counts in full.
-        fine, ok = _rule_pair(p * (wv - w_at_a), w_coarse, w_fine, scale=n ** k,
-                              magnitude=p * wv)
-        return fine[0] if ok[0] else None
+            return [None] * len(ranks)
+        wv = wv.reshape(x.shape)
+        # quad's integrand is p * w: the rounding floor is that of p * w,
+        # also where w(a) is subtracted.
+        values = magnitude = p * wv[:, :u.size]
+        if cancel:
+            values = p * (wv[:, :u.size] - wv[:, -1:])
+        fine, ok = _rule_pair(values, w_coarse, w_fine, rows=len(ranks),
+                              scale=[n ** k for n in ranks], magnitude=magnitude)
+    return [v if good else None for v, good in zip(fine, ok)]
 
 
 def _regions_integral(vf, n, weight, f, pieces):
@@ -307,31 +329,49 @@ def _regions_integral(vf, n, weight, f, pieces):
                for v, ok, (p, q) in zip(fine, accepted, pieces))
 
 
-def profile_integral(d, n, a, weight, ulo=-math.inf, uhi=math.inf):
-    """Rank-n integral of d_n(x - a) w(x) for the profile kernel d.
+def profile_integral(d, ranks, a, weight, ulo=-math.inf, uhi=math.inf):
+    """Rank-n integrals of d_n(x - a) w(x) for the profile kernel d, one per
+    rank n of the tuple `ranks`.
 
-    With u = n(x - a) it is n^k * integral of p(u) w(a + u/n) over the
-    profile support cut to [ulo, uhi], where p is d's order-k profile, so
-    the quadrature nodes depend on neither n nor w.  Two Gauss-Legendre
-    rules on the panels between d.profile_cuts (u = 0, the middle of the
-    support) are evaluated in one array call; when they disagree, or w
-    takes no array, adaptive quad decides.  `weight` None integrates the
+    With u = n(x - a) each is n^k * integral of p(u) w(a + u/n) over the
+    profile support cut to [ulo, uhi] (floats, or one per rank), where p is
+    d's order-k profile, so the quadrature nodes depend on neither n nor w.
+    Two Gauss-Legendre rules on the panels between d.profile_cuts (u = 0,
+    the middle of the support) are evaluated in one array call for all the
+    ranks that share their cut support; where they disagree, or w takes no
+    array, adaptive quad decides that rank.  The ranks are taken in order:
+    the lowest that fails raises its error.  `weight` None integrates the
     kernel alone.
     """
     plo, phi = d.profile_support
-    ulo, uhi = max(plo, ulo), min(phi, uhi)
-    if uhi <= ulo:
-        return 0.0
-    if d.order and weight is not None and a + ulo / n == a + uhi / n:
-        # w would be read at one point, and a derivative kernel give 0.
-        raise QuadratureError(f"at rank n={n}, every node a + u/n of a derivative "
-                              f"kernel rounds to its shift a={a:g}", rank=n)
-    value = _fixed_rule(d, n, a, weight, ulo, uhi)
-    if value is not None:
-        return value
-    prof, scale = d.profile, n ** d.order
-    g = lambda u: scale * prof(u) * (1.0 if weight is None else weight(a + u / n))
-    return _quad_piece(g, ulo, uhi, points=[0.0])
+    ulo, uhi = ([b] * len(ranks) if np.ndim(b) == 0 else b for b in (ulo, uhi))
+    bounds = [(max(plo, lo), min(phi, hi)) for lo, hi in zip(ulo, uhi)]
+    # The first rank that is refused, where w would be read at one point
+    # and a derivative kernel give 0; no later rank is evaluated.
+    refused = next((i for i, (n, (lo, hi)) in enumerate(zip(ranks, bounds))
+                    if lo < hi and d.order and weight is not None
+                    and a + lo / n == a + hi / n), len(ranks))
+    groups = {}
+    for i in range(refused):
+        if bounds[i][0] < bounds[i][1]:
+            groups.setdefault(bounds[i], []).append(i)
+    fixed = {}
+    for (lo, hi), rows in groups.items():
+        fixed.update(zip(rows, _fixed_rule(d, [ranks[i] for i in rows], a, weight, lo, hi)))
+    values = []
+    for i, (n, (lo, hi)) in enumerate(zip(ranks, bounds)):
+        if hi <= lo:
+            values.append(0.0)
+        elif i == refused:
+            raise QuadratureError(f"at rank n={n}, every node a + u/n of a derivative "
+                                  f"kernel rounds to its shift a={a:g}", rank=n)
+        elif fixed[i] is not None:
+            values.append(fixed[i])
+        else:
+            prof, scale = d.profile, n ** d.order
+            g = lambda u: scale * prof(u) * (1.0 if weight is None else weight(a + u / n))
+            values.append(_quad_piece(g, lo, hi, points=[0.0]))
+    return values
 
 
 def reduce_integral(vf, lo=-math.inf, hi=math.inf, schedule=DEFAULT_SCHEDULE,
@@ -339,7 +379,7 @@ def reduce_integral(vf, lo=-math.inf, hi=math.inf, schedule=DEFAULT_SCHEDULE,
     """Compute the rank sequence I_n and reduce it to an IntegralResult."""
     schedule = list(schedule)
     return reduce_sequence(
-        schedule, lambda n: integrate_rank(vf, lo, hi, n, weight=weight), tol)
+        schedule, lambda ranks: integrate_rank(vf, lo, hi, ranks, weight=weight), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +394,8 @@ def sift(d, f, a=0.0, schedule=DEFAULT_SCHEDULE, tol=1e-9):
     a = float(a)
     fn = f.fn if isinstance(f, RealFunction) else f
     return reduce_sequence(
-        list(schedule), lambda n: integrate_rank(d, -math.inf, math.inf, n, fn, a), tol)
+        list(schedule),
+        lambda ranks: integrate_rank(d, -math.inf, math.inf, ranks, fn, a), tol)
 
 
 def derivative_schedule(schedule, k):

@@ -76,14 +76,14 @@ def test_03_composition_rule(bump):
     fcos = standard_battery()[6]
     errs.append(abs(evaluate_normal_form(nf, fcos) - want))
     comp = dc.compose(bump, X2M4)
-    direct = integrate_rank(comp, -math.inf, math.inf, 2**16, weight=math.cos)
+    direct = integrate_rank(comp, -math.inf, math.inf, (2**16,), weight=math.cos)[0]
     errs.append(abs(direct - want))
     # 3x: coefficient 1/3.
     g3 = _rf(lambda x: 3.0 * x, lambda x: 3.0, label="3x")
     nf3 = rewrite_composition(g3)
     errs.append(abs(nf3.terms[0][0] - 1.0 / 3.0))
-    direct3 = integrate_rank(dc.compose(bump, g3), -math.inf, math.inf, 2**16,
-                             weight=math.cos)
+    direct3 = integrate_rank(dc.compose(bump, g3), -math.inf, math.inf, (2**16,),
+                             weight=math.cos)[0]
     errs.append(abs(direct3 - 1.0 / 3.0))
     # sin x on [-1, 7]: roots 0, pi, 2pi, all with |g'| = 1.
     gs = _rf(math.sin, math.cos, label="sin x")
@@ -91,7 +91,7 @@ def test_03_composition_rule(bump):
     want_s = sum(math.cos(a) for _c, _k, a in nfs.terms)
     assert len(nfs.terms) == 3
     comp_s = dc.compose(bump, gs, window=(-1.0, 7.0))
-    direct_s = integrate_rank(comp_s, -1.0, 7.0, 2**16, weight=math.cos)
+    direct_s = integrate_rank(comp_s, -1.0, 7.0, (2**16,), weight=math.cos)[0]
     errs.append(abs(evaluate_normal_form(nfs, fcos) - want_s))
     errs.append(abs(direct_s - want_s))
     worst = max(errs)

@@ -244,6 +244,14 @@ def test_far_shifted_derivative_kernel_is_refused(shift):
     assert "error (engine)" in err and f"a={float(shift):g}" in err
 
 
+def test_first_rank_to_fail_names_the_error_across_terms():
+    # The terms' ranks are taken in batches: the first term is refused
+    # only from rank 128, the second from rank 16, which names the error.
+    status, out, err = run(["integrate", "cos(x)*ddelta(x-1e14,1) + cos(x)*ddelta(x-1e15,1)"])
+    assert status == 1 and out == ""
+    assert "at rank n=16," in err and "a=1e+15" in err
+
+
 def test_far_shifted_derivative_kernel_alone_integrates_to_zero():
     # Without a weight no node is read: the integral of a kernel
     # derivative is 0 at any shift.
@@ -251,6 +259,17 @@ def test_far_shifted_derivative_kernel_alone_integrates_to_zero():
     assert status == 0, err
     payload = json.loads(out)
     assert payload["variant"] == "reduced" and payload["value"] == 0.0
+
+
+def test_integral_near_the_float_max_is_not_reduced_to_inf():
+    # e^709.3 ~ 1.109e308: Richardson's factor * I_n overflowed, and the
+    # table's (inf, inf) was accepted as Reduced(inf, err~inf).
+    status, out, err = run(["integrate", "exp(x)*delta(x-709.3)", "--json"])
+    assert status == 0, err
+    payload = json.loads(out)
+    assert payload["variant"] == "reduced"
+    assert math.isfinite(payload["value"]) and math.isfinite(payload["error"])
+    assert abs(payload["value"] - math.exp(709.3)) <= payload["error"]
 
 
 @pytest.mark.parametrize("bound", ["--lower=inf", "--lower=nan", "--upper=-inf"])

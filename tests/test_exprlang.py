@@ -395,6 +395,9 @@ def _check_compiled(tree, fn):
 # array.  Its real entries are raised as floats: numpy's complex power gives
 # (-0.1012+0j)^-169 a nonzero imaginary part, which reads as nan.
 @example(Bin("^", Neg(Bin("^", Var(), Num(2.5))), Neg(Bin("*", Num(13.0), Num(13.0)))))
+# So are those of a complex base to an integer constant power: numpy's
+# complex power gives (-0.4^2.5+0j)^169 a nonzero imaginary part.
+@example(Bin("^", Neg(Bin("^", Var(), Num(2.5))), Num(169.0)))
 def test_compiled_matches_reference_walk(tree):
     _check_compiled(tree, to_real_function(tree).fn)
 

@@ -1,5 +1,9 @@
 import math
 
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
 from deltacalc.limits import (
     DEFAULT_SCHEDULE,
     SHORT_SCHEDULE,
@@ -84,3 +88,32 @@ def test_power_law_negative_sign():
     fit = power_law_exponent(sched, vals)
     assert fit is not None
     assert fit[2] == -1.0
+
+
+def test_overflowing_table_gives_no_infinite_limit():
+    # Near the float max, factor * I_n overflows in the Richardson table;
+    # neither an infinite limit nor an infinite error is accepted.
+    sched = list(DEFAULT_SCHEDULE[:7])
+    vals = [1.1093689696227817e308 * (1.0 + 0.08 / n**2) for n in sched]
+    assert math.isinf(richardson_diagonal(vals, 2.0)[1])
+    assert extract_limit(vals, sched, tol=1e-9) is None
+
+
+def _looks_divergent_on_arrays(values):
+    # The same growth check in numpy, as a reference for the float loop.
+    v = np.asarray(values, dtype=float)
+    if len(v) < 5:
+        return False
+    tail = v[-5:]
+    inc = np.abs(np.diff(tail))
+    if np.any(inc == 0.0):
+        return False
+    ratios = inc[1:] / inc[:-1]
+    growing_mag = np.all(np.abs(tail[1:]) >= np.abs(tail[:-1]))
+    return bool(np.all(ratios >= 0.95) and growing_mag and abs(v[-1]) > abs(v[-5]))
+
+
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from([0.0, 1.0, -1.0, 2.0])), max_size=12))
+def test_growth_check_matches_its_array_form(values):
+    assert looks_divergent(values) == _looks_divergent_on_arrays(values)

@@ -331,6 +331,18 @@ def test_member_is_probed_only_when_its_integrals_fail(bump):
                           battery=[overflows, cos], schedule=SHORT_SCHEDULE)
 
 
+def test_deviation_that_is_not_a_number_is_decisive(bump, monkeypatch):
+    # Two infinite values differ by nan, which no bound holds.
+    from deltacalc import rewrite
+    from deltacalc.vintegral import IntegralResult
+
+    monkeypatch.setattr(rewrite, "reduce_expr_integral",
+                        lambda *a, **k: IntegralResult("reduced", value=math.inf))
+    verdict = check_equivalence(DeltaTerm(), DeltaTerm(), kernel=bump,
+                                battery=[const_function(1.0, label="1")])
+    assert verdict.variant == "distinct"
+
+
 def test_batteries_sizes():
     assert len(standard_battery()) == 20
     assert len(sift_battery()) == 10

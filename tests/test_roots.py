@@ -140,7 +140,7 @@ def test_one_grid_evaluation_per_composite():
     assert len(rewrite_composition(g).terms) == 2
     comp = dc.compose(dc.bump_delta(), g)
     for n in (16, 1024, 2**16):
-        integrate_rank(comp, -math.inf, math.inf, n)
+        integrate_rank(comp, -math.inf, math.inf, (n,))
     # Roots, certificate, seeds and every rank's regions read one array
     # evaluation of g on the grid.
     assert sizes.count(roots.GRID) == 1
@@ -193,10 +193,10 @@ def test_regions_refuse_only_where_g_meets_the_support_past_the_edge():
     bump, minus = dc.bump_delta(), dc.shifted_delta("-")
     far = _rf(lambda x: x * x - 10000.0, lambda x: 2.0 * x, "x^2-10000")
     comp = dc.compose(bump, far)
-    assert integrate_rank(comp, -50.0, 50.0, 1024) == 0.0  # inside the window
+    assert integrate_rank(comp, -50.0, 50.0, (1024,))[0] == 0.0  # inside the window
     with pytest.raises(RewriteError, match="outside_scan_risk"):
-        integrate_rank(comp, -math.inf, math.inf, 1024)
+        integrate_rank(comp, -math.inf, math.inf, (1024,))
     # exp(x) shrinks toward x = -60 but, without a sign change, never
     # reaches the support of delta_-; it stays inside the bump's.
-    assert integrate_rank(dc.compose(minus, math.exp), -math.inf, math.inf, 1024) == 0.0
-    assert integrate_rank(dc.compose(bump, math.exp), -math.inf, math.inf, 64) > 64.0
+    assert integrate_rank(dc.compose(minus, math.exp), -math.inf, math.inf, (1024,))[0] == 0.0
+    assert integrate_rank(dc.compose(bump, math.exp), -math.inf, math.inf, (64,))[0] > 64.0

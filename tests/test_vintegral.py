@@ -28,24 +28,24 @@ def test_infinite_bounds_are_the_shift_minus_plus_n_at_rank_n():
     # A constant integrates to the length of each rank's window.
     one = dc.VirtualFunction(lambda _n, x: 1.0, smoothness=C_INF, label="1")
     for n, shift in ((16, 0.0), (64, 2.5), (1024, -7.0)):
-        assert integrate_rank(one, -math.inf, math.inf, n, shift=shift) == pytest.approx(2 * n)
-        assert integrate_rank(one, -math.inf, 3.0, n, shift=shift) == pytest.approx(n + 3.0 - shift)
+        assert integrate_rank(one, -math.inf, math.inf, (n,), shift=shift)[0] == pytest.approx(2 * n)
+        assert integrate_rank(one, -math.inf, 3.0, (n,), shift=shift)[0] == pytest.approx(n + 3.0 - shift)
 
 
 def test_orientation_is_judged_on_the_limit_bounds(bump):
     # An infinite bound is oriented by its sign at every rank; a finite one
     # beyond a rank's window empties that rank instead.
     with pytest.raises(ValueError, match="empty orientation"):
-        integrate_rank(bump, math.inf, -math.inf, 16)
+        integrate_rank(bump, math.inf, -math.inf, (16,))
     with pytest.raises(ValueError, match="empty orientation"):
-        integrate_rank(bump, 1.0, -math.inf, 16, shift=50.0)
-    assert integrate_rank(bump, 0.0, math.inf, 16, shift=-100.0) == 0.0
-    assert integrate_rank(bump, 0.0, math.inf, 16, shift=100.0) == pytest.approx(1.0)
+        integrate_rank(bump, 1.0, -math.inf, (16,), shift=50.0)
+    assert integrate_rank(bump, 0.0, math.inf, (16,), shift=-100.0)[0] == 0.0
+    assert integrate_rank(bump, 0.0, math.inf, (16,), shift=100.0)[0] == pytest.approx(1.0)
 
 
 def test_infinite_constant_bound_rejected(bump):
     with pytest.raises(ValueError):
-        integrate_rank(bump, math.inf, math.inf, 16)
+        integrate_rank(bump, math.inf, math.inf, (16,))
 
 
 # -- normalization ---------------------------------------------------------
@@ -77,7 +77,7 @@ def test_sift_frozen_rank_value(bump):
     # Pin one raw rank value against the frozen high-precision reference.
     n = 2**16
     shifted = bump.translate(2.0)
-    val = integrate_rank(shifted, -math.inf, math.inf, n, weight=math.cos)
+    val = integrate_rank(shifted, -math.inf, math.inf, (n,), weight=math.cos)[0]
     assert abs(val - SIFT_COS_AT_2_RANK_2_16) < 5e-10
 
 
@@ -102,7 +102,7 @@ def test_square_kernel_quadratic_sift_is_exact(square):
     # I_n = 5 + 1/(3 n^2).
     f = lambda x: x * x + 5.0
     for n in (16, 256, 4096):
-        val = integrate_rank(square, -math.inf, math.inf, n, weight=f)
+        val = integrate_rank(square, -math.inf, math.inf, (n,), weight=f)[0]
         assert abs(val - (5.0 + 1.0 / (3.0 * n * n))) < 1e-12
     res = dc.sift(square, f, a=0.0)
     assert abs(res.value - 5.0) < 1e-9
@@ -270,7 +270,7 @@ def test_compose_frozen_rank_value(bump):
                      label="x^2-4")
     comp = dc.compose(bump, g)
     n = 2**16
-    val = integrate_rank(comp, -math.inf, math.inf, n, weight=math.cos)
+    val = integrate_rank(comp, -math.inf, math.inf, (n,), weight=math.cos)[0]
     assert abs(val - COMP_COS_RANK_2_16) < 5e-10
 
 
@@ -296,7 +296,7 @@ def test_compose_tracks_shrinking_regions(bump):
                      label="x-c")
     comp = dc.compose(bump, g)
     n = 2**20
-    val = integrate_rank(comp, -math.inf, math.inf, n)
+    val = integrate_rank(comp, -math.inf, math.inf, (n,))[0]
     assert abs(val - 1.0) < 1e-9
 
 
@@ -358,7 +358,7 @@ def test_fixed_rule_matches_quad(name, order, all_kernels):
         for a in (0.0, 0.3, -1.7):
             for n in ranks:
                 total += 1
-                got = _fixed_rule(d, n, a, f.fn, *d.profile_support)
+                got = _fixed_rule(d, (n,), a, f.fn, *d.profile_support)[0]
                 if got is None:
                     continue
                 accepted += 1
@@ -371,7 +371,7 @@ def test_fixed_rule_matches_quad(name, order, all_kernels):
 
 
 def test_math_only_weight_falls_back(bump, quad_calls):
-    got = profile_integral(bump, 64, 0.5, math.cos)
+    got = profile_integral(bump, (64,), 0.5, math.cos)[0]
     assert quad_calls
     assert got == _quad_reference(bump, 64, 0.5, math.cos, -1.0, 1.0)
 
@@ -380,8 +380,8 @@ def test_kink_inside_support_falls_back(bump, quad_calls):
     # |x| at a = 0.3/n puts the kink at u = -0.3, inside a panel.
     n = 64
     f = to_real_function(parse("abs(x)")).fn
-    assert _fixed_rule(bump, n, 0.3 / n, f, -1.0, 1.0) is None
-    got = profile_integral(bump, n, 0.3 / n, f)
+    assert _fixed_rule(bump, (n,), 0.3 / n, f, -1.0, 1.0)[0] is None
+    got = profile_integral(bump, (n,), 0.3 / n, f)[0]
     assert quad_calls
     assert got == _quad_reference(bump, n, 0.3 / n, f, -1.0, 1.0)
 
@@ -394,7 +394,7 @@ def test_cut_support_matches_quad(bump, order):
     f = to_real_function(parse("exp(x)*cos(3*x)")).fn
     for n in (16, 256, 1024):
         for ulo, uhi in ((0.0, math.inf), (-math.inf, -0.25), (-0.5, 0.7)):
-            got = profile_integral(d, n, 0.2, f, ulo, uhi)
+            got = profile_integral(d, (n,), 0.2, f, ulo, uhi)[0]
             want = _quad_reference(d, n, 0.2, f, max(ulo, -1.0), min(uhi, 1.0))
             assert abs(got - want) <= tol * max(1.0, abs(want)), (n, ulo, uhi)
 
@@ -406,7 +406,7 @@ def test_non_finite_weight_raises_like_quad(bump, quad_calls):
     with pytest.raises(QuadratureError):
         _quad_reference(bump, 16, 0.0, f, -1.0, 1.0)
     with pytest.raises(QuadratureError):
-        profile_integral(bump, 16, 0.0, f)
+        profile_integral(bump, (16,), 0.0, f)
     assert quad_calls
 
 
@@ -446,6 +446,87 @@ def test_rule_pair_sums_a_row_alone_as_among_others():
         assert alone == ([fine[i]], [True])
 
 
+# -- rank batches -------------------------------------------------------------
+
+def _rank_by_rank(d, lo, hi, ranks, weight, shift):
+    # One call per rank, up to the first refusal: its rank's message.
+    values = []
+    for n in ranks:
+        try:
+            values.append(integrate_rank(d, lo, hi, (n,), weight, shift)[0])
+        except QuadratureError as exc:
+            return values, str(exc)
+    return values, None
+
+
+def _assert_batch_is_rank_by_rank(d, lo, hi, ranks, weight, shift):
+    values, refusal = _rank_by_rank(d, lo, hi, ranks, weight, shift)
+    if refusal is None:
+        got = integrate_rank(d, lo, hi, tuple(ranks), weight, shift)
+        assert [v.hex() for v in got] == [v.hex() for v in values], (lo, hi, shift)
+    else:
+        with pytest.raises(QuadratureError) as exc:
+            integrate_rank(d, lo, hi, tuple(ranks), weight, shift)
+        assert str(exc.value) == refusal
+
+
+@pytest.mark.parametrize("name, order", [
+    (name, order) for name in ("bump", "plus", "minus", "mix") for order in (0, 1, 2)]
+    + [("square", 0)])
+def test_rank_batch_gives_the_bits_of_one_rank_at_a_time(name, order, request):
+    d = request.getfixturevalue(name).derivative(order)
+    ranks = derivative_schedule(DEFAULT_SCHEDULE, order)[:7]
+    weights = [None] + [f.fn for f in sift_battery()[1::4]]
+    for shift in (0.0, 0.3, -1.7, 1e15):
+        # The whole line; a lower bound that cuts the support at ranks 16
+        # and 32 only; an upper bound that cuts it at every rank.
+        for lo, hi in ((-math.inf, math.inf), (shift - 0.02, math.inf),
+                       (-math.inf, shift + 0.1 / ranks[-1])):
+            for w in weights:
+                _assert_batch_is_rank_by_rank(d, lo, hi, ranks, w, shift)
+
+
+def test_rank_batch_of_a_weight_that_takes_no_array(bump, quad_calls):
+    ranks = (16, 32, 64)
+    _assert_batch_is_rank_by_rank(bump.derivative(1), -math.inf, math.inf, ranks,
+                                  math.cos, 0.3)
+    assert len(quad_calls) == 2 * len(ranks)
+
+
+def test_one_rank_of_a_batch_falls_back_to_quad(bump, quad_calls):
+    # The kink of |x| lies inside a panel at rank 16 only (an equiv query's
+    # weight: a battery member times the factor).
+    f = to_real_function(parse("cos(1.4464*x+0.5193)")).fn
+    g = next(m.fn for m in dc.standard_battery() if m.label == "|x|(1+0.5sin(3x))")
+    w = lambda x: f(x) * g(x)
+    ranks = DEFAULT_SCHEDULE[:7]
+    got = integrate_rank(bump, -math.inf, math.inf, ranks, w, 0.0587)
+    assert len(quad_calls) == 1
+    quad_calls.clear()
+    values, _ = _rank_by_rank(bump, -math.inf, math.inf, ranks, w, 0.0587)
+    assert len(quad_calls) == 1
+    assert [v.hex() for v in got] == [v.hex() for v in values]
+
+
+def test_reduction_asks_for_its_first_seven_ranks_at_once(bump, monkeypatch):
+    asked = []
+    real = vintegral.integrate_rank
+    monkeypatch.setattr(vintegral, "integrate_rank",
+                        lambda vf, lo, hi, ranks, *a: asked.append(ranks)
+                        or real(vf, lo, hi, ranks, *a))
+    res = dc.sift(bump, math.cos, a=0.3)
+    assert asked == [DEFAULT_SCHEDULE[:7]] and len(res.rank_values) == 7
+    # Past the seventh rank, one rank a call.
+    asked.clear()
+    values = [1.0 + (-0.5) ** k for k in range(len(DEFAULT_SCHEDULE))]
+    lookup = dict(zip(DEFAULT_SCHEDULE, values))
+    res = vintegral.reduce_sequence(list(DEFAULT_SCHEDULE),
+                                    lambda ranks: asked.append(ranks)
+                                    or [lookup[n] for n in ranks], 1e-9)
+    assert asked[0] == DEFAULT_SCHEDULE[:7]
+    assert asked[1:] == [(n,) for n in DEFAULT_SCHEDULE[7:len(res.rank_values)]]
+
+
 # -- fixed-node region quadrature of composites ------------------------------
 
 #: Composites delta(g(x)) and their bounds (None: the rank's +/- n).
@@ -480,7 +561,7 @@ def test_region_rule_matches_quad(name, text, bounds, request, quad_calls):
     for n, tol in ((16, 1e-12), (64, 1e-12), (4096, 1e-10), (65536, 1e-10)):
         a, b = (-n, n) if bounds is None else bounds
         for w in weights:
-            got = integrate_rank(comp, lo, hi, n, weight=w)
+            got = integrate_rank(comp, lo, hi, (n,), weight=w)[0]
             assert n > 64 or not quad_calls, (n, w)
             pieces = _region_pieces(comp, n, a, b, w)
             quad_calls.clear()
@@ -491,7 +572,7 @@ def test_region_rule_matches_quad(name, text, bounds, request, quad_calls):
 def test_region_rules_disagree_on_a_mixture(mix, quad_calls):
     # The parts' edges lie inside each region: adaptive quad decides there.
     comp = _composite(mix, "x^2-4")
-    got = integrate_rank(comp, -math.inf, math.inf, 64, weight=np.cos)
+    got = integrate_rank(comp, -math.inf, math.inf, (64,), weight=np.cos)[0]
     assert quad_calls
     want = _region_pieces(comp, 64, -64.0, 64.0, np.cos)
     assert abs(got - sum(want)) <= 1e-12 * sum(max(1.0, abs(v)) for v in want)
@@ -499,7 +580,7 @@ def test_region_rules_disagree_on_a_mixture(mix, quad_calls):
 
 def test_math_only_weight_falls_back_on_every_region(bump, quad_calls):
     comp = _composite(bump, "x^3-2*x^2-x+2")
-    got = integrate_rank(comp, -math.inf, math.inf, 64, weight=math.cos)
+    got = integrate_rank(comp, -math.inf, math.inf, (64,), weight=math.cos)[0]
     assert len(quad_calls) == len(comp.regions(64, -64.0, 64.0)) == 3
     assert got == sum(_region_pieces(comp, 64, -64.0, 64.0, math.cos))
 
@@ -512,7 +593,7 @@ def test_non_finite_region_weight_raises_like_quad(bump):
     with pytest.raises(QuadratureError):
         _region_pieces(comp, 16, -16.0, 16.0, f)
     with pytest.raises(QuadratureError):
-        integrate_rank(comp, -math.inf, math.inf, 16, weight=f)
+        integrate_rank(comp, -math.inf, math.inf, (16,), weight=f)
 
 
 # -- caches keyed by value ---------------------------------------------------
