@@ -386,47 +386,13 @@ def _share(node):
 
 # One code object per tree, run with these names bound to `math` for a
 # float (the same operations, in the same order, as a recursive walk) or to
-# numpy ufuncs for an ndarray.
-# A power with an exponent other than an integer constant is emitted as
-# power(a, b).  On floats a negative base then gives a complex value, which
-# abs() may make real again; on arrays `_array_power` keeps that complex
-# value where numpy's power gives nan.  In a tree with such a power, an
-# integer constant power is emitted as ipow(a, b): on arrays
-# `_array_int_power` keeps the real entries of a complex base real.
-
-
-def _float_power(a, b):
-    """a ** b on single values, each taken as a float where it has no
-    imaginary part, as on the float path."""
-    a, b = (v.real if isinstance(v, complex) and v.imag == 0 else v for v in (a, b))
-    try:
-        return a ** b
-    except ArithmeticError:
-        return np.power(a, b)
-
-
-def _array_power(a, b):
-    out = np.power(a, b)
-    if np.iscomplexobj(out) or np.isnan(out).any():
-        out = np.asarray(np.frompyfunc(_float_power, 2, 1)(a, b), dtype=complex)
-    return out
-
-
-def _array_int_power(a, b):
-    """a ** b for an integer constant b; where a complex array a has no
-    imaginary part, a float power, as on the float path (a complex power
-    of a negative real leaves a rounding error in the imaginary part)."""
-    if np.iscomplexobj(a):
-        return np.where(a.imag == 0, a.real ** b, a ** b)
-    return a ** b
-
-
+# numpy ufuncs for an ndarray.  A tree with a power whose exponent is not an
+# integer constant runs on floats alone, an array point by point: on floats
+# a negative base then gives a complex value, which abs() may make real again.
 _SCALAR_NAMES = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "atan": math.atan,
-                 "abs": abs, "power": pow, "ipow": operator.pow,
-                 "inf": math.inf, "nan": math.nan}
+                 "abs": abs, "inf": math.inf, "nan": math.nan}
 _ARRAY_NAMES = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "atan": np.arctan,
-                "abs": np.abs, "power": _array_power, "ipow": _array_int_power,
-                "inf": math.inf, "nan": math.nan}
+                "abs": np.abs, "inf": math.inf, "nan": math.nan}
 
 
 def _emit(node, lines, names):
@@ -434,7 +400,8 @@ def _emit(node, lines, names):
     literal that holds its value.  `names` maps each statement's expression
     to its name, so equal subtrees are computed once, and each node met to
     the same, by identity (the caller holds the tree), so a subtree that
-    is one object is walked once."""
+    is one object is walked once.  `names["pointwise"]` is set once a power
+    whose exponent is not an integer constant is met."""
     if isinstance(node, Var):
         return "x"
     if isinstance(node, Num):
@@ -451,7 +418,7 @@ def _emit(node, lines, names):
         expr = f"{a} {'**' if node.op == '^' else node.op} {b}"
         if node.op == "^" and not (isinstance(node.right, Num)
                                    and float(node.right.value).is_integer()):
-            expr = f"power({a}, {b})"
+            names["pointwise"] = True
     else:
         raise ExpressionError(f"cannot evaluate {type(node).__name__}")
     if expr not in names:
@@ -463,27 +430,32 @@ def _emit(node, lines, names):
 
 def _compile(node, label):
     """Compile a delta-free tree to a function of a float or an ndarray."""
-    lines = []
-    result = _emit(node, lines, {})
+    lines, names = [], {}
+    result = _emit(node, lines, names)
     source = "def f(x):\n" + "\n".join(lines + [f"    return {result}"])
-    if "power(" in source:
-        source = re.sub(r"(\S+) \*\* (\S+)$", r"ipow(\1, \2)", source, flags=re.M)
     code = compile(source, f"<expression {label}>", "exec")
-    scalar_ns, array_ns = dict(_SCALAR_NAMES), dict(_ARRAY_NAMES)
+    scalar_ns = dict(_SCALAR_NAMES)
     exec(code, scalar_ns)
-    exec(code, array_ns)
-    scalar_f, array_f = scalar_ns["f"], array_ns["f"]
-    if "power(" in source:
-        # A numpy scalar x would take numpy's power; a complex value is nan
-        # on an array, but where it is real.
-        scalar_f, complex_f = (lambda x, f=scalar_f: f(float(x))), array_f
+    scalar_f, array_f = scalar_ns["f"], None
+    if names.get("pointwise"):
+        # A numpy scalar x would take numpy's power.
+        scalar_f = lambda x, f=scalar_f: f(float(x))
+    else:
+        array_ns = dict(_ARRAY_NAMES)
+        exec(code, array_ns)
+        array_f = array_ns["f"]
 
-        def array_f(x):
-            out = complex_f(x)
-            return np.where(out.imag == 0, out.real, np.nan) if np.iscomplexobj(out) else out
+    def point(x):
+        try:
+            return fn(x)
+        except (ExpressionError, ValueError):
+            return math.nan
 
     def fn(x):
         if isinstance(x, np.ndarray):
+            if array_f is None:
+                return np.array([point(v) for v in x.ravel().tolist()],
+                                dtype=float).reshape(x.shape)
             out = array_f(x)
             return out if np.shape(out) == x.shape else np.full(x.shape, out)
         try:
@@ -549,6 +521,9 @@ def to_real_function(node):
 
     The function and its derivatives take a float or an ndarray; on a float,
     division by zero, overflow and complex values raise ExpressionError.
+    A tree with a power whose exponent is not an integer constant is
+    evaluated point by point on floats, on an ndarray too, and a point
+    where that raises ExpressionError or ValueError reads nan.
     """
     return _real_function(node)
 

@@ -13,7 +13,7 @@ import math
 import operator
 from dataclasses import dataclass, replace
 
-from .errors import DeltaCalcError, ExpressionError, RewriteError
+from .errors import DeltaCalcError, ExpressionError, QuadratureError, RewriteError
 from .limits import DEFAULT_SCHEDULE
 # perfbench/tracer.py rebinds certify_hypotheses and find_simple_roots here.
 from .roots import WINDOW, certify_hypotheses, find_simple_roots, scan  # noqa: F401
@@ -193,6 +193,10 @@ class NormalForm:
         for c, k, a in terms:
             key = (float(a), int(k))
             merged[key] = merged.get(key, 0.0) + float(c)
+        for (a, k), c in merged.items():
+            if not math.isfinite(c):
+                raise RewriteError(f"coefficient {c} of the order-{k} delta "
+                                   f"term at a={a:g} is not finite")
         out = tuple(
             (c, k, a)
             for (a, k), c in sorted(merged.items())
@@ -395,7 +399,12 @@ def reduce_expr_integral(expr, weight=None, kernel=None,
             for n in ranks:
                 values_at((n,))
             raise
-        return [_total(column) for column in zip(*columns)]
+        totals = [_total(column) for column in zip(*columns)]
+        for n, total in zip(ranks, totals):
+            if not math.isfinite(total):
+                raise QuadratureError(f"at rank n={n}, the integral is not finite: "
+                                      f"{total}", rank=n)
+        return totals
 
     return reduce_sequence(derivative_schedule(schedule, max_order), values_at, tol)
 

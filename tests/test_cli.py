@@ -272,6 +272,30 @@ def test_integral_near_the_float_max_is_not_reduced_to_inf():
     assert abs(payload["value"] - math.exp(709.3)) <= payload["error"]
 
 
+@pytest.mark.parametrize("argv", [["simplify", "1e308*delta(x)+1e308*delta(x)"],
+                                  ["simplify", "1e308*delta(x)+1e308*delta(x)", "--json"],
+                                  ["simplify", "1e200*(1e200*delta(x))", "--json"]])
+def test_overflowing_coefficient_is_refused(argv):
+    # The merged coefficient 2e308 is inf: it printed inf·δ(x), and under
+    # --json {"c":inf,...}, which no JSON parser reads.
+    status, out, err = run(argv)
+    assert status == 1 and out == ""
+    assert "not finite" in err
+    if "--json" in argv:
+        assert json.loads(err)["error"] == "engine"
+
+
+@pytest.mark.parametrize("argv", [["integrate", "1e308*delta(x)+1e308*delta(x-1)"],
+                                  ["integrate", "1e200*(1e200*delta(x))", "--json"]])
+def test_overflowing_rank_sum_is_refused(argv):
+    # Every I_n is inf: it gave Undetermined with inf in each rank value.
+    status, out, err = run(argv)
+    assert status == 1 and out == ""
+    assert "at rank n=16, the integral is not finite" in err
+    if "--json" in argv:
+        assert json.loads(err)["error"] == "engine"
+
+
 @pytest.mark.parametrize("bound", ["--lower=inf", "--lower=nan", "--upper=-inf"])
 def test_non_finite_bound_is_refused(bound):
     status, out, err = run(["integrate", "delta(x)", bound] + FAST)

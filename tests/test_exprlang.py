@@ -391,28 +391,35 @@ def _check_compiled(tree, fn):
 
 @given(_trees(3))
 @settings(max_examples=300, deadline=None)
-# On an array, x^2.5 is complex at x < 0, so the base below is a complex
-# array.  Its real entries are raised as floats: numpy's complex power gives
-# (-0.1012+0j)^-169 a nonzero imaginary part, which reads as nan.
+# x^2.5 is complex at x < 0, so the base below is complex there and real
+# elsewhere: its integer power is real where the base is, on an array too.
 @example(Bin("^", Neg(Bin("^", Var(), Num(2.5))), Neg(Bin("*", Num(13.0), Num(13.0)))))
-# So are those of a complex base to an integer constant power: numpy's
-# complex power gives (-0.4^2.5+0j)^169 a nonzero imaginary part.
 @example(Bin("^", Neg(Bin("^", Var(), Num(2.5))), Num(169.0)))
 def test_compiled_matches_reference_walk(tree):
     _check_compiled(tree, to_real_function(tree).fn)
 
 
 @pytest.mark.parametrize("text", ["abs(x^2.5)", "abs((x^2.5)^2.5)", "abs(13/x^2.5)",
-                                  "x^2.5", "x^x"])
+                                  "x^2.5", "x^x", "exp(x)^0.5*cos(x)",
+                                  "abs(sin(3*x)^0.5)*exp(-x)"])
 def test_negative_base_to_fractional_power(text):
-    # On floats (-2.3)^2.5 is complex and abs() makes it real again; the
-    # array path must agree, and give nan where the float path fails.
+    # On floats (-2.3)^2.5 is complex and abs() makes it real again.  On an
+    # array such a tree runs point by point on floats: the same bits, and
+    # nan exactly where the float path raises.
     tree = parse(text)
-    _check_compiled(tree, to_real_function(tree).fn)
-    with np.errstate(all="ignore"):
-        out = to_real_function(tree).fn(np.array(_POINTS))
-    assert out.dtype == float
-    assert np.isnan(out[0]) == text.startswith("x^")
+    fn = to_real_function(tree).fn
+    _check_compiled(tree, fn)
+    assert np.isnan(fn(np.array(_POINTS))[0]) == text.startswith("x^")
+    xs = np.linspace(-3.0, 3.0, 2001)
+    out = fn(xs)
+    assert out.dtype == float and out.shape == xs.shape
+    for x, got in zip(xs.tolist(), out.tolist()):
+        try:
+            want = fn(x)
+        except (ExpressionError, ValueError):
+            assert math.isnan(got), (text, x)
+            continue
+        assert got.hex() == want.hex(), (text, x)
 
 
 @pytest.mark.parametrize("text", [t for t in FULL_CORPUS if "delta" not in t])
