@@ -8,6 +8,7 @@ test functions.
 
 from __future__ import annotations
 
+import fractions
 import functools
 import math
 import operator
@@ -159,8 +160,16 @@ def _kernel_of(atom, kernel):
 
 
 def _total(values):
-    """Left-to-right sum; a single value is returned as it is."""
-    return functools.reduce(operator.add, values)
+    """Left-to-right sum; a single value is returned as it is.  Where only
+    a partial sum overflowed, the exact sum rounded once (or its sign's inf)."""
+    total = functools.reduce(operator.add, values)
+    if math.isfinite(total) or not all(map(math.isfinite, values)):
+        return total
+    exact = sum(map(fractions.Fraction, values))
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -168,16 +177,6 @@ def _total(values):
 # ---------------------------------------------------------------------------
 
 STRONG = "strong"
-
-
-def _merge_strength(a, b):
-    """Strong beats nothing: mixing with an order-n rewrite downgrades to
-    the weaker (larger-n) order."""
-    if a == STRONG:
-        return b
-    if b == STRONG:
-        return a
-    return ("order", max(a[1], b[1]))
 
 
 @dataclass(frozen=True)
@@ -191,8 +190,8 @@ class NormalForm:
     def from_terms(terms, strength=STRONG, residual=None, kernel_binding=None):
         merged = {}
         for c, k, a in terms:
-            key = (float(a), int(k))
-            merged[key] = merged.get(key, 0.0) + float(c)
+            merged.setdefault((float(a), int(k)), []).append(float(c))
+        merged = {key: _total(cs) for key, cs in merged.items()}
         for (a, k), c in merged.items():
             if not math.isfinite(c):
                 raise RewriteError(f"coefficient {c} of the order-{k} delta "
@@ -244,6 +243,31 @@ class NormalForm:
 # Rewrite rules
 # ---------------------------------------------------------------------------
 
+def _composition_terms(g, cert, window):
+    """1/|g'(a_i)| on delta(x - a_i) at each certified root a_i of g."""
+    if cert is None:
+        cert = scan(g, window).certificate
+    cert.require()
+    return [(1.0 / abs(rec.g_prime), 0, rec.a) for rec in cert.roots]
+
+
+def _product_terms(f, n, a):
+    """The binomial rule for f(x) delta^(n)(x - a): (-1)^n (-1)^i C(n,i)
+    f^(n-i)(a) on delta^(i)(x - a); at n = 0, the product rule."""
+    terms = []
+    for i in range(n + 1):
+        try:
+            value = float(f.deriv_value(n - i, a))
+        except (ArithmeticError, ValueError, TypeError, ExpressionError) as exc:
+            raise RewriteError(f"factor undefined at a={a:g}: {exc}") from exc
+        coeff = ((-1.0) ** n) * ((-1.0) ** i) * math.comb(n, i) * value
+        if not math.isfinite(coeff):
+            part = f" has a derivative of order {n - i} that" if i < n else ""
+            raise RewriteError(f"factor {f.label!r}{part} is not finite at a={a:g}")
+        terms.append((coeff, i, a))
+    return terms
+
+
 def rewrite_composition(g, cert=None, window=WINDOW):
     """delta(g(x)) -> sum over simple roots of delta(x - a_i) / |g'(a_i)|.
 
@@ -251,42 +275,19 @@ def rewrite_composition(g, cert=None, window=WINDOW):
     `window`); an empty root set under certification means the composite
     is identically null.
     """
-    if cert is None:
-        cert = scan(g, window).certificate
-    cert.require()
-    terms = [(1.0 / abs(rec.g_prime), 0, rec.a) for rec in cert.roots]
-    return NormalForm.from_terms(terms, STRONG)
+    return NormalForm.from_terms(_composition_terms(g, cert, window))
+
+
+def rewrite_deriv_product(g, n, a):
+    """g(x) delta^(n)(x-a): the binomial rule, an order-n equivalence (at
+    n = 0, the product rule, a strong one)."""
+    return NormalForm.from_terms(_product_terms(g, int(n), float(a)),
+                                 ("order", int(n)) if n else STRONG)
 
 
 def rewrite_product(f, a):
     """f(x) delta(x - a) -> f(a) delta(x - a)."""
-    a = float(a)
-    try:
-        value = float(f(a))
-    except Exception as exc:
-        raise RewriteError(f"factor undefined at a={a:g}: {exc}") from exc
-    if not math.isfinite(value):
-        raise RewriteError(f"factor is not finite at a={a:g}")
-    return NormalForm.from_terms([(value, 0, a)], STRONG)
-
-
-def rewrite_deriv_product(g, n, a):
-    """g(x) delta^(n)(x-a): the binomial rule, an order-n equivalence.
-
-    Coefficients: (-1)^n (-1)^i C(n,i) g^{(n-i)}(a) on delta^(i)(x-a).
-    """
-    n = int(n)
-    a = float(a)
-    if n == 0:
-        return rewrite_product(g, a)
-    terms = []
-    for i in range(n + 1):
-        coeff = ((-1.0) ** n) * ((-1.0) ** i) * math.comb(n, i) * g.deriv_value(n - i, a)
-        if not math.isfinite(coeff):
-            raise RewriteError(f"factor {g.label!r} has a derivative of order "
-                               f"{n - i} that is not finite at a={a:g}")
-        terms.append((coeff, i, a))
-    return NormalForm.from_terms(terms, ("order", n))
+    return rewrite_deriv_product(f, 0, a)
 
 
 def rewrite_convolution(d1, d2, a=0.0):
@@ -297,38 +298,37 @@ def rewrite_convolution(d1, d2, a=0.0):
 
 
 def simplify(expr, window=WINDOW):
-    """Rewrite an expression AST to its normal form, atom by atom; the
-    residual names every smooth summand that is not the structural zero."""
+    """Rewrite an expression AST to its normal form: the rules' terms for
+    every atom go through one `from_terms`.  The residual names every
+    smooth summand that is not the structural zero."""
     atoms = _atoms(expr)
-    terms, strength, smooth, binding = [], STRONG, [], None
+    terms, order, smooth, binding = [], 0, [], None
     for c, f, atom in atoms:
         if isinstance(atom, SmoothTerm):
             if not _is_zero_term(atom):
                 smooth.append(atom.f.label or "f(x)")
             continue
         if isinstance(atom, CompTerm):
-            base = rewrite_composition(atom.inner, window=window).terms
+            base = _composition_terms(atom.inner, None, window)
         else:
-            base = ((1.0, atom.order, atom.shift),)
+            base = ((1.0, atom.order, float(atom.shift)),)
             if len(atoms) == 1:
                 binding = atom.kernel
         for t, k, a in base:
-            nf = (NormalForm.from_terms([(1.0, k, a)]) if f is None
-                  else rewrite_deriv_product(f, k, a))
-            terms.extend((c * (t * u), j, b) for u, j, b in nf.terms)
-            strength = _merge_strength(strength, nf.strength)
+            rule = ((1.0, k, a),) if f is None else _product_terms(f, k, a)
+            terms.extend((c * (t * u), j, b) for u, j, b in rule)
+            order = max(order, 0 if f is None else k)
     residual = (f"smooth summand{'s' if len(smooth) > 1 else ''} {', '.join(smooth)}"
                 if smooth else None)
-    return NormalForm.from_terms(terms, strength, residual, binding)
+    return NormalForm.from_terms(terms, ("order", order) if order else STRONG,
+                                 residual, binding)
 
 
 def evaluate_normal_form(nf, f):
     """sum_i c_i (-1)^{k_i} f^{(k_i)}(a_i); `f.derivative` refuses an
-    order that f lacks."""
-    total = 0.0
-    for c, k, a in nf.terms:
-        total += c * ((-1.0) ** k) * float(f.deriv_value(k, a))
-    return total
+    order that f lacks; an empty form is 0.0."""
+    return _total([0.0] + [c * ((-1.0) ** k) * float(f.deriv_value(k, a))
+                           for c, k, a in nf.terms])
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,40 @@ def test_non_finite_derivative_coefficient_is_refused():
     assert "not finite" in err
 
 
+@pytest.mark.parametrize("text", ["delta(x)/x", "ddelta(x,1)/x", "ddelta(x,2)/x"])
+def test_undefined_factor_is_named_at_every_order(text):
+    # Orders 1 and 2 let the raw "cannot evaluate (1/x)^(k)" through.
+    status, out, err = run(["simplify", text])
+    assert status == 1 and out == ""
+    assert "error (engine): factor undefined at a=0: cannot evaluate" in err
+
+
+@pytest.mark.parametrize("text", ["x*1e308*delta(x-10)", "x*1e308*ddelta(x-10,1)"])
+def test_factor_that_is_not_finite_is_named_at_every_order(text):
+    status, out, err = run(["simplify", text])
+    assert status == 1 and out == ""
+    assert "error (engine): factor 'x*1e+308' is not finite at a=10" in err
+
+
+def test_missing_derivative_is_not_an_undefined_factor():
+    status, out, err = run(["simplify", "abs(x)*ddelta(x,1)"])
+    assert status == 1 and out == ""
+    assert "abs(x) is only C^0, cannot take derivative of order 1" in err
+
+
+@pytest.mark.parametrize("text, c, a", [
+    ("1e20*(exp(-40)*delta(x))", 424.8354255291589, 0.0),
+    ("1e20*delta(1e15*(x-1))", 1e5, 1.0),
+    ("1e20*((x-1+1e-15)*delta(x-1))", 1e5, 1.0),
+])
+def test_coefficients_are_trimmed_after_scaling(text, c, a):
+    # Each rule's coefficient is below 1e-14 before the scale 1e20 applies:
+    # trimmed there, the answer read 0.
+    got = _simplify_json(text)["terms"]
+    assert [(t["k"], t["a"]) for t in got] == [(0, a)]
+    assert abs(got[0]["c"] - c) <= 1e-12 * c
+
+
 def test_discontinuous_kernel_has_no_derivative():
     status, out, err = run(["integrate", "x*ddelta(x,1)", "--kernel", "square"])
     assert status == 1 and out == ""
@@ -283,6 +317,17 @@ def test_overflowing_coefficient_is_refused(argv):
     assert "not finite" in err
     if "--json" in argv:
         assert json.loads(err)["error"] == "engine"
+
+
+def test_partial_sum_overflow_is_not_refused():
+    # 1e308 + 1e308 overflows on the way to the total 1e308.
+    text = "1e308*delta(x)+1e308*delta(x)-1e308*delta(x)"
+    status, out, err = run(["simplify", text])
+    assert status == 0, err
+    assert out.strip() == "1e+308·δ(x)   [strong]"
+    status, out, err = run(["integrate", text])
+    assert status == 0, err
+    assert out.startswith("Reduced(1e+308, ")
 
 
 @pytest.mark.parametrize("argv", [["integrate", "1e308*delta(x)+1e308*delta(x-1)"],
@@ -426,6 +471,31 @@ def test_trace_pointwise_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "x,value"
     assert len(lines) == 12
+
+
+def test_trace_without_rank_writes_the_integrate_trace(tmp_path):
+    path = tmp_path / "trace.csv"
+    status, _out, err = run(["integrate", "cos(x)*delta(x-1)", "--trace-out", str(path)])
+    assert status == 0, err
+    status, out, err = run(["trace", "cos(x)*delta(x-1)"])
+    assert status == 0, err
+    assert out == path.read_text()
+
+
+def test_trace_at_rank_of_a_smooth_expression():
+    status, out, err = run(["trace", "x^2", "--at-rank", "4", "--points", "3"])
+    assert status == 0, err
+    assert out == "x,value\n-2,4\n0,0\n2,4\n"
+
+
+def test_trace_at_rank_of_smooth_and_composite_summands(bump):
+    # The rank-4 integrand of x + delta(x^2-1) is x + 4 p(4(x^2-1)).
+    status, out, err = run(["trace", "x+delta(x^2-1)", "--at-rank", "4", "--points", "41"])
+    assert status == 0, err
+    rows = [tuple(map(float, line.split(","))) for line in out.splitlines()[1:]]
+    assert len(rows) == 41 and any(v != x for x, v in rows)
+    for x, v in rows:
+        assert abs(v - (x + bump.rank_eval(4, x * x - 1.0))) <= 1e-12, (x, v)
 
 
 # -- error contract --------------------------------------------------------

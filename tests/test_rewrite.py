@@ -8,6 +8,7 @@ from deltacalc.limits import SHORT_SCHEDULE
 from deltacalc.rewrite import (
     STRONG,
     CompTerm,
+    ContractionTerm,
     DeltaTerm,
     NormalForm,
     ProductTerm,
@@ -26,6 +27,7 @@ from deltacalc.rewrite import (
     simplify,
     standard_battery,
 )
+from deltacalc.rewrite import _total
 from deltacalc.roots import certify_hypotheses, find_simple_roots
 from deltacalc.vfun import C_INF, RealFunction, const_function
 
@@ -52,6 +54,23 @@ def test_zero_coefficients_drop_to_residual():
     nf = NormalForm.from_terms([(1.0, 0, 0.0), (-1.0, 0, 0.0)])
     assert nf.terms == ()
     assert nf.is_zero
+
+
+@pytest.mark.parametrize("values, want", [
+    ([1e308, 1e308, -1e308], 1e308),
+    ([1e308, 1e308], math.inf),
+    ([-1e308, -1e308, 1.0], -math.inf),
+    # A finite sum stays the left-to-right one (the exact sum rounds to 0.6).
+    ([0.1, 0.2, 0.3], 0.6000000000000001),
+    ([math.inf, 1.0], math.inf),
+])
+def test_total(values, want):
+    assert _total(values) == want
+
+
+def test_total_keeps_signed_zero_and_nan():
+    assert math.copysign(1.0, _total([-0.0])) == -1.0
+    assert math.isnan(_total([math.inf, -math.inf]))
 
 
 def test_render_uses_delta_glyph():
@@ -247,6 +266,31 @@ def test_simplify_product_with_composition():
     nf = simplify(expr)
     got = sum(c for c, _k, _a in nf.terms)
     assert abs(got - 2.0 * (math.cos(2.0) / 4.0)) < 1e-10
+
+
+def test_simplify_builds_one_normal_form(monkeypatch):
+    # The rules give raw terms; merging, checking and trimming happen once,
+    # for the whole expression.
+    calls = []
+    from_terms = NormalForm.from_terms
+    monkeypatch.setattr(NormalForm, "from_terms", staticmethod(
+        lambda *args, **kw: calls.append(args) or from_terms(*args, **kw)))
+    expr = SumTerm((ProductTerm(COS, CompTerm(X2M4)),
+                    ProductTerm(COS, DeltaTerm(2, 1.0)), DeltaTerm(1, 2.0)))
+    nf = simplify(expr)
+    assert len(calls) == 1
+    assert nf.strength == ("order", 2)
+    assert [(k, a) for _c, k, a in nf.terms] == [(0, -2.0), (0, 1.0), (1, 1.0),
+                                                 (2, 1.0), (0, 2.0), (1, 2.0)]
+
+
+def test_contraction_simplifies_to_a_delta_bound_to_the_convolution(bump):
+    expr = ContractionTerm(bump, bump, 0.5)
+    nf = simplify(expr)
+    assert nf.terms == ((1.0, 0, 0.5),) and nf.strength == STRONG
+    assert nf.kernel_binding.name == "convolution"
+    res = reduce_expr_integral(expr, weight=np.cos)
+    assert res.reduced and abs(res.value - math.cos(0.5)) < 1e-9
 
 
 def test_product_term_rejects_double_delta():

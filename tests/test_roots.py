@@ -200,3 +200,51 @@ def test_regions_refuse_only_where_g_meets_the_support_past_the_edge():
     # reaches the support of delta_-; it stays inside the bump's.
     assert integrate_rank(dc.compose(minus, math.exp), -math.inf, math.inf, (1024,))[0] == 0.0
     assert integrate_rank(dc.compose(bump, math.exp), -math.inf, math.inf, (64,))[0] > 64.0
+
+
+# -- disjoint brackets -------------------------------------------------------
+
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from deltacalc.roots import RootRecord  # noqa: E402
+
+
+def _product(roots, scale):
+    """scale * prod(x - r) and its derivative, evaluated as products so that
+    roots a few floats apart stay apart."""
+    def fn(x):
+        out = scale
+        for r in roots:
+            out = out * (x - r)
+        return out
+
+    def d(x):
+        return sum(scale * math.prod(x - r for j, r in enumerate(roots) if j != i)
+                   for i in range(len(roots)))
+
+    return RealFunction(fn, derivs=(d,), label="prod")
+
+
+@given(st.floats(-3.5, 0.0), st.lists(st.floats(-11.0, 0.0), max_size=4))
+@example(-1.0, [-9.6, 0.0])  # a gap of 2.5e-10 certifies: brackets 2.5e-11 apart
+@example(0.0, [-9.7])  # 2e-10 is "clustered roots"
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_certified_brackets_are_disjoint(first, exponents):
+    # Each bracket radius is at most 0.45 of the gap to each neighbour, and
+    # a gap too small to leave room between them is "clustered roots".
+    locs = [first]
+    for e in exponents:
+        locs.append(locs[-1] + 10.0 ** e)
+    locs = sorted(set(locs))
+    slopes = [math.prod(a - b for j, b in enumerate(locs) if j != i)
+              for i, a in enumerate(locs)]
+    scale = 1.0 / min(abs(s) for s in slopes)
+    g = _product(locs, scale)
+    recs = [RootRecord(a, scale * s, (a, a)) for a, s in zip(locs, slopes)]
+    cert = certify_hypotheses(g, recs, window=(-4.0, 4.0))
+    if cert.verdict != "violated":
+        for rec in cert.roots:
+            assert rec.bracket[0] < rec.a < rec.bracket[1]
+        for r1, r2 in zip(cert.roots, cert.roots[1:]):
+            assert r1.bracket[1] < r2.bracket[0]
