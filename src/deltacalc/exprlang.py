@@ -8,10 +8,12 @@ plain RealFunction or a delta-expression AST.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +45,7 @@ _TOKEN_RE = re.compile(r"""
 _FUNCTIONS = ("sin", "cos", "exp", "atan", "abs")
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "num" | "name" | "op" | "end"
     text: str
     pos: int
@@ -114,6 +115,10 @@ class Delta(Node):
 _BIN_PRECEDENCE = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 30}
 _UNARY_PRECEDENCE = 25
 
+#: The highest ddelta order: above it the scale n^k of the lowest rank,
+#: 16^k, is not a finite float, so no rank integral exists.
+_MAX_ORDER = 255
+
 
 def _number(tok):
     value = float(tok.text)
@@ -127,15 +132,14 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.cur = tokens[0]
         self.delta_depth = 0
 
-    @property
-    def cur(self):
-        return self.tokens[self.i]
-
     def advance(self):
+        # Never past the end token: every caller has checked its kind.
         tok = self.cur
         self.i += 1
+        self.cur = self.tokens[self.i]
         return tok
 
     def expect_op(self, text):
@@ -214,8 +218,12 @@ class _Parser:
                 if otok.kind != "num" or _number(otok) != int(_number(otok)):
                     raise ParseError("ddelta order must be a nonnegative integer",
                                      position=otok.pos, expected=("integer",))
-                self.advance()
                 order = int(float(otok.text))
+                if order > _MAX_ORDER:
+                    raise ParseError(f"ddelta order {otok.text} is above {_MAX_ORDER}",
+                                     position=otok.pos,
+                                     expected=(f"integer at most {_MAX_ORDER}",))
+                self.advance()
             self.expect_op(")")
             return Delta(inner, order)
         raise ParseError(f"unknown name {name!r}", position=tok.pos,
@@ -384,66 +392,97 @@ def _share(node):
     return share(node)
 
 
-# One code object per tree, run with these names bound to `math` for a
-# float (the same operations, in the same order, as a recursive walk) or to
-# numpy ufuncs for an ndarray.  A tree with a power whose exponent is not an
-# integer constant runs on floats alone, an array point by point: on floats
-# a negative base then gives a complex value, which abs() may make real again.
+# One code object per shape: a tree's source with each distinct number as
+# a parameter c0, c1, ... of `make`, which returns the tree's function of
+# x.  It runs with these names bound to `math` for a float (the same
+# operations, in the same order, as a recursive walk) or to numpy ufuncs
+# for an ndarray.  A tree with a power whose exponent is not an integer
+# constant runs on floats alone, an array point by point: on floats a
+# negative base then gives a complex value, which abs() may make real again.
 _SCALAR_NAMES = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "atan": math.atan,
-                 "abs": abs, "inf": math.inf, "nan": math.nan}
+                 "abs": abs}
 _ARRAY_NAMES = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "atan": np.arctan,
-                "abs": np.abs, "inf": math.inf, "nan": math.nan}
+                "abs": np.abs}
 
 
-def _emit(node, lines, names):
-    """Append the statements computing `node` to `lines`; return the name or
-    literal that holds its value.  `names` maps each statement's expression
-    to its name, so equal subtrees are computed once, and each node met to
-    the same, by identity (the caller holds the tree), so a subtree that
-    is one object is walked once.  `names["pointwise"]` is set once a power
-    whose exponent is not an integer constant is met."""
-    if isinstance(node, Var):
-        return "x"
-    if isinstance(node, Num):
-        return f"({node.value!r})"  # inf and nan are bound names
-    if id(node) in names:
-        return names[id(node)]
-    if isinstance(node, Neg):
-        expr = f"-{_emit(node.arg, lines, names)}"
-    elif isinstance(node, Call):
-        expr = f"{node.name}({_emit(node.arg, lines, names)})"
-    elif isinstance(node, Bin):
-        a = _emit(node.left, lines, names)
-        b = _emit(node.right, lines, names)
-        expr = f"{a} {'**' if node.op == '^' else node.op} {b}"
-        if node.op == "^" and not (isinstance(node.right, Num)
-                                   and float(node.right.value).is_integer()):
-            names["pointwise"] = True
-    else:
-        raise ExpressionError(f"cannot evaluate {type(node).__name__}")
-    if expr not in names:
-        names[expr] = f"t{len(lines)}"
-        lines.append(f"    {names[expr]} = {expr}")
-    names[id(node)] = names[expr]
-    return names[expr]
+class _Shape:
+    """A delta-free tree as the source of `make(c0, c1, ...)` and the
+    numbers to call it with, in one walk, which also records whether the
+    tree holds an abs call (`abs`), a power whose exponent is not a number
+    (`power`), or one whose exponent is not an integer constant
+    (`pointwise`)."""
+
+    def __init__(self, node):
+        self.lines, self.names, self.params, self.values = [], {}, {}, []
+        self.abs = self.power = self.pointwise = False
+        result = self._emit(node)
+        self.source = "".join([
+            f"def make({', '.join(self.params.values())}):\n    def f(x):\n",
+            *(f"        {line}\n" for line in self.lines),
+            f"        return {result}\n    return f\n"])
+
+    def _emit(self, node):
+        """Append the statements computing `node`; return the name that
+        holds its value.  Each number gets one parameter, by repr, which
+        keeps -0.0 apart from 0.0.  `names` maps each statement's
+        expression to its name, so equal subtrees are computed once, and
+        each node met to the same, by identity (the caller holds the tree),
+        so a subtree that is one object is walked once."""
+        if isinstance(node, Var):
+            return "x"
+        if isinstance(node, Num):
+            key = repr(node.value)
+            if key not in self.params:
+                self.params[key] = f"c{len(self.values)}"
+                self.values.append(node.value)
+            return self.params[key]
+        if id(node) in self.names:
+            return self.names[id(node)]
+        if isinstance(node, Neg):
+            expr = f"-{self._emit(node.arg)}"
+        elif isinstance(node, Call):
+            expr = f"{node.name}({self._emit(node.arg)})"
+            if node.name == "abs":
+                self.abs = True
+        elif isinstance(node, Bin):
+            a, b = self._emit(node.left), self._emit(node.right)
+            expr = f"{a} {'**' if node.op == '^' else node.op} {b}"
+            if node.op == "^" and not isinstance(node.right, Num):
+                self.power = self.pointwise = True
+            elif node.op == "^" and not float(node.right.value).is_integer():
+                self.pointwise = True
+        else:
+            raise ExpressionError(f"cannot evaluate {type(node).__name__}")
+        if expr not in self.names:
+            self.names[expr] = f"t{len(self.lines)}"
+            self.lines.append(f"{self.names[expr]} = {expr}")
+        self.names[id(node)] = self.names[expr]
+        return self.names[expr]
 
 
-def _compile(node, label):
-    """Compile a delta-free tree to a function of a float or an ndarray."""
-    lines, names = [], {}
-    result = _emit(node, lines, names)
-    source = "def f(x):\n" + "\n".join(lines + [f"    return {result}"])
-    code = compile(source, f"<expression {label}>", "exec")
+@functools.lru_cache(maxsize=256)
+def _factories(source, pointwise):
+    """`make` of a shape's source run in the math namespace, and in numpy's
+    unless the shape runs point by point: once per shape, not per tree."""
+    code = compile(source, "<expression>", "exec")
     scalar_ns = dict(_SCALAR_NAMES)
     exec(code, scalar_ns)
-    scalar_f, array_f = scalar_ns["f"], None
-    if names.get("pointwise"):
+    if pointwise:
+        return scalar_ns["make"], None
+    array_ns = dict(_ARRAY_NAMES)
+    exec(code, array_ns)
+    return scalar_ns["make"], array_ns["make"]
+
+
+def _function(shape, label):
+    """The function of a float or an ndarray that `shape` computes."""
+    make_scalar, make_array = _factories(shape.source, shape.pointwise)
+    scalar_f, array_f = make_scalar(*shape.values), None
+    if make_array is None:
         # A numpy scalar x would take numpy's power.
         scalar_f = lambda x, f=scalar_f: f(float(x))
     else:
-        array_ns = dict(_ARRAY_NAMES)
-        exec(code, array_ns)
-        array_f = array_ns["f"]
+        array_f = make_array(*shape.values)
 
     def point(x):
         try:
@@ -473,12 +512,17 @@ def _compile(node, label):
     return fn
 
 
-def _derivative_rule(trees, label):
-    """The nth_deriv rule of trees[0]: order k is derived and compiled on
-    its first call, as derivative trees grow fast and most are never
-    evaluated.  `trees` holds each tree derived so far, `compiled` each
-    order called so far."""
-    compiled = {}
+def _compile(node, label):
+    """Compile a delta-free tree to a function of a float or an ndarray."""
+    return _function(_Shape(node), label)
+
+
+def _derivative_rule(node, label):
+    """The nth_deriv rule of `node`: order k is derived from node's own
+    tree and compiled on its first call, as derivative trees grow fast and
+    most are never evaluated.  `trees` holds each tree derived so far,
+    `compiled` each order called so far."""
+    trees, compiled = [node], {}
 
     def rule(k):
         def fn(x):
@@ -491,28 +535,6 @@ def _derivative_rule(trees, label):
         return fn
 
     return rule
-
-
-def _children(node):
-    if isinstance(node, Bin):
-        return (node.left, node.right)
-    if isinstance(node, (Neg, Call)):
-        return (node.arg,)
-    if isinstance(node, Delta):
-        return (node.inner,)
-    return ()
-
-
-def _contains(node, test):
-    return test(node) or any(_contains(c, test) for c in _children(node))
-
-
-def _is_abs(node):
-    return isinstance(node, Call) and node.name == "abs"
-
-
-def _is_delta(node):
-    return isinstance(node, Delta)
 
 
 def to_real_function(node):
@@ -533,19 +555,16 @@ def _real_function(node):
     # rebinding to_real_function leaves alone: the test batteries compile
     # through it once per process and keep what it returns.
     label = render(node)
-    fn = _compile(node, label)
-    if _contains(node, _is_abs):
+    shape = _Shape(node)
+    fn = _function(shape, label)
+    if shape.abs:
         return RealFunction(fn, smoothness=0, label=label)
-    # Only the first derivative is taken now, to learn whether the tree is
-    # differentiable.  If it is, so is every later one: _diff emits only
-    # numbers, x, negation, + - * /, ^ with a numeric exponent, and sin,
-    # cos, exp and atan of subtrees it has already differentiated.
-    try:
-        trees = [node, _diff(node)]
-    except ExpressionError:
+    # _diff differentiates every tree free of abs and of powers whose
+    # exponent is not a number, and what it emits is such a tree again.
+    if shape.power:
         return RealFunction(fn, smoothness=C_INF, label=label)
     return RealFunction(fn, smoothness=C_INF, label=label,
-                        nth_deriv=_derivative_rule(trees, label))
+                        nth_deriv=_derivative_rule(node, label))
 
 
 # ---------------------------------------------------------------------------
@@ -556,30 +575,43 @@ _FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul,
          "/": operator.truediv, "^": operator.pow}
 
 
-def _fold(node):
+def _fold(node, deltas):
     """Fold Num op Num and -Num where the result is a finite real float, and
-    0*E, E*0 and 0/E to 0 where E is delta-free."""
-    if isinstance(node, Neg):
-        arg = _fold(node.arg)
-        return Num(-arg.value) if isinstance(arg, Num) else Neg(arg)
-    if isinstance(node, Call):
-        return Call(node.name, _fold(node.arg))
+    0*E, E*0 and 0/E to 0 where E is delta-free.  A node whose children
+    fold to themselves is kept.  `deltas` gathers the ids of the folded
+    nodes that hold a Delta; each is part of the result."""
     if isinstance(node, Delta):
-        return Delta(_fold(node.inner), node.order)
-    if not isinstance(node, Bin):
+        inner = _fold(node.inner, deltas)
+        if inner is not node.inner:
+            node = Delta(inner, node.order)
+        deltas.add(id(node))
         return node
-    a, b = _fold(node.left), _fold(node.right)
-    if isinstance(a, Num) and isinstance(b, Num):
-        try:
-            value = _FOLD[node.op](a.value, b.value)
-        except ArithmeticError:
-            value = None
-        if isinstance(value, float) and math.isfinite(value):
-            return Num(value)
-    elif ((node.op in "*/" and _is_zero(a) or node.op == "*" and _is_zero(b))
-          and not _contains(node, _is_delta)):
-        return _ZERO
-    return Bin(node.op, a, b)
+    if isinstance(node, (Neg, Call)):
+        arg = _fold(node.arg, deltas)
+        if isinstance(node, Neg) and isinstance(arg, Num):
+            return Num(-arg.value)
+        if arg is not node.arg:
+            node = Neg(arg) if isinstance(node, Neg) else Call(node.name, arg)
+        held = id(arg) in deltas
+    elif isinstance(node, Bin):
+        a, b = _fold(node.left, deltas), _fold(node.right, deltas)
+        held = id(a) in deltas or id(b) in deltas
+        if isinstance(a, Num) and isinstance(b, Num):
+            try:
+                value = _FOLD[node.op](a.value, b.value)
+            except ArithmeticError:
+                value = None
+            if isinstance(value, float) and math.isfinite(value):
+                return Num(value)
+        elif (node.op in "*/" and _is_zero(a) or node.op == "*" and _is_zero(b)) and not held:
+            return _ZERO
+        if a is not node.left or b is not node.right:
+            node = Bin(node.op, a, b)
+    else:
+        return node
+    if held:
+        deltas.add(id(node))
+    return node
 
 
 def _shift_of(node):
@@ -605,31 +637,32 @@ def _lift_delta(node):
     return CompTerm(inner=to_real_function(node.inner))
 
 
-def _summands(node):
+def _summands(node, deltas):
     """(c, factor, atom) for each summand c * factor * atom of a folded
     tree, in one walk: atom is a Delta node or a delta-free tree, and
-    factor the tree of the smooth factors it carries, or None."""
-    if isinstance(node, Delta) or not _contains(node, _is_delta):
+    factor the tree of the smooth factors it carries, or None.  `deltas`
+    holds the ids of the nodes that hold a Delta."""
+    if isinstance(node, Delta) or id(node) not in deltas:
         return [(1.0, None, node)]
     if isinstance(node, Neg):
-        return [(-c, f, atom) for c, f, atom in _summands(node.arg)]
+        return [(-c, f, atom) for c, f, atom in _summands(node.arg, deltas)]
     if isinstance(node, Bin):
         if node.op in "+-":
             sign = -1.0 if node.op == "-" else 1.0
-            return _summands(node.left) + [(sign * c, f, atom) for c, f, atom
-                                           in _summands(node.right)]
+            return _summands(node.left, deltas) + [
+                (sign * c, f, atom) for c, f, atom in _summands(node.right, deltas)]
         if node.op == "*":
-            ldelta = _contains(node.left, _is_delta)
-            if ldelta and _contains(node.right, _is_delta):
+            ldelta = id(node.left) in deltas
+            if ldelta and id(node.right) in deltas:
                 raise ExpressionError(
                     "products of two delta terms are undefined outside a "
                     "contraction integral")
             dnode, snode = (node.left, node.right) if ldelta else (node.right, node.left)
-            return _times(_summands(dnode), snode)
+            return _times(_summands(dnode, deltas), snode)
         if node.op == "/":
-            if _contains(node.right, _is_delta):
+            if id(node.right) in deltas:
                 raise ExpressionError("division by a delta term is undefined")
-            return _times(_summands(node.left), Bin("/", _ONE, node.right))
+            return _times(_summands(node.left, deltas), Bin("/", _ONE, node.right))
         if node.op == "^":
             raise ExpressionError("delta terms cannot be exponentiated")
     if isinstance(node, Call):
@@ -649,11 +682,12 @@ def _times(summands, factor):
 def lift(node):
     """Lift a tree to a DeltaExpr, or a RealFunction if delta-free; constant
     subtrees are folded first."""
-    node = _fold(node)
-    if not _contains(node, _is_delta):
+    deltas = set()
+    node = _fold(node, deltas)
+    if id(node) not in deltas:
         return to_real_function(node)
     terms = []
-    for c, f, atom in _summands(node):
+    for c, f, atom in _summands(node, deltas):
         if isinstance(atom, Delta):
             term = _lift_delta(atom)
             if f is not None:

@@ -381,10 +381,11 @@ def reduce_expr_integral(expr, weight=None, kernel=None,
     composites are scanned over `window`."""
     if isinstance(weight, RealFunction):
         weight = weight.fn
+    parts = _atoms(expr)
     # Each atom's weight: its factor times the caller's.
     atoms = [(c, weight if f is None else f.fn if weight is None
               else (lambda x, f=f.fn: f(x) * weight(x)), atom)
-             for c, f, atom in _atoms(expr)]
+             for c, f, atom in parts]
     max_order = max((atom.order for _c, _w, atom in atoms
                      if isinstance(atom, DeltaTerm)), default=0)
 
@@ -406,7 +407,29 @@ def reduce_expr_integral(expr, weight=None, kernel=None,
                                       f"{total}", rank=n)
         return totals
 
-    return reduce_sequence(derivative_schedule(schedule, max_order), values_at, tol)
+    result = reduce_sequence(derivative_schedule(schedule, max_order), values_at, tol)
+    if (result.kind == "irreducible" and weight is None
+            and all(_sifts(f, atom, lo, hi) for _c, f, atom in parts)):
+        # At high orders the rounding noise of I_n grows like a power of n
+        # and the power-law fit takes it for divergence.
+        return replace(result, kind="undetermined", exponent=None, sign=None)
+    return result
+
+
+def _sifts(f, atom, lo, hi):
+    """Whether f * atom has a finite virtual integral, (-1)^k f^(k)(a): atom
+    is a delta term of order k at a strictly inside (lo, hi), and f, if
+    any, is C^k with finite derivatives of orders 0..k at a."""
+    if not (isinstance(atom, DeltaTerm) and lo < atom.shift < hi):
+        return False
+    if f is None:
+        return True
+    try:
+        return f.smoothness >= atom.order and all(
+            math.isfinite(float(f.deriv_value(j, atom.shift)))
+            for j in range(atom.order + 1))
+    except (ArithmeticError, ValueError, TypeError, DeltaCalcError):
+        return False
 
 
 # ---------------------------------------------------------------------------

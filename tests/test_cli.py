@@ -938,3 +938,44 @@ def test_outputs_do_not_depend_on_earlier_calls():
     order = list(range(len(commands)))
     for i in order + order[::2] + order[1::2][::-1]:
         assert run(commands[i]) == fresh[i], commands[i]
+
+
+@pytest.mark.parametrize("argv", [["integrate", "ddelta(x,1e20)"],
+                                  ["simplify", "x*ddelta(x,1e20)"],
+                                  ["equiv", "ddelta(x,1e20)", "ddelta(x,1e20)"]],
+                         ids=["integrate", "simplify", "equiv"])
+def test_huge_ddelta_order_is_a_parse_error(argv):
+    # In a child process with a timeout, so that a hang fails the test.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import deltacalc
+
+    env = dict(os.environ, PYTHONPATH=str(Path(deltacalc.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "deltacalc.cli", *argv, "--json"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "parse" and "above 255" in payload["message"]
+    assert payload["position"] == argv[1].index("1e20")
+
+
+@pytest.mark.parametrize("argv", [["integrate", "exp(x)*ddelta(x-0.3,7)"],
+                                  ["integrate", "cos(x)*ddelta(x,7)", "--kernel", "plus"]])
+def test_finite_high_order_sift_is_not_irreducible(argv):
+    # Rounding noise that grows like a power of n is not divergence: the
+    # limits are -e^0.3 and 0.
+    status, out, _ = run(argv + ["--json"])
+    assert status == 0
+    assert json.loads(out)["variant"] == "undetermined"
+
+
+@pytest.mark.parametrize("argv", [["integrate", "delta(x)/x", "--kernel", "plus"],
+                                  ["integrate", "delta(x)+3"]])
+def test_divergent_sift_stays_irreducible(argv):
+    status, out, _ = run(argv + ["--json"])
+    assert status == 0
+    payload = json.loads(out)
+    assert payload["variant"] == "irreducible" and abs(payload["exponent"] - 1.0) < 0.05

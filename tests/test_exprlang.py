@@ -94,6 +94,15 @@ def test_ddelta_order_must_be_integer():
         parse("ddelta(x,1.5)")
 
 
+@pytest.mark.parametrize("text, position", [("ddelta(x,256)", 9), ("ddelta(x-1, 1e20)", 12)])
+def test_ddelta_order_is_at_most_255(text, position):
+    # 16^255 is the largest power of the lowest rank that is a finite float.
+    assert parse("ddelta(x,255)") == Delta(Var(), 255)
+    with pytest.raises(ParseError, match="above 255") as info:
+        parse(text)
+    assert info.value.position == position
+
+
 # -- round trip ------------------------------------------------------------
 
 CORPUS = [
@@ -179,6 +188,71 @@ def test_abs_compiles_without_derivatives():
     f = to_real_function(parse("abs(x)"))
     assert f.smoothness == 0
     assert f(-2.0) == 2.0
+
+
+def test_shapes_are_compiled_once_and_keep_their_constants():
+    from deltacalc.exprlang import _factories
+
+    xs = np.array([-1.0, 0.5, 2.0])
+    f = to_real_function(parse("2*x+1"))
+    misses = _factories.cache_info().misses
+    g = to_real_function(parse("3*x+5"))
+    assert _factories.cache_info().misses == misses
+    assert (f(2.0), g(2.0)) == (5.0, 11.0)
+    assert f(xs).tolist() == [-1.0, 2.0, 5.0] and g(xs).tolist() == [2.0, 6.5, 11.0]
+
+
+def test_shapes_keep_shared_and_signed_constants_apart():
+    from deltacalc.exprlang import _Shape
+
+    # 2*x+2 shares one constant, 2*x+3 has two: two shapes.
+    assert _Shape(parse("2*x+2")).source != _Shape(parse("2*x+3")).source
+    assert to_real_function(parse("2*x+2"))(1.0) == 4.0
+    assert to_real_function(parse("2*x+3"))(1.0) == 5.0
+    # -0.0 - x*0.0 is -0.0 at x = 1; either zero for both leaves gives 0.0.
+    tree = Bin("-", Num(-0.0), Bin("*", Var(), Num(0.0)))
+    assert len(_Shape(tree).values) == 2
+    f = to_real_function(tree)
+    assert math.copysign(1.0, f(1.0)) == -1.0
+    assert math.copysign(1.0, f(np.array([1.0]))[0]) == -1.0
+    for zero in (0.0, -0.0, 0.0):
+        assert math.copysign(1.0, to_real_function(Bin("*", Var(), Num(zero)))(1.0)) == \
+            math.copysign(1.0, zero)
+
+
+def test_pointwise_mark_does_not_leak_between_exponents():
+    from deltacalc.exprlang import _Shape
+
+    assert _Shape(parse("(x-1)^2")).source == _Shape(parse("(x-1)^2.5")).source
+    xs = np.array([0.0, 2.0])
+    for _ in range(2):
+        square = to_real_function(parse("(x-1)^2"))
+        assert square(0.0) == 1.0 and square(xs).tolist() == [1.0, 1.0]
+        root = to_real_function(parse("(x-1)^2.5"))
+        with pytest.raises(ExpressionError, match="not real"):
+            root(0.0)
+        out = root(xs)
+        assert np.isnan(out[0]) and out[1] == 1.0
+        cube = to_real_function(parse("(x-1)^3"))
+        assert cube(0.0) == -1.0 and cube(xs).tolist() == [-1.0, 1.0]
+
+
+def test_smoothness_comes_from_the_compiling_walk():
+    f = to_real_function(parse("x^x"))
+    assert f.smoothness == math.inf and f.nth_deriv is None
+    # d/dx x^x = x^x (ln x + 1): 1 at x = 1, by the difference quotient.
+    assert abs(f.deriv_value(1, 1.0) - 1.0) < 1e-8
+    assert to_real_function(parse("x^x*abs(x)")).smoothness == 0
+    assert to_real_function(parse("x^2*x^3")).nth_deriv is not None
+
+
+def test_shape_cache_is_bounded():
+    from deltacalc.exprlang import _factories
+
+    for i in range(1, 300):
+        assert to_real_function(parse("+".join(["x"] * i)))(1.0) == i
+    info = _factories.cache_info()
+    assert info.maxsize == 256 and info.currsize <= 256
 
 
 def test_quotient_derivative():
@@ -500,15 +574,11 @@ def test_derivative_trees_wait_for_their_first_call(monkeypatch):
         return real(node)
 
     monkeypatch.setattr(exprlang, "_diff", counting)
-    tree = parse("x^3-2*x+1")
-    exprlang._diff(tree)
-    one_pass = len(calls)
-    calls.clear()
     comp = parse_expression("delta(x^3-2*x+1)")
     assert isinstance(comp, CompTerm) and comp.inner.nth_deriv is not None
-    assert len(calls) == one_pass
+    assert calls == []
     assert comp.inner.derivative(3)(0.5) == 6.0
-    assert len(calls) > one_pass
+    assert calls
     seen = len(calls)
     assert comp.inner.derivative(2)(0.5) == 3.0
     assert len(calls) == seen
@@ -532,7 +602,7 @@ def test_high_order_derivatives_are_derived_from_shared_trees(monkeypatch):
         node = todo.pop()
         if id(node) not in seen:
             seen.add(id(node))
-            todo.extend(exprlang._children(node))
+            todo.extend(f for f in vars(node).values() if isinstance(f, exprlang.Node))
     assert len(seen) < 3000
     with mpmath.workdps(30):
         want = float(mpmath.diff(lambda t: mpmath.exp(t) * mpmath.sin(t) * mpmath.cos(t)
