@@ -6,6 +6,7 @@ from .errors import (
     DeltaCalcError,
     ExpressionError,
     ParseError,
+    ProfileOverflowError,
     QuadratureError,
     RankEvaluationError,
     RewriteError,

@@ -115,21 +115,36 @@ def _apply_flags(cfg, args):
 # ---------------------------------------------------------------------------
 
 def _json_text(obj):
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
+    """obj as JSON text: floats at %.17g, strings written as json.dumps
+    writes them (ASCII keys, values with non-ASCII kept), and no call to
+    json.dumps where a string is copied unchanged between quotes."""
     if isinstance(obj, float):
         return "%.17g" % obj
+    if isinstance(obj, (list, tuple)):
+        # Mostly [n, I_n] pairs: their ints and floats are written in place.
+        return "[" + ",".join(["%.17g" % v if type(v) is float else str(v)
+                               if type(v) is int else _json_text(v) for v in obj]) + "]"
+    if isinstance(obj, dict):
+        return "{" + ",".join(_json_key(k) + ":" + _json_text(v)
+                              for k, v in obj.items()) + "}"
+    if isinstance(obj, str):
+        return f'"{obj}"' if _plain(obj) else json.dumps(obj, ensure_ascii=False)
+    if obj is None or isinstance(obj, bool):
+        return "null" if obj is None else "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj, ensure_ascii=False)
-    if isinstance(obj, dict):
-        inner = ",".join(f"{json.dumps(str(k))}:{_json_text(v)}"
-                         for k, v in obj.items())
-        return "{" + inner + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(_json_text(v) for v in obj) + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _plain(text):
+    """Whether json.dumps writes `text` as it is between quotes."""
+    return text.isascii() and text.isprintable() and '"' not in text and "\\" not in text
+
+
+@functools.lru_cache(maxsize=256)
+def _json_key(key):
+    key = str(key)
+    return f'"{key}"' if _plain(key) else json.dumps(key)
 
 
 def _emit(payload, args, out):

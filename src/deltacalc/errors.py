@@ -17,6 +17,11 @@ class SmoothnessError(DeltaCalcError):
     """An operation required more differentiability than the operand declares."""
 
 
+class ProfileOverflowError(DeltaCalcError):
+    """A kernel's profile derivative of some order has coefficients that are
+    not finite floats."""
+
+
 class QuadratureError(DeltaCalcError):
     """Per-rank quadrature failed to converge."""
 

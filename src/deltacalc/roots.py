@@ -8,7 +8,7 @@ to a window edge are flagged as OutsideScanRisk, not silently certified.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,10 +53,24 @@ class HypothesisCertificate:
     #: (edge, lo, hi) for each window edge behind an outside_scan_risk:
     #: past it, g may take the values in [lo, hi].
     edges: tuple = ()
+    #: What r is taken from: the scan's grid and g on it, the mask of the
+    #: points outside the brackets, and the refined dips (x, |g(x)|) there.
+    samples: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def certified(self):
         return self.verdict == "certified"
+
+    def floor(self, lo, hi):
+        """Half the least |g| sampled on [lo, hi] outside the brackets: r
+        where [lo, hi] holds the window, inf where it holds no sample (the
+        region search finds no region there either), 0 without a scan."""
+        if not self.samples:
+            return 0.0
+        xs, vals, outside, dips = self.samples
+        i, j = np.searchsorted(xs, lo, "left"), np.searchsorted(xs, hi, "right")
+        return min([float(np.min(np.abs(vals[i:j][outside[i:j]]), initial=np.inf))]
+                   + [level for x, level in dips if lo <= x <= hi]) / 2.0
 
     def require(self):
         """Raise the RewriteError that refuses an uncertified composite."""
@@ -289,6 +303,7 @@ def certify_hypotheses(g, roots, window=WINDOW):
     dips = [(x, level) for x, level, i, j in s.dips if outside[i:j + 1].all()]
     r = min([float(np.min(mags)) if len(mags) else 0.0]
             + [level for _x, level in dips]) / 2.0
+    samples = (s.xs, s.vals, outside, tuple(dips))
 
     # Roots recurring up to both edges (a periodic g): more lie past them.
     # This comes first: the dips of such a g may hide root pairs as well.
@@ -298,7 +313,7 @@ def certify_hypotheses(g, roots, window=WINDOW):
             tuple(shrunk), r, (a, b), "outside_scan_risk",
             f"roots recur up to both window edges (gaps up to {gap:.3g}); "
             "more may lie outside the scan window",
-            edges=((a, -np.inf, np.inf), (b, -np.inf, np.inf)),
+            edges=((a, -np.inf, np.inf), (b, -np.inf, np.inf)), samples=samples,
         )
 
     for x, level in dips:
@@ -320,7 +335,7 @@ def certify_hypotheses(g, roots, window=WINDOW):
             f"|g| is small ({abs(fn(edges[0][0])):.3g} <= 2r) and shrinking at "
             f"window edge x={edges[0][0]:g}; behaviour outside the scan window "
             "may depend on the kernel",
-            edges=edges,
+            edges=edges, samples=samples,
         )
 
-    return HypothesisCertificate(tuple(shrunk), r, (a, b), "certified")
+    return HypothesisCertificate(tuple(shrunk), r, (a, b), "certified", samples=samples)

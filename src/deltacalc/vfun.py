@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SmoothnessError
+from .errors import ProfileOverflowError, SmoothnessError
 from .limits import DEFAULT_SCHEDULE
 from .vnum import NumberClass, VirtualNumber, classify, from_sequence
 
@@ -153,15 +153,20 @@ def _bump_polynomial(k):
     """Ascending coefficients of Q_k in p^(k)(x) = Q_k(x)/(1-x^2)^(2k) p(x).
 
     Q_0 = 1 and Q_{j+1} = Q_j' (1-x^2)^2 + 4 j x (1-x^2) Q_j - 2 x Q_j.
+    From k = 140 on some coefficient is not a finite float: refused.
     """
     poly = np.polynomial.polynomial
     s = np.array([1.0, 0.0, -1.0])
     q = np.array([1.0])
-    for j in range(k):
-        q = poly.polysub(
-            poly.polyadd(poly.polymul(poly.polyder(q), poly.polymul(s, s)),
-                         poly.polymulx(poly.polymul(s, q)) * (4.0 * j)),
-            2.0 * poly.polymulx(q))
+    with np.errstate(all="ignore"):
+        for j in range(k):
+            q = poly.polysub(
+                poly.polyadd(poly.polymul(poly.polyder(q), poly.polymul(s, s)),
+                             poly.polymulx(poly.polymul(s, q)) * (4.0 * j)),
+                2.0 * poly.polymulx(q))
+    if not np.isfinite(q).all():
+        raise ProfileOverflowError(f"the order-{k} derivative of its profile has "
+                                   "coefficients that are not finite floats")
     return q
 
 
@@ -299,10 +304,13 @@ class DiracKernel(VirtualFunction):
         if order == 0:
             return self
         if order not in self._derivatives:
+            try:
+                profile = self.profile.derivative(order)
+            except ProfileOverflowError as exc:
+                raise ProfileOverflowError(f"kernel {self.name!r}: {exc}") from None
             self._derivatives[order] = DiracKernel(
-                self.profile.derivative(order), self.profile_support,
-                f"{self.name}^({order})", self.params, order=self.order + order,
-                cuts=self.profile_cuts)
+                profile, self.profile_support, f"{self.name}^({order})", self.params,
+                order=self.order + order, cuts=self.profile_cuts)
         return self._derivatives[order]
 
 

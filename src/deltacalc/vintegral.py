@@ -155,11 +155,12 @@ def integrate_rank(vf, lo, hi, ranks, weight=None, shift=0.0):
     -/+ n from the shift, so a kernel's support lies inside the bounds at
     every shift, and the one place that picks how a rank integral is
     taken: a profile kernel in u = n(x - shift), all ranks at once
-    (`profile_integral`), a composite region by region
-    (`_regions_integral`), any other virtual function by adaptive quad over
-    its declared support, with a discontinuous function's support edges as
-    split points.  The ranks are taken in order: the lowest that fails
-    raises its error."""
+    (`profile_integral`), a composite d_n(g(x)) in u = n g(x) at the roots
+    of g, all ranks at once (`_substituted`), and region by region
+    (`_regions_integral`) at a rank the substitution does not take, any
+    other virtual function by adaptive quad over its declared support, with
+    a discontinuous function's support edges as split points.  The ranks
+    are taken in order: the lowest that fails raises its error."""
     # Reversed bounds (or nan) are refused; a finite bound beyond one
     # rank's window only empties that rank.
     if not (lo <= hi and lo < math.inf and hi > -math.inf):
@@ -173,8 +174,11 @@ def integrate_rank(vf, lo, hi, ranks, weight=None, shift=0.0):
                                 [n * db for n, (_da, db) in zip(ranks, offsets)])
     if shift:
         vf = vf.translate(shift)
-    return [0.0 if da > db else _rank_quad(vf, n, shift + da, shift + db, weight)
-            for n, (da, db) in zip(ranks, offsets)]
+    bounds = [(shift + da, shift + db) for da, db in offsets]
+    values = (_substituted(vf, ranks, bounds, weight) if isinstance(vf, Composite)
+              else [None] * len(ranks))
+    return [v if v is not None else 0.0 if a > b else _rank_quad(vf, n, a, b, weight)
+            for n, (a, b), v in zip(ranks, bounds, values)]
 
 
 def _rank_quad(vf, n, a, b, weight):
@@ -222,6 +226,12 @@ def _fixed_nodes(cuts):
     for arr in out:
         arr.flags.writeable = False
     return out
+
+
+def _cuts(d, ulo, uhi):
+    """The panel edges of d's fixed rules on [ulo, uhi]: its ends and the
+    profile cuts between them."""
+    return (ulo, *(c for c in d.profile_cuts if ulo < c < uhi), uhi)
 
 
 @functools.lru_cache(maxsize=64)
@@ -285,7 +295,7 @@ def _fixed_rule(d, ranks, a, weight, ulo, uhi):
     cancel = k > 0 and (ulo, uhi) == (plo, phi)
     if cancel and weight is None:
         return [0.0] * len(ranks)
-    cuts = (ulo, *(c for c in d.profile_cuts if ulo < c < uhi), uhi)
+    cuts = _cuts(d, ulo, uhi)
     u, w_coarse, w_fine = _fixed_nodes(cuts)
     # One row of nodes per rank, each ending in a where w(a) is subtracted.
     x = a + u / np.array(ranks, dtype=float)[:, None]
@@ -534,28 +544,186 @@ def convolve(d1, d2):
 
 
 # ---------------------------------------------------------------------------
-# Composition d(g(x)) with nonzero-region tracking
+# Composition d(g(x))
 # ---------------------------------------------------------------------------
 
-def compose(d, g, window=WINDOW):
-    """The composite virtual function x -> d_n(g(x)).
+#: Steps a node x(u) of the substitution may take, and the step, in units
+#: in the last place of max(|x|, 1), at or below which it has converged.
+_SOLVE_STEPS, _SOLVE_ULPS = 16, 4
+#: The most nodes solved in one batch (1 MB an array): a reduction's first
+#: seven ranks at a few roots take one.
+_BATCH = 2 ** 17
 
-    Its per-rank nonzero set {x : g(x) in supp(d_n)} is read off the scan of
-    g over `window` (roots.Scan.regions), once per rank and bounds; it
-    probes around the near-zero seeds of g, so the integrator never misses
-    the shrinking regions around roots.
+
+class Composite(VirtualFunction):
+    """The composite virtual function x -> d_n(g(x)) that `compose` builds.
+
+    `nodes(key)` holds, for the ranks (n, a, b) of `key`, the substitution
+    u = n g(x) at each certified root of g (`_substitution`); `regions(n, a,
+    b)` the nonzero set {x in [a, b] : g(x) in supp(d_n)}, read off the scan
+    of g (roots.Scan.regions), for the ranks the substitution does not take.
+    Both are cached by value, so the weights of one reduction share them.
     """
+
+    def __init__(self, d, g, s):
+        self.kernel, self.scan = d, s
+        super().__init__(
+            lambda n, x, d=d, gfn=s.fn: d.rank_eval(n, gfn(x)),
+            smoothness=min(d.smoothness, getattr(g, "smoothness", C_INF)),
+            regions=functools.lru_cache(maxsize=64)(
+                lambda n, a, b: s.regions(a, b, d.support_interval(n))),
+            label=f"{getattr(d, 'name', d.label)}({getattr(g, 'label', 'g')})",
+        )
+        self.nodes = functools.lru_cache(maxsize=16)(
+            functools.partial(_substitution, d, g, s))
+
+
+def compose(d, g, window=WINDOW):
+    """The composite virtual function x -> d_n(g(x)), with g scanned over
+    `window`: see Composite."""
     if not d.has_support:
         raise ValueError("compose requires a kernel with declared support")
-    s = scan(g, window)
+    return Composite(d, g, scan(g, window))
 
-    @functools.lru_cache(maxsize=64)
-    def regions(n, a, b):
-        return s.regions(a, b, d.support_interval(n))
 
-    return VirtualFunction(
-        lambda n, x, d=d, gfn=s.fn: d.rank_eval(n, gfn(x)),
-        smoothness=min(d.smoothness, getattr(g, "smoothness", C_INF)),
-        regions=regions,
-        label=f"{getattr(d, 'name', d.label)}({getattr(g, 'label', 'g')})",
-    )
+def _substitution(d, g, s, key):
+    """The nodes of the rank integrals of d_n(g(x)) in u = n g(x), for the
+    ranks (n, a, b) of the tuple `key`: whether each rank is taken so, and
+    groups (cuts, ranks, x, jac) with one row of x(u) and of
+    1/|g'(x(u))| per rank and root, on _fixed_nodes(cuts).
+
+    On the certified monotone bracket around root a_i, the rank integral of
+    d_n(g(x)) w(x) is n^k times that of p(u) w(x(u)) / |g'(x(u))| over the
+    profile support, where g(x(u)) = u/n.  A rank is taken so where the
+    certificate is not violated and either certified or [a, b] lies inside
+    the scan window; g has a symbolic g'; supp(d_n) lies inside (-r, r), r
+    the certificate's outer floor on [a, b], so that no region of [a, b]
+    lies outside the brackets; at both ends of every bracket that meets
+    [a, b], n g lies outside the profile support on the side of its sign;
+    and every node x(u) converges inside its bracket (`_solve`).  A bound
+    inside a bracket cuts that root's u-range at n g(bound).  The ranks and
+    roots that share their cuts are solved in one batch of at most _BATCH
+    nodes, and g' is called once on it.
+    """
+    ok = [False] * len(key)
+    cert = s.certificate
+    if not (isinstance(d, DiracKernel) and isinstance(g, RealFunction)
+            and g.smoothness >= 1 and (g.nth_deriv is not None or g.derivs)
+            and cert.verdict != "violated"):
+        return tuple(ok), ()
+    plo, phi = d.profile_support
+    with np.errstate(all="ignore"):
+        brackets = np.array([rec.bracket for rec in cert.roots]).reshape(-1, 2)
+        ends = array_values(s.fn, brackets)
+    if ends is None:
+        return tuple(ok), ()
+    ends = ends.tolist()
+
+    def outside(v):
+        return v >= phi if v > 0 else v <= plo
+
+    groups = {}  # cuts -> [(rank index, root)]
+    for j, (n, a, b) in enumerate(key):
+        r = cert.floor(a, b)
+        if not ((cert.certified or s.window[0] <= a and b <= s.window[1])
+                and -r < plo / n and phi / n < r):
+            continue
+        rows = []
+        for rec, (glo, ghi) in zip(cert.roots, ends):
+            lo, hi = rec.bracket
+            xl, xr = max(lo, a), min(hi, b)
+            if xl >= xr:
+                continue
+            if not (glo * rec.g_prime < 0.0 < ghi * rec.g_prime
+                    and outside(n * glo) and outside(n * ghi)):
+                break
+            glo = glo if xl == lo else float(s.fn(xl))
+            ghi = ghi if xr == hi else float(s.fn(xr))
+            ulo, uhi = max(plo, n * min(glo, ghi)), min(phi, n * max(glo, ghi))
+            if ulo < uhi:
+                rows.append((_cuts(d, ulo, uhi), j, rec))
+        else:
+            ok[j] = True
+            for cuts, j, rec in rows:
+                groups.setdefault(cuts, []).append((j, rec))
+
+    out = []
+    for cuts, rows in groups.items():
+        size = max(1, _BATCH // _fixed_nodes(cuts)[0].size)
+        for batch in (rows[i:i + size] for i in range(0, len(rows), size)):
+            x, jac, good = _nodes(g, s.fn, key, cuts, batch)
+            for (j, _rec), row_ok in zip(batch, good):
+                ok[j] = ok[j] and row_ok
+            keep = [ok[j] for j, _rec in batch]
+            if any(keep):
+                js = tuple(j for j, _rec in batch if ok[j])
+                out.append((cuts, js, x[keep], jac[keep]))
+    return tuple(ok), tuple(out)
+
+
+def _nodes(g, fn, key, cuts, rows):
+    """x(u) and 1/|g'(x(u))| on _fixed_nodes(cuts), one row per (rank index,
+    root record) of `rows`, and whether each row's nodes all converged
+    inside the root's bracket, where g' has the root's sign."""
+    n, root, slope, lo, hi = np.array([(key[j][0], rec.a, rec.g_prime, *rec.bracket)
+                                       for j, rec in rows]).T[..., None]
+    t = _fixed_nodes(cuts)[0] / n
+    x = _solve(fn, t, root + t / slope, slope)
+    with np.errstate(all="ignore"):
+        dg = array_values(g.derivative(1).fn, x.ravel())
+        if dg is None:
+            return x, x, [False] * len(rows)
+        dg = dg.reshape(x.shape)
+        jac = 1.0 / np.abs(dg)
+        good = (lo <= x) & (x <= hi) & (dg * slope > 0.0) & (jac < math.inf)
+    return x, jac, good.all(axis=1).tolist()
+
+
+def _solve(fn, t, x, slope):
+    """x where fn(x) = t, elementwise, from the first guess x: secant steps,
+    the first a chord of `slope`, each secant's slope held within a factor
+    of 2 of `slope`, where rounding makes a short secant's slope noise.  A
+    node stops at its first step of at most _SOLVE_ULPS units in the last
+    place of max(|x|, 1): an error that size moves no weight or slope
+    beyond rounding.  A node that never stops, or every node where fn
+    takes no array, is nan."""
+    done = np.zeros(x.shape, dtype=bool)
+    tol = _SOLVE_ULPS * _EPS * np.maximum(np.abs(x), 1.0)
+    x0 = r0 = None
+    with np.errstate(all="ignore"):
+        for _ in range(_SOLVE_STEPS):
+            fx = array_values(fn, x.ravel())
+            if fx is None:
+                break
+            r = fx.reshape(x.shape) - t
+            q = slope if x0 is None else slope * np.fmin(np.fmax(
+                (r - r0) / ((x - x0) * slope), 0.5), 2.0)
+            step = np.where(done, 0.0, r / q)
+            x0, r0, x = x, r, x - step
+            done |= np.abs(step) <= tol
+            if done.all():
+                return x
+    return np.where(done, x, np.nan)
+
+
+def _substituted(vf, ranks, bounds, weight):
+    """The rank integrals of the Composite vf over the bounds (a, b) of each
+    rank in u = n g(x) (vf.nodes), one per rank, None where the
+    substitution does not take the rank or the two fixed rules disagree on
+    one of its roots."""
+    ok, groups = vf.nodes(tuple((n, a, b) for n, (a, b) in zip(ranks, bounds)))
+    ok, parts = list(ok), [[] for _ in ranks]
+    for cuts, js, x, jac in groups:
+        _u, w_coarse, w_fine = _fixed_nodes(cuts)
+        p = _profile_on_nodes(vf.kernel.profile, cuts)
+        with np.errstate(all="ignore"):
+            values = None if p is None else p * jac
+            if values is not None and weight is not None:
+                wv = array_values(weight, x.ravel())
+                values = None if wv is None else values * wv.reshape(x.shape)
+            fine, accepted = _rule_pair(values, w_coarse, w_fine, rows=len(js),
+                                        scale=[ranks[j] ** vf.kernel.order for j in js])
+        for j, v, good in zip(js, fine, accepted):
+            ok[j] = ok[j] and good
+            parts[j].append(v)
+    return [sum(vs, 0.0) if good else None for vs, good in zip(parts, ok)]

@@ -598,7 +598,7 @@ def _readme_numerics_examples():
             for line in section.splitlines() if line.startswith("$ deltacalc ")]
 
 
-@pytest.mark.parametrize("kernel", ["bump", "square", "plus", "minus"])
+@pytest.mark.parametrize("kernel", ["bump", "square", "plus", "minus", "mix"])
 def test_readme_sift_examples_make_no_quad_call(kernel, monkeypatch):
     from deltacalc import vintegral
 
@@ -616,7 +616,7 @@ def test_readme_sift_examples_make_no_quad_call(kernel, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("kernel", ["bump", "square", "plus", "minus"])
+@pytest.mark.parametrize("kernel", ["bump", "square", "plus", "minus", "mix"])
 @pytest.mark.parametrize("argv", [
     ["cos(x)*delta(x^2-4)"],
     # About 400 regions a rank (414/13 on the bump kernel).
@@ -633,6 +633,86 @@ def test_composite_regions_make_no_quad_call(argv, kernel, monkeypatch):
     if kernel == "bump":
         want = 0.5 * math.cos(2.0) if argv[0].startswith("cos") else 414.0 / 13.0
         assert abs(json.loads(out)["value"] - want) <= 1e-8
+
+
+@pytest.mark.parametrize("kernel", ["bump", "square"])
+def test_region_narrower_than_a_float_step_integrates_in_u(kernel):
+    # |1e15 (x - 1)| < 1/n holds on at most the one float x = 1, so in x
+    # every rank read 0; in u = n g(x) the Jacobian 1/|g'| = 1e-15 stays.
+    status, out, _ = run(["integrate", "1e20*delta(1e15*(x-1))", "--kernel", kernel, "--json"])
+    res = json.loads(out)
+    assert status == 0 and res["variant"] == "reduced"
+    assert abs(res["value"] - 1e5) <= 1e-9 * 1e5
+
+
+@pytest.mark.parametrize("kernel", ["bump", "plus"])
+def test_overflowing_profile_order_is_refused(kernel):
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for text in ("ddelta(x,255)", "exp(x)*ddelta(x,255)", "ddelta(x-0.3,140)"):
+            status, out, err = run(["integrate", text, "--kernel", kernel])
+            order = text.rsplit(",", 1)[1].rstrip(")")
+            assert status == 1 and out == "", text
+            assert f"kernel {kernel!r}" in err and f"order-{order}" in err, err
+        # Below the overflow, orders still answer.
+        status, out, _ = run(["integrate", "ddelta(x,139)", "--kernel", kernel])
+        assert status == 0 and out.startswith("Reduced(0,")
+    assert not caught, [str(w.message) for w in caught]
+
+
+def _dumps_per_key(obj):
+    # The JSON writer as it was: one json.dumps per key, string and literal.
+    import numpy as np
+
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, float):
+        return "%.17g" % obj
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj, ensure_ascii=False)
+    if isinstance(obj, dict):
+        return "{" + ",".join(f"{json.dumps(str(k))}:{_dumps_per_key(v)}"
+                              for k, v in obj.items()) + "}"
+    if isinstance(obj, (list, tuple)):
+        return "[" + ",".join(_dumps_per_key(v) for v in obj) + "]"
+    raise TypeError(type(obj).__name__)
+
+
+def test_json_text_writes_the_bytes_of_one_dumps_per_key(monkeypatch):
+    import sys
+    from pathlib import Path
+
+    import numpy as np
+
+    from deltacalc import cli
+
+    root = Path(__file__).resolve().parents[1]
+    sys.path.insert(0, str(root / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(root / "perfbench"))
+    seen = []
+    real = cli._json_text
+    monkeypatch.setattr(cli, "_json_text", lambda obj: seen.append(obj) or real(obj))
+    # One cycle of each benchmark workload, the README examples on every
+    # kernel, and the error and usage paths.
+    argvs = [list(q.argv) for workload in ("sift", "compose")
+             for q, _ in zip(workloads.stream(workload, 1), workloads.cycle(workload))]
+    argvs += [argv + ["--json"] for argv in _readme_numerics_examples()]
+    argvs += [["simplify", "delta(x^2-4)", "--json"], ["check-dirac", "--kernel", "mix", "--json"],
+              ["integrate", "delta(x", "--json"], ["integrate", "--json"],
+              ["trace", "delta(x-0.5)", "--probe-max-exp", "6", "--json"]]
+    for argv in argvs:
+        run(argv)
+    assert len(seen) > len(argvs)
+    seen += [{"é\n\"": [float("nan"), -math.inf, -0.0, np.int64(7), True, None, "δ\t\x7f"]}]
+    for obj in seen:
+        assert real(obj) == _dumps_per_key(obj)
 
 
 def test_smooth_summand_is_not_zero_from_its_values():

@@ -528,6 +528,9 @@ def test_reduction_asks_for_its_first_seven_ranks_at_once(bump, monkeypatch):
 
 
 # -- fixed-node region quadrature of composites ------------------------------
+# The x path of a composite (`_rank_quad`): its regions on both fixed rules,
+# region by region.  integrate_rank takes it at the ranks the substitution
+# u = n g(x) does not take (tested further below).
 
 #: Composites delta(g(x)) and their bounds (None: the rank's +/- n).
 REGION_CASES = [("x^2-4", None), ("x^3-2*x^2-x+2", None), ("exp(x)-2.5", None),
@@ -561,7 +564,7 @@ def test_region_rule_matches_quad(name, text, bounds, request, quad_calls):
     for n, tol in ((16, 1e-12), (64, 1e-12), (4096, 1e-10), (65536, 1e-10)):
         a, b = (-n, n) if bounds is None else bounds
         for w in weights:
-            got = integrate_rank(comp, lo, hi, (n,), weight=w)[0]
+            got = vintegral._rank_quad(comp, n, a, b, w)
             assert n > 64 or not quad_calls, (n, w)
             pieces = _region_pieces(comp, n, a, b, w)
             quad_calls.clear()
@@ -572,7 +575,7 @@ def test_region_rule_matches_quad(name, text, bounds, request, quad_calls):
 def test_region_rules_disagree_on_a_mixture(mix, quad_calls):
     # The parts' edges lie inside each region: adaptive quad decides there.
     comp = _composite(mix, "x^2-4")
-    got = integrate_rank(comp, -math.inf, math.inf, (64,), weight=np.cos)[0]
+    got = vintegral._rank_quad(comp, 64, -64.0, 64.0, np.cos)
     assert quad_calls
     want = _region_pieces(comp, 64, -64.0, 64.0, np.cos)
     assert abs(got - sum(want)) <= 1e-12 * sum(max(1.0, abs(v)) for v in want)
@@ -594,6 +597,81 @@ def test_non_finite_region_weight_raises_like_quad(bump):
         _region_pieces(comp, 16, -16.0, 16.0, f)
     with pytest.raises(QuadratureError):
         integrate_rank(comp, -math.inf, math.inf, (16,), weight=f)
+
+
+# -- composites in the substituted variable u = n g(x) -------------------------
+
+#: Composites delta(g(x)) with bounds (None: the rank's +/- n), and for the
+#: roots k of g on them the inverse x_k(t) of g(x) = t and |dx_k/dt|.
+INVERSE_CASES = [
+    ("x^2-4", None, (-1, 1), lambda k, t: k * np.sqrt(4.0 + t),
+     lambda k, t: 0.5 / np.sqrt(4.0 + t)),
+    ("exp(x)-2.5", None, (0,), lambda k, t: np.log(2.5 + t), lambda k, t: 1.0 / (2.5 + t)),
+    ("1/(x-1.5)-2", None, (0,), lambda k, t: 1.5 + 1.0 / (2.0 + t),
+     lambda k, t: 1.0 / (2.0 + t) ** 2),
+    ("sin(3*x)", (-7.0, 7.0), range(-6, 7),
+     lambda k, t: (k * np.pi + (-1) ** k * np.arcsin(t)) / 3.0,
+     lambda k, t: 1.0 / (3.0 * np.sqrt(1.0 - t * t))),
+]
+
+
+@pytest.mark.parametrize("name", ["bump", "square", "plus", "minus", "mix"])
+@pytest.mark.parametrize("text, bounds, roots, inverse, slope", INVERSE_CASES,
+                         ids=[c[0] for c in INVERSE_CASES])
+def test_substitution_matches_quad_on_the_inverse(name, text, bounds, roots, inverse,
+                                                  slope, request, quad_calls):
+    # The reference integrates p(u) w(x(u/n)) |dx/dt| in u by adaptive quad,
+    # panel by panel, with x(t) in closed form: no root solve, no g'.  The
+    # x path reads g at x, where its rounding, scaled by n, reaches 4e-11 of
+    # the sin(3x) integral at n = 65536.
+    d = request.getfixturevalue(name)
+    comp = _composite(d, text)
+    lo, hi = (-math.inf, math.inf) if bounds is None else bounds
+    cuts = d.profile_cuts
+    for n in (16, 64, 4096, 65536):
+        for w in [None] + [f.fn for f in sift_battery()[2::3]]:
+            got = integrate_rank(comp, lo, hi, (n,), weight=w)[0]
+            pieces = [_quad_piece(lambda u, k=k: d.profile(u) * slope(k, u / n)
+                                  * (1.0 if w is None else w(inverse(k, u / n))), p, q)
+                      for k in roots for p, q in zip(cuts, cuts[1:])]
+            assert abs(got - sum(pieces)) <= 1e-12 * sum(max(1.0, abs(v)) for v in pieces), (n, w)
+    assert len(quad_calls) == 4 * 4 * len(roots) * (len(cuts) - 1)
+
+
+def test_certified_composite_makes_no_bisect_call(monkeypatch, bump):
+    from deltacalc import roots
+
+    comp = _composite(bump, "0.9*(x+1.3)*(x-0.94)*(x-1.79)")
+    comp.scan.certificate
+    calls = []
+    real = roots._bisect
+    monkeypatch.setattr(roots, "_bisect", lambda *a: calls.append(a) or real(*a))
+    ranks = tuple(DEFAULT_SCHEDULE[:7])
+    got = integrate_rank(comp, -math.inf, math.inf, ranks, weight=np.exp)
+    assert all(comp.nodes(tuple((n, -n, n) for n in ranks))[0])
+    assert not calls
+    want = [vintegral._rank_quad(comp, n, -n, n, np.exp) for n in ranks]
+    assert calls
+    assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(got, want))
+
+
+def test_x_path_serves_what_the_substitution_does_not(bump):
+    # An uncertified tangent, the low ranks of a root pair 0.28 apart, and
+    # an opaque g: the answers the x path gave before the substitution.
+    out = io.StringIO()
+    assert run_command(["integrate", "delta((x-1.5)^2)", "--json"], out, io.StringIO()) == 0
+    res = json.loads(out.getvalue())
+    assert res["variant"] == "irreducible" and round(res["exponent"], 3) == 0.5
+    assert res["rank_values"][:3] == [[16, 5.0590068061781306], [32, 7.1545160374349086],
+                                      [64, 10.118013612356261]]
+    comp = _composite(bump, "-1.0547*(x+2.515)*(x+2.231)")
+    ranks = (16, 32, 64, 128)
+    assert comp.nodes(tuple((n, -n, n) for n in ranks))[0] == (False, False, False, True)
+    assert integrate_rank(comp, -math.inf, math.inf, ranks, weight=np.cos)[:3] == [
+        -4.2624824500766785, -5.775480673618681, -4.9313761313951225]
+    res = reduce_integral(dc.compose(bump, lambda x: x * x - 4.0), weight=np.cos)
+    assert res.value == -0.2080734182736164
+    assert res.rank_values[:2] == ((16, -0.20805925093196664), (32, -0.20806987654824843))
 
 
 # -- caches keyed by value ---------------------------------------------------
@@ -623,11 +701,31 @@ def test_equiv_finds_regions_once_per_rank(monkeypatch, bump):
     monkeypatch.setattr(roots.Scan, "regions",
                         lambda s, a, b, support: seen.append((a, b, support))
                         or real(s, a, b, support))
-    g = RealFunction(lambda x: 2.0 * x, derivs=(lambda x: 2.0,), label="2x")
+    # Without a symbolic g' the composite keeps the x path, which searches
+    # its regions.
+    g = RealFunction(lambda x: 2.0 * x, label="2x")
     verdict = check_equivalence(CompTerm(g), ScaleTerm(0.5, DeltaTerm()),
                                 kernel=bump)
     assert verdict.consistent and verdict.battery_size == 20
     assert seen and len(seen) == len(set(seen))
+
+
+def test_equiv_solves_the_substitution_once_per_rank_set(monkeypatch, bump):
+    from deltacalc import roots
+    from deltacalc.rewrite import CompTerm, DeltaTerm, ScaleTerm, check_equivalence
+
+    searched, solved = [], []
+    monkeypatch.setattr(roots.Scan, "regions", lambda *args: searched.append(args))
+    real = vintegral._nodes
+    monkeypatch.setattr(vintegral, "_nodes", lambda g, fn, key, cuts, rows: solved.append(
+        (key, cuts, tuple(rows))) or real(g, fn, key, cuts, rows))
+    g = to_real_function(parse("2*x"))
+    verdict = check_equivalence(CompTerm(g), ScaleTerm(0.5, DeltaTerm()),
+                                kernel=bump)
+    assert verdict.consistent and verdict.battery_size == 20
+    assert solved and len(solved) == len(set(solved)) and not searched
+    # The first seven ranks are one batch.
+    assert [n for n, _a, _b in solved[0][0]] == list(DEFAULT_SCHEDULE[:7])
 
 
 def test_kernel_derivatives_and_their_node_values_are_built_once():
