@@ -431,7 +431,7 @@ def run_command(argv, out=None, err=None):
         msg = {"error": kind, "message": str(exc)}
         if isinstance(exc, ParseError) and exc.position is not None:
             msg["position"] = exc.position
-            msg["expected"] = list(exc.expected or ())
+            msg["expected"] = sorted(exc.expected)
         if json_mode:
             err.write(_json_text(msg) + "\n")
         else:

@@ -575,43 +575,60 @@ _FOLD = {"+": operator.add, "-": operator.sub, "*": operator.mul,
          "/": operator.truediv, "^": operator.pow}
 
 
-def _fold(node, deltas):
-    """Fold Num op Num and -Num where the result is a finite real float, and
-    0*E, E*0 and 0/E to 0 where E is delta-free.  A node whose children
-    fold to themselves is kept.  `deltas` gathers the ids of the folded
-    nodes that hold a Delta; each is part of the result."""
+def _walk(node):
+    """Fold `node` and split it into summands in one walk: the folded tree,
+    and where it holds a Delta its summands c * factor * atom as (c, factor,
+    atom), else None; atom is a Delta node or a delta-free tree, factor the
+    tree of the smooth factors it carries, or None.  Num op Num and -Num
+    fold where the result is a finite real float, and 0*E, E*0 and 0/E to 0
+    where E is delta-free; a node whose children fold to themselves is
+    kept.  Children are walked first: the innermost error is raised."""
     if isinstance(node, Delta):
-        inner = _fold(node.inner, deltas)
+        inner, _ = _walk(node.inner)
         if inner is not node.inner:
             node = Delta(inner, node.order)
-        deltas.add(id(node))
-        return node
+        return node, [(1.0, None, node)]
     if isinstance(node, (Neg, Call)):
-        arg = _fold(node.arg, deltas)
+        arg, held = _walk(node.arg)
         if isinstance(node, Neg) and isinstance(arg, Num):
-            return Num(-arg.value)
+            return Num(-arg.value), None
         if arg is not node.arg:
             node = Neg(arg) if isinstance(node, Neg) else Call(node.name, arg)
-        held = id(arg) in deltas
-    elif isinstance(node, Bin):
-        a, b = _fold(node.left, deltas), _fold(node.right, deltas)
-        held = id(a) in deltas or id(b) in deltas
+        if held is None:
+            return node, None
+        if isinstance(node, Call):
+            raise ExpressionError(f"delta terms cannot appear inside {node.name}(...)")
+        return node, [(-c, f, atom) for c, f, atom in held]
+    if not isinstance(node, Bin):
+        return node, None
+    (a, sa), (b, sb) = _walk(node.left), _walk(node.right)
+    if a is not node.left or b is not node.right:
+        node = Bin(node.op, a, b)
+    if sa is None and sb is None:
         if isinstance(a, Num) and isinstance(b, Num):
             try:
                 value = _FOLD[node.op](a.value, b.value)
             except ArithmeticError:
                 value = None
             if isinstance(value, float) and math.isfinite(value):
-                return Num(value)
-        elif (node.op in "*/" and _is_zero(a) or node.op == "*" and _is_zero(b)) and not held:
-            return _ZERO
-        if a is not node.left or b is not node.right:
-            node = Bin(node.op, a, b)
-    else:
-        return node
-    if held:
-        deltas.add(id(node))
-    return node
+                return Num(value), None
+        elif node.op in "*/" and _is_zero(a) or node.op == "*" and _is_zero(b):
+            return _ZERO, None
+        return node, None
+    if node.op in "+-":
+        sign = -1.0 if node.op == "-" else 1.0
+        return node, ([(1.0, None, a)] if sa is None else sa) + [
+            (sign * c, f, atom) for c, f, atom in ([(1.0, None, b)] if sb is None else sb)]
+    if node.op == "*":
+        if sa is not None and sb is not None:
+            raise ExpressionError(
+                "products of two delta terms are undefined outside a "
+                "contraction integral")
+        return node, _times(sa, b) if sb is None else _times(sb, a)
+    if node.op == "/" and sb is None:
+        return node, _times(sa, Bin("/", _ONE, b))
+    raise ExpressionError("division by a delta term is undefined" if node.op == "/"
+                          else "delta terms cannot be exponentiated")
 
 
 def _shift_of(node):
@@ -637,40 +654,6 @@ def _lift_delta(node):
     return CompTerm(inner=to_real_function(node.inner))
 
 
-def _summands(node, deltas):
-    """(c, factor, atom) for each summand c * factor * atom of a folded
-    tree, in one walk: atom is a Delta node or a delta-free tree, and
-    factor the tree of the smooth factors it carries, or None.  `deltas`
-    holds the ids of the nodes that hold a Delta."""
-    if isinstance(node, Delta) or id(node) not in deltas:
-        return [(1.0, None, node)]
-    if isinstance(node, Neg):
-        return [(-c, f, atom) for c, f, atom in _summands(node.arg, deltas)]
-    if isinstance(node, Bin):
-        if node.op in "+-":
-            sign = -1.0 if node.op == "-" else 1.0
-            return _summands(node.left, deltas) + [
-                (sign * c, f, atom) for c, f, atom in _summands(node.right, deltas)]
-        if node.op == "*":
-            ldelta = id(node.left) in deltas
-            if ldelta and id(node.right) in deltas:
-                raise ExpressionError(
-                    "products of two delta terms are undefined outside a "
-                    "contraction integral")
-            dnode, snode = (node.left, node.right) if ldelta else (node.right, node.left)
-            return _times(_summands(dnode, deltas), snode)
-        if node.op == "/":
-            if id(node.right) in deltas:
-                raise ExpressionError("division by a delta term is undefined")
-            return _times(_summands(node.left, deltas), Bin("/", _ONE, node.right))
-        if node.op == "^":
-            raise ExpressionError("delta terms cannot be exponentiated")
-    if isinstance(node, Call):
-        raise ExpressionError(
-            f"delta terms cannot appear inside {node.name}(...)")
-    raise ExpressionError(f"cannot lift {type(node).__name__}")
-
-
 def _times(summands, factor):
     """Each summand times a smooth factor tree: a constant joins c."""
     if isinstance(factor, Num):
@@ -682,12 +665,11 @@ def _times(summands, factor):
 def lift(node):
     """Lift a tree to a DeltaExpr, or a RealFunction if delta-free; constant
     subtrees are folded first."""
-    deltas = set()
-    node = _fold(node, deltas)
-    if id(node) not in deltas:
+    node, summands = _walk(node)
+    if summands is None:
         return to_real_function(node)
     terms = []
-    for c, f, atom in _summands(node, deltas):
+    for c, f, atom in summands:
         if isinstance(atom, Delta):
             term = _lift_delta(atom)
             if f is not None:

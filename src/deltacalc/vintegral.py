@@ -283,38 +283,52 @@ def _rule_pair(values, w_coarse, w_fine, rows=1, scale=None, magnitude=None):
     return sums[1], [_accepted(*row) for row in zip(*sums)]
 
 
-def _fixed_rule(d, ranks, a, weight, ulo, uhi):
-    """n^k * integral of p(u) w(a + u/n) over [ulo, uhi] on fixed nodes, for
-    each rank n of `ranks` in one array call: one value per rank, None where
-    adaptive quadrature must decide (the two rules disagree, the profile or
-    weight takes no array, or a value is not finite)."""
-    plo, phi = d.profile_support
-    k = d.order
-    # Over the whole support the integral of p = p0^(k), k >= 1, is 0, so
-    # w(a) may be subtracted: that removes the n^k growth of the rounding.
-    cancel = k > 0 and (ulo, uhi) == (plo, phi)
-    if cancel and weight is None:
-        return [0.0] * len(ranks)
-    cuts = _cuts(d, ulo, uhi)
+def _u_rule(d, cuts, x, scale, weight, jac=None, anchor=None):
+    """n^k * integral of p(u) jac(u) w(x(u)) du on _fixed_nodes(cuts), p d's
+    order-k profile and jac None 1, for each row of nodes x(u) and its n^k
+    in `scale`: the fine rule's value, None where adaptive quadrature must
+    decide (the rules disagree, p or w takes no array, or a value is not
+    finite).  `anchor` a subtracts w(a) from w; the rounding floor stays
+    that of p * jac * w."""
     u, w_coarse, w_fine = _fixed_nodes(cuts)
-    # One row of nodes per rank, each ending in a where w(a) is subtracted.
-    x = a + u / np.array(ranks, dtype=float)[:, None]
-    if cancel:
-        x = np.concatenate((x, np.full((len(ranks), 1), a)), axis=1)
     p = _profile_on_nodes(d.profile, cuts)
+    if anchor is not None:
+        x = np.concatenate((x, np.full((len(x), 1), anchor)), axis=1)
     with np.errstate(all="ignore"):
         wv = np.ones_like(x) if weight is None else array_values(weight, x.ravel())
         if p is None or wv is None:
-            return [None] * len(ranks)
+            return [None] * len(x)
         wv = wv.reshape(x.shape)
-        # quad's integrand is p * w: the rounding floor is that of p * w,
-        # also where w(a) is subtracted.
-        values = magnitude = p * wv[:, :u.size]
-        if cancel:
-            values = p * (wv[:, :u.size] - wv[:, -1:])
-        fine, ok = _rule_pair(values, w_coarse, w_fine, rows=len(ranks),
-                              scale=[n ** k for n in ranks], magnitude=magnitude)
+        pj = p if jac is None else p * jac
+        values = magnitude = pj * wv[:, :u.size]
+        if anchor is not None:
+            values = pj * (wv[:, :u.size] - wv[:, -1:])
+        fine, ok = _rule_pair(values, w_coarse, w_fine, rows=len(x), scale=scale,
+                              magnitude=magnitude)
     return [v if good else None for v, good in zip(fine, ok)]
+
+
+def _scale(n, k):
+    """n^k as a float, inf above the float range, where the rank diverges."""
+    try:
+        return float(n ** k)
+    except OverflowError:
+        return math.inf
+
+
+def _fixed_rule(d, ranks, a, weight, ulo, uhi):
+    """_u_rule in u = n(x - a) over [ulo, uhi], for each rank n of `ranks`:
+    one value per rank, or None."""
+    k = d.order
+    # Over the whole support the integral of p = p0^(k), k >= 1, is 0, so
+    # w(a) may be subtracted: that removes the n^k growth of the rounding.
+    cancel = k > 0 and (ulo, uhi) == d.profile_support
+    if cancel and weight is None:
+        return [0.0] * len(ranks)
+    cuts = _cuts(d, ulo, uhi)
+    x = a + _fixed_nodes(cuts)[0] / np.array(ranks, dtype=float)[:, None]
+    return _u_rule(d, cuts, x, [_scale(n, k) for n in ranks], weight,
+                   anchor=a if cancel else None)
 
 
 def _regions_integral(vf, n, weight, f, pieces):
@@ -378,9 +392,13 @@ def profile_integral(d, ranks, a, weight, ulo=-math.inf, uhi=math.inf):
         elif fixed[i] is not None:
             values.append(fixed[i])
         else:
-            prof, scale = d.profile, n ** d.order
+            prof, scale = d.profile, _scale(n, d.order)
             g = lambda u: scale * prof(u) * (1.0 if weight is None else weight(a + u / n))
-            values.append(_quad_piece(g, lo, hi, points=[0.0]))
+            try:
+                values.append(_quad_piece(g, lo, hi, points=[0.0]))
+            except QuadratureError as exc:
+                raise QuadratureError(f"at rank n={n}, kernel {d.name!r} of order {d.order}: "
+                                      f"{exc}", rank=n, diagnostics=exc.diagnostics) from exc
     return values
 
 
@@ -714,16 +732,8 @@ def _substituted(vf, ranks, bounds, weight):
     ok, groups = vf.nodes(tuple((n, a, b) for n, (a, b) in zip(ranks, bounds)))
     ok, parts = list(ok), [[] for _ in ranks]
     for cuts, js, x, jac in groups:
-        _u, w_coarse, w_fine = _fixed_nodes(cuts)
-        p = _profile_on_nodes(vf.kernel.profile, cuts)
-        with np.errstate(all="ignore"):
-            values = None if p is None else p * jac
-            if values is not None and weight is not None:
-                wv = array_values(weight, x.ravel())
-                values = None if wv is None else values * wv.reshape(x.shape)
-            fine, accepted = _rule_pair(values, w_coarse, w_fine, rows=len(js),
-                                        scale=[ranks[j] ** vf.kernel.order for j in js])
-        for j, v, good in zip(js, fine, accepted):
-            ok[j] = ok[j] and good
+        scale = [_scale(ranks[j], vf.kernel.order) for j in js]
+        for j, v in zip(js, _u_rule(vf.kernel, cuts, x, scale, weight, jac)):
+            ok[j] = ok[j] and v is not None
             parts[j].append(v)
     return [sum(vs, 0.0) if good else None for vs, good in zip(parts, ok)]

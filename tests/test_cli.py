@@ -662,6 +662,61 @@ def test_overflowing_profile_order_is_refused(kernel):
     assert not caught, [str(w.message) for w in caught]
 
 
+@pytest.mark.parametrize("order", [45, 128, 139])
+def test_high_order_rank_that_diverges_is_refused_by_name(order):
+    # The profile's values or the scale n^k leave the float range: the first
+    # such rank is refused, naming itself and the kernel's order.
+    status, out, err = run(["integrate", f"exp(x)*ddelta(x,{order})"])
+    assert status == 1 and out == ""
+    assert "at rank n=" in err and f"of order {order}" in err, err
+
+
+@pytest.mark.parametrize("order", [128, 139])
+def test_rank_scale_beyond_the_float_range_is_refused(order):
+    # 256^k is above the float range from k = 128: no bare OverflowError.
+    from deltacalc.errors import QuadratureError
+    from deltacalc.vfun import bump_delta
+    from deltacalc.vintegral import profile_integral
+
+    d = bump_delta().derivative(order)
+    with pytest.raises(QuadratureError, match=f"at rank n=256, .* of order {order}") as info:
+        profile_integral(d, (256,), 0.0, math.exp)
+    assert info.value.rank == 256
+
+
+def test_inner_structural_error_is_named_first():
+    # Lifting walks a node's children before the node: of the two errors
+    # here, delta inside sin is the inner one.
+    for text in ("sin(delta(x))*delta(x)", "delta(x)*sin(delta(x))"):
+        status, out, err = run(["simplify", text])
+        assert status == 1 and out == ""
+        assert "delta terms cannot appear inside sin(...)" in err, err
+
+
+def test_json_parse_error_lists_expected_names_in_order():
+    # `expected` is a set: sorted, its names are the same bytes in every
+    # process, whatever the string hash seed.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import deltacalc
+
+    argv = ["integrate", "delta(tanh(4*x)-0.2)", "--json"]
+    errs = []
+    for seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=str(Path(deltacalc.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-m", "deltacalc.cli", *argv],
+                              capture_output=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        errs.append(proc.stderr)
+    assert errs[0] == errs[1]
+    expected = json.loads(errs[0])["expected"]
+    assert expected == sorted(expected)
+
+
 def _dumps_per_key(obj):
     # The JSON writer as it was: one json.dumps per key, string and literal.
     import numpy as np

@@ -674,6 +674,18 @@ def test_x_path_serves_what_the_substitution_does_not(bump):
     assert res.rank_values[:2] == ((16, -0.20805925093196664), (32, -0.20806987654824843))
 
 
+def test_bracket_end_inside_the_support_keeps_the_x_path(bump):
+    # g = 0.01(x - 1) is certified on the bracket [0, 2], where n g at the
+    # ends is -/+0.16 at rank 16: inside the profile support, so that rank
+    # takes the x path and gets its bits.  At rank 4096 both ends lie
+    # outside the support, and the substituted rank reads 1/|g'|.
+    comp = _composite(bump, "0.01*(x-1)")
+    assert comp.nodes(((16, 0.9, 1.1), (4096, 0.9, 1.1)))[0] == (False, True)
+    assert integrate_rank(comp, 0.9, 1.1, (16,)) == [2.651194015672525]
+    assert vintegral._rank_quad(comp, 16, 0.9, 1.1, None) == 2.651194015672525
+    assert abs(integrate_rank(comp, 0.9, 1.1, (4096,))[0] - 100.0) <= 1e-12 * 100.0
+
+
 # -- caches keyed by value ---------------------------------------------------
 
 def test_convolve_cache_keys_on_the_profiles(monkeypatch):
