@@ -1,14 +1,15 @@
 """Root location, composition-rule certification and the scan window.
 
 One scan of g over the window (`scan`) feeds root location, certification
-and the region search of `vintegral.compose`.  Tails that keep |g| small up
-to a window edge are flagged as OutsideScanRisk, not silently certified.
+and the monotone pieces of g that `vintegral.compose` integrates over.
+Tails that keep |g| small up to a window edge are flagged as
+OutsideScanRisk, not silently certified.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,24 +54,10 @@ class HypothesisCertificate:
     #: (edge, lo, hi) for each window edge behind an outside_scan_risk:
     #: past it, g may take the values in [lo, hi].
     edges: tuple = ()
-    #: What r is taken from: the scan's grid and g on it, the mask of the
-    #: points outside the brackets, and the refined dips (x, |g(x)|) there.
-    samples: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def certified(self):
         return self.verdict == "certified"
-
-    def floor(self, lo, hi):
-        """Half the least |g| sampled on [lo, hi] outside the brackets: r
-        where [lo, hi] holds the window, inf where it holds no sample (the
-        region search finds no region there either), 0 without a scan."""
-        if not self.samples:
-            return 0.0
-        xs, vals, outside, dips = self.samples
-        i, j = np.searchsorted(xs, lo, "left"), np.searchsorted(xs, hi, "right")
-        return min([float(np.min(np.abs(vals[i:j][outside[i:j]]), initial=np.inf))]
-                   + [level for x, level in dips if lo <= x <= hi]) / 2.0
 
     def require(self):
         """Raise the RewriteError that refuses an uncertified composite."""
@@ -102,27 +89,48 @@ def _deriv_of(g):
     return difference(_fn_of(g))
 
 
-def _bisect(inside, x_in, x_out):
-    """Where `inside` ends between x_in, inside, and x_out: the pair
-    (x_in, x_out) bisected down to adjacent floats (at most 200 steps)."""
-    for _ in range(200):
-        mid = 0.5 * (x_in + x_out)
-        if mid == x_in or mid == x_out:
-            break
-        if inside(mid):
-            x_in = mid
-        else:
-            x_out = mid
-    return x_in, x_out
+def _key(x):
+    """Floats as uint64 keys in their order (`_float` maps keys back)."""
+    bits = np.array(x, dtype=float).view(np.uint64)
+    return np.where(bits >> np.uint64(63), ~bits, bits | np.uint64(2 ** 63))
+
+
+def _float(key):
+    return np.where(key >> np.uint64(63), key ^ np.uint64(2 ** 63), ~key).view(float)
+
+
+def _bisect(fn, x_in, x_out, side=1.0, level=0.0):
+    """Where side * (fn - level) stops being positive, between the arrays
+    x_in, where it is, and x_out > x_in (`side`, `level`: floats or one per
+    bracket): the pairs (x_in, x_out), all narrowed at once to adjacent
+    floats.  A step cuts each bracket into parts of as many floats, 64 or
+    more while under 2048 cuts in all, calls fn once on the cuts
+    (`on_points`) and keeps the part that ends at the first cut where it is
+    not positive: at most 11 steps, near 0 too."""
+    lo, hi = _key(x_in), _key(x_out)
+    side, level = np.reshape(side, (-1, 1)), np.reshape(level, (-1, 1))
+    parts = max(64, 2048 // max(lo.size, 1))
+    t, rows = np.arange(parts + 1) / parts, np.arange(lo.size)
+    while ((span := hi - lo) > 1).any():
+        cuts = lo[:, None] + (span[:, None] * t).astype(np.uint64)
+        cuts[:, -1] = hi
+        inner = cuts[:, 1:-1]
+        v = on_points(fn, _float(inner).ravel()).reshape(inner.shape)
+        inside = (inner == lo[:, None]) | (inner < hi[:, None]) & (side * (v - level) > 0.0)
+        inside = np.hstack((inside, rows[:, None] < 0))
+        first = np.argmin(inside, axis=1) + 1
+        lo, hi = cuts[rows, first - 1], cuts[rows, first]
+    return _float(lo), _float(hi)
 
 
 def _crossing(fn, lo, hi, ends):
-    """The root where g changes sign between lo and hi (brentq), or None at
-    a pole: where g fails, or |g| ends up above its values `ends` there."""
+    """The root where g changes sign between lo and hi (where brentq stops),
+    or None at a pole: where g fails, or |g| ends up above `ends` there."""
     from scipy.optimize import brentq
 
     try:
-        x = brentq(fn, float(lo), float(hi), xtol=1e-14, rtol=8.9e-16)
+        x, _info = brentq(fn, float(lo), float(hi), xtol=1e-14, rtol=8.9e-16,
+                          full_output=True, disp=False)
         return float(x) if abs(fn(x)) <= np.min(np.abs(ends)) else None
     except (ArithmeticError, DeltaCalcError):
         return None
@@ -136,8 +144,8 @@ class Scan:
     `scale` = max(max |g|, 1) with no sign change across them, and exact
     zeros, as (x, |g(x)|, i, j): between grid neighbours xs[i], xs[j] that
     are both larger (so a plateau is none), x is bisected to the first
-    float where |g| stops falling.  `seeds`: sign-change roots and dips with
-    |g| < 0.5, where regions shrink.
+    float where |g| stops falling.  `poles`: the grid points before each
+    sign change that is no root.  `pieces`: where g is monotone.
     """
 
     def __init__(self, g, window):
@@ -147,8 +155,9 @@ class Scan:
         self.vals = vals = on_points(fn, xs, finite=True)
 
         sign = np.sign(vals)
-        crossings = [_crossing(fn, xs[i], xs[i + 1], vals[i:i + 2])
-                     for i in np.flatnonzero(sign[:-1] * sign[1:] < 0)]
+        changes = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+        crossings = [_crossing(fn, xs[i], xs[i + 1], vals[i:i + 2]) for i in changes]
+        self.poles = changes[np.equal(crossings, None)]
         crossings = [x for x in crossings if x is not None]
         self.roots = tuple(sorted(set(xs[sign == 0].tolist() + crossings)))
 
@@ -163,16 +172,13 @@ class Scan:
         # Where g changes sign across a run, `_crossing` has its root.
         lo, hi = starts[runs] - 1, ends[runs] + 1
         dip = (sign[lo] == sign[hi]) | (level[runs] == 0.0)
-        dips = []
-        if dip.any():
+        lo, hi = lo[dip], hi[dip]
+        self.dips = ()
+        if lo.size:
             dfn = _deriv_of(g)
-            falls = lambda x: fn(x) * dfn(x) < 0.0
-            for i, j in zip(lo[dip], hi[dip]):
-                _x, x = _bisect(falls, float(xs[i]), float(xs[j]))
-                dips.append((x, abs(float(fn(x))), int(i), int(j)))
-        self.dips = tuple(dips)
-        self.seeds = tuple(sorted(crossings + [x for x, level, _i, _j in dips
-                                               if level < 0.5]))
+            _x, x = _bisect(lambda x: fn(x) * dfn(x), xs[lo], xs[hi], side=-1.0)
+            self.dips = tuple((x, abs(float(fn(x))), i, j)
+                              for x, i, j in zip(x.tolist(), lo.tolist(), hi.tolist()))
 
     @functools.cached_property
     def certificate(self):
@@ -180,54 +186,24 @@ class Scan:
                                   self.window)
 
     @functools.cached_property
-    def probes(self):
-        """The grid plus geometric probes around the seeds, which find a high
-        rank's regions narrower than a grid step; ascending, with g on them."""
-        seeds = np.array(self.seeds)[:, None]
-        offsets = 1e-14 * 1.8 ** np.arange(85)
-        local = np.hstack([seeds, seeds - offsets, seeds + offsets]).ravel()
-        xs = np.concatenate((self.xs, local))
-        vals = np.concatenate((self.vals, on_points(self.fn, local)))
-        xs, first = np.unique(xs, return_index=True)
-        return xs, vals[first]
-
-    def regions(self, a, b, support):
-        """The intervals of [a, b] where g lies strictly inside `support`,
-        from the cached g on the grid and probes, boundaries bisected.  Past
-        a window edge behind the certificate's outside_scan_risk, it refuses
-        if the values g may take there (certificate.edges) enter or leave it.
-        """
-        slo, shi = support
-        lo, hi = self.window
-        if a < lo or b > hi:
-            cert = self.certificate
-            for edge, glo, ghi in cert.edges:
-                past = a < edge if edge == lo else b > edge
-                if past and glo < shi and ghi > slo and not slo <= glo <= ghi <= shi:
-                    cert.require()
-
-        xs, vals = self.probes
-        sel = (xs >= a) & (xs <= b)
-        xs, vals = xs[sel], vals[sel]
-        flags = np.concatenate(([False], (slo < vals) & (vals < shi), [False]))
-        change = np.flatnonzero(flags[1:] != flags[:-1])
-        inside = lambda x: slo < self.fn(x) < shi
-        last = len(xs) - 1
-
-        def end(k, step):
-            """Where the region holding xs[k] ends toward xs[k + step]; at
-            an end of [a, b], that end itself if g is inside there."""
-            if 0 <= k + step <= last:
-                x_out = xs[k + step]
-            else:
-                x_out = a if step < 0 else b
-                if inside(x_out):
-                    return float(x_out)
-            x_in, x_out = _bisect(inside, xs[k], x_out)
-            return float(0.5 * (x_in + x_out))
-
-        return tuple((end(i, -1), end(j, 1))
-                     for i, j in zip(change[0::2], change[1::2] - 1))
+    def pieces(self):
+        """The ends (lo, hi) of the pieces of the window where g is monotone:
+        split where g on the grid turns between two steps that move it (a
+        flat run is no turn), at the adjacent floats where g' changes sign,
+        and at each pole, at the adjacent floats where g changes sign
+        (`_bisect`).  Beside a pole, g' may change sign nowhere: that split
+        then runs to a grid neighbour, which only splits a monotone piece."""
+        step, xs, poles = np.diff(self.vals), self.xs, self.poles
+        moves = np.flatnonzero(step)
+        rise = step[moves] > 0.0
+        k = np.flatnonzero(rise[:-1] != rise[1:])
+        turns = _bisect(_deriv_of(self.g), xs[moves[k]], xs[moves[k + 1] + 1],
+                        side=np.where(rise[k], 1.0, -1.0))
+        signs = _bisect(self.fn, xs[poles], xs[poles + 1], side=np.sign(self.vals[poles]))
+        x_in, x_out = (np.concatenate(ends) for ends in zip(turns, signs))
+        order = np.argsort(x_in, kind="stable")
+        return (np.concatenate((self.window[:1], x_out[order])),
+                np.concatenate((x_in[order], self.window[1:])))
 
 
 _scan = functools.lru_cache(maxsize=2)(Scan)
@@ -303,7 +279,6 @@ def certify_hypotheses(g, roots, window=WINDOW):
     dips = [(x, level) for x, level, i, j in s.dips if outside[i:j + 1].all()]
     r = min([float(np.min(mags)) if len(mags) else 0.0]
             + [level for _x, level in dips]) / 2.0
-    samples = (s.xs, s.vals, outside, tuple(dips))
 
     # Roots recurring up to both edges (a periodic g): more lie past them.
     # This comes first: the dips of such a g may hide root pairs as well.
@@ -313,7 +288,7 @@ def certify_hypotheses(g, roots, window=WINDOW):
             tuple(shrunk), r, (a, b), "outside_scan_risk",
             f"roots recur up to both window edges (gaps up to {gap:.3g}); "
             "more may lie outside the scan window",
-            edges=((a, -np.inf, np.inf), (b, -np.inf, np.inf)), samples=samples,
+            edges=((a, -np.inf, np.inf), (b, -np.inf, np.inf)),
         )
 
     for x, level in dips:
@@ -335,7 +310,7 @@ def certify_hypotheses(g, roots, window=WINDOW):
             f"|g| is small ({abs(fn(edges[0][0])):.3g} <= 2r) and shrinking at "
             f"window edge x={edges[0][0]:g}; behaviour outside the scan window "
             "may depend on the kernel",
-            edges=edges, samples=samples,
+            edges=edges,
         )
 
-    return HypothesisCertificate(tuple(shrunk), r, (a, b), "certified", samples=samples)
+    return HypothesisCertificate(tuple(shrunk), r, (a, b), "certified")

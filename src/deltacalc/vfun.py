@@ -203,12 +203,10 @@ class VirtualFunction:
     rank function vanishes identically.
     """
 
-    def __init__(self, rank_eval, support=None, smoothness=C_INF,
-                 regions=None, label=""):
+    def __init__(self, rank_eval, support=None, smoothness=C_INF, label=""):
         self._rank_eval = rank_eval
         self._support = support
         self.smoothness = smoothness
-        self.regions = regions
         self.label = label
 
     def rank_eval(self, n, x):
@@ -240,13 +238,9 @@ class VirtualFunction:
         support = None
         if self._support is not None:
             support = lambda n, s=self._support, b=b: (s(n)[0] + b, s(n)[1] + b)
-        regions = None
-        if self.regions is not None:
-            def regions(n, a, c, r=self.regions, b=b):
-                return [(lo + b, hi + b) for lo, hi in r(n, a - b, c - b)]
         return VirtualFunction(
             lambda n, x, vf=self, b=b: vf.rank_eval(n, x - b),
-            support=support, smoothness=self.smoothness, regions=regions,
+            support=support, smoothness=self.smoothness,
             label=f"{self.label}(x-{b:g})" if self.label else "",
         )
 

@@ -9,6 +9,7 @@ Undetermined.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import warnings
@@ -23,13 +24,14 @@ from .limits import (
     extract_limit,
     power_law_exponent,
 )
-from .roots import WINDOW, scan
+from .roots import WINDOW, _bisect, scan
 from .vfun import (
     C_INF,
     DiracKernel,
     RealFunction,
     VirtualFunction,
     array_values,
+    on_points,
 )
 
 __all__ = [
@@ -155,12 +157,12 @@ def integrate_rank(vf, lo, hi, ranks, weight=None, shift=0.0):
     -/+ n from the shift, so a kernel's support lies inside the bounds at
     every shift, and the one place that picks how a rank integral is
     taken: a profile kernel in u = n(x - shift), all ranks at once
-    (`profile_integral`), a composite d_n(g(x)) in u = n g(x) at the roots
-    of g, all ranks at once (`_substituted`), and region by region
-    (`_regions_integral`) at a rank the substitution does not take, any
-    other virtual function by adaptive quad over its declared support, with
-    a discontinuous function's support edges as split points.  The ranks
-    are taken in order: the lowest that fails raises its error."""
+    (`profile_integral`), a composite d_n(g(x)), which takes no shift, piece
+    by piece over the monotone pieces of g, in u = n g(x) or in x
+    (`_substituted`), any other virtual function by adaptive quad over its
+    declared support, with a discontinuous function's support edges as
+    split points.  The ranks are taken in order: the lowest that fails
+    raises its error."""
     # Reversed bounds (or nan) are refused; a finite bound beyond one
     # rank's window only empties that rank.
     if not (lo <= hi and lo < math.inf and hi > -math.inf):
@@ -172,24 +174,21 @@ def integrate_rank(vf, lo, hi, ranks, weight=None, shift=0.0):
         return profile_integral(vf, ranks, shift, weight,
                                 [n * da for n, (da, _db) in zip(ranks, offsets)],
                                 [n * db for n, (_da, db) in zip(ranks, offsets)])
+    if isinstance(vf, Composite):
+        if shift:
+            raise ValueError(f"a composite takes no shift (shift {shift:g})")
+        return _substituted(vf, ranks, offsets, weight)
     if shift:
         vf = vf.translate(shift)
     bounds = [(shift + da, shift + db) for da, db in offsets]
-    values = (_substituted(vf, ranks, bounds, weight) if isinstance(vf, Composite)
-              else [None] * len(ranks))
-    return [v if v is not None else 0.0 if a > b else _rank_quad(vf, n, a, b, weight)
-            for n, (a, b), v in zip(ranks, bounds, values)]
+    return [0.0 if a > b else _rank_quad(vf, n, a, b, weight)
+            for n, (a, b) in zip(ranks, bounds)]
 
 
 def _rank_quad(vf, n, a, b, weight):
     """The rank-n integral of f_n * weight over [a, b] for a virtual function
-    that is not a profile kernel."""
+    that is neither a profile kernel nor a composite."""
     f = lambda x: vf.rank_eval(n, x) * (1.0 if weight is None else weight(x))
-
-    if vf.regions is not None:
-        pieces = [(max(a, rlo), min(b, rhi)) for rlo, rhi in vf.regions(n, a, b)]
-        return _regions_integral(vf, n, weight, f, [(p, q) for p, q in pieces if p < q])
-
     iv = vf.support_interval(n)
     if iv is None:
         return _quad_piece(f, a, b)
@@ -331,26 +330,27 @@ def _fixed_rule(d, ranks, a, weight, ulo, uhi):
                    anchor=a if cancel else None)
 
 
-def _regions_integral(vf, n, weight, f, pieces):
-    """The integral of f = f_n * weight over the disjoint intervals `pieces`.
+def _regions_integral(vf, n, weight, panels):
+    """The integral of f_n * weight over the disjoint intervals `panels`.
 
-    Both fixed rules are mapped onto every piece, and f_n and the weight
-    are each evaluated once, in one array call on all the nodes.  A piece
+    Both fixed rules are mapped onto every panel, and f_n and the weight
+    are each evaluated once, in one array call on all the nodes.  A panel
     whose two rules disagree, or give a value that is not finite, goes to
-    adaptive quad, as does every piece where f_n or the weight takes no
+    adaptive quad, as does every panel where f_n or the weight takes no
     array.
     """
-    if not pieces:
+    if not panels:
         return 0.0
-    x, w_coarse, w_fine = _panel_rules(*np.array(pieces).T)
+    x, w_coarse, w_fine = _panel_rules(*np.array(panels).T)
     with np.errstate(all="ignore"):
         values = array_values(functools.partial(vf.rank_eval, n), x)
         if values is not None and weight is not None:
             wv = array_values(weight, x)
             values = None if wv is None else values * wv
-        fine, accepted = _rule_pair(values, w_coarse, w_fine, rows=len(pieces))
+        fine, accepted = _rule_pair(values, w_coarse, w_fine, rows=len(panels))
+    f = lambda x: vf.rank_eval(n, x) * (1.0 if weight is None else weight(x))
     return sum(v if ok else _quad_piece(f, p, q)
-               for v, ok, (p, q) in zip(fine, accepted, pieces))
+               for v, ok, (p, q) in zip(fine, accepted, panels))
 
 
 def profile_integral(d, ranks, a, weight, ulo=-math.inf, uhi=math.inf):
@@ -575,23 +575,18 @@ _BATCH = 2 ** 17
 
 class Composite(VirtualFunction):
     """The composite virtual function x -> d_n(g(x)) that `compose` builds.
-
-    `nodes(key)` holds, for the ranks (n, a, b) of `key`, the substitution
-    u = n g(x) at each certified root of g (`_substitution`); `regions(n, a,
-    b)` the nonzero set {x in [a, b] : g(x) in supp(d_n)}, read off the scan
-    of g (roots.Scan.regions), for the ranks the substitution does not take.
-    Both are cached by value, so the weights of one reduction share them.
-    """
+    `nodes(key)` holds the plan of the ranks (n, a, b) of `key`
+    (`_substitution`), cached by value for the weights of one reduction."""
 
     def __init__(self, d, g, s):
         self.kernel, self.scan = d, s
         super().__init__(
             lambda n, x, d=d, gfn=s.fn: d.rank_eval(n, gfn(x)),
             smoothness=min(d.smoothness, getattr(g, "smoothness", C_INF)),
-            regions=functools.lru_cache(maxsize=64)(
-                lambda n, a, b: s.regions(a, b, d.support_interval(n))),
             label=f"{getattr(d, 'name', d.label)}({getattr(g, 'label', 'g')})",
         )
+        # The pieces cover the window, so no region is searched.
+        self.regions = None
         self.nodes = functools.lru_cache(maxsize=16)(
             functools.partial(_substitution, d, g, s))
 
@@ -605,86 +600,113 @@ def compose(d, g, window=WINDOW):
 
 
 def _substitution(d, g, s, key):
-    """The nodes of the rank integrals of d_n(g(x)) in u = n g(x), for the
-    ranks (n, a, b) of the tuple `key`: whether each rank is taken so, and
-    groups (cuts, ranks, x, jac) with one row of x(u) and of
-    1/|g'(x(u))| per rank and root, on _fixed_nodes(cuts).
-
-    On the certified monotone bracket around root a_i, the rank integral of
-    d_n(g(x)) w(x) is n^k times that of p(u) w(x(u)) / |g'(x(u))| over the
-    profile support, where g(x(u)) = u/n.  A rank is taken so where the
-    certificate is not violated and either certified or [a, b] lies inside
-    the scan window; g has a symbolic g'; supp(d_n) lies inside (-r, r), r
-    the certificate's outer floor on [a, b], so that no region of [a, b]
-    lies outside the brackets; at both ends of every bracket that meets
-    [a, b], n g lies outside the profile support on the side of its sign;
-    and every node x(u) converges inside its bracket (`_solve`).  A bound
-    inside a bracket cuts that root's u-range at n g(bound).  The ranks and
-    roots that share their cuts are solved in one batch of at most _BATCH
-    nodes, and g' is called once on it.
-    """
-    ok = [False] * len(key)
-    cert = s.certificate
-    if not (isinstance(d, DiracKernel) and isinstance(g, RealFunction)
+    """The plan of the ranks (n, a, b) of `key` over the monotone pieces of
+    g: whether each rank is taken wholly in u = n g(x); groups (cuts, rows,
+    x, jac) of the pieces taken so, a row (rank index, xl, xr, g(xl), g(xr))
+    per rank and piece [xl, xr] of [a, b], with x(u) and 1/|g'(x(u))| on
+    _fixed_nodes(cuts); and each rank's x panels (`_panels`) of the rest.
+    A rank past an outside_scan_risk window edge is refused if the values
+    g may take there (cert.edges) enter or leave supp(d_n); where g at the
+    edge lies inside it, the outer piece reaches on to the bound.  In u the
+    integral is n^k that of p(u) w(x(u)) / |g'(x(u))|: a piece is taken so
+    if it holds a root of a certificate that is not violated, g has a
+    symbolic g', n g at both of its ends lies outside the profile support
+    on the side of its sign, and every x(u) converges inside it (`_solve`,
+    in batches of at most _BATCH nodes)."""
+    cert, (wlo, whi) = s.certificate, s.window
+    for n, a, b in key:
+        if a < wlo or b > whi:
+            slo, shi = d.support_interval(n)
+            for edge, glo, ghi in cert.edges:
+                past = a < edge if edge == wlo else b > edge
+                if past and glo < shi and ghi > slo and not slo <= glo <= ghi <= shi:
+                    cert.require()
+    lo, hi = s.pieces
+    held = {}  # piece index -> the certified root in it (None: two roots)
+    if (isinstance(d, DiracKernel) and isinstance(g, RealFunction)
             and g.smoothness >= 1 and (g.nth_deriv is not None or g.derivs)
             and cert.verdict != "violated"):
-        return tuple(ok), ()
-    plo, phi = d.profile_support
-    with np.errstate(all="ignore"):
-        brackets = np.array([rec.bracket for rec in cert.roots]).reshape(-1, 2)
-        ends = array_values(s.fn, brackets)
-    if ends is None:
-        return tuple(ok), ()
-    ends = ends.tolist()
+        for rec in cert.roots:
+            k = int(np.searchsorted(lo, rec.a, "right")) - 1
+            held[k] = None if k in held else rec
+    ends = on_points(s.fn, np.concatenate((lo, hi))).tolist()
+    lo, hi, glo, ghi = lo.tolist(), hi.tolist(), ends[:len(lo)], ends[len(lo):]
 
-    def outside(v):
-        return v >= phi if v > 0 else v <= plo
-
-    groups = {}  # cuts -> [(rank index, root)]
+    groups, x_rows = {}, []
     for j, (n, a, b) in enumerate(key):
-        r = cert.floor(a, b)
-        if not ((cert.certified or s.window[0] <= a and b <= s.window[1])
-                and -r < plo / n and phi / n < r):
-            continue
-        rows = []
-        for rec, (glo, ghi) in zip(cert.roots, ends):
-            lo, hi = rec.bracket
-            xl, xr = max(lo, a), min(hi, b)
-            if xl >= xr:
+        slo, shi = d.support_interval(n)
+        los, his, gls, ghs = lo[:], hi[:], glo[:], ghi[:]
+        if a < wlo and slo < s.vals[0] < shi:
+            los[0], gls[0] = a, float(s.fn(a))
+        if b > whi and slo < s.vals[-1] < shi:
+            his[-1], ghs[-1] = b, float(s.fn(b))
+        for k in range(bisect.bisect_left(his, a), bisect.bisect_right(los, b)):
+            xl, xr = max(los[k], a), min(his[k], b)
+            if not xl < xr:
                 continue
-            if not (glo * rec.g_prime < 0.0 < ghi * rec.g_prime
-                    and outside(n * glo) and outside(n * ghi)):
-                break
-            glo = glo if xl == lo else float(s.fn(xl))
-            ghi = ghi if xr == hi else float(s.fn(xr))
-            ulo, uhi = max(plo, n * min(glo, ghi)), min(phi, n * max(glo, ghi))
-            if ulo < uhi:
-                rows.append((_cuts(d, ulo, uhi), j, rec))
-        else:
-            ok[j] = True
-            for cuts, j, rec in rows:
-                groups.setdefault(cuts, []).append((j, rec))
+            gl = gls[k] if xl == los[k] else float(s.fn(xl))
+            gr = ghs[k] if xr == his[k] else float(s.fn(xr))
+            span, rec = (j, xl, xr, gl, gr), held.get(k)
+            if rec is not None:
+                plo, phi = d.profile_support
+                low, high = (n * gls[k], n * ghs[k])[::1 if rec.g_prime > 0 else -1]
+                if low < 0.0 < high and low <= plo and high >= phi:
+                    ulo, uhi = max(plo, n * min(gl, gr)), min(phi, n * max(gl, gr))
+                    if ulo < uhi:
+                        groups.setdefault(_cuts(d, ulo, uhi), []).append(
+                            (rec, los[k], his[k], span))
+                    continue
+            if min(gl, gr) < shi and max(gl, gr) > slo:
+                x_rows.append(span)
 
     out = []
-    for cuts, rows in groups.items():
+    for cuts, members in groups.items():
         size = max(1, _BATCH // _fixed_nodes(cuts)[0].size)
-        for batch in (rows[i:i + size] for i in range(0, len(rows), size)):
-            x, jac, good = _nodes(g, s.fn, key, cuts, batch)
-            for (j, _rec), row_ok in zip(batch, good):
-                ok[j] = ok[j] and row_ok
-            keep = [ok[j] for j, _rec in batch]
-            if any(keep):
-                js = tuple(j for j, _rec in batch if ok[j])
-                out.append((cuts, js, x[keep], jac[keep]))
-    return tuple(ok), tuple(out)
+        for batch in (members[i:i + size] for i in range(0, len(members), size)):
+            x, jac, good = _nodes(g, s.fn, key, cuts, [(span[0], rec, p, q)
+                                                       for rec, p, q, span in batch])
+            x_rows += [span for (*_, span), ok in zip(batch, good) if not ok]
+            if any(good):
+                out.append((cuts, tuple(span for (*_, span), ok in zip(batch, good) if ok),
+                            x[good], jac[good]))
+    panels = _panels(d, s.fn, key, x_rows)
+    return tuple(not ps for ps in panels), tuple(out), tuple(map(tuple, panels))
+
+
+def _panels(d, fn, key, rows):
+    """The x panels of d_n(g(x)), g = fn, a list per rank of `key`: each
+    monotone piece (rank index, xl, xr, g(xl), g(xr)) cut where g crosses
+    c/n, c a profile cut of d (else its support's ends), and the parts
+    where g lies inside supp(d_n) kept.  All crossings are one batch."""
+    found = []  # (row, level), each row's levels in the order g meets them
+    for i, (j, xl, xr, gl, gr) in enumerate(rows):
+        n = key[j][0]
+        levels = ([c / n for c in d.profile_cuts] if isinstance(d, DiracKernel)
+                  else list(d.support_interval(n)))
+        found += [(i, t) for t in (levels if gl < gr else levels[::-1])
+                  if min(gl, gr) < t < max(gl, gr)]
+    edges = [[(xl, gl), (xr, gr)] for _j, xl, xr, gl, gr in rows]
+    if found:
+        i, t = np.array(found).T
+        _j, xl, xr, gl, gr = np.array(rows)[i.astype(int)].T
+        _x, x = _bisect(fn, xl, xr, side=np.where(gl > gr, 1.0, -1.0), level=t)
+        for (i, t), x in zip(found, x.tolist()):
+            edges[i].insert(-1, (x, t))
+    out = [[] for _ in key]
+    for (j, *_), e in zip(rows, edges):
+        slo, shi = d.support_interval(key[j][0])
+        out[j] += [(p, q) for (p, u), (q, v) in zip(e, e[1:])
+                   if p < q and slo < 0.5 * (u + v) < shi]
+    return out
 
 
 def _nodes(g, fn, key, cuts, rows):
     """x(u) and 1/|g'(x(u))| on _fixed_nodes(cuts), one row per (rank index,
-    root record) of `rows`, and whether each row's nodes all converged
-    inside the root's bracket, where g' has the root's sign."""
-    n, root, slope, lo, hi = np.array([(key[j][0], rec.a, rec.g_prime, *rec.bracket)
-                                       for j, rec in rows]).T[..., None]
+    root record, lo, hi) of `rows`, and whether each row's nodes all
+    converged inside the root's piece [lo, hi], where g' has the root's
+    sign."""
+    n, root, slope, lo, hi = np.array([(key[j][0], rec.a, rec.g_prime, lo, hi)
+                                       for j, rec, lo, hi in rows]).T[..., None]
     t = _fixed_nodes(cuts)[0] / n
     x = _solve(fn, t, root + t / slope, slope)
     with np.errstate(all="ignore"):
@@ -726,14 +748,19 @@ def _solve(fn, t, x, slope):
 
 def _substituted(vf, ranks, bounds, weight):
     """The rank integrals of the Composite vf over the bounds (a, b) of each
-    rank in u = n g(x) (vf.nodes), one per rank, None where the
-    substitution does not take the rank or the two fixed rules disagree on
-    one of its roots."""
-    ok, groups = vf.nodes(tuple((n, a, b) for n, (a, b) in zip(ranks, bounds)))
-    ok, parts = list(ok), [[] for _ in ranks]
-    for cuts, js, x, jac in groups:
-        scale = [_scale(ranks[j], vf.kernel.order) for j in js]
-        for j, v in zip(js, _u_rule(vf.kernel, cuts, x, scale, weight, jac)):
-            ok[j] = ok[j] and v is not None
-            parts[j].append(v)
-    return [sum(vs, 0.0) if good else None for vs, good in zip(parts, ok)]
+    rank on its plan (vf.nodes): in u, by `_u_rule`, the pieces it takes
+    so, and in x, on their panels, the rest and each piece in u whose two
+    rules disagree."""
+    key = tuple((n, a, b) for n, (a, b) in zip(ranks, bounds))
+    _ok, groups, panels = vf.nodes(key)
+    parts, redo = [[] for _ in ranks], []
+    for cuts, rows, x, jac in groups:
+        scale = [_scale(ranks[j], vf.kernel.order) for j, *_ in rows]
+        for row, v in zip(rows, _u_rule(vf.kernel, cuts, x, scale, weight, jac)):
+            if v is None:
+                redo.append(row)
+            else:
+                parts[row[0]].append(v)
+    more = _panels(vf.kernel, vf.scan.fn, key, redo)
+    return [sum(vs, _regions_integral(vf, n, weight, [*ps, *qs]))
+            for n, vs, ps, qs in zip(ranks, parts, panels, more)]

@@ -635,6 +635,21 @@ def test_composite_regions_make_no_quad_call(argv, kernel, monkeypatch):
         assert abs(json.loads(out)["value"] - want) <= 1e-8
 
 
+def test_probe_of_close_roots_makes_no_quad_call(monkeypatch):
+    # Roots 0.42 apart: at ranks 16 and 32, n g at the minimum between
+    # them lies inside the support of minus, so the two pieces that meet
+    # there take the x path, on panels where both fixed rules agree.
+    from deltacalc import vintegral
+
+    calls = []
+    real = vintegral.quad
+    monkeypatch.setattr(vintegral, "quad",
+                        lambda *a, **kw: calls.append(a[1:3]) or real(*a, **kw))
+    status, out, _ = run(["probe-kernels", "(-0.7518)*(x+1.7896)*(x+1.3667)*(x-0.9976)",
+                          "--json"])
+    assert status == 0 and calls == []
+
+
 @pytest.mark.parametrize("kernel", ["bump", "square"])
 def test_region_narrower_than_a_float_step_integrates_in_u(kernel):
     # |1e15 (x - 1)| < 1/n holds on at most the one float x = 1, so in x
@@ -643,6 +658,46 @@ def test_region_narrower_than_a_float_step_integrates_in_u(kernel):
     res = json.loads(out)
     assert status == 0 and res["variant"] == "reduced"
     assert abs(res["value"] - 1e5) <= 1e-9 * 1e5
+
+
+@pytest.mark.parametrize("kernel", ["plus", "minus"])
+def test_one_sided_kernel_at_a_flat_root(kernel):
+    # On one side of the flat root of x^3, n x^3 stays inside the support
+    # over a region that no grid point or probe around the root found at
+    # high ranks.  On the monotone piece, the panels end where n x^3 meets
+    # the profile cuts: I_n = n^(2/3) * (1/3) * int p(u) |u|^(-2/3) du.
+    status, out, _ = run(["integrate", "delta(x^3)", "--kernel", kernel, "--json"])
+    res = json.loads(out)
+    assert status == 0 and res["variant"] == "irreducible"
+    assert abs(res["exponent"] - 2.0 / 3.0) < 1e-3
+    for n, v in res["rank_values"]:
+        want = 0.21494712758990608 * n ** (2.0 / 3.0)
+        assert abs(v - want) <= 1e-12 * want, n
+
+
+@pytest.mark.parametrize("text", ["delta((x-1.3)^2)", "delta(x^2)"])
+def test_one_sided_kernel_at_a_tangency(text):
+    # n g meets the support of delta_+ on both sides of the touch:
+    # I_n = sqrt(n) * int p(u) u^(-1/2) du.
+    status, out, _ = run(["integrate", text, "--kernel", "plus", "--json"])
+    res = json.loads(out)
+    assert status == 0 and res["variant"] == "irreducible"
+    assert abs(res["exponent"] - 0.5) < 1e-3
+    for n, v in res["rank_values"]:
+        want = 0.7182932341229047 * math.sqrt(n)
+        assert abs(v - want) <= 1e-11 * want, n
+
+
+def test_flat_odd_order_root_is_answered_without_a_traceback():
+    # brentq stops short of converging next to a flat root; the point it
+    # stops at is still the root.
+    status, out, err = run(["integrate", "delta((x-1.3)^3)"])
+    assert status == 0 and out.startswith("Irreducible(p=0.667, sign +)"), err
+    status, out, err = run(["integrate", "cos(x)*delta((x-0.7)^3*(x+2))"])
+    assert status == 0 and out.startswith("Irreducible(p=0.667"), err
+    status, out, err = run(["simplify", "delta((x-1.3)^3)"])
+    assert status == 1 and out == "" and "Traceback" not in err
+    assert "non-simple root at x=1.3: derivative vanishes" in err, err
 
 
 @pytest.mark.parametrize("kernel", ["bump", "plus"])

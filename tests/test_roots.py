@@ -141,7 +141,7 @@ def test_one_grid_evaluation_per_composite():
     comp = dc.compose(dc.bump_delta(), g)
     for n in (16, 1024, 2**16):
         integrate_rank(comp, -math.inf, math.inf, (n,))
-    # Roots, certificate, seeds and every rank's regions read one array
+    # Roots, certificate, pieces and every rank's plan read one array
     # evaluation of g on the grid.
     assert sizes.count(roots.GRID) == 1
 
@@ -151,7 +151,9 @@ def test_flat_run_is_not_a_dip():
     g = _rf(lambda x: np.exp(x) - 1.0, np.exp, "exp(x)-1")
     s = roots.scan(g)
     assert all(x > -37.0 for x, _level, _i, _j in s.dips)
-    assert len(s.seeds) == 1 and abs(s.seeds[0]) < 1e-5
+    assert len(s.roots) == 1 and abs(s.roots[0]) < 1e-5
+    # Nor is it an extremum: g is monotone on the whole window.
+    assert [p.tolist() for p in s.pieces] == [[-60.0], [60.0]]
     cert = certify_hypotheses(g, find_simple_roots(g))
     assert cert.certified
 
@@ -160,7 +162,7 @@ def test_sign_changes_are_not_dips():
     # Each sign change is refined once, by brentq, as a root.
     s = roots.scan(QUAD)
     assert s.dips == ()
-    assert len(s.roots) == 2 and s.seeds == s.roots
+    assert len(s.roots) == 2
 
 
 def test_dip_is_bisected_to_the_touch():
@@ -174,19 +176,57 @@ def test_dip_is_bisected_to_the_touch():
     assert "without sign change" in s.certificate.reason
 
 
-def test_exact_zero_on_the_grid_is_a_seed():
+def test_exact_zero_on_the_grid_is_a_root():
     # 1.25 is a grid point: g is exactly 0 there, with no sign change
     # between grid neighbours for brentq to refine.
     s = roots.scan(lambda x: x - 1.25)
     assert s.roots == (1.25,)
     assert len(s.dips) == 1 and s.dips[0][1] == 0.0
-    assert s.seeds == (1.25,)
 
 
-def test_exact_zero_plateau_gives_no_seeds():
+def test_exact_zero_plateau_gives_no_dips():
     s = roots.scan(lambda x: 0.0 * x)
     assert len(s.roots) == roots.GRID
-    assert s.seeds == () and s.dips == ()
+    assert s.dips == ()
+    assert [p.tolist() for p in s.pieces] == [[-60.0], [60.0]]
+
+
+# -- monotone pieces ----------------------------------------------------------
+
+from deltacalc.exprlang import parse, to_real_function  # noqa: E402
+
+
+def test_pieces_split_at_each_extremum():
+    # g' = 3x^2 - 4x - 1 vanishes at (2 -/+ sqrt(7))/3: a piece ends at the
+    # last float before each turn, and the next starts at the float after.
+    lo, hi = roots.scan(to_real_function(parse("x^3-2*x^2-x+2"))).pieces
+    assert len(lo) == 3 and lo[0] == -60.0 and hi[-1] == 60.0
+    for turn, end, start in zip(((2 - 7 ** 0.5) / 3, (2 + 7 ** 0.5) / 3), hi, lo[1:]):
+        assert abs(end - turn) <= 1e-14 and start == np.nextafter(end, np.inf)
+
+
+def test_a_pole_ends_a_piece():
+    # 1/(x-1.5) - 2 changes sign at its pole x = 1.5, where it has no root:
+    # the pieces split at the adjacent floats around it, with the symbolic
+    # g' or with a difference quotient, which is noise beside the pole.  g
+    # falls on every piece.
+    f = to_real_function(parse("1/(x-1.5)-2"))
+    for g in (f, f.fn):
+        lo, hi = roots.scan(g).pieces
+        assert 1.5 in lo.tolist() and np.nextafter(1.5, 0.0) in hi.tolist()
+        with np.errstate(divide="ignore"):
+            for a, b in zip(lo, hi):
+                assert (np.diff(f.fn(np.linspace(a, b, 1001))) <= 0.0).all(), (a, b)
+
+
+def test_bisect_takes_a_function_of_floats_alone():
+    # math.exp takes no array: each step calls it point by point, and each
+    # bracket ends at the adjacent floats around its own level.
+    levels = np.array([2.0, 5.0])
+    x_in, x_out = roots._bisect(math.exp, [0.0, 0.0], [2.0, 3.0], side=-1.0, level=levels)
+    assert (x_out == np.nextafter(x_in, np.inf)).all()
+    for a, b, t in zip(x_in, x_out, levels):
+        assert math.exp(a) < t <= math.exp(b)
 
 
 def test_regions_refuse_only_where_g_meets_the_support_past_the_edge():

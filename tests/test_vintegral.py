@@ -527,65 +527,92 @@ def test_reduction_asks_for_its_first_seven_ranks_at_once(bump, monkeypatch):
     assert asked[1:] == [(n,) for n in DEFAULT_SCHEDULE[7:len(res.rank_values)]]
 
 
-# -- fixed-node region quadrature of composites ------------------------------
-# The x path of a composite (`_rank_quad`): its regions on both fixed rules,
-# region by region.  integrate_rank takes it at the ranks the substitution
-# u = n g(x) does not take (tested further below).
+# -- fixed-node panel quadrature of composites -------------------------------
+# The x path of a composite: the monotone pieces of g cut into panels where
+# n g(x) crosses each profile cut, both fixed rules on every panel, and
+# adaptive quad on a panel where they disagree.  A g with no derivative
+# rule takes it on every piece; otherwise it serves the pieces that the
+# substitution u = n g(x) does not take (tested further below).
 
 #: Composites delta(g(x)) and their bounds (None: the rank's +/- n).
 REGION_CASES = [("x^2-4", None), ("x^3-2*x^2-x+2", None), ("exp(x)-2.5", None),
                 ("1/(x-1.5)-2", None), ("(x-1.3)^2", None), ("sin(3*x)", (-20.0, 20.0))]
 
 
-def _region_pieces(comp, n, a, b, weight):
-    # The adaptive quadrature integrate_rank falls back to, region by region.
+def _quad_panels(comp, n, panels, weight):
+    # The adaptive quadrature each panel falls back to.
     if weight is None:
         f = lambda x: comp.rank_eval(n, x)
     else:
         f = lambda x: comp.rank_eval(n, x) * weight(x)
-    return [_quad_piece(f, max(a, lo), min(b, hi)) for lo, hi in comp.regions(n, a, b)]
+    return [_quad_piece(f, p, q) for p, q in panels]
+
+
+def _x_panels(comp, key):
+    # The x panels of each rank of the plan: of the pieces it takes in x,
+    # then of those it takes in u, in the order of its rows.
+    _ok, groups, panels = comp.nodes(key)
+    rows = [row for _cuts, rows, _x, _jac in groups for row in rows]
+    more = vintegral._panels(comp.kernel, comp.scan.fn, key, rows)
+    return [[*ps, *qs] for ps, qs in zip(panels, more)]
 
 
 def _composite(kern, text):
     return dc.compose(kern, to_real_function(parse(text)))
 
 
+def _opaque(kern, text):
+    # The same g with no derivative rule: every piece takes the x path.
+    return dc.compose(kern, to_real_function(parse(text)).fn)
+
+
 @pytest.mark.parametrize("name", ["bump", "square", "plus", "minus"])
 @pytest.mark.parametrize("text, bounds", REGION_CASES)
 def test_region_rule_matches_quad(name, text, bounds, request, quad_calls):
-    comp = _composite(request.getfixturevalue(name), text)
+    kern = request.getfixturevalue(name)
+    comp, subst = _opaque(kern, text), _composite(kern, text)
     lo, hi = (-math.inf, math.inf) if bounds is None else bounds
     weights = [None] + [f.fn for f in sift_battery()[2::3]]
-    # Each region's quad meets its target 1e-12 * max(1, |I_r|), and the
+    # Each panel's quad meets its target 1e-12 * max(1, |I_p|), and the
     # sum meets theirs.  Up to rank 64 both rules do so without quad.  At
     # higher ranks g's rounding, scaled by n inside the kernel, is itself
     # up to ~1e-11 of the integral (sin(3x) near x = 20): the two differ
-    # at that level, and where the fixed rules do, quad decides.
+    # at that level, and where the fixed rules do, quad decides.  Where
+    # the substitution takes the whole rank, it gives the same integral.
     for n, tol in ((16, 1e-12), (64, 1e-12), (4096, 1e-10), (65536, 1e-10)):
         a, b = (-n, n) if bounds is None else bounds
+        panels = comp.nodes(((n, a, b),))[2][0]
+        in_u = subst.nodes(((n, a, b),))[0][0]
         for w in weights:
-            got = vintegral._rank_quad(comp, n, a, b, w)
+            got = integrate_rank(comp, lo, hi, (n,), weight=w)[0]
             assert n > 64 or not quad_calls, (n, w)
-            pieces = _region_pieces(comp, n, a, b, w)
+            pieces = _quad_panels(comp, n, panels, w)
             quad_calls.clear()
             target = tol * sum(max(1.0, abs(v)) for v in pieces)
             assert abs(got - sum(pieces)) <= target, (n, w)
+            if in_u:
+                want = integrate_rank(subst, lo, hi, (n,), weight=w)[0]
+                assert abs(got - want) <= 10.0 * target, (n, w)
+            quad_calls.clear()
 
 
-def test_region_rules_disagree_on_a_mixture(mix, quad_calls):
-    # The parts' edges lie inside each region: adaptive quad decides there.
-    comp = _composite(mix, "x^2-4")
-    got = vintegral._rank_quad(comp, 64, -64.0, 64.0, np.cos)
-    assert quad_calls
-    want = _region_pieces(comp, 64, -64.0, 64.0, np.cos)
+def test_region_rules_agree_on_a_mixture(mix, quad_calls):
+    # The parts' edges are panel edges, as they are in u: no quad call.
+    comp = _opaque(mix, "x^2-4")
+    got = integrate_rank(comp, -64.0, 64.0, (64,), weight=np.cos)[0]
+    assert not quad_calls
+    want = _quad_panels(comp, 64, comp.nodes(((64, -64.0, 64.0),))[2][0], np.cos)
     assert abs(got - sum(want)) <= 1e-12 * sum(max(1.0, abs(v)) for v in want)
 
 
 def test_math_only_weight_falls_back_on_every_region(bump, quad_calls):
+    # math.cos takes no array: each root's piece leaves u for its panels
+    # in x, one on each side of the root, and each panel goes to quad.
     comp = _composite(bump, "x^3-2*x^2-x+2")
     got = integrate_rank(comp, -math.inf, math.inf, (64,), weight=math.cos)[0]
-    assert len(quad_calls) == len(comp.regions(64, -64.0, 64.0)) == 3
-    assert got == sum(_region_pieces(comp, 64, -64.0, 64.0, math.cos))
+    panels = _x_panels(comp, ((64, -64.0, 64.0),))[0]
+    assert len(quad_calls) == len(panels) == 6
+    assert got == sum(_quad_panels(comp, 64, panels, math.cos))
 
 
 def test_non_finite_region_weight_raises_like_quad(bump):
@@ -594,7 +621,7 @@ def test_non_finite_region_weight_raises_like_quad(bump):
     comp = _composite(bump, "x^2-4")
     f = to_real_function(parse("x^0.5")).fn
     with pytest.raises(QuadratureError):
-        _region_pieces(comp, 16, -16.0, 16.0, f)
+        _quad_panels(comp, 16, _x_panels(comp, ((16, -16.0, 16.0),))[0], f)
     with pytest.raises(QuadratureError):
         integrate_rank(comp, -math.inf, math.inf, (16,), weight=f)
 
@@ -641,48 +668,54 @@ def test_substitution_matches_quad_on_the_inverse(name, text, bounds, roots, inv
 def test_certified_composite_makes_no_bisect_call(monkeypatch, bump):
     from deltacalc import roots
 
-    comp = _composite(bump, "0.9*(x+1.3)*(x-0.94)*(x-1.79)")
-    comp.scan.certificate
+    text = "0.9*(x+1.3)*(x-0.94)*(x-1.79)"
+    comp = _composite(bump, text)
+    comp.scan.certificate, comp.scan.pieces
     calls = []
     real = roots._bisect
-    monkeypatch.setattr(roots, "_bisect", lambda *a: calls.append(a) or real(*a))
+    counted = lambda *a, **kw: calls.append(a) or real(*a, **kw)
+    monkeypatch.setattr(roots, "_bisect", counted)
+    monkeypatch.setattr(vintegral, "_bisect", counted)
     ranks = tuple(DEFAULT_SCHEDULE[:7])
     got = integrate_rank(comp, -math.inf, math.inf, ranks, weight=np.exp)
     assert all(comp.nodes(tuple((n, -n, n) for n in ranks))[0])
     assert not calls
-    want = [vintegral._rank_quad(comp, n, -n, n, np.exp) for n in ranks]
+    # The x path, which bisects its panel edges, gives the same integrals.
+    want = integrate_rank(_opaque(bump, text), -math.inf, math.inf, ranks, weight=np.exp)
     assert calls
     assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(got, want))
 
 
 def test_x_path_serves_what_the_substitution_does_not(bump):
-    # An uncertified tangent, the low ranks of a root pair 0.28 apart, and
-    # an opaque g: the answers the x path gave before the substitution.
+    # An uncertified tangent, the ranks 16 and 32 of a root pair 0.28
+    # apart, where n g at the extremum between them lies inside the
+    # support, and an opaque g: the answers the x path gives.
     out = io.StringIO()
     assert run_command(["integrate", "delta((x-1.5)^2)", "--json"], out, io.StringIO()) == 0
     res = json.loads(out.getvalue())
     assert res["variant"] == "irreducible" and round(res["exponent"], 3) == 0.5
-    assert res["rank_values"][:3] == [[16, 5.0590068061781306], [32, 7.1545160374349086],
-                                      [64, 10.118013612356261]]
+    assert res["rank_values"][:3] == [[16, 5.059006806178131], [32, 7.154516037434905],
+                                      [64, 10.11801361235626]]
     comp = _composite(bump, "-1.0547*(x+2.515)*(x+2.231)")
     ranks = (16, 32, 64, 128)
-    assert comp.nodes(tuple((n, -n, n) for n in ranks))[0] == (False, False, False, True)
+    assert comp.nodes(tuple((n, -n, n) for n in ranks))[0] == (False, False, True, True)
     assert integrate_rank(comp, -math.inf, math.inf, ranks, weight=np.cos)[:3] == [
-        -4.2624824500766785, -5.775480673618681, -4.9313761313951225]
+        -4.262482450076677, -5.775480673618678, -4.9313761313951225]
     res = reduce_integral(dc.compose(bump, lambda x: x * x - 4.0), weight=np.cos)
-    assert res.value == -0.2080734182736164
-    assert res.rank_values[:2] == ((16, -0.20805925093196664), (32, -0.20806987654824843))
+    assert res.value == -0.20807341827342085
+    assert res.rank_values[:2] == ((16, -0.20805925093196878), (32, -0.20806987654824222))
 
 
-def test_bracket_end_inside_the_support_keeps_the_x_path(bump):
-    # g = 0.01(x - 1) is certified on the bracket [0, 2], where n g at the
+def test_piece_end_inside_the_support_keeps_the_x_path(bump):
+    # g = 0.01(x - 1) scanned over [0, 2] is one piece, where n g at the
     # ends is -/+0.16 at rank 16: inside the profile support, so that rank
-    # takes the x path and gets its bits.  At rank 4096 both ends lie
-    # outside the support, and the substituted rank reads 1/|g'|.
-    comp = _composite(bump, "0.01*(x-1)")
+    # takes the x path, on the panels either side of x = 1.  At rank 4096
+    # both ends lie outside the support, and the substituted rank reads
+    # 1/|g'|.
+    comp = dc.compose(bump, to_real_function(parse("0.01*(x-1)")), window=(0.0, 2.0))
     assert comp.nodes(((16, 0.9, 1.1), (4096, 0.9, 1.1)))[0] == (False, True)
+    assert comp.nodes(((16, 0.9, 1.1),))[2][0] == ((0.9, 1.0), (1.0, 1.1))
     assert integrate_rank(comp, 0.9, 1.1, (16,)) == [2.651194015672525]
-    assert vintegral._rank_quad(comp, 16, 0.9, 1.1, None) == 2.651194015672525
     assert abs(integrate_rank(comp, 0.9, 1.1, (4096,))[0] - 100.0) <= 1e-12 * 100.0
 
 
@@ -705,39 +738,47 @@ def test_convolve_cache_keys_on_the_profiles(monkeypatch):
 
 
 def test_equiv_finds_regions_once_per_rank(monkeypatch, bump):
-    from deltacalc import roots
     from deltacalc.rewrite import CompTerm, DeltaTerm, ScaleTerm, check_equivalence
 
-    seen = []
-    real = roots.Scan.regions
-    monkeypatch.setattr(roots.Scan, "regions",
-                        lambda s, a, b, support: seen.append((a, b, support))
-                        or real(s, a, b, support))
-    # Without a symbolic g' the composite keeps the x path, which searches
-    # its regions.
+    built, cut = [], []
+    real_plan, real_panels = vintegral._substitution, vintegral._panels
+    monkeypatch.setattr(vintegral, "_substitution",
+                        lambda d, g, s, key: built.append(key) or real_plan(d, g, s, key))
+    monkeypatch.setattr(vintegral, "_panels", lambda d, fn, key, rows: (
+        rows and cut.append((key, tuple(rows)))) or real_panels(d, fn, key, rows))
+    # Without a symbolic g' the composite takes the x path on every piece:
+    # one plan per key, which cuts its pieces into panels once.
     g = RealFunction(lambda x: 2.0 * x, label="2x")
     verdict = check_equivalence(CompTerm(g), ScaleTerm(0.5, DeltaTerm()),
                                 kernel=bump)
     assert verdict.consistent and verdict.battery_size == 20
-    assert seen and len(seen) == len(set(seen))
+    assert built and len(built) == len(set(built))
+    assert cut and len(cut) == len(set(cut)) == len(built)
 
 
 def test_equiv_solves_the_substitution_once_per_rank_set(monkeypatch, bump):
-    from deltacalc import roots
     from deltacalc.rewrite import CompTerm, DeltaTerm, ScaleTerm, check_equivalence
 
-    searched, solved = [], []
-    monkeypatch.setattr(roots.Scan, "regions", lambda *args: searched.append(args))
-    real = vintegral._nodes
+    built, solved = [], []
+    real_plan, real_nodes = vintegral._substitution, vintegral._nodes
+
+    def plan(d, g, s, key):
+        out = real_plan(d, g, s, key)
+        built.append((key, out[0]))
+        return out
+
+    monkeypatch.setattr(vintegral, "_substitution", plan)
     monkeypatch.setattr(vintegral, "_nodes", lambda g, fn, key, cuts, rows: solved.append(
-        (key, cuts, tuple(rows))) or real(g, fn, key, cuts, rows))
+        (key, cuts, tuple(rows))) or real_nodes(g, fn, key, cuts, rows))
     g = to_real_function(parse("2*x"))
     verdict = check_equivalence(CompTerm(g), ScaleTerm(0.5, DeltaTerm()),
                                 kernel=bump)
     assert verdict.consistent and verdict.battery_size == 20
-    assert solved and len(solved) == len(set(solved)) and not searched
-    # The first seven ranks are one batch.
+    assert built and len(built) == len(set(built))
+    assert solved and len(solved) == len(set(solved))
+    # The first seven ranks are one batch, and no rank takes the x path.
     assert [n for n, _a, _b in solved[0][0]] == list(DEFAULT_SCHEDULE[:7])
+    assert all(all(in_u) for _key, in_u in built)
 
 
 def test_kernel_derivatives_and_their_node_values_are_built_once():
