@@ -282,6 +282,9 @@ def _cmd_trace(args, cfg, out):
         raise ConfigError(f"--at-rank must be a rank >= 1, not {args.at_rank}")
     if args.points < 1:
         raise ConfigError(f"--points must be >= 1, not {args.points}")
+    for flag, x in (("--x-min", args.x_min), ("--x-max", args.x_max)):
+        if not math.isfinite(x):
+            raise ConfigError(f"{flag} must be finite, not {x}")
     expr = parse_expression(args.expression)
     kernel = cfg.make_kernel()
     if args.at_rank is not None:
@@ -398,6 +401,28 @@ def _build_parser():
     return top
 
 
+#: The options that take a float.  argparse reads a negative value in
+#: exponent form ("-1e3") as an option, so `_joined` joins it to its option.
+_FLOAT_OPTIONS = ("--lower", "--upper", "--x-min", "--x-max", "--tolerance")
+
+
+def _joined(argv):
+    """argv with each negative float that follows a float option before any
+    "--" joined to it: "--lower", "-1e3" -> "--lower=-1e3"."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _FLOAT_OPTIONS and "--" not in out and arg[:1] == "-":
+            try:
+                float(arg)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + arg
+                continue
+        out.append(arg)
+    return out
+
+
 _DISPATCH = {
     "simplify": _cmd_simplify,
     "integrate": _cmd_integrate,
@@ -414,7 +439,7 @@ def run_command(argv, out=None, err=None):
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_joined(argv))
     except _ParserExit as exc:
         if exc.status == 0:
             out.write(str(exc))

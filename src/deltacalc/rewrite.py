@@ -335,27 +335,23 @@ def evaluate_normal_form(nf, f):
 # Numeric expression integration (termwise per rank)
 # ---------------------------------------------------------------------------
 
-def _rank_integral(atom, weight, kernel, ranks, lo, hi, window):
-    """Rank-n integrals of atom * weight over [lo, hi], one per rank n of
-    the tuple `ranks`."""
+def _bind(expr, kernel, window):
+    """Each (c, factor, atom) of _atoms(expr) with the rank family it is
+    integrated on (`_family`) and that family's shift."""
+    return [(c, f, atom, _family(atom, kernel, window), getattr(atom, "shift", 0.0))
+            for c, f, atom in _atoms(expr)]
+
+
+def _family(atom, kernel, window=WINDOW):
+    """The rank family atom is integrated on: a delta term's kernel derivative,
+    a composite's `compose` over `window`, a smooth summand's f (None for 0)."""
     if isinstance(atom, SmoothTerm):
-        if _is_zero_term(atom):
-            return [0.0] * len(ranks)
-        f = atom.f.fn
-        return integrate_rank(VirtualFunction(lambda _n, x: f(x)), lo, hi, ranks, weight)
+        return None if _is_zero_term(atom) else VirtualFunction(
+            lambda _n, x, f=atom.f.fn: f(x))
     kern = _kernel_of(atom, kernel)
     if isinstance(atom, CompTerm):
-        comp = _composite(atom.inner, kern, window)
-        return integrate_rank(comp, lo, hi, ranks, weight=weight)
-    d = kern.derivative(atom.order) if atom.order else kern
-    return integrate_rank(d, lo, hi, ranks, weight, atom.shift)
-
-
-@functools.lru_cache(maxsize=2)
-def _composite(inner, kern, window):
-    """compose(kern, inner) over `window`, built once: the cache holds its
-    key objects, so no other composite can take their entry."""
-    return compose(kern, inner, window=window)
+        return compose(kern, atom.inner, window=window)
+    return kern.derivative(atom.order) if atom.order else kern
 
 
 def expr_rank_eval(expr, kernel, n, x):
@@ -367,9 +363,7 @@ def expr_rank_eval(expr, kernel, n, x):
         elif isinstance(atom, CompTerm):
             v = float(_kernel_of(atom, kernel).rank_eval(n, atom.inner(x)))
         else:
-            kern = _kernel_of(atom, kernel)
-            d = kern.derivative(atom.order) if atom.order else kern
-            v = float(d.rank_eval(n, x - atom.shift))
+            v = float(_family(atom, kernel).rank_eval(n, x - atom.shift))
         values.append(c * (v if f is None else f(x) * v))
     return _total(values)
 
@@ -379,20 +373,24 @@ def reduce_expr_integral(expr, weight=None, kernel=None,
                          schedule=DEFAULT_SCHEDULE, tol=1e-9, window=WINDOW):
     """Reduce the virtual integral of expr * weight over [lo, hi]; delta
     composites are scanned over `window`."""
+    return _reduce_bound(_bind(expr, kernel, window), weight, lo, hi, schedule, tol)
+
+
+def _reduce_bound(bound, weight, lo, hi, schedule, tol):
+    """reduce_expr_integral of the atoms `bound` to their families (_bind)."""
     if isinstance(weight, RealFunction):
         weight = weight.fn
-    parts = _atoms(expr)
     # Each atom's weight: its factor times the caller's.
     atoms = [(c, weight if f is None else f.fn if weight is None
-              else (lambda x, f=f.fn: f(x) * weight(x)), atom)
-             for c, f, atom in parts]
-    max_order = max((atom.order for _c, _w, atom in atoms
-                     if isinstance(atom, DeltaTerm)), default=0)
+              else (lambda x, f=f.fn: f(x) * weight(x)), family, shift)
+             for c, f, _atom, family, shift in bound]
+    max_order = max((getattr(atom, "order", 0) for _c, _f, atom, *_ in bound), default=0)
 
     def values_at(ranks):
         try:
-            columns = [[c * v for v in _rank_integral(atom, w, kernel, ranks, lo, hi, window)]
-                       for c, w, atom in atoms]
+            columns = [[c * v for v in ([0.0] * len(ranks) if family is None else
+                                        integrate_rank(family, lo, hi, ranks, w, shift))]
+                       for c, w, family, shift in atoms]
         except DeltaCalcError:
             if len(ranks) == 1 or len(atoms) == 1:
                 raise
@@ -409,7 +407,7 @@ def reduce_expr_integral(expr, weight=None, kernel=None,
 
     result = reduce_sequence(derivative_schedule(schedule, max_order), values_at, tol)
     if (result.kind == "irreducible" and weight is None
-            and all(_sifts(f, atom, lo, hi) for _c, f, atom in parts)):
+            and all(_sifts(f, atom, lo, hi) for _c, f, atom, *_ in bound)):
         # At high orders the rounding noise of I_n grows like a power of n
         # and the power-law fit takes it for divergence.
         return replace(result, kind="undetermined", exponent=None, sign=None)
@@ -473,16 +471,11 @@ def _finite_at(f, x):
         return False
 
 
-def _delta_points(exprs, window):
-    """Where the delta terms of exprs sit: each delta term's shift and each
-    composite's roots on its scan over `window`."""
-    points = set()
-    for _c, _f, atom in (a for e in exprs for a in _atoms(e)):
-        if isinstance(atom, DeltaTerm):
-            points.add(atom.shift)
-        elif isinstance(atom, CompTerm):
-            points.update(scan(atom.inner, window).roots)
-    return points
+def _delta_points(bound):
+    """Where the delta terms of the bound atoms sit: each delta term's shift
+    and the roots on each composite's scan."""
+    return {a for _c, _f, atom, family, shift in bound if not isinstance(atom, SmoothTerm)
+            for a in (family.scan.roots if isinstance(atom, CompTerm) else (shift,))}
 
 
 def check_equivalence(lhs, rhs, kernel=None, battery=None, tol=1e-7,
@@ -502,6 +495,8 @@ def check_equivalence(lhs, rhs, kernel=None, battery=None, tol=1e-7,
         raise ValueError("battery must be nonempty")
     points = None
     skipped = []
+    # Each side is bound to its rank families once, on first use.
+    bound = functools.cache(lambda i: _bind((lhs, rhs)[i], kernel, window))
 
     def verdict(*args, **kw):
         return EquivalenceVerdict(*args, skipped=tuple(skipped), **kw)
@@ -509,15 +504,13 @@ def check_equivalence(lhs, rhs, kernel=None, battery=None, tol=1e-7,
     max_dev = 0.0
     for f in battery:
         try:
-            left = reduce_expr_integral(lhs, weight=f, kernel=kernel,
-                                        schedule=schedule, tol=tol, window=window)
+            left = _reduce_bound(bound(0), f, -math.inf, math.inf, schedule, tol)
             if not left.reduced:
                 return verdict("irreducible_side", side="lhs", witness=f.label)
-            right = reduce_expr_integral(rhs, weight=f, kernel=kernel,
-                                         schedule=schedule, tol=tol, window=window)
+            right = _reduce_bound(bound(1), f, -math.inf, math.inf, schedule, tol)
         except (ArithmeticError, DeltaCalcError):
             if points is None:
-                points = _delta_points((lhs, rhs), window)
+                points = _delta_points(bound(0) + bound(1))
             if all(_finite_at(f, a) for a in points):
                 raise
             skipped.append(f.label)

@@ -182,8 +182,7 @@ class Scan:
 
     @functools.cached_property
     def certificate(self):
-        return certify_hypotheses(self.g, find_simple_roots(self.g, self.window),
-                                  self.window)
+        return _certify(self, _records(self))
 
     @functools.cached_property
     def pieces(self):
@@ -219,9 +218,12 @@ def find_simple_roots(g, window=WINDOW):
     (brentq) to ~1e-13, ascending, with a local derivative estimate.
     Tangencies (zero touches without sign change) surface as Violated
     verdicts in certify_hypotheses instead."""
-    dfn = _deriv_of(g)
-    return [RootRecord(a=root, g_prime=float(dfn(root)), bracket=(root, root))
-            for root in scan(g, window).roots]
+    return _records(scan(g, window))
+
+
+def _records(s):
+    dfn = _deriv_of(s.g)
+    return [RootRecord(a, float(dfn(a)), (a, a)) for a in s.roots]
 
 
 def _monotone_on(fn, lo, hi):
@@ -237,7 +239,11 @@ def certify_hypotheses(g, roots, window=WINDOW):
     strictly.  Axis-asymptotic tails (|g| at a window edge at or below 2r
     and shrinking toward the edge) downgrade to OutsideScanRisk.
     """
-    s = scan(g, window)
+    return _certify(scan(g, window), roots)
+
+
+def _certify(s, roots):
+    """certify_hypotheses on the grid, values and dips of the scan s."""
     fn, (a, b) = s.fn, s.window
     locs = [rec.a for rec in roots]
 
@@ -295,7 +301,7 @@ def certify_hypotheses(g, roots, window=WINDOW):
         if level <= 1e-10 * s.scale:
             return violated(shrunk, f"non-simple root at x={x:.6g}: |g| touches "
                                     "zero without sign change (derivative "
-                                    f"{float(_deriv_of(g)(x)):.3g})")
+                                    f"{float(_deriv_of(s.g)(x)):.3g})")
     if not r > 0.0:
         return violated(shrunk, "|g| reaches zero outside the root brackets")
 

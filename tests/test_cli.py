@@ -1046,11 +1046,37 @@ def test_bad_tolerance_is_config_error(value):
 
 
 @pytest.mark.parametrize("flags", [["--at-rank", "0"], ["--at-rank", "-4"],
-                                   ["--points", "-2"]])
+                                   ["--points", "-2"], ["--x-min", "nan"],
+                                   ["--x-max", "inf"], ["--x-min", "-inf"]])
 def test_bad_trace_sampling_is_config_error(flags):
-    status, out, err = run(["trace", "delta(x)", *flags])
+    status, out, err = run(["trace", "delta(x)", "--at-rank", "3", *flags])
     assert status == 2 and out == ""
     assert "error (config)" in err and flags[0] in err
+    status, out, err = run(["trace", "delta(x)", "--at-rank", "3", *flags, "--json"])
+    assert status == 2 and out == ""
+    msg = json.loads(err)
+    assert msg["error"] == "config" and flags[0] in msg["message"]
+
+
+@pytest.mark.parametrize("argv, flag, plain, exponent", [
+    (["integrate", "delta(x+500)"], "--lower", "-1000", "-1e3"),
+    (["integrate", "delta(x+500)"], "--upper", "-100", "-1E2"),
+    (["integrate", "delta(x)"], "--tolerance", "-0.001", "-1e-3"),
+    (["trace", "delta(x)", "--at-rank", "3", "--points", "3"], "--x-min", "-1000", "-1e3"),
+    (["trace", "delta(x)", "--at-rank", "3", "--points", "3"], "--x-max", "-0.5", "-5e-1"),
+])
+def test_negative_value_in_exponent_form_is_not_an_option(argv, flag, plain, exponent):
+    # argparse reads "-1e3" as an option, where it reads "-1000" as a value.
+    want = run(argv + [flag, plain] + FAST)
+    assert want[0] in (0, 2) and "error (usage)" not in want[2]
+    assert run(argv + [flag, exponent] + FAST) == want
+    assert run(argv + [f"{flag}={exponent}"] + FAST) == want
+
+
+def test_expression_in_exponent_form_after_a_minus_is_still_a_usage_error():
+    status, out, err = run(["integrate", "-1e3"])
+    assert status == 2 and out == ""
+    assert "error (usage): the following arguments are required: expression" in err
 
 
 @pytest.mark.parametrize("text,exps,order,cap", [
@@ -1070,6 +1096,35 @@ def test_default_schedule_under_order_cap_still_reduces():
 
 
 # -- what a process builds once --------------------------------------------
+
+#: Three composites in one query: more than a 2-entry cache holds.
+THREE_COMPOSITES = [
+    ["equiv", "delta(x^2-1)+delta(x^2-4)+delta(x^2-9)",
+     "0.5*delta(x-1)+0.5*delta(x+1)+0.25*delta(x-2)+0.25*delta(x+2)"
+     "+delta(x-3)/6+delta(x+3)/6", "--json"],
+    ["integrate", "delta((x-1.5)^2)+delta(x^2-1)+delta(x^2-4)", "--json"],
+]
+
+
+@pytest.mark.parametrize("argv", THREE_COMPOSITES)
+def test_query_builds_each_composite_once(argv, monkeypatch):
+    # One call of rewrite.compose, the name perfbench/tracer.py wraps to
+    # count `vintegral.compose.calls`, and one scan per composite.
+    from deltacalc import rewrite, roots
+
+    built, compose = [], rewrite.compose
+    monkeypatch.setattr(rewrite, "compose",
+                        lambda d, g, **kw: built.append(g) or compose(d, g, **kw))
+    scanned, init = [], roots.Scan.__init__
+    monkeypatch.setattr(roots.Scan, "__init__",
+                        lambda self, g, window: scanned.append(g) or init(self, g, window))
+    status, out, err = run(argv)
+    assert status == 0, err
+    assert len(built) == len(set(map(id, built))) == 3
+    assert [id(g) for g in scanned] == [id(g) for g in built]
+    assert json.loads(out)["variant"] == ("consistent_equivalent" if argv[0] == "equiv"
+                                          else "irreducible")
+
 
 def test_parser_keeps_no_state_between_calls():
     def kernel_of(argv):

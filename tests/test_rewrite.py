@@ -380,7 +380,7 @@ def test_deviation_that_is_not_a_number_is_decisive(bump, monkeypatch):
     from deltacalc import rewrite
     from deltacalc.vintegral import IntegralResult
 
-    monkeypatch.setattr(rewrite, "reduce_expr_integral",
+    monkeypatch.setattr(rewrite, "_reduce_bound",
                         lambda *a, **k: IntegralResult("reduced", value=math.inf))
     verdict = check_equivalence(DeltaTerm(), DeltaTerm(), kernel=bump,
                                 battery=[const_function(1.0, label="1")])

@@ -146,6 +146,15 @@ def test_one_grid_evaluation_per_composite():
     assert sizes.count(roots.GRID) == 1
 
 
+def test_certificate_reads_its_own_scan(monkeypatch):
+    g = _rf(lambda x: x * x - 4.0, lambda x: 2.0 * x, "x^2-4")
+    want = certify_hypotheses(g, find_simple_roots(g))
+    s = roots.Scan(g, roots.WINDOW)
+    # An evicted scan is not looked up again: the certificate is the scan's.
+    monkeypatch.setattr(roots, "scan", None)
+    assert s.certificate == want and s.certificate.certified
+
+
 def test_flat_run_is_not_a_dip():
     # |e^x - 1| rounds to exactly 1 on x < -37: no candidate tangency there.
     g = _rf(lambda x: np.exp(x) - 1.0, np.exp, "exp(x)-1")
