@@ -9,6 +9,7 @@ OutsideScanRisk, not silently certified.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,35 +124,99 @@ def _bisect(fn, x_in, x_out, side=1.0, level=0.0):
     return _float(lo), _float(hi)
 
 
-def _crossing(fn, lo, hi, ends):
-    """The root where g changes sign between lo and hi (where brentq stops),
-    or None at a pole: where g fails, or |g| ends up above `ends` there."""
-    from scipy.optimize import brentq
+def _value(fn, x):
+    """fn(x) as a float; NaN raises brentq's error."""
+    fx = float(fn(x))
+    if fx != fx:
+        raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+    return fx
 
+
+def _brent(fn, a, b, xtol, rtol):
+    """Brent's method (Brent, 1973) for a root of fn between the floats a and
+    b, step for step as SciPy's `brentq` takes it, so with its bits: its
+    NaN and sign errors, and after its 100 steps the last iterate."""
+    xpre, xcur = a, b
+    fpre, fcur = _value(fn, xpre), _value(fn, xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        short = abs(spre) > delta and abs(fcur) < abs(fpre)
+        if short:
+            if xpre == xblk:  # secant
+                stry = _div(-fcur * (xcur - xpre), fcur - fpre)
+            else:  # inverse quadratic extrapolation
+                dpre = _div(fpre - fcur, xpre - xcur)
+                dblk = _div(fblk - fcur, xblk - xcur)
+                stry = _div(-fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre))
+            bound = 3 * abs(sbis) - delta
+            short = 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound)
+        spre, scur = (scur, stry) if short else (sbis, sbis)
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = _value(fn, xcur)
+    return xcur
+
+
+def _div(p, q):
+    """p / q as IEEE 754 divides, where Python raises on q = 0."""
+    if q:
+        return p / q
+    if p == 0.0 or p != p:
+        return math.nan
+    return math.copysign(math.inf, p) * math.copysign(1.0, q)
+
+
+def _crossing(fn, lo, hi, ends):
+    """The root where g changes sign between lo and hi (where `_brent` stops),
+    or None at a pole: where g fails, or |g| ends up above `ends` there."""
     try:
-        x, _info = brentq(fn, float(lo), float(hi), xtol=1e-14, rtol=8.9e-16,
-                          full_output=True, disp=False)
-        return float(x) if abs(fn(x)) <= np.min(np.abs(ends)) else None
+        x = _brent(fn, float(lo), float(hi), xtol=1e-14, rtol=8.9e-16)
+        return x if abs(fn(x)) <= np.min(np.abs(ends)) else None
     except (ArithmeticError, DeltaCalcError):
         return None
+
+
+@functools.lru_cache(maxsize=8)
+def _grid(lo, hi):
+    """The scan grid of the window [lo, hi]; read-only, shared by every scan
+    of that window."""
+    xs = np.linspace(lo, hi, GRID)
+    xs.flags.writeable = False
+    return xs
 
 
 class Scan:
     """g on the grid of a window, and what the composite verbs read off it.
 
-    `xs`, `vals`: the grid and g on it.  `roots`: ascending sign-change
-    roots (brentq) and exact zeros.  `dips`: minima of |g| below 5% of
-    `scale` = max(max |g|, 1) with no sign change across them, and exact
-    zeros, as (x, |g(x)|, i, j): between grid neighbours xs[i], xs[j] that
-    are both larger (so a plateau is none), x is bisected to the first
-    float where |g| stops falling.  `poles`: the grid points before each
-    sign change that is no root.  `pieces`: where g is monotone.
+    `xs`, `vals`: the grid (`_grid`) and g on it.  `roots`: ascending
+    sign-change roots (`_crossing`) and exact zeros.  `dips`: minima of |g|
+    below 5% of `scale` = max(max |g|, 1) with no sign change across them,
+    and exact zeros, as (x, |g(x)|, i, j): between grid neighbours xs[i],
+    xs[j] that are both larger (so a plateau is none), x is bisected to the
+    first float where |g| stops falling.  `poles`: the grid points before
+    each sign change that is no root.  `pieces`: where g is monotone.
     """
 
     def __init__(self, g, window):
         self.g, self.fn, self.window = g, _fn_of(g), window
         fn = self.fn
-        self.xs = xs = np.linspace(window[0], window[1], GRID)
+        self.xs = xs = _grid(*window)
         self.vals = vals = on_points(fn, xs, finite=True)
 
         sign = np.sign(vals)
@@ -214,10 +279,10 @@ def scan(g, window=WINDOW):
 
 
 def find_simple_roots(g, window=WINDOW):
-    """The sign-change roots of g on the window, from its scan: bisected
-    (brentq) to ~1e-13, ascending, with a local derivative estimate.
-    Tangencies (zero touches without sign change) surface as Violated
-    verdicts in certify_hypotheses instead."""
+    """The sign-change roots of g on the window, from its scan: refined by
+    Brent's method (`_crossing`) to ~1e-13, ascending, with a local
+    derivative estimate.  Tangencies (zero touches without sign change)
+    surface as Violated verdicts in certify_hypotheses instead."""
     return _records(scan(g, window))
 
 
@@ -240,6 +305,14 @@ def certify_hypotheses(g, roots, window=WINDOW):
     and shrinking toward the edge) downgrade to OutsideScanRisk.
     """
     return _certify(scan(g, window), roots)
+
+
+def _outside(xs, brackets):
+    """Where the ascending grid xs lies outside every closed bracket."""
+    out = np.ones(len(xs), dtype=bool)
+    for lo, hi in brackets:
+        out[np.searchsorted(xs, lo):np.searchsorted(xs, hi, "right")] = False
+    return out
 
 
 def _certify(s, roots):
@@ -278,9 +351,7 @@ def _certify(s, roots):
 
     # Outer floor r: half the sampled minimum of |g| outside all brackets,
     # lowered by the refined dips there (a tangency sits between grid points).
-    outside = np.ones(len(s.xs), dtype=bool)
-    for rec in shrunk:
-        outside &= ~((s.xs >= rec.bracket[0]) & (s.xs <= rec.bracket[1]))
+    outside = _outside(s.xs, [rec.bracket for rec in shrunk])
     mags = np.abs(s.vals[outside])
     dips = [(x, level) for x, level, i, j in s.dips if outside[i:j + 1].all()]
     r = min([float(np.min(mags)) if len(mags) else 0.0]

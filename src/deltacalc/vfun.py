@@ -448,8 +448,9 @@ def _outside_grid():
     # Fixed sampling grid for the "vanishes outside the support" check;
     # includes every integer in [-10, 10] exactly so single-point
     # modifications at integer abscissae are detected.
-    g = np.linspace(-10.0, 10.0, 2001)
-    return np.unique(np.concatenate([g, np.arange(-10.0, 11.0)]))
+    # Sorted and de-duplicated by hand: np.unique imports numpy.ma.
+    g = np.sort(np.concatenate([np.linspace(-10.0, 10.0, 2001), np.arange(-10.0, 11.0)]))
+    return g[np.append(True, g[1:] != g[:-1])]
 
 
 _OUTSIDE_GRID = _outside_grid()

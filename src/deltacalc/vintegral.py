@@ -269,6 +269,13 @@ def _rule_pair(values, w_coarse, w_fine, rows=1, scale=None, magnitude=None):
     under np.errstate(all="ignore")."""
     if values is None:
         return [0.0] * rows, [False] * rows
+    sums = _rule_sums(values, w_coarse, w_fine, rows, scale, magnitude)
+    return sums[1], [_accepted(*row) for row in zip(*sums)]
+
+
+def _rule_sums(values, w_coarse, w_fine, rows, scale=None, magnitude=None):
+    """_rule_pair's per-row sums: lists of the coarse rule's, the fine
+    rule's and the fine rule's on |magnitude|."""
     m = w_coarse.size
     magnitude = values if magnitude is None else magnitude
     pairs = ((w_coarse, values[..., :m]), (w_fine, values[..., m:]),
@@ -279,7 +286,7 @@ def _rule_pair(values, w_coarse, w_fine, rows=1, scale=None, magnitude=None):
         v = v.reshape(rows, 1, -1)
         dots = (v @ w.reshape(-1, v.shape[-1], 1)).ravel().tolist()
         sums.append([c * s for c, s in zip(scale, dots)])
-    return sums[1], [_accepted(*row) for row in zip(*sums)]
+    return sums
 
 
 def _u_rule(d, cuts, x, scale, weight, jac=None, anchor=None):
@@ -330,6 +337,50 @@ def _fixed_rule(d, ranks, a, weight, ulo, uhi):
                    anchor=a if cancel else None)
 
 
+#: Levels of halving, and panels halved at most at one level, that the
+#: array refinement of an order-0 profile rank may take before adaptive
+#: quad decides.
+_REFINE_LEVELS, _REFINE_PANELS = 12, 16
+
+
+def _refined(d, n, a, weight, lo, hi):
+    """The order-0 rank-n integral of p(u) w(a + u/n) over [lo, hi], where
+    the fixed rules disagree on it: both rules on each panel between
+    _cuts(d, lo, hi), and each panel whose two rules are not `_accepted`
+    halved at its midpoint, one array call per level, until the panels'
+    differences |fine - coarse| sum to within quad's targets (_QUAD_OPTS)
+    of the sum of their fine values, or to within `_accepted`'s rounding
+    floor.  None where adaptive quad must decide: p or w takes no array, a
+    value is not finite, no panel is rejected, or the level or panel
+    budget (_REFINE_LEVELS, _REFINE_PANELS) is spent."""
+    cuts = _cuts(d, lo, hi)
+    plo, phi = np.array(cuts[:-1]), np.array(cuts[1:])
+    kept = [[], [], []]  # fine sums, differences, |integrand| sums of kept panels
+    for _level in range(_REFINE_LEVELS):
+        u, w_coarse, w_fine = _panel_rules(plo, phi)
+        with np.errstate(all="ignore"):
+            p = array_values(d.profile.fn, u)
+            wv = np.ones_like(u) if weight is None else array_values(weight, a + u / n)
+            if p is None or wv is None:
+                return None
+            coarse, fine, resabs = _rule_sums(p * wv, w_coarse, w_fine, plo.size)
+        if not all(map(math.isfinite, coarse + fine + resabs)):
+            return None
+        diff = [abs(f - c) for c, f in zip(coarse, fine)]
+        total, err, mag = (math.fsum(k + v) for k, v in zip(kept, (fine, diff, resabs)))
+        if (err <= max(_QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"] * abs(total))
+                or err <= 50.0 * _EPS * mag):
+            return total
+        split = np.array([not _accepted(*row) for row in zip(coarse, fine, resabs)])
+        if not split.any() or split.sum() > _REFINE_PANELS:
+            return None
+        for k, v in zip(kept, (fine, diff, resabs)):
+            k += [x for x, s in zip(v, split) if not s]
+        mid = 0.5 * (plo[split] + phi[split])
+        plo, phi = np.concatenate((plo[split], mid)), np.concatenate((mid, phi[split]))
+    return None
+
+
 def _regions_integral(vf, n, weight, panels):
     """The integral of f_n * weight over the disjoint intervals `panels`.
 
@@ -362,8 +413,10 @@ def profile_integral(d, ranks, a, weight, ulo=-math.inf, uhi=math.inf):
     d's order-k profile, so the quadrature nodes depend on neither n nor w.
     Two Gauss-Legendre rules on the panels between d.profile_cuts (u = 0,
     the middle of the support) are evaluated in one array call for all the
-    ranks that share their cut support; where they disagree, or w takes no
-    array, adaptive quad decides that rank.  The ranks are taken in order:
+    ranks that share their cut support.  Where they disagree on an order-0
+    rank, `_refined` halves the panels that disagree; where that fails too,
+    at any other order, or where w takes no array, adaptive quad decides
+    that rank.  The ranks are taken in order:
     the lowest that fails raises its error.  `weight` None integrates the
     kernel alone.
     """
@@ -391,6 +444,8 @@ def profile_integral(d, ranks, a, weight, ulo=-math.inf, uhi=math.inf):
                                   f"kernel rounds to its shift a={a:g}", rank=n)
         elif fixed[i] is not None:
             values.append(fixed[i])
+        elif d.order == 0 and (v := _refined(d, n, a, weight, lo, hi)) is not None:
+            values.append(v)
         else:
             prof, scale = d.profile, _scale(n, d.order)
             g = lambda u: scale * prof(u) * (1.0 if weight is None else weight(a + u / n))

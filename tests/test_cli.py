@@ -689,8 +689,8 @@ def test_one_sided_kernel_at_a_tangency(text):
 
 
 def test_flat_odd_order_root_is_answered_without_a_traceback():
-    # brentq stops short of converging next to a flat root; the point it
-    # stops at is still the root.
+    # Brent's method stops short of converging next to a flat root; the
+    # point it stops at is still the root.
     status, out, err = run(["integrate", "delta((x-1.3)^3)"])
     assert status == 0 and out.startswith("Irreducible(p=0.667, sign +)"), err
     status, out, err = run(["integrate", "cos(x)*delta((x-0.7)^3*(x+2))"])

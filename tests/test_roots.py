@@ -168,7 +168,7 @@ def test_flat_run_is_not_a_dip():
 
 
 def test_sign_changes_are_not_dips():
-    # Each sign change is refined once, by brentq, as a root.
+    # Each sign change is refined once, by Brent's method, as a root.
     s = roots.scan(QUAD)
     assert s.dips == ()
     assert len(s.roots) == 2
@@ -187,7 +187,7 @@ def test_dip_is_bisected_to_the_touch():
 
 def test_exact_zero_on_the_grid_is_a_root():
     # 1.25 is a grid point: g is exactly 0 there, with no sign change
-    # between grid neighbours for brentq to refine.
+    # between grid neighbours for Brent's method to refine.
     s = roots.scan(lambda x: x - 1.25)
     assert s.roots == (1.25,)
     assert len(s.dips) == 1 and s.dips[0][1] == 0.0
@@ -297,3 +297,97 @@ def test_certified_brackets_are_disjoint(first, exponents):
             assert rec.bracket[0] < rec.a < rec.bracket[1]
         for r1, r2 in zip(cert.roots, cert.roots[1:]):
             assert r1.bracket[1] < r2.bracket[0]
+
+
+# -- Brent's method ------------------------------------------------------------
+
+import random  # noqa: E402
+
+#: (f, its roots) for the brackets of test_brent_gives_the_bits_of_brentq.
+BRENT_CASES = {
+    "cubic": (lambda x: 0.7 * (x - 0.37) * (x + 1.7) * (x - 3.1), (-1.7, 0.37, 3.1)),
+    "exp": (lambda x: math.exp(x) - 2.5, (math.log(2.5),)),
+    "sin": (math.sin, (-math.pi, 0.0, math.pi)),
+    # The root is 0.8; a bracket across the pole at 0.3 converges to it.
+    "pole": (lambda x: 1.0 / (x - 0.3) - 2.0, (0.8, 0.3)),
+    # Brent's method stops short of converging beside a flat root.
+    "flat": (lambda x: (x - 1.3) ** 3, (1.3,)),
+}
+
+#: (xtol, rtol): `_crossing`'s, brentq's defaults and a loose pair.
+BRENT_TOLS = ((1e-14, 8.9e-16), (2e-12, 4 * np.finfo(float).eps), (1e-3, 1e-10))
+
+
+def _outcome(call):
+    # The root's bits, or the error's type and message.
+    try:
+        return float(call()).hex()
+    except (ValueError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _brentq(f, a, b, xtol, rtol):
+    from scipy.optimize import brentq
+
+    return brentq(f, a, b, xtol=xtol, rtol=rtol, full_output=True, disp=False)[0]
+
+
+@pytest.mark.parametrize("name", list(BRENT_CASES))
+def test_brent_gives_the_bits_of_brentq(name):
+    f, zeros = BRENT_CASES[name]
+    rng = random.Random(name)
+    for _ in range(150):
+        r = rng.choice(zeros)
+        a, b = r - 10.0 ** rng.uniform(-4, 0.5), r + 10.0 ** rng.uniform(-4, 0.5)
+        if rng.random() < 0.2:  # most of these have ends of one sign
+            a, b = sorted(rng.uniform(-4.0, 4.0) for _ in range(2))
+        for xtol, rtol in BRENT_TOLS:
+            want = _outcome(lambda: _brentq(f, a, b, xtol, rtol))
+            assert _outcome(lambda: roots._brent(f, a, b, xtol, rtol)) == want, (a, b)
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: x - 1.25, 1.25, 2.0),  # an exact zero at either end
+    (lambda x: x - 2.0, 1.25, 2.0),
+    (lambda x: x * x + 1.0, -1.0, 1.0),  # ends of one sign
+    (lambda x: -0.0 if x < 0 else 1.0, -1.0, 1.0),  # -0.0 is a zero
+    (lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0),  # NaN at b
+    (lambda x: math.nan if x < 0.5 else 1.0, 0.0, 1.0),  # NaN at a
+    (lambda x: math.nan if 0.2 < x < 0.9 else x - 0.5, 0.0, 1.0),  # NaN inside
+], ids=["zero-at-a", "zero-at-b", "same-sign", "minus-zero", "nan-at-b", "nan-at-a",
+        "nan-inside"])
+def test_brent_ends_and_errors_are_brentq_s(f, a, b):
+    for xtol, rtol in BRENT_TOLS:
+        assert _outcome(lambda: roots._brent(f, a, b, xtol, rtol)) == _outcome(
+            lambda: _brentq(f, a, b, xtol, rtol))
+
+
+def test_crossing_gives_none_at_a_pole():
+    f = BRENT_CASES["pole"][0]
+    assert roots._crossing(f, 0.25, 0.35, [f(0.25), f(0.35)]) is None
+    x = roots._crossing(f, 0.75, 0.85, [f(0.75), f(0.85)])
+    assert x.hex() == _brentq(f, 0.75, 0.85, 1e-14, 8.9e-16).hex()
+    assert abs(x - 0.8) < 1e-14
+
+
+def test_scan_grid_is_shared_and_read_only():
+    s1 = roots.scan(QUAD, (-10, 10))
+    s2 = roots.Scan(SIN, (-10.0, 10.0))
+    assert s1.xs is s2.xs and not s1.xs.flags.writeable
+    assert np.array_equal(s1.xs, np.linspace(-10.0, 10.0, roots.GRID))
+
+
+def test_outside_mask_is_the_comparison_mask():
+    # _certify cuts each bracket out of the grid by searchsorted slices: the
+    # mask of full-grid comparisons, also where an end is a grid point.
+    xs = roots._grid(*roots.WINDOW)
+    rng = random.Random(5)
+    for _ in range(200):
+        brackets = []
+        for _ in range(rng.randrange(4)):
+            lo = rng.choice((float(xs[rng.randrange(xs.size)]), rng.uniform(-61.0, 61.0)))
+            brackets.append((lo, lo + rng.choice((0.0, 1e-10, 0.3, 2.0, 200.0))))
+        want = np.ones(xs.size, dtype=bool)
+        for lo, hi in brackets:
+            want &= ~((xs >= lo) & (xs <= hi))
+        assert np.array_equal(roots._outside(xs, brackets), want), brackets

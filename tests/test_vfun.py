@@ -299,3 +299,13 @@ def test_check_dirac_takes_float_only_rank_functions():
         lambda n, x: 0.5 * n if abs(n * x) < 1.0 else 0.0,
         support=lambda n: (-1.0 / n, 1.0 / n), smoothness=-1, label="sq")
     assert check_dirac(square).ok
+
+
+def test_outside_grid_is_np_unique_of_its_points():
+    # Sorted and de-duplicated without np.unique, which imports numpy.ma.
+    from deltacalc import vfun
+
+    points = np.concatenate([np.linspace(-10.0, 10.0, 2001), np.arange(-10.0, 11.0)])
+    want = np.unique(points)
+    assert np.array_equal(vfun._OUTSIDE_GRID.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(vfun._outside_grid().view(np.uint64), want.view(np.uint64))

@@ -376,14 +376,64 @@ def test_math_only_weight_falls_back(bump, quad_calls):
     assert got == _quad_reference(bump, 64, 0.5, math.cos, -1.0, 1.0)
 
 
+def _within_targets(got, want):
+    # quad's targets (_QUAD_OPTS), which the refinement also meets.
+    return abs(got - want) <= 1e-12 + 1e-12 * abs(want)
+
+
 def test_kink_inside_support_falls_back(bump, quad_calls):
-    # |x| at a = 0.3/n puts the kink at u = -0.3, inside a panel.
+    # |x| at a = 0.3/n puts the kink at u = -0.3, inside a panel: the fixed
+    # rules reject, and the panels halved on arrays meet quad's targets.
     n = 64
     f = to_real_function(parse("abs(x)")).fn
     assert _fixed_rule(bump, (n,), 0.3 / n, f, -1.0, 1.0)[0] is None
     got = profile_integral(bump, (n,), 0.3 / n, f)[0]
-    assert quad_calls
-    assert got == _quad_reference(bump, n, 0.3 / n, f, -1.0, 1.0)
+    assert not quad_calls
+    assert _within_targets(got, _quad_reference(bump, n, 0.3 / n, f, -1.0, 1.0))
+
+
+def _seed_9_weight():
+    # An equiv query's weight: the factor times the battery member whose
+    # kink lies inside the support at rank 16.
+    f = to_real_function(parse("cos(1.4464*x+0.5193)")).fn
+    g = next(m.fn for m in dc.standard_battery() if m.label == "|x|(1+0.5sin(3x))")
+    return lambda x: f(x) * g(x)
+
+
+def test_refined_rank_matches_mpmath_split_at_the_kink(bump):
+    mpmath = pytest.importorskip("mpmath")
+    from deltacalc.vfun import BUMP_NORMALIZATION
+
+    n, a = 16, 0.0587
+    got = profile_integral(bump, (n,), a, _seed_9_weight())[0]
+    with mpmath.workdps(30):
+        def integrand(u):
+            x = a + u / n
+            w = mpmath.cos(1.4464 * x + 0.5193) * abs(x) * (1 + 0.5 * mpmath.sin(3 * x))
+            return BUMP_NORMALIZATION * mpmath.exp(-1 / (1 - u * u)) * w
+
+        want = float(mpmath.quad(integrand, [-1, -n * mpmath.mpf(a), 0, 1]))
+    assert _within_targets(got, want), (got, want)
+
+
+def test_refinement_that_spends_its_budget_leaves_quad_to_decide(bump, quad_calls):
+    # A jump inside the support: each halving only halves the rules'
+    # difference, so the level budget runs out and quad decides as before.
+    w = lambda x: np.sign(x - 0.001) * np.cos(x)
+    n = 16
+    assert vintegral._refined(bump, n, 0.0, w, -1.0, 1.0) is None
+    got = profile_integral(bump, (n,), 0.0, w)[0]
+    assert len(quad_calls) == 1
+    assert got == _quad_reference(bump, n, 0.0, w, -1.0, 1.0)
+
+
+def test_refinement_is_order_0_only(bump, quad_calls):
+    # A derivative kernel's rejected rank still goes to quad.
+    f = to_real_function(parse("abs(x)")).fn
+    d = bump.derivative(1)
+    assert _fixed_rule(d, (64,), 0.3 / 64, f, -1.0, 1.0)[0] is None
+    profile_integral(d, (64,), 0.3 / 64, f)
+    assert len(quad_calls) == 1
 
 
 @pytest.mark.parametrize("order", [0, 2])
@@ -493,19 +543,17 @@ def test_rank_batch_of_a_weight_that_takes_no_array(bump, quad_calls):
     assert len(quad_calls) == 2 * len(ranks)
 
 
-def test_one_rank_of_a_batch_falls_back_to_quad(bump, quad_calls):
-    # The kink of |x| lies inside a panel at rank 16 only (an equiv query's
-    # weight: a battery member times the factor).
-    f = to_real_function(parse("cos(1.4464*x+0.5193)")).fn
-    g = next(m.fn for m in dc.standard_battery() if m.label == "|x|(1+0.5sin(3x))")
-    w = lambda x: f(x) * g(x)
+def test_one_rank_of_a_batch_is_refined(bump, quad_calls):
+    # The kink of |x| lies inside a panel at rank 16 only: that rank alone
+    # is refined on arrays, with the bits it has when taken alone.
+    w = _seed_9_weight()
     ranks = DEFAULT_SCHEDULE[:7]
     got = integrate_rank(bump, -math.inf, math.inf, ranks, w, 0.0587)
-    assert len(quad_calls) == 1
-    quad_calls.clear()
     values, _ = _rank_by_rank(bump, -math.inf, math.inf, ranks, w, 0.0587)
-    assert len(quad_calls) == 1
+    assert not quad_calls
     assert [v.hex() for v in got] == [v.hex() for v in values]
+    assert _fixed_rule(bump, ranks, 0.0587, w, -1.0, 1.0).count(None) == 1
+    assert _within_targets(got[0], _quad_reference(bump, 16, 0.0587, w, -1.0, 1.0))
 
 
 def test_reduction_asks_for_its_first_seven_ranks_at_once(bump, monkeypatch):
