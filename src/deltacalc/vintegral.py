@@ -202,6 +202,11 @@ def _rank_quad(vf, n, a, b, weight):
 _FIXED_NODES = (128, 256)
 
 
+#: The most nodes in one array call (1 MB an array): a batch of a
+#: composite's solved nodes, or of a contraction's points.
+_BATCH = 2 ** 17
+
+
 _gauss_legendre = functools.lru_cache(maxsize=None)(np.polynomial.legendre.leggauss)
 
 
@@ -523,82 +528,78 @@ def sift_derivative(d, k, f, a=0.0, schedule=SHORT_SCHEDULE, tol=1e-9):
 # Convolution (contraction)
 # ---------------------------------------------------------------------------
 
-#: The convolution table's first and largest grid, its spline tolerance, and
-#: the grid points per array call (~3 MB an array at 384 nodes a point).
-_CONV_START, _CONV_MAX_POINTS, _CONV_TOL, _CONV_CHUNK = 513, 16385, 1e-10, 1024
+def _contraction(f1, c1, f2, c2):
+    """u -> the integral of f1(u - t) f2(t) dt, on a float or an ndarray,
+    for f1 zero outside [c1[0], c1[-1]] and f2 outside [c2[0], c2[-1]], each
+    smooth between its cuts c1, c2.
 
-
-def _profile_convolution(p1, s1, p2, s2):
-    """Tabulate (p1 * p2)(u) on its support and return a clamped spline.
-
-    At each grid point u, the integral of p1(u - t) p2(t) over the t where
-    it may be nonzero is taken on the fixed rules, in one array call per
-    _CONV_CHUNK points, or by adaptive quad where they disagree.  The grid
-    doubles until two refinements agree within _CONV_TOL at the coarser
-    grid's nodes.
+    u's t-panels are cut at c2 and at u minus c1, and the empty ones
+    dropped; both fixed rules are summed over them, in array calls of at
+    most _BATCH nodes.  A u whose two rules are not `_accepted` goes to
+    adaptive quad, as does every u where f1 or f2 takes no array.
     """
-    from scipy.interpolate import CubicSpline
+    c1, c2 = np.array(c1), np.array(c2)
+    (t_coarse, w_coarse), (t_fine, w_fine) = map(_gauss_legendre, _FIXED_NODES)
+    nodes = np.concatenate((t_coarse, t_fine))
+    step = max(1, _BATCH // nodes.size)
 
-    lo, hi = s1[0] + s2[0], s1[1] + s2[1]
-
-    def conv_at(us):
-        return [y for i in range(0, us.size, _CONV_CHUNK)
-                for y in conv_chunk(us[i:i + _CONV_CHUNK])]
-
-    def conv_chunk(us):
-        t0 = np.maximum(s2[0], us - s1[1])
-        t1 = np.maximum(t0, np.minimum(s2[1], us - s1[0]))
-        t, w_coarse, w_fine = _panel_rules(t0, t1)
-        u = np.concatenate([np.repeat(us, m) for m in _FIXED_NODES])
+    def conv(u):
+        us = np.asarray(u, dtype=float)
+        flat = us.ravel()
+        # Each u's cuts, clipped to where f1(u - t) f2(t) may be nonzero.
+        t0 = np.maximum(c2[0], flat - c1[-1])[:, None]
+        t1 = np.minimum(c2[-1], flat - c1[0])[:, None]
+        cuts = np.sort(np.clip(np.concatenate(
+            (np.broadcast_to(c2, (flat.size, c2.size)), flat[:, None] - c1), axis=1),
+            t0, t1), axis=1)
+        keep = cuts[:, 1:] > cuts[:, :-1]
+        rows, lo, hi = np.nonzero(keep)[0], cuts[:, :-1][keep], cuts[:, 1:][keep]
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        sums = np.zeros((3, flat.size))
         with np.errstate(all="ignore"):
-            v1, v2 = array_values(p1, u - t), array_values(p2, t)
-            values = None if v1 is None or v2 is None else v1 * v2
-            fine, accepted = _rule_pair(values, w_coarse, w_fine, rows=us.size)
-        return [v if ok else _quad_piece(lambda t, c=c: p1(c - t) * p2(t), a, b)
-                for v, ok, c, a, b in zip(fine, accepted, us, t0, t1)]
+            for i in range(0, rows.size, step):
+                r, h = rows[i:i + step], half[i:i + step]
+                t = mid[i:i + step, None] + h[:, None] * nodes
+                v1 = array_values(f1, (flat[r, None] - t).ravel())
+                v2 = array_values(f2, t.ravel())
+                if v1 is None or v2 is None:
+                    sums[:] = np.nan
+                    break
+                values = (v1 * v2).reshape(t.shape)
+                for total, part in zip(sums, _rule_sums(values, w_coarse, w_fine, r.size, h)):
+                    total += np.bincount(r, part, flat.size)
+            ok = _accepted(*sums)
+        out = sums[1]
+        for j in np.flatnonzero(~ok):
+            out[j] = _quad_piece(lambda t, c=flat[j]: f1(c - t) * f2(t), t0[j, 0],
+                                 t1[j, 0], points=cuts[j].tolist())
+        return float(out[0]) if us.ndim == 0 else out.reshape(us.shape)
 
-    n_pts = _CONV_START
-    xs = np.linspace(lo, hi, n_pts)
-    ys = np.array(conv_at(xs))
-    while n_pts < _CONV_MAX_POINTS:
-        n_new = 2 * n_pts - 1
-        xs_new = np.linspace(lo, hi, n_new)
-        ys_new = np.empty(n_new)
-        ys_new[0::2] = ys
-        ys_new[1::2] = conv_at(xs_new[1::2])
-        spline_new = CubicSpline(xs_new, ys_new)
-        spline_old = CubicSpline(xs, ys)
-        probe = np.linspace(lo, hi, 4 * n_pts + 1)
-        diff = float(np.max(np.abs(spline_new(probe) - spline_old(probe))))
-        xs, ys, n_pts = xs_new, ys_new, n_new
-        if diff <= _CONV_TOL:
-            break
-    spline = CubicSpline(xs, ys, bc_type="natural")
-
-    def prof(u, spline=spline, lo=lo, hi=hi):
-        u_arr = np.asarray(u, dtype=float)
-        inside = (u_arr > lo) & (u_arr < hi)
-        out = np.where(inside, np.maximum(spline(np.clip(u_arr, lo, hi)), 0.0), 0.0)
-        if out.ndim == 0:
-            return float(out)
-        return out
-
-    return prof, (lo, hi)
+    return conv
 
 
 @functools.lru_cache(maxsize=16)
-def _convolution(p1, s1, p2, s2):
-    """The profile convolution table, cached by value: the cache holds its key
-    profiles, so no other pair can take their table."""
-    return _profile_convolution(p1.fn, s1, p2.fn, s2)
+def _convolution(p1, c1, p2, c2):
+    """The profile p1 * p2 (`_contraction`): C^(s1 + s2) for p1 in C^s1 and
+    p2 in C^s2, its k-th derivative p1^(i) * p2^(k - i) with i = min(k, s1).
+    Cached by value, so a kernel built again reads the same profile's node
+    values; the cache holds its key profiles, so no other pair takes it."""
+    @functools.lru_cache(maxsize=None)
+    def nth(k):
+        i = int(min(k, p1.smoothness))
+        return _contraction(p1.derivative(i).fn, c1, p2.derivative(k - i).fn, c2)
+
+    return RealFunction(_contraction(p1.fn, c1, p2.fn, c2),
+                        smoothness=p1.smoothness + p2.smoothness,
+                        label=f"conv[{p1.label},{p2.label}]", nth_deriv=nth)
 
 
 def convolve(d1, d2):
     """Contraction of two continuous profile kernels; a Dirac kernel again.
 
     The rank family is n * (p1 * p2)(n x): convolving n p1(n .) with
-    n p2(n .) rescales the unit-rank profile convolution.  The support adds:
-    eps_3 = eps_1 + eps_2.
+    n p2(n .) rescales the unit-rank profile convolution (`_convolution`).
+    The support adds, eps_3 = eps_1 + eps_2, and so do the profile cuts.
     """
     for d in (d1, d2):
         if not isinstance(d, DiracKernel) or d.order:
@@ -608,12 +609,10 @@ def convolve(d1, d2):
                 f"kernel {d.name!r} is discontinuous; contraction requires "
                 "continuous kernels"
             )
-    prof_fn, support = _convolution(d1.profile, d1.profile_support,
-                                    d2.profile, d2.profile_support)
-    profile = RealFunction(prof_fn, smoothness=1,
-                           label=f"conv[{d1.profile.label},{d2.profile.label}]")
-    return DiracKernel(profile, support, "convolution",
-                       params={"of": [d1.name, d2.name]})
+    cuts = [a + b for a in d1.profile_cuts for b in d2.profile_cuts]
+    return DiracKernel(_convolution(d1.profile, d1.profile_cuts, d2.profile, d2.profile_cuts),
+                       (min(cuts), max(cuts)), "convolution",
+                       params={"of": [d1.name, d2.name]}, cuts=cuts)
 
 
 # ---------------------------------------------------------------------------
@@ -623,9 +622,6 @@ def convolve(d1, d2):
 #: Steps a node x(u) of the substitution may take, and the step, in units
 #: in the last place of max(|x|, 1), at or below which it has converged.
 _SOLVE_STEPS, _SOLVE_ULPS = 16, 4
-#: The most nodes solved in one batch (1 MB an array): a reduction's first
-#: seven ranks at a few roots take one.
-_BATCH = 2 ** 17
 
 
 class Composite(VirtualFunction):

@@ -257,6 +257,22 @@ def test_far_shift_sifts_instead_of_reading_zero(expr, truth):
     assert abs(payload["value"] - truth) <= 1e-9
 
 
+@pytest.mark.parametrize("expr, truth, tol", [
+    ("exp(x)*ddelta(x,1)", -1.0, 1e-12),
+    ("exp(x)*ddelta(x,2)", 1.0, 1e-9),
+    ("cos(x)*delta(x-0.3)", math.cos(0.3), 1e-12),
+])
+def test_contraction_sifts_and_its_derivatives_sift(expr, truth, tol):
+    # bump * bump is C-inf, and its k-th derivative is the contraction of
+    # the bump's k-th derivative with the bump: order 1 takes no difference
+    # quotient and order 2 is not refused.
+    status, out, err = run(["integrate", expr, "--kernel", "conv", "--json"])
+    assert status == 0, err
+    payload = json.loads(out)
+    assert payload["variant"] == "reduced"
+    assert abs(payload["value"] - truth) <= tol
+
+
 @pytest.mark.parametrize("expr, bounds", [("delta(x-1e19)", ["--lower", "0"]),
                                           ("delta(x+1e19)", ["--upper", "0"])])
 def test_far_shift_inside_one_finite_bound_sifts_whole(expr, bounds):

@@ -46,8 +46,9 @@ print(json.dumps({"import": at_import, "query": after, "status": status}))
 
 
 @pytest.mark.parametrize("argv, needs", [
-    # The convolution table is a CubicSpline.
-    (["check-dirac", "--kernel", "conv"], "scipy.interpolate"),
+    # A contraction is evaluated on the fixed rules, its derivatives too.
+    (["check-dirac", "--kernel", "conv"], None),
+    (["integrate", "exp(x)*ddelta(x,1)", "--kernel", "conv"], None),
     # Sign-change roots are refined by Brent's method, with no SciPy, in
     # every verb that reads them.
     (["integrate", "cos(x)*delta(x^2-4)"], None),
@@ -63,7 +64,8 @@ print(json.dumps({"import": at_import, "query": after, "status": status}))
     # A smooth summand is integrated by adaptive quad.
     (["integrate", "exp(-x^2)+delta(x-0.3)", "--lower", "0", "--upper", "1"],
      "scipy.integrate"),
-], ids=["spline", "root", "simplify", "equiv", "probe", "dip", "refined", "quad"])
+], ids=["conv", "conv-ddelta", "root", "simplify", "equiv", "probe", "dip", "refined",
+        "quad"])
 def test_lazy_scipy_path_works_on_first_use(argv, needs):
     fresh = _fresh(FRESH_RUN, *argv)
     if needs is None:

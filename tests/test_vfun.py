@@ -241,8 +241,10 @@ def test_convolution_json_round_trip(conv):
     back = kernel_from_json(record)
     assert back.name == "convolution"
     assert back.profile_support == conv.profile_support
-    # The fixture's table, found by value in the convolution cache.
-    assert back.profile.fn is conv.profile.fn
+    # The fixture's profile, found by value in the convolution cache, with
+    # its derivatives: their node values are read from the same cache.
+    assert back.profile is conv.profile
+    assert back.derivative(1).profile.fn is conv.derivative(1).profile.fn
     for x in np.linspace(-0.06, 0.06, 11):
         assert back.rank_eval(32, float(x)) == conv.rank_eval(32, float(x))
 

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import math
@@ -189,12 +190,11 @@ def test_sift_derivative_needs_a_profile_kernel():
 
 
 def test_kernel_smoothness_is_its_profiles(conv):
-    # The contraction's profile is C^1: one difference serves order 1.
-    assert conv.smoothness == 1 and conv.derivative(1).smoothness == 0
-    with pytest.raises(SmoothnessError, match="order 2"):
-        conv.derivative(2)
-    with pytest.raises(SmoothnessError, match="order 1"):
-        conv.derivative(1).derivative(1)
+    # bump * bump is C-inf: its derivatives are contractions of the bump's
+    # derivatives with the bump, and no difference quotient is taken.
+    assert conv.smoothness == C_INF and conv.derivative(2).smoothness == C_INF
+    assert conv.derivative(1).derivative(1).profile.fn is conv.derivative(2).profile.fn
+    assert dc.kernel_to_json(conv)["smoothness"] == "C-inf"
 
 
 # -- irreducible and undetermined outcomes ---------------------------------
@@ -318,11 +318,13 @@ from deltacalc.vintegral import _fixed_rule, _quad_piece, profile_integral  # no
 RANK_CAP = {0: DEFAULT_SCHEDULE[-1], 1: 2**12, 2: 2**10}
 
 
-def _quad_reference(d, n, a, fn, ulo, uhi, subtract_fa=False):
-    # The adaptive integrand profile_integral falls back to.
+def _quad_reference(d, n, a, fn, ulo, uhi, subtract_fa=False, profile=None):
+    # The adaptive integrand profile_integral falls back to; `profile`, if
+    # given, stands for d.profile.
     scale = n ** d.order
     fa = fn(a) if subtract_fa else 0.0
-    return _quad_piece(lambda u: scale * d.profile(u) * (fn(a + u / n) - fa),
+    profile = d.profile if profile is None else profile
+    return _quad_piece(lambda u: scale * profile(u) * (fn(a + u / n) - fa),
                        ulo, uhi, points=[0.0])
 
 
@@ -340,19 +342,21 @@ def quad_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("name, order", [
-    (name, order) for name in ("bump", "plus", "minus", "mixture")
-    for order in (0, 1, 2)] + [("square", 0), ("convolution", 0), ("convolution", 1)])
+    (name, order) for name in ("bump", "plus", "minus", "mixture", "convolution")
+    for order in (0, 1, 2)] + [("square", 0)])
 def test_fixed_rule_matches_quad(name, order, all_kernels):
     # Every derivative order up to 2 that the kernel has.
     d = all_kernels[name].derivative(order)
     tol = 1e-12 if order == 0 else 1e-8
     # Every third rank down from the cap: each reference takes milliseconds.
     ranks = [n for n in DEFAULT_SCHEDULE if n <= RANK_CAP[order]][::-3]
-    # quad resolves a contraction's derivative (a spline of 16k pieces) to
-    # only ~1e-11 within its 200 subintervals, an error scaled by n.  Since
-    # p' integrates to p(hi) - p(lo) = 0, the reference integrates
-    # p' * (f - f(a)) instead, the same integral.
-    subtract_fa = name == "convolution" and order > 0
+    # quad's nodes repeat across the weights, shifts and ranks: a few
+    # hundred to a few thousand profile values serve every reference.
+    profile = functools.cache(d.profile)
+    # quad resolves n^2 p'' of a contraction only to ~1e-8 of its value:
+    # since p'' integrates to 0, the reference integrates p'' * (f - f(a))
+    # instead, the same integral.
+    subtract_fa = name == "convolution" and order == 2
     accepted = total = 0
     for f in sift_battery():
         for a in (0.0, 0.3, -1.7):
@@ -363,11 +367,11 @@ def test_fixed_rule_matches_quad(name, order, all_kernels):
                     continue
                 accepted += 1
                 want = _quad_reference(d, n, a, f.fn, *d.profile_support,
-                                       subtract_fa=subtract_fa)
+                                       subtract_fa=subtract_fa, profile=profile)
                 assert abs(got - want) <= tol * max(1.0, abs(want)), (f.label, a, n)
-    # A mixture's bumps fill a third of each panel and a contraction's
-    # spline is only piecewise smooth: adaptive quad takes most of those.
-    assert accepted == total or name in ("mixture", "convolution")
+    # Every profile is smooth between its cuts, a mixture's and a
+    # contraction's included: the fixed rules take every case.
+    assert accepted == total
 
 
 def test_math_only_weight_falls_back(bump, quad_calls):
@@ -475,14 +479,27 @@ def test_check_dirac_makes_no_quad_call(name, request, quad_calls):
     assert not quad_calls
 
 
-def test_convolution_table_makes_no_quad_call(bump, conv, quad_calls):
-    # The table of the fixture, built again past the convolution cache.
-    args = (bump.profile.fn, bump.profile_support) * 2
-    prof, support = vintegral._profile_convolution(*args)
+def test_convolution_on_its_fixed_nodes_makes_no_quad_call(bump, conv, quad_calls):
+    # The fixture's profile, built again past the convolution cache, on the
+    # nodes of a full-support rank.
+    profile = vintegral._convolution.__wrapped__(bump.profile, bump.profile_cuts,
+                                                 bump.profile, bump.profile_cuts)
+    cuts = vintegral._cuts(conv, *conv.profile_support)
+    values = vintegral._profile_on_nodes(profile, cuts)
+    _u, _w_coarse, w_fine = vintegral._fixed_nodes(cuts)
     assert not quad_calls
-    assert support == conv.profile_support
-    u = np.linspace(-2.0, 2.0, 4001)
-    assert np.array_equal(prof(u), conv.profile.fn(u))
+    assert np.array_equal(values, vintegral._profile_on_nodes(conv.profile, cuts))
+    assert abs(float(values[-w_fine.size:] @ w_fine) - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("operands", [("mix", "bump"), ("mix", "mix")],
+                         ids=["mix-bump", "mix-mix"])
+def test_check_dirac_of_a_mixture_contraction_makes_no_quad_call(operands, request,
+                                                                 quad_calls):
+    d1, d2 = (request.getfixturevalue(name) for name in operands)
+    res = dc.check_dirac(dc.convolve(d1, d2))
+    assert res.ok and abs(res.normalization - 1.0) < 1e-13
+    assert not quad_calls
 
 
 def test_rule_pair_sums_a_row_alone_as_among_others():
@@ -770,15 +787,15 @@ def test_piece_end_inside_the_support_keeps_the_x_path(bump):
 # -- caches keyed by value ---------------------------------------------------
 
 def test_convolve_cache_keys_on_the_profiles(monkeypatch):
-    # A stub table that remembers which profiles it was built from.  Each
-    # loop frees the last profiles, so an id()-keyed cache would hand their
-    # table to the next ones.
-    def stub(p1, s1, p2, s2, tol=1e-10):
+    # A stub builder whose profile remembers the functions it was built
+    # from.  Each loop frees the last profiles, so an id()-keyed cache would
+    # hand their profile to the next ones.
+    def stub(f1, c1, f2, c2):
         prof = lambda u: 0.0 * np.asarray(u, dtype=float)
-        prof.inputs = (p1, p2)
-        return prof, (s1[0] + s2[0], s1[1] + s2[1])
+        prof.inputs = (f1, f2)
+        return prof
 
-    monkeypatch.setattr(vintegral, "_profile_convolution", stub)
+    monkeypatch.setattr(vintegral, "_contraction", stub)
     for c in range(8):
         p = RealFunction(lambda u, c=c: c + 0.0 * np.asarray(u), label=f"p{c}")
         d = dc.DiracKernel(p, (-1.0, 1.0), f"k{c}")
