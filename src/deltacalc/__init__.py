@@ -13,7 +13,7 @@ from .errors import (
     SmoothnessError,
 )
 from .exprlang import lift, parse, parse_expression, render
-from .limits import DEFAULT_SCHEDULE, SHORT_SCHEDULE
+from .limits import DEFAULT_SCHEDULE
 from .rewrite import (
     CompTerm,
     ContractionTerm,

@@ -14,10 +14,6 @@ import numpy as np
 #: Default probe schedule: n = 2^k for k = 4..20.
 DEFAULT_SCHEDULE = tuple(2**k for k in range(4, 21))
 
-#: Shorter schedule for high-derivative work, where large ranks lose the
-#: signal to floating-point cancellation.
-SHORT_SCHEDULE = tuple(2**k for k in range(4, 13))
-
 
 def richardson_diagonal(values, ratio):
     """Diagonal of the Richardson table for error terms ~ ratio^{-k}."""

@@ -19,9 +19,12 @@ from .limits import DEFAULT_SCHEDULE
 # perfbench/tracer.py rebinds certify_hypotheses and find_simple_roots here.
 from .roots import WINDOW, certify_hypotheses, find_simple_roots, scan  # noqa: F401
 from .vfun import DiracKernel, RealFunction, VirtualFunction
-from .vintegral import (
+# perfbench/tracer.py rebinds integrate_rank here.
+from .vintegral import (  # noqa: F401
+    by_parts,
     compose,
     convolve,
+    delta_integral,
     derivative_schedule,
     integrate_rank,
     reduce_integral,
@@ -343,15 +346,15 @@ def _bind(expr, kernel, window):
 
 
 def _family(atom, kernel, window=WINDOW):
-    """The rank family atom is integrated on: a delta term's kernel derivative,
-    a composite's `compose` over `window`, a smooth summand's f (None for 0)."""
+    """The rank family atom is integrated on: a delta term's kernel, a
+    composite's `compose` over `window`, a smooth summand's f (None for 0)."""
     if isinstance(atom, SmoothTerm):
         return None if _is_zero_term(atom) else VirtualFunction(
             lambda _n, x, f=atom.f.fn: f(x))
     kern = _kernel_of(atom, kernel)
     if isinstance(atom, CompTerm):
         return compose(kern, atom.inner, window=window)
-    return kern.derivative(atom.order) if atom.order else kern
+    return kern
 
 
 def expr_rank_eval(expr, kernel, n, x):
@@ -363,7 +366,9 @@ def expr_rank_eval(expr, kernel, n, x):
         elif isinstance(atom, CompTerm):
             v = float(_kernel_of(atom, kernel).rank_eval(n, atom.inner(x)))
         else:
-            v = float(_family(atom, kernel).rank_eval(n, x - atom.shift))
+            kern = _kernel_of(atom, kernel)
+            v = float((kern.derivative(atom.order) if atom.order else kern).rank_eval(
+                n, x - atom.shift))
         values.append(c * (v if f is None else f(x) * v))
     return _total(values)
 
@@ -378,19 +383,20 @@ def reduce_expr_integral(expr, weight=None, kernel=None,
 
 def _reduce_bound(bound, weight, lo, hi, schedule, tol):
     """reduce_expr_integral of the atoms `bound` to their families (_bind)."""
-    if isinstance(weight, RealFunction):
-        weight = weight.fn
+    if weight is not None and not isinstance(weight, RealFunction):
+        weight = RealFunction(weight)  # a bare callable: no derivative rule
     # Each atom's weight: its factor times the caller's.
-    atoms = [(c, weight if f is None else f.fn if weight is None
-              else (lambda x, f=f.fn: f(x) * weight(x)), family, shift)
-             for c, f, _atom, family, shift in bound]
-    max_order = max((getattr(atom, "order", 0) for _c, _f, atom, *_ in bound), default=0)
+    atoms = [(c, weight if f is None else f if weight is None else f.times(weight),
+              getattr(atom, "order", 0), family, shift)
+             for c, f, atom, family, shift in bound]
+    # Only derivative kernels integrated as they are cap the schedule.
+    capped = max([k for _c, w, k, fam, _s in atoms if not by_parts(fam, k, w)], default=0)
 
     def values_at(ranks):
         try:
             columns = [[c * v for v in ([0.0] * len(ranks) if family is None else
-                                        integrate_rank(family, lo, hi, ranks, w, shift))]
-                       for c, w, family, shift in atoms]
+                                        delta_integral(family, k, lo, hi, ranks, w, shift))]
+                       for c, w, k, family, shift in atoms]
         except DeltaCalcError:
             if len(ranks) == 1 or len(atoms) == 1:
                 raise
@@ -405,29 +411,7 @@ def _reduce_bound(bound, weight, lo, hi, schedule, tol):
                                       f"{total}", rank=n)
         return totals
 
-    result = reduce_sequence(derivative_schedule(schedule, max_order), values_at, tol)
-    if (result.kind == "irreducible" and weight is None
-            and all(_sifts(f, atom, lo, hi) for _c, f, atom, *_ in bound)):
-        # At high orders the rounding noise of I_n grows like a power of n
-        # and the power-law fit takes it for divergence.
-        return replace(result, kind="undetermined", exponent=None, sign=None)
-    return result
-
-
-def _sifts(f, atom, lo, hi):
-    """Whether f * atom has a finite virtual integral, (-1)^k f^(k)(a): atom
-    is a delta term of order k at a strictly inside (lo, hi), and f, if
-    any, is C^k with finite derivatives of orders 0..k at a."""
-    if not (isinstance(atom, DeltaTerm) and lo < atom.shift < hi):
-        return False
-    if f is None:
-        return True
-    try:
-        return f.smoothness >= atom.order and all(
-            math.isfinite(float(f.deriv_value(j, atom.shift)))
-            for j in range(atom.order + 1))
-    except (ArithmeticError, ValueError, TypeError, DeltaCalcError):
-        return False
+    return reduce_sequence(derivative_schedule(schedule, capped), values_at, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -103,6 +103,24 @@ class RealFunction:
     def deriv_value(self, k, x):
         return self.derivative(k)(x)
 
+    @property
+    def rule_order(self):
+        """The highest order k with a rule for f^(k), never a `difference`."""
+        return min(self.smoothness, C_INF if self.nth_deriv is not None else len(self.derivs))
+
+    def times(self, other):
+        """f * g, with (f g)^(k) = sum of C(k, j) f^(j) g^(k-j) (Leibniz) to
+        the order both have rules for."""
+        def nth(k):
+            return lambda x: sum(math.comb(k, j) * self.deriv_value(j, x)
+                                 * other.deriv_value(k - j, x) for j in range(k + 1))
+
+        order = min(self.rule_order, other.rule_order)
+        return RealFunction(lambda x: self.fn(x) * other.fn(x),
+                            () if order == C_INF else tuple(map(nth, range(1, int(order) + 1))),
+                            min(self.smoothness, other.smoothness),
+                            nth_deriv=nth if order == C_INF else None)
+
 
 def difference(fn):
     """The five-point difference quotient of fn, with step 1e-5 * max(1, |x|):

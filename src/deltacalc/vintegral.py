@@ -18,12 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DeltaCalcError, QuadratureError, SmoothnessError
-from .limits import (
-    DEFAULT_SCHEDULE,
-    SHORT_SCHEDULE,
-    extract_limit,
-    power_law_exponent,
-)
+from .limits import DEFAULT_SCHEDULE, extract_limit, power_law_exponent
 from .roots import WINDOW, _bisect, scan
 from .vfun import (
     C_INF,
@@ -42,6 +37,8 @@ __all__ = [
     "sift",
     "sift_derivative",
     "derivative_schedule",
+    "by_parts",
+    "delta_integral",
     "convolve",
     "compose",
 ]
@@ -487,10 +484,11 @@ def sift(d, f, a=0.0, schedule=DEFAULT_SCHEDULE, tol=1e-9):
 
 
 def derivative_schedule(schedule, k):
-    """The ranks of `schedule` that a delta derivative of order k may use:
-    n <= 2^max(8, 14 - 2k) for k >= 1, every rank for k = 0.  Higher ranks
-    lose too many digits: the integrand grows like n^k.  Far enough above
-    the cap, a + u/n rounds to a and every I_n reads 0: refuse instead."""
+    """The ranks of `schedule` that the order-k derivative of a kernel
+    integrated as it is, n^k p^(k)(u) in u, may use: n <= 2^max(8, 14 - 2k)
+    for k >= 1, every rank for k = 0.  Higher ranks lose too many digits:
+    the integrand grows like n^k.  Far enough above the cap, a + u/n rounds
+    to a and every I_n reads 0: refuse instead."""
     schedule = list(schedule)
     if k < 1:
         return schedule
@@ -503,25 +501,54 @@ def derivative_schedule(schedule, k):
     return schedule
 
 
-def sift_derivative(d, k, f, a=0.0, schedule=SHORT_SCHEDULE, tol=1e-9):
-    """Reduce the integral of d_n^{(k)}(x - a) f(x) = (-1)^k f^{(k)}(a).
+def by_parts(d, k, weight):
+    """Whether `delta_integral` integrates by parts: k >= 1, d a profile kernel
+    with a C^k profile, and F = `weight` (None for 1) with a rule of order k."""
+    return (k > 0 and isinstance(d, DiracKernel) and d.smoothness >= k
+            and (weight is None or weight.rule_order >= k))
 
-    Requires a profile kernel whose profile has a k-th derivative and a
-    k-times differentiable f.  The schedule is capped by
-    `derivative_schedule`, as for a delta derivative in an expression.
-    """
+
+def delta_integral(d, k, lo, hi, ranks, weight, a):
+    """Rank-n integrals of d_n^(k)(x - a) F(x) over [lo, hi], one per rank n
+    of `ranks`, for F the RealFunction `weight` (None for 1).  Where
+    `by_parts`, (-1)^k times the order-0 integral of d_n(x - a) F^(k)(x),
+    plus sum_{j<k} (-1)^j [d_n^(k-1-j)(x - a) F^(j)(x)] at each finite bound
+    inside supp d_n(x - a), with no n^k; else d's order-k derivative (d, any
+    virtual function, at k = 0) as it is (`integrate_rank`)."""
+    if not by_parts(d, k, weight):
+        return integrate_rank(d.derivative(k) if k else d, lo, hi, ranks,
+                              None if weight is None else weight.fn, a)
+    # F = 1 has F^(k) = 0; (-1)^k * 0.0 + 0.0 is 0.0, not -0.0.
+    dk, F = ((np.zeros_like, lambda j, _x: float(j == 0)) if weight is None
+             else (weight.derivative(k).fn, weight.deriv_value))
+    values = [(-1.0) ** k * v + 0.0 for v in integrate_rank(d, lo, hi, ranks, dk, a)]
+    plo, phi = d.profile_support
+    for i, n in enumerate(ranks):
+        for x, side in ((lo, -1.0), (hi, 1.0)):
+            u = n * (x - a)  # +-inf at an infinite bound
+            if plo < u < phi:
+                values[i] += side * sum((-1.0) ** j * _scale(n, d.order + k - j)
+                                        * d.derivative(k - 1 - j).profile(u) * F(j, x)
+                                        for j in range(k))
+    return values
+
+
+def sift_derivative(d, k, f, a=0.0, schedule=DEFAULT_SCHEDULE, tol=1e-9):
+    """Reduce the integral of d_n^{(k)}(x - a) f(x) = (-1)^k f^{(k)}(a), for
+    a profile kernel with a C^k profile and a C^k f, as the expression
+    d^(k)(x - a) against f: by parts where f has a rule of order k."""
+    from .rewrite import DeltaTerm, reduce_expr_integral
+
     k = int(k)
     if k < 0:
         raise ValueError("derivative order must be >= 0")
     if not isinstance(d, DiracKernel):
         raise TypeError("sift_derivative requires a profile-based Dirac kernel")
-    dk = d.derivative(k)
-    if isinstance(f, RealFunction) and f.smoothness != C_INF and f.smoothness < k:
-        raise SmoothnessError(
-            f"test function {f.label!r} is only C^{f.smoothness}, "
-            f"needs C^{k} around a={a:g}"
-        )
-    return sift(dk, f, a=a, schedule=derivative_schedule(schedule, k), tol=tol)
+    if isinstance(f, RealFunction) and f.smoothness < k:
+        raise SmoothnessError(f"test function {f.label!r} is only C^{f.smoothness}, "
+                              f"needs C^{k} around a={a:g}")
+    return reduce_expr_integral(DeltaTerm(k, float(a), kernel=d), weight=f,
+                                schedule=schedule, tol=tol)
 
 
 # ---------------------------------------------------------------------------

@@ -257,9 +257,56 @@ def test_far_shift_sifts_instead_of_reading_zero(expr, truth):
     assert abs(payload["value"] - truth) <= 1e-9
 
 
+def _assert_reduces_to(argv, truth):
+    """argv reduces within its reported error of truth, with the floor
+    1e-12 * max(1, |truth|) of the sift calibration, and prints no -0."""
+    status, out, err = run(argv + ["--json"])
+    assert status == 0, err
+    payload = json.loads(out)
+    assert payload["variant"] == "reduced", payload
+    assert abs(payload["value"] - truth) <= (payload["error"]
+                                             + 1e-12 * max(1.0, abs(truth))), payload
+    assert not payload["human"].startswith("Reduced(-0,")
+
+
+def _runge_second_derivative(c, a):
+    return (6.0 * c * c * a * a - 2.0 * c) / (1.0 + c * a * a) ** 3
+
+
+@pytest.mark.parametrize("text, kernel, truth", [
+    ("x^3*ddelta(x-1,2)", "minus", 6.0),
+    ("cos(x)*ddelta(x-0.3,3)", "bump", -math.sin(0.3)),
+    ("x*ddelta(x,3)", "bump", 0.0),
+    ("exp(x)*ddelta(x,4)", "bump", 1.0),
+    ("ddelta(x-0.3,3)*exp(x)", "minus", -math.exp(0.3)),
+    ("1/(1+3.2838*x^2)*ddelta(x-0.4049,2)", "plus", _runge_second_derivative(3.2838, 0.4049)),
+] + [(f"exp(x)*ddelta(x,{k})", "bump", (-1.0) ** k) for k in range(3, 44)])
+def test_delta_derivative_sifts_by_parts(text, kernel, truth):
+    # The derivative kernel's n^k p^(k)(u) lost digits or read noise as
+    # divergence on each of these (94x its bar, 1.6e-8 off, Undetermined).
+    _assert_reduces_to(["integrate", text, "--kernel", kernel], truth)
+
+
+def test_delta_derivative_against_zero_prints_zero():
+    # (-1)^k * 0.0 is -0.0, which %g prints as -0.
+    status, out, _ = run(["integrate", "x*ddelta(x,3)"])
+    assert status == 0 and out.startswith("Reduced(0, ")
+    status, out, _ = run(["integrate", "x*ddelta(x,3)", "--json"])
+    assert status == 0 and '"value":0,' in out and "-0" not in out
+
+
+def test_derivative_cut_by_a_bound_keeps_its_end_terms():
+    # The end term -delta_n(0) grows like n.
+    status, out, _ = run(["integrate", "ddelta(x,1)", "--lower", "0"])
+    assert status == 0 and out.startswith("Irreducible(p=1, sign -)")
+    _assert_reduces_to(["integrate", "exp(x)*ddelta(x-0.3,2)", "--lower", "0.25"],
+                       math.exp(0.3))
+
+
 @pytest.mark.parametrize("expr, truth, tol", [
     ("exp(x)*ddelta(x,1)", -1.0, 1e-12),
     ("exp(x)*ddelta(x,2)", 1.0, 1e-9),
+    ("exp(x)*ddelta(x,3)", -1.0, 1e-9),
     ("cos(x)*delta(x-0.3)", math.cos(0.3), 1e-12),
 ])
 def test_contraction_sifts_and_its_derivatives_sift(expr, truth, tol):
@@ -287,17 +334,20 @@ def test_far_shift_inside_one_finite_bound_sifts_whole(expr, bounds):
 
 @pytest.mark.parametrize("shift", ["1e19", "1e15"])
 def test_far_shifted_derivative_kernel_is_refused(shift):
-    # Every node a + u/n rounds to a, so w is read at one point and the
-    # rank integral was exactly 0 (the truth is -1).
-    status, out, err = run(["integrate", f"x*ddelta(x-{shift},1)"])
+    # Every node a + u/n rounds to a, so a derivative kernel reads w at one
+    # point and its rank integral is exactly 0: |x|, which has no
+    # derivative rule and keeps the derivative kernel, is refused.  By
+    # parts x*ddelta reads x' = 1 and gives the truth, -1.
+    status, out, err = run(["integrate", f"abs(x)*ddelta(x-{shift},1)"])
     assert status == 1 and out == ""
     assert "error (engine)" in err and f"a={float(shift):g}" in err
+    _assert_reduces_to(["integrate", f"x*ddelta(x-{shift},1)"], -1.0)
 
 
 def test_first_rank_to_fail_names_the_error_across_terms():
     # The terms' ranks are taken in batches: the first term is refused
     # only from rank 128, the second from rank 16, which names the error.
-    status, out, err = run(["integrate", "cos(x)*ddelta(x-1e14,1) + cos(x)*ddelta(x-1e15,1)"])
+    status, out, err = run(["integrate", "abs(x)*ddelta(x-1e14,1) + abs(x)*ddelta(x-1e15,1)"])
     assert status == 1 and out == ""
     assert "at rank n=16," in err and "a=1e+15" in err
 
@@ -722,24 +772,30 @@ def test_overflowing_profile_order_is_refused(kernel):
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        for text in ("ddelta(x,255)", "exp(x)*ddelta(x,255)", "ddelta(x-0.3,140)"):
+        # A factor with no derivative rule needs the profile's own order-k
+        # derivative, which overflows from k = 140.
+        for text in ("abs(x)*ddelta(x,255)", "abs(x+1)*ddelta(x-0.3,140)"):
             status, out, err = run(["integrate", text, "--kernel", kernel])
             order = text.rsplit(",", 1)[1].rstrip(")")
             assert status == 1 and out == "", text
             assert f"kernel {kernel!r}" in err and f"order-{order}" in err, err
-        # Below the overflow, orders still answer.
-        status, out, _ = run(["integrate", "ddelta(x,139)", "--kernel", kernel])
-        assert status == 0 and out.startswith("Reduced(0,")
+        # By parts no derivative of the profile is taken on the whole line.
+        for text, truth in (("ddelta(x,255)", 0.0), ("exp(x)*ddelta(x,255)", -1.0),
+                            ("ddelta(x-0.3,140)", 0.0), ("ddelta(x,139)", 0.0)):
+            _assert_reduces_to(["integrate", text, "--kernel", kernel], truth)
     assert not caught, [str(w.message) for w in caught]
 
 
 @pytest.mark.parametrize("order", [45, 128, 139])
 def test_high_order_rank_that_diverges_is_refused_by_name(order):
     # The profile's values or the scale n^k leave the float range: the first
-    # such rank is refused, naming itself and the kernel's order.
-    status, out, err = run(["integrate", f"exp(x)*ddelta(x,{order})"])
+    # such rank is refused, naming itself and the kernel's order.  |x+5|
+    # has no derivative rule, so the derivative kernel is integrated.
+    status, out, err = run(["integrate", f"abs(x+5)*ddelta(x,{order})"])
     assert status == 1 and out == ""
     assert "at rank n=" in err and f"of order {order}" in err, err
+    # By parts exp's rule reads exp^(k)(0) = 1.
+    _assert_reduces_to(["integrate", f"exp(x)*ddelta(x,{order})"], (-1.0) ** order)
 
 
 @pytest.mark.parametrize("order", [128, 139])
@@ -986,6 +1042,18 @@ def test_equiv_order_filters_battery():
     assert json.loads(out)["battery"] == 19
 
 
+def test_order_four_equivalences_are_consistent():
+    # By parts each side reduces against every C^4 member; the derivative
+    # kernel left the lhs irreducible against x.
+    status, out, err = run(["equiv", "ddelta(x-0.5,4)", "ddelta(x-0.5,4)",
+                            "--order", "4", "--json"])
+    assert status == 0 and json.loads(out)["variant"] == "consistent_equivalent", err
+    rhs = "+".join(f"({t['c']!r})*ddelta(x-0.5,{t['k']})"
+                   for t in _simplify_json("exp(x)*ddelta(x-0.5,4)")["terms"])
+    status, out, err = run(["equiv", "exp(x)*ddelta(x-0.5,4)", rhs, "--order", "4", "--json"])
+    assert status == 0 and json.loads(out)["variant"] == "consistent_equivalent", err
+
+
 # -- no traceback on any parseable composite -------------------------------
 
 from hypothesis import HealthCheck, given, settings  # noqa: E402
@@ -1095,15 +1163,22 @@ def test_expression_in_exponent_form_after_a_minus_is_still_a_usage_error():
     assert "error (usage): the following arguments are required: expression" in err
 
 
+#: The sifted values of the two cases below.
+ABOVE_CAP_TRUTH = {"ddelta(x,2)*cos(x)": -1.0, "ddelta(x-0.3,1)*sin(x)": -math.cos(0.3)}
+
+
 @pytest.mark.parametrize("text,exps,order,cap", [
     ("ddelta(x,2)*cos(x)", ["30", "40"], 2, 1024),
     ("ddelta(x-0.3,1)*sin(x)", ["60", "70"], 1, 4096)])
 def test_schedule_above_order_cap_is_refused(text, exps, order, cap):
-    # At such ranks a + u/n rounds to a, and every I_n read 0.
-    status, out, err = run(["integrate", text, "--probe-min-exp", exps[0],
-                            "--probe-max-exp", exps[1]])
+    # At such ranks a + u/n rounds to a, and every I_n of a derivative
+    # kernel read 0: with a factor that has no derivative rule, it is
+    # refused.  By parts the factor's derivative is read at a, as it should.
+    schedule = ["--probe-min-exp", exps[0], "--probe-max-exp", exps[1]]
+    status, out, err = run(["integrate", text.split("*")[0] + "*abs(x+3)", *schedule])
     assert status == 1 and out == ""
     assert "error (engine)" in err and f"n = {cap}" in err and f"order {order}" in err
+    _assert_reduces_to(["integrate", text, *schedule], ABOVE_CAP_TRUTH[text])
 
 
 def test_default_schedule_under_order_cap_still_reduces():
@@ -1223,14 +1298,16 @@ def test_huge_ddelta_order_is_a_parse_error(argv):
     assert payload["position"] == argv[1].index("1e20")
 
 
+#: The limits of the two high-order sifts below.
+HIGH_ORDER_TRUTH = {"exp(x)*ddelta(x-0.3,7)": -math.exp(0.3), "cos(x)*ddelta(x,7)": 0.0}
+
+
 @pytest.mark.parametrize("argv", [["integrate", "exp(x)*ddelta(x-0.3,7)"],
                                   ["integrate", "cos(x)*ddelta(x,7)", "--kernel", "plus"]])
 def test_finite_high_order_sift_is_not_irreducible(argv):
-    # Rounding noise that grows like a power of n is not divergence: the
-    # limits are -e^0.3 and 0.
-    status, out, _ = run(argv + ["--json"])
-    assert status == 0
-    assert json.loads(out)["variant"] == "undetermined"
+    # The derivative kernel's rounding noise grew like a power of n, which
+    # the power-law fit took for divergence; by parts there is no n^k.
+    _assert_reduces_to(argv, HIGH_ORDER_TRUTH[argv[1]])
 
 
 @pytest.mark.parametrize("argv", [["integrate", "delta(x)/x", "--kernel", "plus"],

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from deltacalc.limits import (
     DEFAULT_SCHEDULE,
-    SHORT_SCHEDULE,
     aitken,
     extract_limit,
     looks_divergent,
@@ -19,7 +18,6 @@ def test_schedules():
     assert DEFAULT_SCHEDULE[0] == 16
     assert DEFAULT_SCHEDULE[-1] == 2**20
     assert len(DEFAULT_SCHEDULE) == 17
-    assert set(SHORT_SCHEDULE) <= set(DEFAULT_SCHEDULE)
 
 
 def test_richardson_geometric_1_over_n():

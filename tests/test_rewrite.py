@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from deltacalc.errors import DeltaCalcError, ExpressionError, RewriteError, SmoothnessError
-from deltacalc.limits import SHORT_SCHEDULE
+from deltacalc.limits import DEFAULT_SCHEDULE
 from deltacalc.rewrite import (
     STRONG,
     CompTerm,
@@ -30,6 +30,10 @@ from deltacalc.rewrite import (
 from deltacalc.rewrite import _total
 from deltacalc.roots import certify_hypotheses, find_simple_roots
 from deltacalc.vfun import C_INF, RealFunction, const_function
+from deltacalc.vintegral import derivative_schedule
+
+#: n = 16 ... 4096: the ranks an order-1 kernel derivative keeps.
+SHORT_SCHEDULE = tuple(derivative_schedule(DEFAULT_SCHEDULE, 1))
 
 
 def _rf(fn, *derivs, label="g", smoothness=C_INF):

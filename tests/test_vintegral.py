@@ -10,9 +10,15 @@ import deltacalc as dc
 from deltacalc.cli import run_command
 from deltacalc.errors import DeltaCalcError, SmoothnessError
 from deltacalc.exprlang import parse, to_real_function
-from deltacalc.limits import DEFAULT_SCHEDULE, SHORT_SCHEDULE
+from deltacalc.limits import DEFAULT_SCHEDULE
 from deltacalc.vfun import C_INF, RealFunction
-from deltacalc.vintegral import derivative_schedule, integrate_rank, reduce_integral
+from deltacalc.vintegral import (
+    by_parts,
+    delta_integral,
+    derivative_schedule,
+    integrate_rank,
+    reduce_integral,
+)
 
 # High-precision reference values (30-digit adaptive quadrature, frozen):
 # I_n for the bump kernel against cos at shift a=2, rank n = 2^16.
@@ -143,6 +149,36 @@ def test_sift_derivative_second_order(bump):
     assert abs(res.value - 2.0) < 1e-6
 
 
+@pytest.mark.parametrize("name, k, lo, hi", [("bump", 2, 0.25, math.inf),
+                                              ("plus", 1, -math.inf, 0.4)])
+def test_by_parts_keeps_the_rank_integrals(name, k, lo, hi, request):
+    # The bound cuts the kernel's support at rank 16 only, where the end
+    # terms carry the difference from the whole line.
+    d, f = request.getfixturevalue(name), to_real_function(parse("exp(x)"))
+    ranks = (16, 32, 64, 128, 256)
+    assert by_parts(d, k, f)
+    parts = delta_integral(d, k, lo, hi, ranks, f, 0.3)
+    kernel = integrate_rank(d.derivative(k), lo, hi, ranks, f.fn, 0.3)
+    whole = integrate_rank(d.derivative(k), -math.inf, math.inf, ranks, f.fn, 0.3)
+    assert abs(kernel[0] - whole[0]) > 1.0
+    for p, q in zip(parts, kernel):
+        assert abs(p - q) <= 1e-9 * abs(q)
+
+
+def test_weight_without_a_rule_keeps_the_derivative_kernel(bump):
+    # A bare callable, abs and a difference quotient are no rule of order 1.
+    kink = to_real_function(parse("abs(x+5)"))
+    one = RealFunction(math.sin, derivs=(math.cos,))
+    assert not by_parts(bump, 1, RealFunction(math.sin)) and not by_parts(bump, 1, kink)
+    assert by_parts(bump, 1, one) and not by_parts(bump, 2, one)
+    assert not by_parts(dc.square_delta(), 1, one)
+    # The Leibniz product has a rule to the order both factors have one.
+    exp = to_real_function(parse("exp(x)"))
+    assert exp.times(one).rule_order == 1 and exp.times(exp).rule_order == C_INF
+    assert abs(exp.times(one).deriv_value(1, 0.3) - math.exp(0.3) * (math.sin(0.3)
+                                                                     + math.cos(0.3))) < 1e-15
+
+
 def test_derivative_integral_is_zero(bump):
     res = reduce_integral(bump.derivative(1))
     assert res.reduced
@@ -151,8 +187,8 @@ def test_derivative_integral_is_zero(bump):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_sift_derivative_and_the_cli_share_one_schedule_rule(k):
-    # At k = 3 a schedule to n = 4096 gives Reduced(0.74081769), 5.3e-7
-    # from the truth; capped at n = 256, as in the CLI, the library refuses.
+    # Both integrate by parts on the whole schedule.  At k = 3 the kernel
+    # derivative, capped at n = 256, left both Undetermined.
     lib = dc.sift_derivative(dc.bump_delta(), k, to_real_function(parse("exp(-x)")),
                              a=0.3)
     out = io.StringIO()
@@ -160,18 +196,16 @@ def test_sift_derivative_and_the_cli_share_one_schedule_rule(k):
     cli = json.loads(out.getvalue())
     assert (lib.kind, [list(r) for r in lib.rank_values]) == (cli["variant"],
                                                              cli["rank_values"])
-    if k == 3:
-        assert not lib.reduced
-    else:
-        assert lib.value == cli["value"]
-        assert abs(lib.value - math.exp(-0.3)) <= 1e-9
+    assert lib.value == cli["value"]
+    assert abs(lib.value - math.exp(-0.3)) <= 1e-9
 
 
 def test_derivative_schedule_caps_every_caller_schedule():
     assert derivative_schedule(DEFAULT_SCHEDULE, 0) == list(DEFAULT_SCHEDULE)
     assert max(derivative_schedule(DEFAULT_SCHEDULE, 1)) == 4096
-    assert derivative_schedule(SHORT_SCHEDULE, 2) == [16, 32, 64, 128, 256, 512, 1024]
-    assert max(derivative_schedule(SHORT_SCHEDULE, 9)) == 256
+    short = [2**k for k in range(4, 13)]
+    assert derivative_schedule(short, 2) == [16, 32, 64, 128, 256, 512, 1024]
+    assert max(derivative_schedule(short, 9)) == 256
     with pytest.raises(DeltaCalcError, match="above n = 256"):
         derivative_schedule([512, 1024], 3)
 
