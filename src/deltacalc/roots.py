@@ -210,7 +210,9 @@ class Scan:
     and exact zeros, as (x, |g(x)|, i, j): between grid neighbours xs[i],
     xs[j] that are both larger (so a plateau is none), x is bisected to the
     first float where |g| stops falling.  `poles`: the grid points before
-    each sign change that is no root.  `pieces`: where g is monotone.
+    each sign change that is no root.  `splits` and `pieces`: where g is
+    monotone, with grid-level and with exact ends; the plan of a composite
+    reads `pieces` only for a piece it takes in x or leaves out.
     """
 
     def __init__(self, g, window):
@@ -250,24 +252,72 @@ class Scan:
         return _certify(self, _records(self))
 
     @functools.cached_property
-    def pieces(self):
-        """The ends (lo, hi) of the pieces of the window where g is monotone:
-        split where g on the grid turns between two steps that move it (a
-        flat run is no turn), at the adjacent floats where g' changes sign,
-        and at each pole, at the adjacent floats where g changes sign
-        (`_bisect`).  Beside a pole, g' may change sign nowhere: that split
-        then runs to a grid neighbour, which only splits a monotone piece."""
-        step, xs, poles = np.diff(self.vals), self.xs, self.poles
+    def _splits(self):
+        """Where the window splits into the pieces where g is monotone: where
+        g on the grid turns between two steps that move it (a flat run is no
+        turn), and at each pole.  Per split, ascending: the grid points
+        (i, j) that bracket it, the grid points (p, q) that end the pieces
+        either side of it (the ends of the extremum's run, for a turn),
+        whether it is a turn, and the sign of g' (a turn) or of g (a pole)
+        before it."""
+        step, poles = np.diff(self.vals), self.poles
         moves = np.flatnonzero(step)
         rise = step[moves] > 0.0
         k = np.flatnonzero(rise[:-1] != rise[1:])
-        turns = _bisect(_deriv_of(self.g), xs[moves[k]], xs[moves[k + 1] + 1],
-                        side=np.where(rise[k], 1.0, -1.0))
-        signs = _bisect(self.fn, xs[poles], xs[poles + 1], side=np.sign(self.vals[poles]))
-        x_in, x_out = (np.concatenate(ends) for ends in zip(turns, signs))
+        i, j = np.concatenate((moves[k], poles)), np.concatenate((moves[k + 1] + 1, poles + 1))
+        p, q = np.concatenate((moves[k] + 1, poles)), np.concatenate((moves[k + 1], poles + 1))
+        turn = np.arange(i.size) < k.size
+        side = np.concatenate((np.where(rise[k], 1.0, -1.0), np.sign(self.vals[poles])))
+        order = np.argsort(i, kind="stable")
+        return tuple(v[order] for v in (i, j, p, q, turn, side))
+
+    @functools.cached_property
+    def splits(self):
+        """The pieces' ends (lo, hi) and g at them (glo, ghi), as lists, at
+        grid level: a piece ends at the grid point of its split (`_splits`)
+        and reads g there, inside the range of g on the exact piece (a grid
+        extremum never passes the true one, nor a grid point beside a pole
+        the pole).  None where two splits' brackets overlap (two turns one
+        step apart, or a turn beside a pole), where only `pieces` orders
+        them."""
+        i, j, p, q, _turn, _side = self._splits
+        if (j[:-1] > i[1:]).any():
+            return None
+        lo, hi = np.append(0, q), np.append(p, self.xs.size - 1)
+        return (self.xs[lo].tolist(), self.xs[hi].tolist(),
+                self.vals[lo].tolist(), self.vals[hi].tolist())
+
+    def straddles(self, points):
+        """Whether a split's closed grid bracket holds one of `points`: there
+        grid-level ends may put it in another piece than exact ends."""
+        i, j = self._splits[:2]
+        if not i.size:
+            return False
+        k = np.searchsorted(self.xs[i], points, "right") - 1
+        return bool(((k >= 0) & (np.asarray(points) <= self.xs[j[k]])).any())
+
+    @functools.cached_property
+    def pieces(self):
+        """The exact ends (lo, hi) of the pieces and g at them (glo, ghi), as
+        lists: split at the adjacent floats where g' changes sign at each
+        turn, and at each pole, at the adjacent floats where g changes sign
+        (`_bisect`, every turn in one call and every pole in another).
+        Beside a pole, g' may change sign nowhere: that split then runs to
+        a grid neighbour, which only splits a monotone piece."""
+        i, j, _p, _q, turn, side = self._splits
+        x_in, x_out = (np.concatenate(ends) for ends in zip(*(
+            _bisect(fn, self.xs[i[m]], self.xs[j[m]], side=side[m])
+            for fn, m in ((_deriv_of(self.g), turn), (self.fn, ~turn)))))
         order = np.argsort(x_in, kind="stable")
-        return (np.concatenate((self.window[:1], x_out[order])),
-                np.concatenate((x_in[order], self.window[1:])))
+        lo = np.concatenate((self.window[:1], x_out[order]))
+        hi = np.concatenate((x_in[order], self.window[1:]))
+        ends = on_points(self.fn, np.concatenate((lo, hi))).tolist()
+        return lo.tolist(), hi.tolist(), ends[:len(lo)], ends[len(lo):]
+
+    def ends(self, exact=False):
+        """The pieces' ends and g at them: `pieces`, or without `exact`,
+        `splits` where it serves."""
+        return self.pieces if exact or self.splits is None else self.splits
 
 
 _scan = functools.lru_cache(maxsize=2)(Scan)

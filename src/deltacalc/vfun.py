@@ -373,9 +373,22 @@ def mixture(d1, d2):
         if isinstance(res, DiracFailure):
             raise ValueError(f"mixture operand {d.name!r} is not a Dirac kernel: {res}")
     p1, p2 = d1.profile, d2.profile
+    s1, s2 = d1.profile_support, d2.profile_support
+
+    def part(f, lo, hi, x):
+        # A part is evaluated on its own support [lo, hi] (and at nan); it
+        # is 0.0 outside, as each part's profile already is there.
+        xs = np.asarray(x, dtype=float)
+        inside = ~((xs < lo) | (xs > hi))
+        if inside.all():
+            return np.asarray(f(x))
+        out = np.zeros(xs.shape)
+        if inside.any():
+            out[inside] = f(xs[inside])
+        return out
 
     def average(f1, f2):
-        return lambda x: 0.5 * (np.asarray(f1(x)) + np.asarray(f2(x)))
+        return lambda x: 0.5 * (part(f1, *s1, x) + part(f2, *s2, x))
 
     profile = RealFunction(
         average(p1.fn, p2.fn), smoothness=min(d1.smoothness, d2.smoothness),
@@ -521,11 +534,17 @@ def check_dirac(vf, schedule=DEFAULT_SCHEDULE):
         return DiracFailure("iii", "no vanishing region: function has no "
                                    "declared infinitesimal support")
 
-    # (i) nonnegativity over the support.
+    # (i) nonnegativity over the support.  A profile kernel's ranks
+    # n^(k+1) p^(k)(n x) all read p^(k) on one grid of u = n x.
+    if isinstance(vf, DiracKernel):
+        us = np.linspace(*vf.profile_support, _DIRAC_GRID)
+        pu = on_points(vf.profile, us)
     for n in schedule:
-        lo, hi = vf.support_interval(n)
-        xs = np.linspace(lo, hi, _DIRAC_GRID)
-        vals = on_points(lambda x: vf.rank_eval(n, x), xs)
+        if isinstance(vf, DiracKernel):
+            xs, vals = us / n, n ** (vf.order + 1) * pu
+        else:
+            xs = np.linspace(*vf.support_interval(n), _DIRAC_GRID)
+            vals = on_points(lambda x: vf.rank_eval(n, x), xs)
         if np.min(vals) < -1e-9:
             x_bad = float(xs[int(np.argmin(vals))])
             return DiracFailure(

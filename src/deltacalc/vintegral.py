@@ -680,8 +680,8 @@ def compose(d, g, window=WINDOW):
 def _substitution(d, g, s, key):
     """The plan of the ranks (n, a, b) of `key` over the monotone pieces of
     g: whether each rank is taken wholly in u = n g(x); groups (cuts, rows,
-    x, jac) of the pieces taken so, a row (rank index, xl, xr, g(xl), g(xr))
-    per rank and piece [xl, xr] of [a, b], with x(u) and 1/|g'(x(u))| on
+    x, jac) of the pieces taken so, a row (rank index, piece index) per
+    rank and piece of [a, b], with x(u) and 1/|g'(x(u))| on
     _fixed_nodes(cuts); and each rank's x panels (`_panels`) of the rest.
     A rank past an outside_scan_risk window edge is refused if the values
     g may take there (cert.edges) enter or leave supp(d_n); where g at the
@@ -690,7 +690,12 @@ def _substitution(d, g, s, key):
     if it holds a root of a certificate that is not violated, g has a
     symbolic g', n g at both of its ends lies outside the profile support
     on the side of its sign, and every x(u) converges inside it (`_solve`,
-    in batches of at most _BATCH nodes)."""
+    in batches of at most _BATCH nodes).  The pieces' ends are the scan's
+    grid-level `splits` until a piece is taken in x or left out, which
+    reads the exact `pieces`, as do all where a split's grid bracket holds
+    a root or a bound.  The grid-level end of a piece taken in u is no
+    farther out in g than the exact one, so the same pieces pass, with the
+    same u range and nodes."""
     cert, (wlo, whi) = s.certificate, s.window
     for n, a, b in key:
         if a < wlo or b > whi:
@@ -699,56 +704,89 @@ def _substitution(d, g, s, key):
                 past = a < edge if edge == wlo else b > edge
                 if past and glo < shi and ghi > slo and not slo <= glo <= ghi <= shi:
                     cert.require()
-    lo, hi = s.pieces
-    held = {}  # piece index -> the certified root in it (None: two roots)
-    if (isinstance(d, DiracKernel) and isinstance(g, RealFunction)
+    recs = (cert.roots if isinstance(d, DiracKernel) and isinstance(g, RealFunction)
             and g.smoothness >= 1 and (g.nth_deriv is not None or g.derivs)
-            and cert.verdict != "violated"):
-        for rec in cert.roots:
-            k = int(np.searchsorted(lo, rec.a, "right")) - 1
-            held[k] = None if k in held else rec
-    ends = on_points(s.fn, np.concatenate((lo, hi))).tolist()
-    lo, hi, glo, ghi = lo.tolist(), hi.tolist(), ends[:len(lo)], ends[len(lo):]
+            and cert.verdict != "violated" else ())
+    exact = s.straddles([rec.a for rec in recs] + [x for _n, a, b in key for x in (a, b)])
+    held, lo = {}, s.ends(exact)[0]  # piece index -> its certified root (None: two)
+    for rec in recs:
+        k = bisect.bisect_right(lo, rec.a) - 1
+        held[k] = None if k in held else rec
 
     groups, x_rows = {}, []
     for j, (n, a, b) in enumerate(key):
         slo, shi = d.support_interval(n)
-        los, his, gls, ghs = lo[:], hi[:], glo[:], ghi[:]
-        if a < wlo and slo < s.vals[0] < shi:
-            los[0], gls[0] = a, float(s.fn(a))
-        if b > whi and slo < s.vals[-1] < shi:
-            his[-1], ghs[-1] = b, float(s.fn(b))
+        ends = los, his, gls, ghs = _rank_ends(d, s, n, a, b, exact)
         for k in range(bisect.bisect_left(his, a), bisect.bisect_right(los, b)):
-            xl, xr = max(los[k], a), min(his[k], b)
-            if not xl < xr:
+            span, rec = _span(s.fn, ends, k, a, b), held.get(k)
+            if span is None:
                 continue
-            gl = gls[k] if xl == los[k] else float(s.fn(xl))
-            gr = ghs[k] if xr == his[k] else float(s.fn(xr))
-            span, rec = (j, xl, xr, gl, gr), held.get(k)
             if rec is not None:
                 plo, phi = d.profile_support
                 low, high = (n * gls[k], n * ghs[k])[::1 if rec.g_prime > 0 else -1]
                 if low < 0.0 < high and low <= plo and high >= phi:
+                    gl, gr = span[2:]
                     ulo, uhi = max(plo, n * min(gl, gr)), min(phi, n * max(gl, gr))
                     if ulo < uhi:
                         groups.setdefault(_cuts(d, ulo, uhi), []).append(
-                            (rec, los[k], his[k], span))
+                            (rec, los[k], his[k], (j, k)))
                     continue
+            if not exact:
+                exact = True
+                ends = los, his, gls, ghs = _rank_ends(d, s, n, a, b, exact)
+                span = _span(s.fn, ends, k, a, b)
+            _xl, _xr, gl, gr = span
             if min(gl, gr) < shi and max(gl, gr) > slo:
-                x_rows.append(span)
+                x_rows.append((j, *span))
 
     out = []
     for cuts, members in groups.items():
         size = max(1, _BATCH // _fixed_nodes(cuts)[0].size)
         for batch in (members[i:i + size] for i in range(0, len(members), size)):
-            x, jac, good = _nodes(g, s.fn, key, cuts, [(span[0], rec, p, q)
-                                                       for rec, p, q, span in batch])
-            x_rows += [span for (*_, span), ok in zip(batch, good) if not ok]
+            x, jac, good = _nodes(g, s.fn, key, cuts, [(row[0], rec, p, q)
+                                                       for rec, p, q, row in batch])
+            x_rows += _exact_spans(d, s, key, [row for (*_, row), ok in zip(batch, good)
+                                               if not ok])
             if any(good):
-                out.append((cuts, tuple(span for (*_, span), ok in zip(batch, good) if ok),
+                out.append((cuts, tuple(row for (*_, row), ok in zip(batch, good) if ok),
                             x[good], jac[good]))
     panels = _panels(d, s.fn, key, x_rows)
     return tuple(not ps for ps in panels), tuple(out), tuple(map(tuple, panels))
+
+
+def _rank_ends(d, s, n, a, b, exact):
+    """The scan's piece ends and g at them (`Scan.ends`), for rank n of the
+    composite of d on [a, b]: where g at a window edge lies inside
+    supp(d_n) and the bound lies past it, the outer piece reaches on to
+    the bound."""
+    los, his, gls, ghs = (list(e) for e in s.ends(exact))
+    (wlo, whi), (slo, shi) = s.window, d.support_interval(n)
+    if a < wlo and slo < s.vals[0] < shi:
+        los[0], gls[0] = a, float(s.fn(a))
+    if b > whi and slo < s.vals[-1] < shi:
+        his[-1], ghs[-1] = b, float(s.fn(b))
+    return los, his, gls, ghs
+
+
+def _span(fn, ends, k, a, b):
+    """Piece k of `ends` (`_rank_ends`) on [a, b]: (xl, xr, g(xl), g(xr)),
+    or None where it is empty there."""
+    los, his, gls, ghs = ends
+    xl, xr = max(los[k], a), min(his[k], b)
+    if not xl < xr:
+        return None
+    return (xl, xr, gls[k] if xl == los[k] else float(fn(xl)),
+            ghs[k] if xr == his[k] else float(fn(xr)))
+
+
+def _exact_spans(d, s, key, rows):
+    """The x rows (rank index, xl, xr, g(xl), g(xr)) of the plan rows (rank
+    index, piece index) of `key`, on the exact ends of the pieces."""
+    out = []
+    for j, k in rows:
+        n, a, b = key[j]
+        out.append((j, *_span(s.fn, _rank_ends(d, s, n, a, b, True), k, a, b)))
+    return out
 
 
 def _panels(d, fn, key, rows):
@@ -827,8 +865,8 @@ def _solve(fn, t, x, slope):
 def _substituted(vf, ranks, bounds, weight):
     """The rank integrals of the Composite vf over the bounds (a, b) of each
     rank on its plan (vf.nodes): in u, by `_u_rule`, the pieces it takes
-    so, and in x, on their panels, the rest and each piece in u whose two
-    rules disagree."""
+    so, and in x, on their panels over the pieces' exact ends, the rest and
+    each piece in u whose two rules disagree."""
     key = tuple((n, a, b) for n, (a, b) in zip(ranks, bounds))
     _ok, groups, panels = vf.nodes(key)
     parts, redo = [[] for _ in ranks], []
@@ -839,6 +877,6 @@ def _substituted(vf, ranks, bounds, weight):
                 redo.append(row)
             else:
                 parts[row[0]].append(v)
-    more = _panels(vf.kernel, vf.scan.fn, key, redo)
+    more = _panels(vf.kernel, vf.scan.fn, key, _exact_spans(vf.kernel, vf.scan, key, redo))
     return [sum(vs, _regions_integral(vf, n, weight, [*ps, *qs]))
             for n, vs, ps, qs in zip(ranks, parts, panels, more)]

@@ -162,7 +162,7 @@ def test_flat_run_is_not_a_dip():
     assert all(x > -37.0 for x, _level, _i, _j in s.dips)
     assert len(s.roots) == 1 and abs(s.roots[0]) < 1e-5
     # Nor is it an extremum: g is monotone on the whole window.
-    assert [p.tolist() for p in s.pieces] == [[-60.0], [60.0]]
+    assert s.pieces[:2] == s.splits[:2] == ([-60.0], [60.0])
     cert = certify_hypotheses(g, find_simple_roots(g))
     assert cert.certified
 
@@ -197,7 +197,7 @@ def test_exact_zero_plateau_gives_no_dips():
     s = roots.scan(lambda x: 0.0 * x)
     assert len(s.roots) == roots.GRID
     assert s.dips == ()
-    assert [p.tolist() for p in s.pieces] == [[-60.0], [60.0]]
+    assert s.pieces[:2] == s.splits[:2] == ([-60.0], [60.0])
 
 
 # -- monotone pieces ----------------------------------------------------------
@@ -208,10 +208,24 @@ from deltacalc.exprlang import parse, to_real_function  # noqa: E402
 def test_pieces_split_at_each_extremum():
     # g' = 3x^2 - 4x - 1 vanishes at (2 -/+ sqrt(7))/3: a piece ends at the
     # last float before each turn, and the next starts at the float after.
-    lo, hi = roots.scan(to_real_function(parse("x^3-2*x^2-x+2"))).pieces
+    lo, hi, _glo, _ghi = roots.scan(to_real_function(parse("x^3-2*x^2-x+2"))).pieces
     assert len(lo) == 3 and lo[0] == -60.0 and hi[-1] == 60.0
     for turn, end, start in zip(((2 - 7 ** 0.5) / 3, (2 + 7 ** 0.5) / 3), hi, lo[1:]):
         assert abs(end - turn) <= 1e-14 and start == np.nextafter(end, np.inf)
+
+
+def test_splits_end_at_the_grid_extremum():
+    # At grid level a piece ends at the turn's grid extremum, within a grid
+    # step of the exact turn, where |g| is no larger; a root or a bound in
+    # a turn's grid bracket is straddled.
+    s = roots.scan(to_real_function(parse("x^3-2*x^2-x+2")))
+    lo, hi, glo, ghi = s.splits
+    exact_hi, exact_ghi = s.pieces[1], s.pieces[3]
+    assert len(lo) == 3 and lo[0] == -60.0 and hi[-1] == 60.0 and lo[1:] == hi[:-1]
+    for x, v, turn, w in zip(hi[:-1], ghi[:-1], exact_hi[:-1], exact_ghi[:-1]):
+        assert x in s.xs and abs(x - turn) < s.xs[1] - s.xs[0] and abs(v) <= abs(w)
+    assert glo[1:] == ghi[:-1] == s.vals[np.searchsorted(s.xs, hi[:-1])].tolist()
+    assert s.straddles([exact_hi[0]]) and not s.straddles(list(s.roots) + [-60.0, 60.0])
 
 
 def test_a_pole_ends_a_piece():
@@ -221,8 +235,8 @@ def test_a_pole_ends_a_piece():
     # falls on every piece.
     f = to_real_function(parse("1/(x-1.5)-2"))
     for g in (f, f.fn):
-        lo, hi = roots.scan(g).pieces
-        assert 1.5 in lo.tolist() and np.nextafter(1.5, 0.0) in hi.tolist()
+        lo, hi, _glo, _ghi = roots.scan(g).pieces
+        assert 1.5 in lo and np.nextafter(1.5, 0.0) in hi
         with np.errstate(divide="ignore"):
             for a, b in zip(lo, hi):
                 assert (np.diff(f.fn(np.linspace(a, b, 1001))) <= 0.0).all(), (a, b)

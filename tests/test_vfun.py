@@ -140,6 +140,33 @@ def test_mixture_averages(plus, minus, mix):
         assert abs(mix.rank_eval(n, x) - want) < 1e-12 * n
 
 
+def test_mixture_reads_each_part_on_its_support(plus, minus):
+    # Each part's profile is read only where u may lie in its support; its
+    # value is 0.0 elsewhere, as the part's own profile gives there.
+    from deltacalc.vfun import DiracKernel
+
+    seen = []
+
+    def recorded(d):
+        fn = lambda u: seen.append((d.name, np.asarray(u))) or d.profile.fn(u)
+        return DiracKernel(RealFunction(fn, smoothness=C_INF, label=d.name),
+                           d.profile_support, d.name)
+
+    mix = dc.mixture(recorded(plus), recorded(minus))
+    us = np.linspace(-4.0, 4.0, 8001)
+    seen.clear()
+    got = mix.profile(us)
+    for name, u in seen:
+        lo, hi = (plus if name == "plus" else minus).profile_support
+        assert ((lo <= u) & (u <= hi)).all()
+    want = 0.5 * (plus.profile(us) + minus.profile(us))
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert [mix.profile(u) for u in (-2.0, 0.0, 2.5)] == [0.5 * minus.profile(-2.0), 0.0,
+                                                         0.5 * plus.profile(2.5)]
+    # nan is handed to the parts, which decide its value.
+    assert mix.profile(math.nan) == 0.5 * (plus.profile(math.nan) + minus.profile(math.nan))
+
+
 def test_mixture_rejects_non_dirac(bump):
     bad = dc.cauchy_psi()
     with pytest.raises(TypeError):
@@ -186,6 +213,23 @@ def test_check_dirac_rejects_negative_family(bump):
     res = check_dirac(bump.derivative(1))
     assert not res.ok
     assert res.condition == "i"
+
+
+def test_check_dirac_reads_a_profile_on_one_grid(bump):
+    # Condition (i) reads n^(k+1) p^(k)(u) on one grid of u for all ranks,
+    # with the same first failing rank and message as rank by rank.
+    from deltacalc.vfun import _DIRAC_GRID, DiracKernel
+
+    sizes = []
+    for k in (0, 1):
+        d = bump.derivative(k)
+        prof = RealFunction(lambda u, f=d.profile.fn: sizes.append(np.size(u)) or f(u),
+                            smoothness=C_INF, label="counted")
+        res = check_dirac(DiracKernel(prof, d.profile_support, "counted", order=k))
+        assert sizes.count(_DIRAC_GRID) == 1
+        sizes.clear()
+    assert res.condition == "i" and res.detail == check_dirac(bump.derivative(1)).detail
+    assert res.detail == "negative value -460 at x=0.047485, rank n=16"
 
 
 def test_check_dirac_rejects_wrong_mass():

@@ -652,6 +652,7 @@ def _x_panels(comp, key):
     # then of those it takes in u, in the order of its rows.
     _ok, groups, panels = comp.nodes(key)
     rows = [row for _cuts, rows, _x, _jac in groups for row in rows]
+    rows = vintegral._exact_spans(comp.kernel, comp.scan, key, rows)
     more = vintegral._panels(comp.kernel, comp.scan.fn, key, rows)
     return [[*ps, *qs] for ps, qs in zip(panels, more)]
 
@@ -767,22 +768,58 @@ def test_substitution_matches_quad_on_the_inverse(name, text, bounds, roots, inv
 def test_certified_composite_makes_no_bisect_call(monkeypatch, bump):
     from deltacalc import roots
 
+    # Every piece of this cubic holds a root and is taken in u at every
+    # rank: its plans read the grid-level splits, and no turn is refined.
     text = "0.9*(x+1.3)*(x-0.94)*(x-1.79)"
-    comp = _composite(bump, text)
-    comp.scan.certificate, comp.scan.pieces
     calls = []
     real = roots._bisect
     counted = lambda *a, **kw: calls.append(a) or real(*a, **kw)
     monkeypatch.setattr(roots, "_bisect", counted)
     monkeypatch.setattr(vintegral, "_bisect", counted)
-    ranks = tuple(DEFAULT_SCHEDULE[:7])
-    got = integrate_rank(comp, -math.inf, math.inf, ranks, weight=np.exp)
-    assert all(comp.nodes(tuple((n, -n, n) for n in ranks))[0])
-    assert not calls
+    comp = _composite(bump, text)
+    res = reduce_integral(comp, weight=np.exp)
+    ranks = tuple(n for n, _v in res.rank_values)
+    assert all(comp.nodes(tuple((n, -n, n) for n in ranks[:7]))[0])
+    assert not calls and "pieces" not in vars(comp.scan)
     # The x path, which bisects its panel edges, gives the same integrals.
-    want = integrate_rank(_opaque(bump, text), -math.inf, math.inf, ranks, weight=np.exp)
+    got = integrate_rank(comp, -math.inf, math.inf, ranks[:7], weight=np.exp)
+    want = integrate_rank(_opaque(bump, text), -math.inf, math.inf, ranks[:7], weight=np.exp)
     assert calls
     assert all(abs(a - b) <= 1e-12 * abs(b) for a, b in zip(got, want))
+
+
+#: Composites whose plans need the exact ends of the pieces, with their
+#: ranks, which of them are taken wholly in u, and their rank integrals
+#: against cos, bit for bit: pieces in x at ranks 16 and 32 beside the
+#: turn between two roots; a tangency, whose violated certificate sends
+#: every piece to x; a pole, past which a piece is left out; and two roots
+#: 0.015 apart, both inside the grid bracket of the turn between them.
+EXACT_CASES = [
+    ("(x-1.5)^2", (16, 32, 64, 128), (False, False, False, False),
+     [0.35547656720211357, 0.5044032922721207, 0.7145263288217402, 1.0113366283403022]),
+    ("-1.0547*(x+2.515)*(x+2.231)", (16, 32, 64, 128), (False, False, True, True),
+     [-4.262482450076677, -5.775480673618678, -4.9313761313951225, -4.791598853683281]),
+    ("1/(x-1.5)-2", (16, 32, 64, 1024), (True, True, True, True),
+     [-0.1041356203905162, -0.10406142269504677, -0.10404288663599323,
+      -0.10403673326648732]),
+    ("(x-0.293)*(x-0.308)", (16, 1024, 32768, 65536), (False, False, True, True),
+     [4.803998297113219, 40.58370399740506, 129.7569321624442, 127.92084672413193]),
+]
+
+
+@pytest.mark.parametrize("text, ranks, in_u, want", EXACT_CASES,
+                         ids=[c[0] for c in EXACT_CASES])
+def test_exact_ends_where_the_plan_needs_them(text, ranks, in_u, want, bump):
+    comp = _composite(bump, text)
+    key = tuple((n, -n, n) for n in ranks)
+    assert comp.nodes(key)[0] == in_u
+    assert "pieces" in vars(comp.scan)
+    assert integrate_rank(comp, -math.inf, math.inf, ranks, weight=np.cos) == want
+    # The x panels end at the exact ends of the pieces they meet.
+    if not all(in_u):
+        lo, hi, _glo, _ghi = comp.scan.pieces
+        edges = {x for ps in comp.nodes(key)[2] for p in ps for x in p}
+        assert set(lo[1:] + hi[:-1]) <= edges
 
 
 def test_x_path_serves_what_the_substitution_does_not(bump):
