@@ -308,6 +308,12 @@ def _add(a, b):
     return Bin("+", a, b)
 
 
+def _sub(a, b):
+    if _is_zero(b):
+        return a
+    return Bin("-", a, b)
+
+
 def _mul(a, b):
     if _is_zero(a) or _is_zero(b):
         return _ZERO
@@ -340,7 +346,7 @@ def _diff(node):
             if n.op == "+":
                 return _add(d(a), d(b))
             if n.op == "-":
-                return Bin("-", d(a), d(b))
+                return _sub(d(a), d(b))
             if n.op == "*":
                 return _add(_mul(d(a), b), _mul(a, d(b)))
             if n.op == "/":
@@ -392,17 +398,30 @@ def _share(node):
     return share(node)
 
 
+def _array_power(a, k):
+    """a ** k for an integer constant k, through |a|: numpy's power leaves
+    its vector loop for a negative base and calls pow once per element.
+    For a >= 0 and for k in -1..2 the bits are numpy's a ** k, and ±0, ±inf
+    and nan read as pow does; for a < 0 and another k a value may differ
+    from pow's by 1 ulp."""
+    power = np.abs(a) ** k
+    return np.copysign(power, a) if k % 2 else power
+
+
 # One code object per shape: a tree's source with each distinct number as
 # a parameter c0, c1, ... of `make`, which returns the tree's function of
 # x.  It runs with these names bound to `math` for a float (the same
-# operations, in the same order, as a recursive walk) or to numpy ufuncs
-# for an ndarray.  A tree with a power whose exponent is not an integer
-# constant runs on floats alone, an array point by point: on floats a
-# negative base then gives a complex value, which abs() may make real again.
+# operations, in the same order, as a recursive walk, a power `pw` being
+# Python's `**`) or to numpy ufuncs for an ndarray.  On an ndarray a power
+# takes the integer power of |x| and, for an odd exponent, x's sign
+# (_array_power); its last bits depend on the CPU loops numpy dispatches
+# to.  A tree with a power whose exponent is not an integer constant runs
+# on floats alone, an array point by point: on floats a negative base then
+# gives a complex value, which abs() may make real again.
 _SCALAR_NAMES = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "atan": math.atan,
-                 "abs": abs}
+                 "abs": abs, "pw": operator.pow}
 _ARRAY_NAMES = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "atan": np.arctan,
-                "abs": np.abs}
+                "abs": np.abs, "pw": _array_power}
 
 
 class _Shape:
@@ -446,7 +465,7 @@ class _Shape:
                 self.abs = True
         elif isinstance(node, Bin):
             a, b = self._emit(node.left), self._emit(node.right)
-            expr = f"{a} {'**' if node.op == '^' else node.op} {b}"
+            expr = f"pw({a}, {b})" if node.op == "^" else f"{a} {node.op} {b}"
             if node.op == "^" and not isinstance(node.right, Num):
                 self.power = self.pointwise = True
             elif node.op == "^" and not float(node.right.value).is_integer():

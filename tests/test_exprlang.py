@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -237,6 +238,73 @@ def test_pointwise_mark_does_not_leak_between_exponents():
         assert cube(0.0) == -1.0 and cube(xs).tolist() == [-1.0, 1.0]
 
 
+POWERS = (-3, -2, -1, 0, 1, 2, 3, 4, 7)
+SPECIAL_BASES = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+
+
+def _power(k):
+    return to_real_function(Bin("^", Var(), Num(float(k))))
+
+
+def _bases(sign):
+    rng = np.random.default_rng(29)
+    return sign * np.concatenate([rng.uniform(0.1, 1.0, 400), rng.uniform(1.0, 40.0, 400),
+                                  [0.5, 1.0, 2.0, 3.0, 10.0]])
+
+
+@pytest.mark.parametrize("k", POWERS)
+def test_array_power_takes_the_power_of_abs_and_the_sign_of_odd_powers(k):
+    xs = np.concatenate([_bases(-1.0), _bases(1.0), SPECIAL_BASES])
+    with np.errstate(divide="ignore"):
+        out = _power(k)(xs)
+        magnitude = np.abs(xs) ** k
+        # ±0, ±inf and nan read as numpy's power of the signed base does.
+        plain = SPECIAL_BASES ** k
+    want = np.copysign(magnitude, xs) if k % 2 else magnitude
+    assert out.tobytes() == want.tobytes()
+    tail = out[-len(SPECIAL_BASES):]
+    assert np.array_equal(tail, plain, equal_nan=True)
+    assert np.array_equal(np.signbit(tail[:-1]), np.signbit(plain[:-1]))
+
+
+@pytest.mark.parametrize("k", POWERS)
+def test_array_power_keeps_numpys_bits_on_nonnegative_bases(k):
+    xs = np.concatenate([_bases(1.0), [0.0, np.inf]])
+    with np.errstate(divide="ignore"):
+        assert _power(k)(xs).tobytes() == (xs ** float(k)).tobytes()
+
+
+@pytest.mark.parametrize("k", POWERS)
+def test_array_power_is_within_an_ulp_of_the_float_path(k):
+    f = _power(k)
+    xs = np.concatenate([_bases(-1.0), _bases(1.0)])
+    scalar = np.array([f(x) for x in xs.tolist()])
+    # The float path is Python's ** itself.
+    assert scalar.tobytes() == np.array([x ** float(k) for x in xs.tolist()]).tobytes()
+    assert np.all(np.abs(f(xs) - scalar) <= np.spacing(np.abs(scalar)))
+    if k < 0:
+        with pytest.raises(ExpressionError, match="negative power"):
+            f(0.0)
+    if k >= 3:
+        with pytest.raises(ExpressionError, match="out of range"):
+            f(-1e200)
+
+
+def test_derivative_of_a_difference_reads_no_zero_subtrahend():
+    from deltacalc.exprlang import _diff, _share, _Shape
+
+    w, p = 1.3717, 0.7961
+    tree = parse(f"cos({w}*x-{p})")
+    second = _Shape(_diff(_share(_diff(_share(tree)))))
+    assert second.values == [w, p] and len(second.lines) == 6
+    f = to_real_function(tree)
+    xs = [-1.0, 0.0, 0.3, 2.5]
+    pinned = [1.0577513791461925, -1.3161501351546394, -1.7441172585816007,
+              1.643550418148623]
+    assert [f.deriv_value(2, x) for x in xs] == pinned
+    assert f.nth_deriv(2)(np.array(xs)).tolist() == pinned
+
+
 def test_smoothness_comes_from_the_compiling_walk():
     f = to_real_function(parse("x^x"))
     assert f.smoothness == math.inf and f.nth_deriv is None
@@ -364,7 +432,6 @@ def test_lift_keeps_factor_derivatives():
 
 # -- compiled closures -------------------------------------------------------
 
-import numpy as np  # noqa: E402
 
 from deltacalc.errors import DeltaCalcError  # noqa: E402
 from deltacalc.exprlang import _diff  # noqa: E402
