@@ -86,6 +86,11 @@ def _load_config(path):
     unknown = set(raw) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    # JSON's true and false are Python bools, which are ints too.
+    for key, kind in (("probe_min_exp", int), ("probe_max_exp", int),
+                      ("tolerance", (int, float)), ("battery", str), ("kernel", str)):
+        if key in raw and (isinstance(raw[key], bool) or not isinstance(raw[key], kind)):
+            raise ConfigError(f"config {key} has the wrong type: {raw[key]!r}")
     if "scan_window" in raw:
         lo, hi = raw["scan_window"] = tuple(float(v) for v in raw["scan_window"])
         if not -math.inf < lo < hi < math.inf:

@@ -355,7 +355,7 @@ def _diff(node):
                 v, p = ((b.left, b.right.value)
                         if isinstance(b, Bin) and b.op == "^" and isinstance(b.right, Num)
                         else (b, 1.0))
-                num = Bin("-", _mul(d(a), v), _mul(_mul(Num(p), a), d(v)))
+                num = _sub(_mul(d(a), v), _mul(_mul(Num(p), a), d(v)))
                 return Bin("/", num, Bin("^", v, Num(p + 1.0)))
             if n.op == "^":
                 if not isinstance(b, Num):

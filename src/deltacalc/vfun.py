@@ -487,10 +487,9 @@ def _outside_grid():
 _OUTSIDE_GRID = _outside_grid()
 
 
-def array_values(fn, x):
+def _array_call(fn, x):
     """fn on the ndarray x, or None where fn takes no array: it raises, or
-    returns anything but a float array of x's shape.  Call it under
-    np.errstate(all="ignore")."""
+    returns anything but a float array of x's shape."""
     try:
         v = fn(x)
     except (TypeError, ValueError, ArithmeticError):
@@ -500,12 +499,29 @@ def array_values(fn, x):
     return None
 
 
+def _float_or_nan(fn, x):
+    try:
+        return float(fn(x))
+    except (TypeError, ValueError, ArithmeticError):
+        return math.nan
+
+
+def array_values(fn, x):
+    """fn on the ndarray x: one array call where fn takes an ndarray, else
+    one float call per node, where a node whose call fails reads nan.
+    Call it under np.errstate(all="ignore")."""
+    v = _array_call(fn, x)
+    if v is None:
+        v = np.array([_float_or_nan(fn, t) for t in x.ravel().tolist()]).reshape(x.shape)
+    return v
+
+
 def on_points(fn, xs, finite=False):
     """fn on the points xs: one array call where fn takes an ndarray, else
     one call per point, where a failing float evaluation raises; with
     `finite`, also where the array result is not finite everywhere."""
     with np.errstate(all="ignore"):
-        vals = array_values(fn, xs)
+        vals = _array_call(fn, xs)
     if vals is not None and (not finite or np.isfinite(vals).all()):
         return vals
     return np.array([fn(float(x)) for x in xs], dtype=float)

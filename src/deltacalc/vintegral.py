@@ -26,7 +26,6 @@ from .vfun import (
     RealFunction,
     VirtualFunction,
     array_values,
-    on_points,
 )
 
 __all__ = [
@@ -156,10 +155,12 @@ def integrate_rank(vf, lo, hi, ranks, weight=None, shift=0.0):
     taken: a profile kernel in u = n(x - shift), all ranks at once
     (`profile_integral`), a composite d_n(g(x)), which takes no shift, piece
     by piece over the monotone pieces of g, in u = n g(x) or in x
-    (`_substituted`), any other virtual function by adaptive quad over its
+    (`_substituted`), both on the fixed rules and the adaptive rule
+    (`_refined`), any other virtual function by adaptive quad over its
     declared support, with a discontinuous function's support edges as
-    split points.  The ranks are taken in order: the lowest that fails
-    raises its error."""
+    split points (`_rank_quad`): fixed rules there could miss a narrow
+    peak.  The ranks are taken in order: the lowest that fails raises its
+    error."""
     # Reversed bounds (or nan) are refused; a finite bound beyond one
     # rank's window only empties that rank.
     if not (lo <= hi and lo < math.inf and hi > -math.inf):
@@ -237,13 +238,12 @@ def _cuts(d, ulo, uhi):
 
 @functools.lru_cache(maxsize=64)
 def _profile_on_nodes(profile, cuts):
-    """The profile on _fixed_nodes(cuts), or None where it takes no array;
-    read-only, shared by every rank and weight.  The cache holds its key
-    profiles, so no other profile can take their values."""
+    """The profile on _fixed_nodes(cuts); read-only, shared by every rank
+    and weight.  The cache holds its key profiles, so no other profile can
+    take their values."""
     with np.errstate(all="ignore"):
         p = array_values(profile.fn, _fixed_nodes(cuts)[0])
-    if p is not None:
-        p.flags.writeable = False
+    p.flags.writeable = False
     return p
 
 
@@ -264,13 +264,11 @@ def _accepted(coarse, fine, resabs):
 def _rule_pair(values, w_coarse, w_fine, rows=1, scale=None, magnitude=None):
     """Both fixed rules on `values`, each summed per row as a dot product
     times that row's `scale` (default 1): lists of the fine rule's sums and
-    of whether each is `_accepted` (none is where `values` is None), with
-    the rounding floor taken from |magnitude| (default: |values|).  A row is
-    a panel where `values` is laid out as _panel_rules lays out its nodes,
-    or a row of a 2-D `values`, each row all of the rules' nodes.  Call it
-    under np.errstate(all="ignore")."""
-    if values is None:
-        return [0.0] * rows, [False] * rows
+    of whether each is `_accepted`, with the rounding floor taken from
+    |magnitude| (default: |values|).  A row is a panel where `values` is
+    laid out as _panel_rules lays out its nodes, or a row of a 2-D
+    `values`, each row all of the rules' nodes.  Call it under
+    np.errstate(all="ignore")."""
     sums = _rule_sums(values, w_coarse, w_fine, rows, scale, magnitude)
     return sums[1], [_accepted(*row) for row in zip(*sums)]
 
@@ -294,19 +292,16 @@ def _rule_sums(values, w_coarse, w_fine, rows, scale=None, magnitude=None):
 def _u_rule(d, cuts, x, scale, weight, jac=None, anchor=None):
     """n^k * integral of p(u) jac(u) w(x(u)) du on _fixed_nodes(cuts), p d's
     order-k profile and jac None 1, for each row of nodes x(u) and its n^k
-    in `scale`: the fine rule's value, None where adaptive quadrature must
-    decide (the rules disagree, p or w takes no array, or a value is not
-    finite).  `anchor` a subtracts w(a) from w; the rounding floor stays
-    that of p * jac * w."""
+    in `scale`: the fine rule's value, None where the rules disagree or a
+    value is not finite.  `anchor` a subtracts w(a) from w; the rounding
+    floor stays that of p * jac * w."""
     u, w_coarse, w_fine = _fixed_nodes(cuts)
     p = _profile_on_nodes(d.profile, cuts)
     if anchor is not None:
         x = np.concatenate((x, np.full((len(x), 1), anchor)), axis=1)
     with np.errstate(all="ignore"):
-        wv = np.ones_like(x) if weight is None else array_values(weight, x.ravel())
-        if p is None or wv is None:
-            return [None] * len(x)
-        wv = wv.reshape(x.shape)
+        wv = (np.ones_like(x) if weight is None
+              else array_values(weight, x.ravel()).reshape(x.shape))
         pj = p if jac is None else p * jac
         values = magnitude = pj * wv[:, :u.size]
         if anchor is not None:
@@ -340,69 +335,61 @@ def _fixed_rule(d, ranks, a, weight, ulo, uhi):
 
 
 #: Levels of halving, and panels halved at most at one level, that the
-#: array refinement of an order-0 profile rank may take before adaptive
-#: quad decides.
+#: adaptive rule may take before adaptive quad decides.
 _REFINE_LEVELS, _REFINE_PANELS = 12, 16
 
 
-def _refined(d, n, a, weight, lo, hi):
-    """The order-0 rank-n integral of p(u) w(a + u/n) over [lo, hi], where
-    the fixed rules disagree on it: both rules on each panel between
-    _cuts(d, lo, hi), and each panel whose two rules are not `_accepted`
-    halved at its midpoint, one array call per level, until the panels'
-    differences |fine - coarse| sum to within quad's targets (_QUAD_OPTS)
-    of the sum of their fine values, or to within `_accepted`'s rounding
-    floor.  None where adaptive quad must decide: p or w takes no array, a
-    value is not finite, no panel is rejected, or the level or panel
-    budget (_REFINE_LEVELS, _REFINE_PANELS) is spent."""
-    cuts = _cuts(d, lo, hi)
-    plo, phi = np.array(cuts[:-1]), np.array(cuts[1:])
+def _refined(f, lo, hi, points):
+    """The integral of f over the panels [lo[i], hi[i]] (ndarrays, in
+    order, end to end), which the fixed rules reject as a whole, by the
+    one adaptive rule: both fixed rules on each panel, and each panel whose
+    two rules are not `_accepted` halved at its midpoint, one array call
+    (`array_values`) per level, until every panel is accepted or the
+    panels' differences |fine - coarse| sum to within quad's targets
+    (_QUAD_OPTS) of the sum of their fine values, or to within
+    `_accepted`'s rounding floor: the math.fsum of the fine values.  Where
+    a value is not finite or the level or panel budget (_REFINE_LEVELS,
+    _REFINE_PANELS) is spent, adaptive quad over [lo[0], hi[-1]], split
+    at `points`, decides."""
+    a, b = float(lo[0]), float(hi[-1])
     kept = [[], [], []]  # fine sums, differences, |integrand| sums of kept panels
     for _level in range(_REFINE_LEVELS):
-        u, w_coarse, w_fine = _panel_rules(plo, phi)
+        x, w_coarse, w_fine = _panel_rules(lo, hi)
         with np.errstate(all="ignore"):
-            p = array_values(d.profile.fn, u)
-            wv = np.ones_like(u) if weight is None else array_values(weight, a + u / n)
-            if p is None or wv is None:
-                return None
-            coarse, fine, resabs = _rule_sums(p * wv, w_coarse, w_fine, plo.size)
+            coarse, fine, resabs = _rule_sums(array_values(f, x), w_coarse, w_fine, lo.size)
+            ok = [_accepted(*row) for row in zip(coarse, fine, resabs)]
         if not all(map(math.isfinite, coarse + fine + resabs)):
-            return None
-        diff = [abs(f - c) for c, f in zip(coarse, fine)]
+            break
+        diff = [abs(v - c) for c, v in zip(coarse, fine)]
         total, err, mag = (math.fsum(k + v) for k, v in zip(kept, (fine, diff, resabs)))
-        if (err <= max(_QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"] * abs(total))
+        if (all(ok) or err <= max(_QUAD_OPTS["epsabs"], _QUAD_OPTS["epsrel"] * abs(total))
                 or err <= 50.0 * _EPS * mag):
             return total
-        split = np.array([not _accepted(*row) for row in zip(coarse, fine, resabs)])
-        if not split.any() or split.sum() > _REFINE_PANELS:
-            return None
+        split = ~np.array(ok)
+        if split.sum() > _REFINE_PANELS:
+            break
         for k, v in zip(kept, (fine, diff, resabs)):
-            k += [x for x, s in zip(v, split) if not s]
-        mid = 0.5 * (plo[split] + phi[split])
-        plo, phi = np.concatenate((plo[split], mid)), np.concatenate((mid, phi[split]))
-    return None
+            k += [t for t, s in zip(v, split) if not s]
+        mid = 0.5 * (lo[split] + hi[split])
+        lo, hi = np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split]))
+    return _quad_piece(f, a, b, points)
 
 
 def _regions_integral(vf, n, weight, panels):
     """The integral of f_n * weight over the disjoint intervals `panels`.
 
-    Both fixed rules are mapped onto every panel, and f_n and the weight
-    are each evaluated once, in one array call on all the nodes.  A panel
-    whose two rules disagree, or give a value that is not finite, goes to
-    adaptive quad, as does every panel where f_n or the weight takes no
-    array.
+    Both fixed rules are mapped onto every panel, and f_n * weight is
+    evaluated in one array call on all the nodes.  A panel whose two rules
+    disagree, or give a value that is not finite, goes to the adaptive
+    rule (`_refined`), and where that gives up, to one quad call.
     """
     if not panels:
         return 0.0
+    f = lambda x: vf.rank_eval(n, x) * (1.0 if weight is None else weight(x))
     x, w_coarse, w_fine = _panel_rules(*np.array(panels).T)
     with np.errstate(all="ignore"):
-        values = array_values(functools.partial(vf.rank_eval, n), x)
-        if values is not None and weight is not None:
-            wv = array_values(weight, x)
-            values = None if wv is None else values * wv
-        fine, accepted = _rule_pair(values, w_coarse, w_fine, rows=len(panels))
-    f = lambda x: vf.rank_eval(n, x) * (1.0 if weight is None else weight(x))
-    return sum(v if ok else _quad_piece(f, p, q)
+        fine, accepted = _rule_pair(array_values(f, x), w_coarse, w_fine, rows=len(panels))
+    return sum(v if ok else _refined(f, np.array([p]), np.array([q]), None)
                for v, ok, (p, q) in zip(fine, accepted, panels))
 
 
@@ -415,12 +402,12 @@ def profile_integral(d, ranks, a, weight, ulo=-math.inf, uhi=math.inf):
     d's order-k profile, so the quadrature nodes depend on neither n nor w.
     Two Gauss-Legendre rules on the panels between d.profile_cuts (u = 0,
     the middle of the support) are evaluated in one array call for all the
-    ranks that share their cut support.  Where they disagree on an order-0
-    rank, `_refined` halves the panels that disagree; where that fails too,
-    at any other order, or where w takes no array, adaptive quad decides
-    that rank.  The ranks are taken in order:
-    the lowest that fails raises its error.  `weight` None integrates the
-    kernel alone.
+    ranks that share their cut support.  Where they disagree on a rank,
+    the adaptive rule (`_refined`) halves the panels that disagree, with
+    quad's targets on n^k p(u) w(a + u/n); where a value is not finite or
+    its budget is spent, one quad call over the rank's u range, split at
+    0, decides it.  The ranks are taken in order: the lowest that
+    fails raises its error.  `weight` None integrates the kernel alone.
     """
     plo, phi = d.profile_support
     ulo, uhi = ([b] * len(ranks) if np.ndim(b) == 0 else b for b in (ulo, uhi))
@@ -446,13 +433,11 @@ def profile_integral(d, ranks, a, weight, ulo=-math.inf, uhi=math.inf):
                                   f"kernel rounds to its shift a={a:g}", rank=n)
         elif fixed[i] is not None:
             values.append(fixed[i])
-        elif d.order == 0 and (v := _refined(d, n, a, weight, lo, hi)) is not None:
-            values.append(v)
         else:
-            prof, scale = d.profile, _scale(n, d.order)
+            prof, scale, cuts = d.profile, _scale(n, d.order), _cuts(d, lo, hi)
             g = lambda u: scale * prof(u) * (1.0 if weight is None else weight(a + u / n))
             try:
-                values.append(_quad_piece(g, lo, hi, points=[0.0]))
+                values.append(_refined(g, np.array(cuts[:-1]), np.array(cuts[1:]), [0.0]))
             except QuadratureError as exc:
                 raise QuadratureError(f"at rank n={n}, kernel {d.name!r} of order {d.order}: "
                                       f"{exc}", rank=n, diagnostics=exc.diagnostics) from exc
@@ -562,8 +547,9 @@ def _contraction(f1, c1, f2, c2):
 
     u's t-panels are cut at c2 and at u minus c1, and the empty ones
     dropped; both fixed rules are summed over them, in array calls of at
-    most _BATCH nodes.  A u whose two rules are not `_accepted` goes to
-    adaptive quad, as does every u where f1 or f2 takes no array.
+    most _BATCH nodes.  A u whose two rules are not `_accepted` goes to the
+    adaptive rule (`_refined`) on its t-panels, and where that gives up, to
+    one quad call over them, split at its cuts.
     """
     c1, c2 = np.array(c1), np.array(c2)
     (t_coarse, w_coarse), (t_fine, w_fine) = map(_gauss_legendre, _FIXED_NODES)
@@ -587,19 +573,15 @@ def _contraction(f1, c1, f2, c2):
             for i in range(0, rows.size, step):
                 r, h = rows[i:i + step], half[i:i + step]
                 t = mid[i:i + step, None] + h[:, None] * nodes
-                v1 = array_values(f1, (flat[r, None] - t).ravel())
-                v2 = array_values(f2, t.ravel())
-                if v1 is None or v2 is None:
-                    sums[:] = np.nan
-                    break
-                values = (v1 * v2).reshape(t.shape)
+                values = (array_values(f1, (flat[r, None] - t).ravel())
+                          * array_values(f2, t.ravel())).reshape(t.shape)
                 for total, part in zip(sums, _rule_sums(values, w_coarse, w_fine, r.size, h)):
                     total += np.bincount(r, part, flat.size)
             ok = _accepted(*sums)
         out = sums[1]
         for j in np.flatnonzero(~ok):
-            out[j] = _quad_piece(lambda t, c=flat[j]: f1(c - t) * f2(t), t0[j, 0],
-                                 t1[j, 0], points=cuts[j].tolist())
+            out[j] = _refined(lambda t, c=flat[j]: f1(c - t) * f2(t),
+                              cuts[j, :-1][keep[j]], cuts[j, 1:][keep[j]], cuts[j].tolist())
         return float(out[0]) if us.ndim == 0 else out.reshape(us.shape)
 
     return conv
@@ -826,10 +808,7 @@ def _nodes(g, fn, key, cuts, rows):
     t = _fixed_nodes(cuts)[0] / n
     x = _solve(fn, t, root + t / slope, slope)
     with np.errstate(all="ignore"):
-        dg = array_values(g.derivative(1).fn, x.ravel())
-        if dg is None:
-            return x, x, [False] * len(rows)
-        dg = dg.reshape(x.shape)
+        dg = array_values(g.derivative(1).fn, x.ravel()).reshape(x.shape)
         jac = 1.0 / np.abs(dg)
         good = (lo <= x) & (x <= hi) & (dg * slope > 0.0) & (jac < math.inf)
     return x, jac, good.all(axis=1).tolist()
@@ -841,17 +820,13 @@ def _solve(fn, t, x, slope):
     of 2 of `slope`, where rounding makes a short secant's slope noise.  A
     node stops at its first step of at most _SOLVE_ULPS units in the last
     place of max(|x|, 1): an error that size moves no weight or slope
-    beyond rounding.  A node that never stops, or every node where fn
-    takes no array, is nan."""
+    beyond rounding.  A node that never stops is nan."""
     done = np.zeros(x.shape, dtype=bool)
     tol = _SOLVE_ULPS * _EPS * np.maximum(np.abs(x), 1.0)
     x0 = r0 = None
     with np.errstate(all="ignore"):
         for _ in range(_SOLVE_STEPS):
-            fx = array_values(fn, x.ravel())
-            if fx is None:
-                break
-            r = fx.reshape(x.shape) - t
+            r = array_values(fn, x.ravel()).reshape(x.shape) - t
             q = slope if x0 is None else slope * np.fmin(np.fmax(
                 (r - r0) / ((x - x0) * slope), 0.5), 2.0)
             step = np.where(done, 0.0, r / q)

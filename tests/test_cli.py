@@ -595,6 +595,17 @@ def test_config_error_exit_2(tmp_path):
     assert "config" in err
 
 
+@pytest.mark.parametrize("config", [
+    {"probe_min_exp": 4.5}, {"probe_max_exp": 1e3}, {"battery": ["x"]},
+    {"kernel": ["bump"]}, {"tolerance": True}, {"probe_min_exp": True}])
+def test_config_value_of_the_wrong_type_exit_2(tmp_path, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    status, out, err = run(["equiv", "delta(x)", "delta(x)", "--config", str(cfg)])
+    assert status == 2 and out == ""
+    assert err.startswith("error (config)") and next(iter(config)) in err
+
+
 def test_engine_error_exit_1():
     status, _out, err = run(["simplify", "sin(x)+2"])
     assert status == 1

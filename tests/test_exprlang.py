@@ -305,6 +305,15 @@ def test_derivative_of_a_difference_reads_no_zero_subtrahend():
     assert f.nth_deriv(2)(np.array(xs)).tolist() == pinned
 
 
+def test_quotient_rule_reads_no_zero_subtrahend():
+    from deltacalc.exprlang import _diff, _Shape
+
+    # d(x/3) = (1*3 - 3*0) / 3^2 keeps neither the zero nor its 1.
+    assert _Shape(_diff(parse("x/3"))).values == [3.0, 2.0]
+    f = to_real_function(parse("x/3"))
+    assert [f.deriv_value(1, x) for x in (-2.0, 0.0, 5.0)] == [3.0 / 3.0 ** 2] * 3
+
+
 def test_smoothness_comes_from_the_compiling_walk():
     f = to_real_function(parse("x^x"))
     assert f.smoothness == math.inf and f.nth_deriv is None

@@ -372,11 +372,23 @@ def test_member_is_probed_only_when_its_integrals_fail(bump):
                                 schedule=SHORT_SCHEDULE)
     assert verdict.consistent and verdict.skipped == ()
     assert args and all(isinstance(x, np.ndarray) for x in args)
-    # exp is finite at 709.7, so its failing integral is not skipped.
+    # exp is finite at 709.7825, where its rank-16 integral, 1.7979e308,
+    # is not: the integral fails and is not skipped.
     overflows = _rf(math.exp, math.exp, label="exp(x)")
-    with pytest.raises(DeltaCalcError, match="diverged"):
-        check_equivalence(DeltaTerm(0, 709.7), DeltaTerm(0, 709.7), kernel=bump,
+    with pytest.raises(DeltaCalcError, match="at rank n=16.*math range error"):
+        check_equivalence(DeltaTerm(0, 709.7825), DeltaTerm(0, 709.7825), kernel=bump,
                           battery=[overflows, cos], schedule=SHORT_SCHEDULE)
+
+
+def test_math_exp_near_the_float_limit_has_the_verdict_of_np_exp(bump):
+    # At 709.7 every rank integral is finite (the value is 1.655e308): on
+    # the fixed rules math.exp, called node by node, reads as np.exp does,
+    # where quad's own sums would overflow.
+    verdicts = [check_equivalence(DeltaTerm(0, 709.7), DeltaTerm(0, 709.7), kernel=bump,
+                                  battery=[_rf(fn, fn, label="exp(x)")])
+                for fn in (math.exp, np.exp)]
+    assert verdicts[0] == verdicts[1]
+    assert verdicts[0].variant == "consistent_equivalent"
 
 
 def test_deviation_that_is_not_a_number_is_decisive(bump, monkeypatch):

@@ -4,6 +4,7 @@ runs in a fresh interpreter, where nothing has been imported yet."""
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -43,6 +44,18 @@ after = [m for m in sys.modules if m.startswith("scipy")]
 print(json.dumps({"import": at_import, "query": after, "status": status}))
 """)
     assert loaded == {"import": [], "query": [], "status": 0}
+
+
+def test_sift_of_a_weight_that_takes_no_array_loads_no_scipy():
+    # math.cos is called node by node on the fixed rules.
+    loaded = _fresh("""
+import json, math, sys
+import deltacalc as dc
+res = dc.sift(dc.bump_delta(), math.cos, 0.3)
+print(json.dumps({"value": res.value,
+                  "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+""")
+    assert loaded["scipy"] == [] and abs(loaded["value"] - math.cos(0.3)) < 1e-9
 
 
 @pytest.mark.parametrize("argv, needs", [

@@ -408,10 +408,35 @@ def test_fixed_rule_matches_quad(name, order, all_kernels):
     assert accepted == total
 
 
+def _per_node(fn):
+    # The array twin of a weight that takes no ndarray: fn called on each
+    # node, as the rules call it.
+    return lambda x: np.array([fn(t) for t in x.ravel().tolist()]).reshape(x.shape)
+
+
 def test_math_only_weight_falls_back(bump, quad_calls):
+    # math.cos takes no array: the fixed rules call it node by node, with
+    # the bits of its array twin, and no quad call.
     got = profile_integral(bump, (64,), 0.5, math.cos)[0]
-    assert quad_calls
-    assert got == _quad_reference(bump, 64, 0.5, math.cos, -1.0, 1.0)
+    assert not quad_calls
+    assert got.hex() == profile_integral(bump, (64,), 0.5, _per_node(math.cos))[0].hex()
+    assert _within_targets(got, _quad_reference(bump, 64, 0.5, math.cos, -1.0, 1.0))
+
+
+def test_math_only_weight_matches_its_numpy_twin(bump, quad_calls):
+    # On a profile rank of every order to 2 and on a composite's pieces,
+    # in u and in x: no quad call, and the values of np.cos.
+    for k in (0, 1, 2):
+        d = bump.derivative(k)
+        for n in (16, 256):
+            got = profile_integral(d, (n,), 0.3, math.cos)[0]
+            want = profile_integral(d, (n,), 0.3, np.cos)[0]
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (k, n)
+    for comp in (_composite(bump, "x^3-2*x^2-x+2"), _opaque(bump, "x^3-2*x^2-x+2")):
+        got = integrate_rank(comp, -math.inf, math.inf, (16, 64), weight=math.cos)
+        want = integrate_rank(comp, -math.inf, math.inf, (16, 64), weight=np.cos)
+        assert np.allclose(got, want, rtol=1e-13, atol=1e-13)
+    assert not quad_calls
 
 
 def _within_targets(got, want):
@@ -456,22 +481,45 @@ def test_refined_rank_matches_mpmath_split_at_the_kink(bump):
 
 def test_refinement_that_spends_its_budget_leaves_quad_to_decide(bump, quad_calls):
     # A jump inside the support: each halving only halves the rules'
-    # difference, so the level budget runs out and quad decides as before.
+    # difference, so the level budget runs out and quad decides as before,
+    # in one call over the support, split at 0.
     w = lambda x: np.sign(x - 0.001) * np.cos(x)
     n = 16
-    assert vintegral._refined(bump, n, 0.0, w, -1.0, 1.0) is None
+    f = lambda u: bump.profile(u) * w(u / n)
+    spent = vintegral._refined(f, np.array([-1.0, 0.0]), np.array([0.0, 1.0]), [0.0])
+    assert len(quad_calls) == 1
     got = profile_integral(bump, (n,), 0.0, w)[0]
-    assert len(quad_calls) == 1
-    assert got == _quad_reference(bump, n, 0.0, w, -1.0, 1.0)
+    assert len(quad_calls) == 2
+    assert got == spent == _quad_reference(bump, n, 0.0, w, -1.0, 1.0)
 
 
-def test_refinement_is_order_0_only(bump, quad_calls):
-    # A derivative kernel's rejected rank still goes to quad.
+def test_derivative_rank_is_halved_on_arrays(bump, quad_calls, monkeypatch):
+    # The kink of |x| at u = -0.3 lies inside a panel of n p'(u) |u/n + 0.3/n|:
+    # the fixed rules reject it, and the adaptive rule halves the panels
+    # that disagree, over more than one level, with no quad call and the
+    # bits the rank has in a batch.  Against mpmath split at the kink the
+    # value is within a few times quad's targets: the last kink panel's
+    # two rules differ by 6.6e-13, while the fine rule's error is 1.6e-12.
+    mpmath = pytest.importorskip("mpmath")
+    from deltacalc.vfun import BUMP_NORMALIZATION
+
     f = to_real_function(parse("abs(x)")).fn
-    d = bump.derivative(1)
-    assert _fixed_rule(d, (64,), 0.3 / 64, f, -1.0, 1.0)[0] is None
-    profile_integral(d, (64,), 0.3 / 64, f)
-    assert len(quad_calls) == 1
+    d, n, a = bump.derivative(1), 64, 0.3 / 64
+    assert _fixed_rule(d, (n,), a, f, -1.0, 1.0)[0] is None
+    levels = []
+    real = vintegral._panel_rules
+    monkeypatch.setattr(vintegral, "_panel_rules",
+                        lambda lo, hi: levels.append(lo.size) or real(lo, hi))
+    got = profile_integral(d, (n,), a, f)[0]
+    assert not quad_calls and len(levels) > 1
+    assert got.hex() == profile_integral(d, (16, 32, n), a, f)[2].hex()
+    with mpmath.workdps(30):
+        def integrand(u):
+            p = BUMP_NORMALIZATION * mpmath.exp(-1 / (1 - u * u))
+            return n * p * -2 * u / (1 - u * u) ** 2 * abs(a + u / n)
+
+        want = float(mpmath.quad(integrand, [-1, -0.3, 0, 1]))
+    assert abs(got - want) <= 5e-12 * abs(want), (got, want)
 
 
 @pytest.mark.parametrize("order", [0, 2])
@@ -588,10 +636,11 @@ def test_rank_batch_gives_the_bits_of_one_rank_at_a_time(name, order, request):
 
 
 def test_rank_batch_of_a_weight_that_takes_no_array(bump, quad_calls):
+    # The fixed rules call math.cos node by node: no quad call.
     ranks = (16, 32, 64)
     _assert_batch_is_rank_by_rank(bump.derivative(1), -math.inf, math.inf, ranks,
                                   math.cos, 0.3)
-    assert len(quad_calls) == 2 * len(ranks)
+    assert not quad_calls
 
 
 def test_one_rank_of_a_batch_is_refined(bump, quad_calls):
@@ -705,14 +754,23 @@ def test_region_rules_agree_on_a_mixture(mix, quad_calls):
     assert abs(got - sum(want)) <= 1e-12 * sum(max(1.0, abs(v)) for v in want)
 
 
-def test_math_only_weight_falls_back_on_every_region(bump, quad_calls):
-    # math.cos takes no array: each root's piece leaves u for its panels
-    # in x, one on each side of the root, and each panel goes to quad.
+def test_math_only_weight_stays_in_u_on_every_region(bump, quad_calls, monkeypatch):
+    # math.cos takes no array: the rule in u calls it node by node, so each
+    # of the three roots' pieces stays in u, with the bits of its array
+    # twin, and no panel is left to x or to quad.
     comp = _composite(bump, "x^3-2*x^2-x+2")
+    key = ((64, -64.0, 64.0),)
+    in_u = []
+    real = vintegral._u_rule
+    monkeypatch.setattr(vintegral, "_u_rule", lambda *a: in_u.extend(out := real(*a)) or out)
     got = integrate_rank(comp, -math.inf, math.inf, (64,), weight=math.cos)[0]
-    panels = _x_panels(comp, ((64, -64.0, 64.0),))[0]
-    assert len(quad_calls) == len(panels) == 6
-    assert got == sum(_quad_panels(comp, 64, panels, math.cos))
+    assert not quad_calls
+    assert comp.nodes(key)[2] == ((),) and len(in_u) == 3 and None not in in_u
+    twin = integrate_rank(comp, -math.inf, math.inf, (64,), weight=_per_node(math.cos))[0]
+    assert got.hex() == twin.hex()
+    want = _quad_panels(comp, 64, _x_panels(_opaque(bump, "x^3-2*x^2-x+2"), key)[0],
+                        math.cos)
+    assert abs(got - sum(want)) <= 1e-12 * sum(max(1.0, abs(v)) for v in want)
 
 
 def test_non_finite_region_weight_raises_like_quad(bump):
