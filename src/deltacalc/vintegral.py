@@ -122,6 +122,9 @@ def quad(f, a, b, **kwargs):
 
 
 def _quad_piece(f, a, b, points=None):
+    """Adaptive quad over [a, b], split at the `points` inside it: the
+    adaptive rule's give-up.  QUADPACK's "probably divergent" (ier = 5)
+    returns a finite part, not the integral: a QuadratureError."""
     if b <= a:
         return 0.0
     from scipy.integrate import IntegrationWarning
@@ -132,6 +135,8 @@ def _quad_piece(f, a, b, points=None):
             # requested absolute tolerance; the limit extractor sees the
             # noise anyway.
             warnings.simplefilter("ignore", IntegrationWarning)
+            warnings.filterwarnings("error", "The integral is probably divergent",
+                                    IntegrationWarning)
             if points:
                 pts = sorted(p for p in points if a < p < b)
                 val, err = quad(f, a, b, points=pts or None, **_QUAD_OPTS)
@@ -155,12 +160,10 @@ def integrate_rank(vf, lo, hi, ranks, weight=None, shift=0.0):
     taken: a profile kernel in u = n(x - shift), all ranks at once
     (`profile_integral`), a composite d_n(g(x)), which takes no shift, piece
     by piece over the monotone pieces of g, in u = n g(x) or in x
-    (`_substituted`), both on the fixed rules and the adaptive rule
-    (`_refined`), any other virtual function by adaptive quad over its
-    declared support, with a discontinuous function's support edges as
-    split points (`_rank_quad`): fixed rules there could miss a narrow
-    peak.  The ranks are taken in order: the lowest that fails raises its
-    error."""
+    (`_substituted`), and any other virtual function in x on its octave
+    panels about the shift (`_octaves`), cut to its declared support: all
+    on the fixed rules and the adaptive rule (`_refined`).  The ranks are
+    taken in order: the lowest that fails raises its error."""
     # Reversed bounds (or nan) are refused; a finite bound beyond one
     # rank's window only empties that rank.
     if not (lo <= hi and lo < math.inf and hi > -math.inf):
@@ -178,21 +181,26 @@ def integrate_rank(vf, lo, hi, ranks, weight=None, shift=0.0):
         return _substituted(vf, ranks, offsets, weight)
     if shift:
         vf = vf.translate(shift)
-    bounds = [(shift + da, shift + db) for da, db in offsets]
-    return [0.0 if a > b else _rank_quad(vf, n, a, b, weight)
-            for n, (a, b) in zip(ranks, bounds)]
+    return [_regions_integral(vf, n, weight, *_octaves(vf, n, shift, shift + da, shift + db))
+            for n, (da, db) in zip(ranks, offsets)]
 
 
-def _rank_quad(vf, n, a, b, weight):
-    """The rank-n integral of f_n * weight over [a, b] for a virtual function
-    that is neither a profile kernel nor a composite."""
-    f = lambda x: vf.rank_eval(n, x) * (1.0 if weight is None else weight(x))
+def _octaves(vf, n, c, a, b):
+    """vf's rank-n x panels on [a, b] cut to its declared support, and the
+    cuts between them: cut at c and at c -/+ 2^j/n, j = 0, 1, ..., until
+    the cuts reach the bounds, so one rule serves a peak of width 1/n about
+    c and mass far from it.  The panels are listed from c outwards in
+    left/right pairs: an odd integrand about c cancels pair by pair."""
     iv = vf.support_interval(n)
-    if iv is None:
-        return _quad_piece(f, a, b)
-    # Edges of a discontinuous kernel's support must be split points.
-    return _quad_piece(f, max(a, iv[0]), min(b, iv[1]),
-                       points=list(iv) if vf.smoothness < 0 else None)
+    if iv is not None:
+        a, b = max(a, iv[0]), min(b, iv[1])
+    steps = [0.0, 1.0 / n]
+    while c - steps[-1] > a or c + steps[-1] < b:
+        steps.append(2.0 * steps[-1])
+    clip = lambda t: min(max(t, a), b)
+    panels = [p for s, t in zip(steps, steps[1:])
+              for p in ((clip(c - t), clip(c - s)), (clip(c + s), clip(c + t))) if p[0] < p[1]]
+    return panels, sorted({e for p in panels for e in p})[1:-1]
 
 
 #: Gauss-Legendre nodes per panel of the two fixed rules whose agreement
@@ -375,20 +383,26 @@ def _refined(f, lo, hi, points):
     return _quad_piece(f, a, b, points)
 
 
-def _regions_integral(vf, n, weight, panels):
-    """The integral of f_n * weight over the disjoint intervals `panels`.
+def _regions_integral(vf, n, weight, panels, inner=()):
+    """The integral of f_n * weight over the disjoint `panels`, summed in order.
 
     Both fixed rules are mapped onto every panel, and f_n * weight is
-    evaluated in one array call on all the nodes.  A panel whose two rules
-    disagree, or give a value that is not finite, goes to the adaptive
-    rule (`_refined`), and where that gives up, to one quad call.
+    evaluated in one array call on all the nodes and the points `inner`,
+    cuts that no node meets: where it is not finite at one, the rank is
+    refused.  A panel whose two rules disagree, or give a value that is not
+    finite, goes to the adaptive rule (`_refined`).
     """
     if not panels:
         return 0.0
     f = lambda x: vf.rank_eval(n, x) * (1.0 if weight is None else weight(x))
     x, w_coarse, w_fine = _panel_rules(*np.array(panels).T)
     with np.errstate(all="ignore"):
-        fine, accepted = _rule_pair(array_values(f, x), w_coarse, w_fine, rows=len(panels))
+        values = array_values(f, np.concatenate((x, inner)))
+        fine, accepted = _rule_pair(values[:x.size], w_coarse, w_fine, rows=len(panels))
+    for t, v in zip(inner, values[x.size:].tolist()):
+        if not math.isfinite(v):
+            raise QuadratureError(f"at rank n={n}, the integrand is {v} at the cut x={t:g}",
+                                  rank=n)
     return sum(v if ok else _refined(f, np.array([p]), np.array([q]), None)
                for v, ok, (p, q) in zip(fine, accepted, panels))
 

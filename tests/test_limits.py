@@ -103,10 +103,13 @@ def _looks_divergent_on_arrays(values):
     if len(v) < 5:
         return False
     tail = v[-5:]
-    inc = np.abs(np.diff(tail))
-    if np.any(inc == 0.0):
-        return False
-    ratios = inc[1:] / inc[:-1]
+    # Increments of floats near the ends of the range overflow to inf; the
+    # comparisons below take inf and nan as they are.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        inc = np.abs(np.diff(tail))
+        if np.any(inc == 0.0):
+            return False
+        ratios = inc[1:] / inc[:-1]
     growing_mag = np.all(np.abs(tail[1:]) >= np.abs(tail[:-1]))
     return bool(np.all(ratios >= 0.95) and growing_mag and abs(v[-1]) > abs(v[-5]))
 

@@ -74,11 +74,13 @@ print(json.dumps({"value": res.value,
     # battery's |x|(1+0.5sin(3x)) lies in the support: refined on arrays.
     (["equiv", "cos(1.4464*x+0.5193)*delta(x-0.0587)",
       "(0.8229547534162982)*delta(x-0.0587)", "--kernel", "bump"], None),
-    # A smooth summand is integrated by adaptive quad.
-    (["integrate", "exp(-x^2)+delta(x-0.3)", "--lower", "0", "--upper", "1"],
-     "scipy.integrate"),
+    # A smooth summand is integrated on its octave panels, on arrays.
+    (["integrate", "exp(-x^2)+delta(x-0.3)", "--lower", "0", "--upper", "1"], None),
+    # The battery's exp(+x) overflows at 800: the adaptive rule gives up
+    # to adaptive quad, which is imported then.
+    (["equiv", "delta(x-800)", "delta(x-800)"], "scipy.integrate"),
 ], ids=["conv", "conv-ddelta", "root", "simplify", "equiv", "probe", "dip", "refined",
-        "quad"])
+        "smooth", "quad"])
 def test_lazy_scipy_path_works_on_first_use(argv, needs):
     fresh = _fresh(FRESH_RUN, *argv)
     if needs is None:

@@ -989,3 +989,42 @@ def test_kernel_derivatives_and_their_node_values_are_built_once():
     assert not p.flags.writeable
     u = vintegral._fixed_nodes(d2.profile_cuts)[0]
     assert np.array_equal(p, d2.profile.fn(u))
+
+
+# -- octave panels: every other family on the array rules -------------------
+
+def _no_quad(*_args, **_kwargs):
+    raise AssertionError("adaptive quad was called")
+
+
+def test_lorentzian_ranks_on_octave_panels():
+    # n/(1+n^2 x^2) over [-n, n] is 2 atan(n^2).  Its peak has width 1/n,
+    # and the panels cut at 0 and +-2^j/n see it at every rank.
+    ranks = tuple(2 ** k for k in range(4, 21))
+    for n, v in zip(ranks, integrate_rank(dc.cauchy_psi(), -math.inf, math.inf, ranks)):
+        want = 2.0 * math.atan(float(n) ** 2)
+        assert abs(v - want) <= 1e-14 * want, n
+
+
+@pytest.mark.parametrize("weight", [None, lambda x: np.exp(-x * x),
+                                    lambda x: 1.0 / (1.0 + x * x)],
+                         ids=["1", "exp(-x^2)", "1/(1+x^2)"])
+def test_lorentzian_reduces_to_pi_with_no_quad_call(weight, monkeypatch):
+    monkeypatch.setattr(vintegral, "quad", _no_quad)
+    res = reduce_integral(dc.cauchy_psi(), weight=weight)
+    assert res.reduced and abs(res.value - math.pi) <= 1e-13, res
+
+
+def test_family_with_no_support_sifts_at_its_shift():
+    # n e^(-n^2 x^2)/sqrt(pi) declares no support: its peak at the shift is
+    # found by the panels about it, not by luck.
+    gauss = dc.VirtualFunction(lambda n, x: n * np.exp(-(n * x) ** 2) / math.sqrt(math.pi))
+    res = reduce_integral(gauss.translate(0.3), weight=np.cos)
+    assert res.reduced and abs(res.value - math.cos(0.3)) <= 1e-12, res
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: extract_limit misreads "
+                                       "I_n = L + O(sin(n)/n^p), an oscillating tail")
+def test_lorentzian_against_cos_is_within_err_or_not_reduced():
+    res = reduce_integral(dc.cauchy_psi(), weight=np.cos)
+    assert not res.reduced or abs(res.value - math.pi) <= res.error_estimate, res
