@@ -1,13 +1,14 @@
 """Limit extraction and divergence-rate estimation for rank-indexed sequences.
 
-The probe schedules used throughout the engine are geometric (n = 2^k), so
-Richardson extrapolation against an error model sum_k c_k / n^k is the
-workhorse; iterated Aitken is the fallback for non-uniform schedules.
+Every standard part comes from one Richardson table against the error
+model sum_k c_k / n^k, on the schedule's own rank ratios, so geometric
+(n = 2^k) and non-uniform schedules are extrapolated alike.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -15,28 +16,18 @@ import numpy as np
 DEFAULT_SCHEDULE = tuple(2**k for k in range(4, 21))
 
 
-def richardson_diagonal(values, ratio):
-    """Diagonal of the Richardson table for error terms ~ ratio^{-k}."""
+def richardson_diagonal(values, ranks):
+    """Diagonal of the Richardson table for I_n = L + sum_k c_k / n^k on
+    distinct `ranks`: level m eliminates 1/n^m, each entry by its own ratio
+    r = n_{i+m} / n_i (Neville's form).  On ratio-2 ranks r is exactly 2^m."""
     level = list(values)
     diag = [level[-1]]
     depth = min(len(values) - 1, 8)
     for m in range(1, depth + 1):
-        factor = float(ratio) ** m
-        level = [
-            (factor * level[i + 1] - level[i]) / (factor - 1.0)
-            for i in range(len(level) - 1)
-        ]
+        level = [((r := q / p) * b - a) / (r - 1.0)
+                 for a, b, p, q in zip(level, level[1:], ranks, ranks[m:])]
         diag.append(level[-1])
     return diag
-
-
-def aitken(values):
-    s = np.asarray(values, dtype=float)
-    d1 = s[2:] - s[1:-1]
-    d0 = s[1:-1] - s[:-2]
-    den = d1 - d0
-    out = np.where(np.abs(den) > 1e-300, s[2:] - d1 * d1 / np.where(den == 0, 1.0, den), s[2:])
-    return out
 
 
 def _increments(v):
@@ -49,9 +40,9 @@ def _increments(v):
 def looks_divergent(values):
     """Heuristic growth check applied before any extrapolation.
 
-    Richardson/Aitken happily resum geometric divergence (e.g. 1 + 6n on a
-    ratio-2 schedule extrapolates to 1), so growing sequences must be caught
-    on the raw values.
+    Richardson extrapolation happily resums geometric divergence (e.g.
+    1 + 6n on a ratio-2 schedule extrapolates to 1), so growing sequences
+    must be caught on the raw values.
     """
     v = [float(x) for x in values]
     if len(v) < 5:
@@ -65,19 +56,15 @@ def looks_divergent(values):
     return all(r >= 0.95 for r in ratios) and growing_mag and abs(v[-1]) > abs(v[-5])
 
 
-def _uniform_ratio(schedule):
-    r = [schedule[i + 1] / schedule[i] for i in range(len(schedule) - 1)]
-    if max(r) - min(r) < 1e-9 * max(r):
-        return r[0]
-    return None
-
-
 def extract_limit(values, schedule, tol=1e-9):
     """Return (limit, error_estimate) or None if the sequence does not settle.
 
-    Acceptance rule: two successive accelerated (or raw) values agree within
-    tol relative to max(1, |limit|).
+    `schedule` holds the strictly increasing ranks of `values`.  Acceptance
+    rule: two successive entries of the Richardson diagonal (or raw values)
+    agree within tol relative to max(1, |limit|).
     """
+    if not all(map(operator.lt, schedule, schedule[1:])):
+        raise ValueError(f"ranks must be strictly increasing, got {list(schedule)}")
     v = [float(x) for x in values]
     if len(v) < 3:
         return None
@@ -90,32 +77,24 @@ def extract_limit(values, schedule, tol=1e-9):
         return v[-1], max(abs(v[-1] - v[-2]), abs(v[-2] - v[-3]))
     if looks_divergent(v):
         return None
-    # Acceleration can also resum bounded oscillation (Aitken maps +-1 to 0),
-    # so require the raw increments to be dying before extrapolating.
+    # Acceleration can also resum bounded oscillation, so require the raw
+    # increments to be dying before extrapolating.
     inc = _increments(v)
     if max(inc) > 0.0 and inc[-1] > 0.5 * max(inc) and inc[-1] > tol * scale:
         return None
 
-    ratio = _uniform_ratio(schedule)
-    if ratio is not None:
-        diag = richardson_diagonal(v, ratio)
-    else:
-        diag = list(v)
-        while len(diag) >= 3 and len(diag) > len(v) - 6:
-            diag = list(aitken(diag))
-        diag = diag[-6:] if len(diag) > 6 else diag
-
-    # Near the float max the table overflows: a limit or an error that is
-    # not finite is never accepted.
-    best = None
-    for i in range(len(diag) - 1):
-        err = abs(diag[i + 1] - diag[i])
-        if math.isfinite(err) and (best is None or err < best[0]):
-            best = (err, diag[i + 1])
-    if best is None:
-        return None
-    err, limit = best
-    if err <= tol * max(1.0, abs(limit)):
+    # The table runs on the values over a power of two of their largest,
+    # exact in binary, so that r * I_n stays below the float max.  Limit
+    # and error are multiplied back before the test: its floor of 1 is in
+    # the sequence's own units.
+    unit = 2.0 ** (math.frexp(max(map(abs, v)))[1] - 1)
+    diag = richardson_diagonal([x / unit for x in v], schedule)
+    err, limit = math.inf, math.nan
+    for a, b in zip(diag, diag[1:]):
+        if abs(b - a) < err:
+            err, limit = abs(b - a), b
+    limit, err = limit * unit, err * unit
+    if math.isfinite(limit) and err <= tol * max(1.0, abs(limit)):
         return limit, err
     return None
 

@@ -382,7 +382,10 @@ def reduce_expr_integral(expr, weight=None, kernel=None,
 
 
 def _reduce_bound(bound, weight, lo, hi, schedule, tol):
-    """reduce_expr_integral of the atoms `bound` to their families (_bind)."""
+    """reduce_expr_integral of the atoms `bound` to their families (_bind):
+    the one reduction path.  An atom None is its family as it is, as
+    `reduce_integral` and `sift` pass it.  A rank whose total is not finite
+    is refused, and derivative kernels cap the schedule."""
     if weight is not None and not isinstance(weight, RealFunction):
         weight = RealFunction(weight)  # a bare callable: no derivative rule
     # Each atom's weight: its factor times the caller's.

@@ -269,21 +269,14 @@ def _accepted(coarse, fine, resabs):
                                    | (diff <= 50.0 * _EPS * resabs))
 
 
-def _rule_pair(values, w_coarse, w_fine, rows=1, scale=None, magnitude=None):
-    """Both fixed rules on `values`, each summed per row as a dot product
-    times that row's `scale` (default 1): lists of the fine rule's sums and
-    of whether each is `_accepted`, with the rounding floor taken from
-    |magnitude| (default: |values|).  A row is a panel where `values` is
-    laid out as _panel_rules lays out its nodes, or a row of a 2-D
-    `values`, each row all of the rules' nodes.  Call it under
-    np.errstate(all="ignore")."""
-    sums = _rule_sums(values, w_coarse, w_fine, rows, scale, magnitude)
-    return sums[1], [_accepted(*row) for row in zip(*sums)]
-
-
 def _rule_sums(values, w_coarse, w_fine, rows, scale=None, magnitude=None):
-    """_rule_pair's per-row sums: lists of the coarse rule's, the fine
-    rule's and the fine rule's on |magnitude|."""
+    """Both fixed rules on `values`, each summed per row as a dot product
+    times that row's `scale` (default 1): lists of the coarse rule's, the
+    fine rule's and the fine rule's on |magnitude| (default: |values|), the
+    three that `_accepted` takes.  A row is a panel where `values` is laid
+    out as _panel_rules lays out its nodes, or a row of a 2-D `values`,
+    each row all of the rules' nodes.  Call it under
+    np.errstate(all="ignore")."""
     m = w_coarse.size
     magnitude = values if magnitude is None else magnitude
     pairs = ((w_coarse, values[..., :m]), (w_fine, values[..., m:]),
@@ -314,9 +307,8 @@ def _u_rule(d, cuts, x, scale, weight, jac=None, anchor=None):
         values = magnitude = pj * wv[:, :u.size]
         if anchor is not None:
             values = pj * (wv[:, :u.size] - wv[:, -1:])
-        fine, ok = _rule_pair(values, w_coarse, w_fine, rows=len(x), scale=scale,
-                              magnitude=magnitude)
-    return [v if good else None for v, good in zip(fine, ok)]
+        coarse, fine, resabs = _rule_sums(values, w_coarse, w_fine, len(x), scale, magnitude)
+        return [v if _accepted(c, v, r) else None for c, v, r in zip(coarse, fine, resabs)]
 
 
 def _scale(n, k):
@@ -398,7 +390,8 @@ def _regions_integral(vf, n, weight, panels, inner=()):
     x, w_coarse, w_fine = _panel_rules(*np.array(panels).T)
     with np.errstate(all="ignore"):
         values = array_values(f, np.concatenate((x, inner)))
-        fine, accepted = _rule_pair(values[:x.size], w_coarse, w_fine, rows=len(panels))
+        coarse, fine, resabs = _rule_sums(values[:x.size], w_coarse, w_fine, len(panels))
+        accepted = [_accepted(*row) for row in zip(coarse, fine, resabs)]
     for t, v in zip(inner, values[x.size:].tolist()):
         if not math.isfinite(v):
             raise QuadratureError(f"at rank n={n}, the integrand is {v} at the cut x={t:g}",
@@ -460,10 +453,13 @@ def profile_integral(d, ranks, a, weight, ulo=-math.inf, uhi=math.inf):
 
 def reduce_integral(vf, lo=-math.inf, hi=math.inf, schedule=DEFAULT_SCHEDULE,
                     tol=1e-9, weight=None):
-    """Compute the rank sequence I_n and reduce it to an IntegralResult."""
-    schedule = list(schedule)
-    return reduce_sequence(
-        schedule, lambda ranks: integrate_rank(vf, lo, hi, ranks, weight=weight), tol)
+    """Compute the rank sequence I_n and reduce it to an IntegralResult, on
+    the one reduction path: vf is one bound atom of `rewrite._reduce_bound`,
+    which refuses a rank whose total is not finite, caps the schedule and
+    calls `reduce_sequence`."""
+    from .rewrite import _reduce_bound
+
+    return _reduce_bound([(1.0, None, None, vf, 0.0)], weight, lo, hi, schedule, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -472,14 +468,14 @@ def reduce_integral(vf, lo=-math.inf, hi=math.inf, schedule=DEFAULT_SCHEDULE,
 
 def sift(d, f, a=0.0, schedule=DEFAULT_SCHEDULE, tol=1e-9):
     """Reduce the integral of d_n(x - a) f(x) over the whole line; equals
-    f(a) for valid inputs.  `integrate_rank` takes a profile kernel in
-    u = n(x - a).
+    f(a) for valid inputs.  d shifted to a is one bound atom of
+    `rewrite._reduce_bound`, the path `reduce_integral` takes;
+    `integrate_rank` takes a profile kernel in u = n(x - a).
     """
-    a = float(a)
-    fn = f.fn if isinstance(f, RealFunction) else f
-    return reduce_sequence(
-        list(schedule),
-        lambda ranks: integrate_rank(d, -math.inf, math.inf, ranks, fn, a), tol)
+    from .rewrite import _reduce_bound
+
+    return _reduce_bound([(1.0, None, None, d, float(a))], f, -math.inf, math.inf,
+                         schedule, tol)
 
 
 def derivative_schedule(schedule, k):

@@ -149,9 +149,8 @@ def from_sequence(fn, tag=None):
     return VirtualNumber(fn, tag=tag)
 
 
-#: Magnitude below which `classify` calls a sequence small, and the margin
-#: below the schedule's step ratio that still counts as growth.
-_TOL_SMALL, _GROWTH_MARGIN = 1e-6, 0.5
+#: Magnitude below which `classify` calls a sequence small.
+_TOL_SMALL = 1e-6
 
 
 def classify(v, schedule=DEFAULT_SCHEDULE):
@@ -159,9 +158,10 @@ def classify(v, schedule=DEFAULT_SCHEDULE):
 
     Infinitesimal: |v| at the last probe is below _TOL_SMALL and the
     magnitude trend over the last 4 probes is non-increasing.  Infinite: the
-    magnitude multiplies by at least (schedule step ratio - _GROWTH_MARGIN)
-    on each of the last 4 steps.  FiniteAppreciable: the probes extrapolate
-    to a nonzero limit.  Anything else is Indeterminate.
+    magnitude multiplies by at least (1 + r) / 2 on each of the last 4
+    steps, r the step's rank ratio: halfway to r, so above 1 on every
+    schedule.  FiniteAppreciable: the probes extrapolate to a nonzero limit.
+    Anything else is Indeterminate.
     """
     schedule = list(schedule)
     if len(schedule) < 4 or any(b <= a for a, b in zip(schedule, schedule[1:])):
@@ -174,7 +174,7 @@ def classify(v, schedule=DEFAULT_SCHEDULE):
         return NumberClass.INFINITESIMAL
 
     step_ratios = [schedule[i + 1] / schedule[i] for i in range(len(schedule) - 1)]
-    growth_floor = [r - _GROWTH_MARGIN for r in step_ratios[-4:]]
+    growth_floor = [(1.0 + r) / 2.0 for r in step_ratios[-4:]]
     grew = [
         prev > 0 and cur / prev >= floor
         for prev, cur, floor in zip(mags[-5:-1], mags[-4:], growth_floor)

@@ -104,6 +104,14 @@ def test_sift_far_from_the_origin(name, a, request):
     assert all(v != 0.0 for _n, v in res.rank_values)
 
 
+def test_sift_reduces_near_the_float_max(bump):
+    # exp(709.7) ~ 1.655e308: Richardson's r * I_n overflows on the rank
+    # values as they are, not on the values over a power of two.
+    res = dc.sift(bump, np.exp, 709.7, schedule=derivative_schedule(DEFAULT_SCHEDULE, 1))
+    assert res.reduced
+    assert abs(res.value - math.exp(709.7)) <= 1e-12 * math.exp(709.7)
+
+
 def test_square_kernel_quadratic_sift_is_exact(square):
     # For f = x^2 + 5 the square-pulse rank integral has the closed form
     # I_n = 5 + 1/(3 n^2).
@@ -584,15 +592,15 @@ def test_check_dirac_of_a_mixture_contraction_makes_no_quad_call(operands, reque
     assert not quad_calls
 
 
-def test_rule_pair_sums_a_row_alone_as_among_others():
+def test_rule_sums_sum_a_row_alone_as_among_others():
     lo, hi = np.array([-1.0, 0.5, 2.0]), np.array([0.5, 2.0, 4.0])
     x, w_coarse, w_fine = vintegral._panel_rules(lo, hi)
-    fine, ok = vintegral._rule_pair(np.cos(x) * np.exp(x), w_coarse, w_fine, rows=3)
-    assert all(ok)
+    sums = vintegral._rule_sums(np.cos(x) * np.exp(x), w_coarse, w_fine, 3)
+    assert all(vintegral._accepted(*row) for row in zip(*sums))
     for i in range(3):
         xi, wc, wf = vintegral._panel_rules(lo[i:i + 1], hi[i:i + 1])
-        alone = vintegral._rule_pair(np.cos(xi) * np.exp(xi), wc, wf)
-        assert alone == ([fine[i]], [True])
+        alone = vintegral._rule_sums(np.cos(xi) * np.exp(xi), wc, wf, 1)
+        assert alone == [[column[i]] for column in sums]
 
 
 # -- rank batches -------------------------------------------------------------

@@ -70,6 +70,26 @@ def test_classify_finite_appreciable():
     assert classify(v) is NumberClass.FINITE_APPRECIABLE
 
 
+SLOW_SCHEDULES = [list(range(10, 100, 10)), [3 * k * k for k in range(2, 11)]]
+
+
+@pytest.mark.parametrize("sched", SLOW_SCHEDULES)
+@pytest.mark.parametrize("seq, expected", [
+    (lambda n: 2.0 + 1.0 / n, NumberClass.FINITE_APPRECIABLE),
+    (lambda n: float(n), NumberClass.INFINITE),
+    (lambda n: 1.0 / n, NumberClass.INFINITESIMAL),
+])
+def test_classify_on_schedules_with_step_ratios_under_1_5(sched, seq, expected):
+    # The growth floor (1 + r) / 2 stays above 1 however close to 1 the
+    # step ratio r is, so a bounded sequence is not read as infinite.
+    assert classify(from_sequence(seq), schedule=sched) is expected
+
+
+@pytest.mark.parametrize("sched", SLOW_SCHEDULES)
+def test_shadow_on_non_uniform_schedules(sched):
+    assert abs(shadow(from_sequence(lambda n: 2.0 + 1.0 / n), schedule=sched) - 2.0) < 1e-12
+
+
 def test_classify_alternating_is_indeterminate():
     # A power-of-two schedule would see (-1)^n as constant; probe on
     # consecutive ranks instead.
