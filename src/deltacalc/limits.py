@@ -56,6 +56,12 @@ def looks_divergent(values):
     return all(r >= 0.95 for r in ratios) and growing_mag and abs(v[-1]) > abs(v[-5])
 
 
+#: Error floor of a limit near the float max, in ulps of the limit: a rank
+#: value's rounding, which a ratio-2 table of depth <= 8 amplifies up to
+#: about 8-fold, and eps * |L| is up to 2 ulps of L.
+_NEAR_MAX_ULPS = 16
+
+
 def extract_limit(values, schedule, tol=1e-9):
     """Return (limit, error_estimate) or None if the sequence does not settle.
 
@@ -87,13 +93,21 @@ def extract_limit(values, schedule, tol=1e-9):
     # exact in binary, so that r * I_n stays below the float max.  Limit
     # and error are multiplied back before the test: its floor of 1 is in
     # the sequence's own units.
-    unit = 2.0 ** (math.frexp(max(map(abs, v)))[1] - 1)
+    big = max(map(abs, v))
+    unit = 2.0 ** (math.frexp(big)[1] - 1)
     diag = richardson_diagonal([x / unit for x in v], schedule)
     err, limit = math.inf, math.nan
     for a, b in zip(diag, diag[1:]):
         if abs(b - a) < err:
             err, limit = abs(b - a), b
     limit, err = limit * unit, err * unit
+    # Where the table on the values as they are could overflow (r * I_n -
+    # I_m past the float max), only the scaling gives an answer, and a
+    # diagonal that settles to its last bit there is no error bar: err is
+    # at least _NEAR_MAX_ULPS ulps of the limit.  Elsewhere err is the
+    # diagonal's own, which can read 0 at rounding level.
+    if not math.isfinite(big * (1.0 + schedule[-1] / schedule[0])):
+        err = max(err, _NEAR_MAX_ULPS * math.ulp(limit))
     if math.isfinite(limit) and err <= tol * max(1.0, abs(limit)):
         return limit, err
     return None

@@ -8,25 +8,22 @@ test functions.
 
 from __future__ import annotations
 
-import fractions
 import functools
 import math
-import operator
 from dataclasses import dataclass, replace
 
-from .errors import DeltaCalcError, ExpressionError, QuadratureError, RewriteError
+from .errors import DeltaCalcError, ExpressionError, RewriteError
 from .limits import DEFAULT_SCHEDULE
 # perfbench/tracer.py rebinds certify_hypotheses and find_simple_roots here.
 from .roots import WINDOW, certify_hypotheses, find_simple_roots, scan  # noqa: F401
 from .vfun import DiracKernel, RealFunction, VirtualFunction
-# perfbench/tracer.py rebinds integrate_rank here.
+# perfbench/tracer.py rebinds integrate_rank and reduce_sequence here.
 from .vintegral import (  # noqa: F401
-    by_parts,
+    _total,
     compose,
     convolve,
-    delta_integral,
-    derivative_schedule,
     integrate_rank,
+    reduce_bound,
     reduce_integral,
     reduce_sequence,
 )
@@ -160,19 +157,6 @@ def _kernel_of(atom, kernel):
     if kern is None:
         raise ExpressionError("delta term evaluated without a kernel binding")
     return kern
-
-
-def _total(values):
-    """Left-to-right sum; a single value is returned as it is.  Where only
-    a partial sum overflowed, the exact sum rounded once (or its sign's inf)."""
-    total = functools.reduce(operator.add, values)
-    if math.isfinite(total) or not all(map(math.isfinite, values)):
-        return total
-    exact = sum(map(fractions.Fraction, values))
-    try:
-        return float(exact)
-    except OverflowError:
-        return math.inf if exact > 0 else -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -378,43 +362,7 @@ def reduce_expr_integral(expr, weight=None, kernel=None,
                          schedule=DEFAULT_SCHEDULE, tol=1e-9, window=WINDOW):
     """Reduce the virtual integral of expr * weight over [lo, hi]; delta
     composites are scanned over `window`."""
-    return _reduce_bound(_bind(expr, kernel, window), weight, lo, hi, schedule, tol)
-
-
-def _reduce_bound(bound, weight, lo, hi, schedule, tol):
-    """reduce_expr_integral of the atoms `bound` to their families (_bind):
-    the one reduction path.  An atom None is its family as it is, as
-    `reduce_integral` and `sift` pass it.  A rank whose total is not finite
-    is refused, and derivative kernels cap the schedule."""
-    if weight is not None and not isinstance(weight, RealFunction):
-        weight = RealFunction(weight)  # a bare callable: no derivative rule
-    # Each atom's weight: its factor times the caller's.
-    atoms = [(c, weight if f is None else f if weight is None else f.times(weight),
-              getattr(atom, "order", 0), family, shift)
-             for c, f, atom, family, shift in bound]
-    # Only derivative kernels integrated as they are cap the schedule.
-    capped = max([k for _c, w, k, fam, _s in atoms if not by_parts(fam, k, w)], default=0)
-
-    def values_at(ranks):
-        try:
-            columns = [[c * v for v in ([0.0] * len(ranks) if family is None else
-                                        delta_integral(family, k, lo, hi, ranks, w, shift))]
-                       for c, w, k, family, shift in atoms]
-        except DeltaCalcError:
-            if len(ranks) == 1 or len(atoms) == 1:
-                raise
-            # Rank by rank, atom by atom: the first to fail names the error.
-            for n in ranks:
-                values_at((n,))
-            raise
-        totals = [_total(column) for column in zip(*columns)]
-        for n, total in zip(ranks, totals):
-            if not math.isfinite(total):
-                raise QuadratureError(f"at rank n={n}, the integral is not finite: "
-                                      f"{total}", rank=n)
-        return totals
-
-    return reduce_sequence(derivative_schedule(schedule, capped), values_at, tol)
+    return reduce_bound(_bind(expr, kernel, window), weight, lo, hi, schedule, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -491,10 +439,10 @@ def check_equivalence(lhs, rhs, kernel=None, battery=None, tol=1e-7,
     max_dev = 0.0
     for f in battery:
         try:
-            left = _reduce_bound(bound(0), f, -math.inf, math.inf, schedule, tol)
+            left = reduce_bound(bound(0), f, -math.inf, math.inf, schedule, tol)
             if not left.reduced:
                 return verdict("irreducible_side", side="lhs", witness=f.label)
-            right = _reduce_bound(bound(1), f, -math.inf, math.inf, schedule, tol)
+            right = reduce_bound(bound(1), f, -math.inf, math.inf, schedule, tol)
         except (ArithmeticError, DeltaCalcError):
             if points is None:
                 points = _delta_points(bound(0) + bound(1))

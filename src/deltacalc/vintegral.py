@@ -10,8 +10,10 @@ Undetermined.
 from __future__ import annotations
 
 import bisect
+import fractions
 import functools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -32,6 +34,7 @@ __all__ = [
     "IntegralResult",
     "integrate_rank",
     "profile_integral",
+    "reduce_bound",
     "reduce_integral",
     "sift",
     "sift_derivative",
@@ -106,6 +109,64 @@ def reduce_sequence(schedule, value_fn, tol):
         return IntegralResult("undetermined", rank_values=pairs)
     p, _r2, sign = fit
     return IntegralResult("irreducible", exponent=p, sign=sign, rank_values=pairs)
+
+
+def _total(values):
+    """Left-to-right sum; a single value is returned as it is.  Where only
+    a partial sum overflowed, the exact sum rounded once (or its sign's inf)."""
+    total = functools.reduce(operator.add, values)
+    if math.isfinite(total) or not all(map(math.isfinite, values)):
+        return total
+    exact = sum(map(fractions.Fraction, values))
+    try:
+        return float(exact)
+    except OverflowError:
+        return math.inf if exact > 0 else -math.inf
+
+
+def reduce_bound(bound, weight, lo, hi, schedule, tol):
+    """The one reduction path: reduce the integral over [lo, hi] of the sum,
+    over `bound`'s (c, factor, atom, family, shift), of c * factor * weight
+    times the rank family at `shift`, through `reduce_sequence`.  factor is
+    a RealFunction or None (1), weight a RealFunction, a bare callable (no
+    derivative rule) or None (1), and family None is 0.  Of atom (a
+    `rewrite` term, or None) only its `order` is read, 0 where it has none.
+    A rank whose total is not finite is refused.  An atom of order k >= 1
+    not integrated `by_parts` caps the schedule (`derivative_schedule`); at
+    order 0, as `reduce_integral` and `sift` pass, it is used as given."""
+    if weight is not None and not isinstance(weight, RealFunction):
+        weight = RealFunction(weight)  # a bare callable: no derivative rule
+    # Each atom's weight: its factor times the caller's.
+    atoms = [(c, weight if f is None else f if weight is None else f.times(weight),
+              getattr(atom, "order", 0), family, shift)
+             for c, f, atom, family, shift in bound]
+    # Only derivative kernels integrated as they are cap the schedule.
+    capped = max([k for _c, w, k, fam, _s in atoms if not by_parts(fam, k, w)], default=0)
+    return reduce_sequence(derivative_schedule(schedule, capped),
+                           functools.partial(_totals, atoms, lo, hi), tol)
+
+
+def _totals(atoms, lo, hi, ranks):
+    """`reduce_bound`'s I_n at `ranks`: the sum over its (c, weight, k,
+    family, shift) `atoms`.  A module function, not a closure that calls
+    itself, so that no reference cycle keeps the families alive."""
+    try:
+        columns = [[c * v for v in ([0.0] * len(ranks) if family is None else
+                                    delta_integral(family, k, lo, hi, ranks, w, shift))]
+                   for c, w, k, family, shift in atoms]
+    except DeltaCalcError:
+        if len(ranks) == 1 or len(atoms) == 1:
+            raise
+        # Rank by rank, atom by atom: the first to fail names the error.
+        for n in ranks:
+            _totals(atoms, lo, hi, (n,))
+        raise
+    totals = [_total(column) for column in zip(*columns)]
+    for n, total in zip(ranks, totals):
+        if not math.isfinite(total):
+            raise QuadratureError(f"at rank n={n}, the integral is not finite: "
+                                  f"{total}", rank=n)
+    return totals
 
 
 # ---------------------------------------------------------------------------
@@ -453,13 +514,10 @@ def profile_integral(d, ranks, a, weight, ulo=-math.inf, uhi=math.inf):
 
 def reduce_integral(vf, lo=-math.inf, hi=math.inf, schedule=DEFAULT_SCHEDULE,
                     tol=1e-9, weight=None):
-    """Compute the rank sequence I_n and reduce it to an IntegralResult, on
-    the one reduction path: vf is one bound atom of `rewrite._reduce_bound`,
-    which refuses a rank whose total is not finite, caps the schedule and
-    calls `reduce_sequence`."""
-    from .rewrite import _reduce_bound
-
-    return _reduce_bound([(1.0, None, None, vf, 0.0)], weight, lo, hi, schedule, tol)
+    """Compute the rank sequence I_n and reduce it to an IntegralResult:
+    vf is one atom of order 0 on `reduce_bound`, which refuses a rank whose
+    total is not finite and uses the schedule it is given."""
+    return reduce_bound([(1.0, None, None, vf, 0.0)], weight, lo, hi, schedule, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -468,14 +526,12 @@ def reduce_integral(vf, lo=-math.inf, hi=math.inf, schedule=DEFAULT_SCHEDULE,
 
 def sift(d, f, a=0.0, schedule=DEFAULT_SCHEDULE, tol=1e-9):
     """Reduce the integral of d_n(x - a) f(x) over the whole line; equals
-    f(a) for valid inputs.  d shifted to a is one bound atom of
-    `rewrite._reduce_bound`, the path `reduce_integral` takes;
-    `integrate_rank` takes a profile kernel in u = n(x - a).
+    f(a) for valid inputs.  d shifted to a is one atom of order 0 on
+    `reduce_bound`, as in `reduce_integral`; `integrate_rank` takes a
+    profile kernel in u = n(x - a).
     """
-    from .rewrite import _reduce_bound
-
-    return _reduce_bound([(1.0, None, None, d, float(a))], f, -math.inf, math.inf,
-                         schedule, tol)
+    return reduce_bound([(1.0, None, None, d, float(a))], f, -math.inf, math.inf,
+                        schedule, tol)
 
 
 def derivative_schedule(schedule, k):

@@ -27,7 +27,7 @@ from deltacalc.rewrite import (
     simplify,
     standard_battery,
 )
-from deltacalc.rewrite import _total
+from deltacalc.vintegral import _total
 from deltacalc.roots import certify_hypotheses, find_simple_roots
 from deltacalc.vfun import C_INF, RealFunction, const_function
 from deltacalc.vintegral import derivative_schedule
@@ -396,7 +396,7 @@ def test_deviation_that_is_not_a_number_is_decisive(bump, monkeypatch):
     from deltacalc import rewrite
     from deltacalc.vintegral import IntegralResult
 
-    monkeypatch.setattr(rewrite, "_reduce_bound",
+    monkeypatch.setattr(rewrite, "reduce_bound",
                         lambda *a, **k: IntegralResult("reduced", value=math.inf))
     verdict = check_equivalence(DeltaTerm(), DeltaTerm(), kernel=bump,
                                 battery=[const_function(1.0, label="1")])

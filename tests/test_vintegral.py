@@ -1,4 +1,5 @@
 import functools
+import gc
 import io
 import json
 import math
@@ -9,7 +10,7 @@ import pytest
 import deltacalc as dc
 from deltacalc.cli import run_command
 from deltacalc.errors import DeltaCalcError, SmoothnessError
-from deltacalc.exprlang import parse, to_real_function
+from deltacalc.exprlang import parse, parse_expression, to_real_function
 from deltacalc.limits import DEFAULT_SCHEDULE
 from deltacalc.vfun import C_INF, RealFunction
 from deltacalc.vintegral import (
@@ -110,6 +111,31 @@ def test_sift_reduces_near_the_float_max(bump):
     res = dc.sift(bump, np.exp, 709.7, schedule=derivative_schedule(DEFAULT_SCHEDULE, 1))
     assert res.reduced
     assert abs(res.value - math.exp(709.7)) <= 1e-12 * math.exp(709.7)
+
+
+@pytest.mark.parametrize("a", [706.5, 709.0, 709.3, 709.7])
+def test_limit_near_the_float_max_lies_within_its_error(bump, a):
+    # Where the table on the values as they are could overflow, the limit
+    # carries the ranks' rounding (a few ulps here): err is not 0.
+    res = dc.sift(bump, np.exp, a)
+    assert res.reduced
+    assert abs(res.value - math.exp(a)) <= res.error_estimate <= 1e-14 * math.exp(a)
+
+
+@pytest.mark.parametrize("text", ["cos(x)*delta(x-0.3)", "x*delta(x^2-4)",
+                                  "delta(x)+exp(-x^2)"])
+def test_reduction_leaves_no_reference_cycle(bump, text):
+    # A cycle would keep each rank family (a composite with its cached
+    # regions) alive until the cyclic collector runs.
+    expr = parse_expression(text)
+    dc.reduce_expr_integral(expr, kernel=bump)  # first-use caches
+    gc.collect()
+    gc.disable()
+    try:
+        dc.reduce_expr_integral(expr, kernel=bump)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_square_kernel_quadratic_sift_is_exact(square):
