@@ -1,8 +1,10 @@
-"""Limit extraction and divergence-rate estimation for rank-indexed sequences.
-
-Every standard part comes from one Richardson table against the error
-model sum_k c_k / n^k, on the schedule's own rank ratios, so geometric
-(n = 2^k) and non-uniform schedules are extrapolated alike.
+"""Limit extraction and divergence rates of rank-indexed sequences, by one
+rule: the observed order of a column's increments, the alpha at which they
+shrink as those of n^-alpha do (Roache, 1998; Richardson's own check on his
+deferred approach to the limit).  A limit comes from the levels of one
+Richardson table against I_n = L + sum_k c_k / n^k whose columns show the
+orders it predicts; a raw sequence whose order settles below 0 diverges
+like n^-alpha; anything else, log growth among it, is undetermined.
 """
 
 from __future__ import annotations
@@ -10,84 +12,95 @@ from __future__ import annotations
 import math
 import operator
 
-import numpy as np
-
 #: Default probe schedule: n = 2^k for k = 4..20.
 DEFAULT_SCHEDULE = tuple(2**k for k in range(4, 21))
 
+#: How far an observed order may read below the model's, and how far the
+#: orders that settle a divergence may spread and must lie below 0.
+_SLACK = 0.25
 
-def richardson_diagonal(values, ranks):
-    """Diagonal of the Richardson table for I_n = L + sum_k c_k / n^k on
-    distinct `ranks`: level m eliminates 1/n^m, each entry by its own ratio
-    r = n_{i+m} / n_i (Neville's form).  On ratio-2 ranks r is exactly 2^m."""
+#: Rounding level, in ulps of a sequence's largest magnitude: a value's
+#: rounding, amplified up to about 8-fold by a ratio-2 table of depth <= 8,
+#: and eps * |L|, up to 2 ulps.  An increment within it has settled.
+_ROUNDING_ULPS = 16
+
+
+def richardson_table(values, ranks):
+    """Columns of the Richardson table on distinct `ranks`: column m
+    eliminates 1/n^m, each entry by its own ratio r = n_{i+m} / n_i
+    (Neville's form).  On ratio-2 ranks r is exactly 2^m."""
     level = list(values)
-    diag = [level[-1]]
-    depth = min(len(values) - 1, 8)
-    for m in range(1, depth + 1):
+    columns = [level]
+    for m in range(1, min(len(values) - 1, 8) + 1):
         level = [((r := q / p) * b - a) / (r - 1.0)
                  for a, b, p, q in zip(level, level[1:], ranks, ranks[m:])]
-        diag.append(level[-1])
-    return diag
+        columns.append(level)
+    return columns
 
 
-def _increments(v):
-    """|v[i+1] - v[i]| for a list of floats.  Sequences here have a few
-    dozen terms at most: on floats, numpy calls would cost more than the
-    arithmetic."""
-    return [abs(b - a) for a, b in zip(v, v[1:])]
+def _order(ratio, h1, h2):
+    """The alpha at which n^-alpha has successive increments in `ratio` on
+    ranks log-spaced by h1 then h2: the root of g = log(expm1(alpha h1) /
+    -expm1(-alpha h2) / ratio), whose slope moves monotonically from h2 to
+    h1.  So past the first, Newton steps from log(ratio) / h1, the root on
+    geometric ranks (h1 == h2), go one way until rounding stops them."""
+    target = math.log(ratio)
+    if h1 == h2:
+        return target / h1
+
+    def step(alpha):
+        # m_i = 1 - e^(-|alpha| h_i) lies in [0, 1]: nothing overflows.
+        m1, m2 = -math.expm1(-abs(alpha) * h1), -math.expm1(-abs(alpha) * h2)
+        if not m1 * m2:  # alpha is 0 to rounding
+            return (math.log(h1 / h2) - target) * 2.0 / (h1 + h2)
+        d = h1 / m1 - h1 - h2 / m2 + h2
+        h, slope = (h1, h1 + d) if alpha > 0.0 else (h2, h2 - d)
+        return (alpha * h - target + math.log(m1 / m2)) / slope
+
+    alpha = target / h1
+    alpha -= step(alpha)
+    first = s = step(alpha)
+    while s and (s > 0.0) == (first > 0.0) and alpha - s != alpha:
+        alpha -= s
+        s = step(alpha)
+    return alpha
 
 
-def looks_divergent(values):
-    """Heuristic growth check applied before any extrapolation.
-
-    Richardson extrapolation happily resums geometric divergence (e.g.
-    1 + 6n on a ratio-2 schedule extrapolates to 1), so growing sequences
-    must be caught on the raw values.
-    """
-    v = [float(x) for x in values]
-    if len(v) < 5:
-        return False
-    tail = v[-5:]
-    inc = _increments(tail)
-    if 0.0 in inc:
-        return False
-    ratios = [b / a for a, b in zip(inc, inc[1:])]
-    growing_mag = all(abs(b) >= abs(a) for a, b in zip(tail, tail[1:]))
-    return all(r >= 0.95 for r in ratios) and growing_mag and abs(v[-1]) > abs(v[-5])
-
-
-#: Error floor of a limit near the float max, in ulps of the limit: a rank
-#: value's rounding, which a ratio-2 table of depth <= 8 amplifies up to
-#: about 8-fold, and eps * |L| is up to 2 ulps of L.
-_NEAR_MAX_ULPS = 16
+def _orders(column, ranks, m, floor, count):
+    """Orders of the last `count` pairs of increments of column m, whose
+    entry i stands for the geometric mean of ranks i..i+m: inf where the
+    later is within `floor` (settled), -inf where the pair has no order."""
+    out = []
+    for i in range(max(len(column) - 2 - count, 0), len(column) - 2):
+        d0, d1 = column[i + 1] - column[i], column[i + 2] - column[i + 1]
+        out.append(math.inf if abs(d1) <= floor else
+                   -math.inf if abs(d0) <= floor or (d0 > 0.0) != (d1 > 0.0) else
+                   _order(d0 / d1, math.log(ranks[i + m + 1] / ranks[i]) / (m + 1),
+                          math.log(ranks[i + m + 2] / ranks[i + 1]) / (m + 1)))
+    return out
 
 
 def extract_limit(values, schedule, tol=1e-9):
-    """Return (limit, error_estimate) or None if the sequence does not settle.
+    """(limit, error) of `values` on strictly increasing ranks, or None.
 
-    `schedule` holds the strictly increasing ranks of `values`.  Acceptance
-    rule: two successive entries of the Richardson diagonal (or raw values)
-    agree within tol relative to max(1, |limit|).
+    The raw values serve where their last two increments are within tol
+    relative to max(1, |limit|).  Else level m of the Richardson table
+    counts while its column shows orders of at least m + 1 - _SLACK on its
+    last three increments.  The limit is the later of the two successive
+    diagonal entries that agree best, up to the levels too short to show
+    an order; the error, within tol, is the tail of the deepest counting
+    level's increments at that order, or their best agreement once settled.
     """
     if not all(map(operator.lt, schedule, schedule[1:])):
         raise ValueError(f"ranks must be strictly increasing, got {list(schedule)}")
     v = [float(x) for x in values]
-    if len(v) < 3:
+    if len(v) < 3 or not all(map(math.isfinite, v)):
         return None
-    if not all(math.isfinite(x) for x in v):
-        return None
-    scale = max(1.0, abs(v[-1]))
     # Raw stabilization first: avoids Richardson noise amplification on
     # sequences that are already converged to rounding level.
-    if abs(v[-1] - v[-2]) <= tol * scale and abs(v[-2] - v[-3]) <= tol * scale:
-        return v[-1], max(abs(v[-1] - v[-2]), abs(v[-2] - v[-3]))
-    if looks_divergent(v):
-        return None
-    # Acceleration can also resum bounded oscillation, so require the raw
-    # increments to be dying before extrapolating.
-    inc = _increments(v)
-    if max(inc) > 0.0 and inc[-1] > 0.5 * max(inc) and inc[-1] > tol * scale:
-        return None
+    raw = max(abs(v[-1] - v[-2]), abs(v[-2] - v[-3]))
+    if raw <= tol * max(1.0, abs(v[-1])):
+        return v[-1], raw
 
     # The table runs on the values over a power of two of their largest,
     # exact in binary, so that r * I_n stays below the float max.  Limit
@@ -95,47 +108,48 @@ def extract_limit(values, schedule, tol=1e-9):
     # the sequence's own units.
     big = max(map(abs, v))
     unit = 2.0 ** (math.frexp(big)[1] - 1)
-    diag = richardson_diagonal([x / unit for x in v], schedule)
-    err, limit = math.inf, math.nan
-    for a, b in zip(diag, diag[1:]):
-        if abs(b - a) < err:
-            err, limit = abs(b - a), b
+    columns = richardson_table([x / unit for x in v], schedule)
+    floor = _ROUNDING_ULPS * math.ulp(big / unit)
+    deepest = depth = -1  # the deepest level that counts; depth adds those too short
+    for m, column in enumerate(columns):
+        orders = _orders(column, schedule, m, floor, 2)
+        if orders and min(orders) < m + 1 - _SLACK:
+            break
+        depth, deepest = m, m if orders else deepest
+    if deepest < 0:
+        return None
+    # Increments that shrink at order m + 1 - _SLACK or faster sum to at
+    # most the last over (r^(m + 1 - _SLACK) - 1): Richardson's estimate.
+    last = columns[deepest]
+    inc = abs(last[-1] - last[-2])
+    h = math.log(schedule[-1] / schedule[-deepest - 2]) / (deepest + 1)
+    bound = inc / math.expm1((deepest + 1 - _SLACK) * h)
+    err, limit = min([(abs(b[-1] - a[-1]), b[-1])
+                      for a, b in zip(columns, columns[1:depth + 1])] + [(bound, last[-1])],
+                     key=operator.itemgetter(0))
+    if inc > floor:  # else settled at rounding level, where err can read 0
+        err = bound
     limit, err = limit * unit, err * unit
     # Where the table on the values as they are could overflow (r * I_n -
     # I_m past the float max), only the scaling gives an answer, and a
     # diagonal that settles to its last bit there is no error bar: err is
-    # at least _NEAR_MAX_ULPS ulps of the limit.  Elsewhere err is the
-    # diagonal's own, which can read 0 at rounding level.
+    # at least _ROUNDING_ULPS ulps of the limit.
     if not math.isfinite(big * (1.0 + schedule[-1] / schedule[0])):
-        err = max(err, _NEAR_MAX_ULPS * math.ulp(limit))
+        err = max(err, _ROUNDING_ULPS * math.ulp(limit))
     if math.isfinite(limit) and err <= tol * max(1.0, abs(limit)):
         return limit, err
     return None
 
 
-#: Probes in the power-law fit, and the R^2 and exponent it must exceed.
-_FIT_TAIL, _FIT_R2_MIN, _FIT_P_MIN = 8, 0.99, 0.05
-
-
 def power_law_exponent(schedule, values):
-    """Fit |I_n| ~ C n^p on the last _FIT_TAIL probes by log-log regression.
-
-    Returns (p, r_squared, sign) when the fit certifies power-law growth
-    (R^2 above _FIT_R2_MIN, p above _FIT_P_MIN), otherwise None.
-    """
-    ns = np.asarray(schedule, dtype=float)[-_FIT_TAIL:]
-    vs = np.asarray(values, dtype=float)[-_FIT_TAIL:]
-    if len(ns) < 4 or np.any(~np.isfinite(vs)) or np.any(np.abs(vs) == 0.0):
+    """(p, sign) where the raw sequence diverges like sign * n^p: the
+    orders of its last four increments lie within _SLACK of one another,
+    and the last, -p, at least _SLACK below 0.  Otherwise None."""
+    v = [float(x) for x in values]
+    if len(v) < 5 or not all(map(math.isfinite, v)):
         return None
-    x = np.log(ns)
-    y = np.log(np.abs(vs))
-    p, b = np.polyfit(x, y, 1)
-    fit = p * x + b
-    ss_res = float(np.sum((y - fit) ** 2))
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    if ss_tot == 0.0:
-        return None
-    r2 = 1.0 - ss_res / ss_tot
-    if r2 > _FIT_R2_MIN and p > _FIT_P_MIN:
-        return float(p), r2, 1.0 if vs[-1] > 0 else -1.0
+    orders = _orders(v, schedule, 0, _ROUNDING_ULPS * math.ulp(max(map(abs, v))), 3)
+    if all(map(math.isfinite, orders)) and max(orders) - min(orders) <= _SLACK \
+            and orders[-1] <= -_SLACK:
+        return -orders[-1], 1.0 if v[-1] > 0 else -1.0
     return None

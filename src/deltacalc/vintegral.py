@@ -2,9 +2,9 @@
 
 Virtual integrals are realized per rank (bounds are floats; in
 `integrate_rank` alone an infinite bound becomes shift -/+ n), the rank
-sequence I_n is recorded, and the result is either a real limit
-("reduced"), a certified power-law divergence ("irreducible"), or
-Undetermined.
+sequence I_n is recorded, and the observed order of its increments
+(`limits`) makes the result a real limit ("reduced"), a divergence like
+n^p ("irreducible"), or Undetermined.
 """
 
 from __future__ import annotations
@@ -89,9 +89,9 @@ def reduce_sequence(schedule, value_fn, tol):
     call gets the first _MIN_PROBES ranks, which are always taken, since
     `extract_limit` is not consulted before them; each later call gets one
     rank.  Once the probes agree under extrapolation the remaining
-    (costlier, higher-rank) quadratures are skipped; divergent-looking
-    prefixes always run the full schedule so the power-law certification
-    sees every probe.
+    (costlier, higher-rank) quadratures are skipped, and a later rank that
+    quadrature refuses ends the schedule; else `power_law_exponent` tells
+    an irreducible sequence from an undetermined one.
     """
     values = list(value_fn(tuple(schedule[:_MIN_PROBES])))
     while True:
@@ -102,13 +102,15 @@ def reduce_sequence(schedule, value_fn, tol):
                                   rank_values=tuple(zip(schedule, values)))
         if len(values) == len(schedule):
             break
-        values.extend(value_fn((schedule[len(values)],)))
+        try:
+            values.extend(value_fn((schedule[len(values)],)))
+        except QuadratureError:
+            break
     pairs = tuple(zip(schedule, values))
     fit = power_law_exponent(schedule, values)
     if fit is None:
         return IntegralResult("undetermined", rank_values=pairs)
-    p, _r2, sign = fit
-    return IntegralResult("irreducible", exponent=p, sign=sign, rank_values=pairs)
+    return IntegralResult("irreducible", exponent=fit[0], sign=fit[1], rank_values=pairs)
 
 
 def _total(values):

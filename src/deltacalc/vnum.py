@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import RankEvaluationError
-from .limits import DEFAULT_SCHEDULE, extract_limit
+from .limits import DEFAULT_SCHEDULE, extract_limit, power_law_exponent
 
 __all__ = [
     "VirtualNumber",
@@ -154,41 +154,24 @@ _TOL_SMALL = 1e-6
 
 
 def classify(v, schedule=DEFAULT_SCHEDULE):
-    """Classify a virtual number by probing its sequence.
-
-    Infinitesimal: |v| at the last probe is below _TOL_SMALL and the
-    magnitude trend over the last 4 probes is non-increasing.  Infinite: the
-    magnitude multiplies by at least (1 + r) / 2 on each of the last 4
-    steps, r the step's rank ratio: halfway to r, so above 1 on every
-    schedule.  FiniteAppreciable: the probes extrapolate to a nonzero limit.
-    Anything else is Indeterminate.
+    """Classify a virtual number by the rule `reduce_sequence` reads an
+    integral's ranks by.  FiniteAppreciable: the probes extrapolate to a
+    limit of at least _TOL_SMALL.  Infinitesimal: to a smaller one, with
+    magnitudes non-increasing over the last 4 probes.  Infinite: the
+    sequence diverges like a power of n (`power_law_exponent`).  Anything
+    else is Indeterminate.  Ranks that do not increase are refused.
     """
     schedule = list(schedule)
-    if len(schedule) < 4 or any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must contain >= 4 strictly increasing ranks")
     vals = v.values(schedule)
-    mags = [abs(x) for x in vals]
-
-    tail = mags[-4:]
-    if mags[-1] < _TOL_SMALL and all(b <= a for a, b in zip(tail, tail[1:])):
-        return NumberClass.INFINITESIMAL
-
-    step_ratios = [schedule[i + 1] / schedule[i] for i in range(len(schedule) - 1)]
-    growth_floor = [(1.0 + r) / 2.0 for r in step_ratios[-4:]]
-    grew = [
-        prev > 0 and cur / prev >= floor
-        for prev, cur, floor in zip(mags[-5:-1], mags[-4:], growth_floor)
-    ]
-    if len(grew) == 4 and all(grew) and mags[-1] > 1.0:
-        return NumberClass.INFINITE
-
     limit = extract_limit(vals, schedule, tol=max(_TOL_SMALL * 1e-3, 1e-12))
-    if limit is not None and abs(limit[0]) >= _TOL_SMALL:
+    if limit is None:
+        diverges = power_law_exponent(schedule, vals) is not None
+        return NumberClass.INFINITE if diverges else NumberClass.INDETERMINATE
+    if abs(limit[0]) >= _TOL_SMALL:
         return NumberClass.FINITE_APPRECIABLE
-    if limit is not None and abs(limit[0]) < _TOL_SMALL and \
-            all(b <= a for a, b in zip(tail, tail[1:])):
-        return NumberClass.INFINITESIMAL
-    return NumberClass.INDETERMINATE
+    tail = [abs(x) for x in vals[-4:]]
+    shrinking = all(b <= a for a, b in zip(tail, tail[1:]))
+    return NumberClass.INFINITESIMAL if shrinking else NumberClass.INDETERMINATE
 
 
 def shadow(v, schedule=DEFAULT_SCHEDULE, tol=1e-9):

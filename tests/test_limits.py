@@ -1,17 +1,17 @@
 import math
 
-import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from deltacalc.limits import (
     DEFAULT_SCHEDULE,
     extract_limit,
-    looks_divergent,
     power_law_exponent,
-    richardson_diagonal,
+    richardson_table,
 )
+
+
+def richardson_diagonal(values, ranks):
+    return [column[-1] for column in richardson_table(values, ranks)]
 
 
 def test_schedules():
@@ -89,10 +89,9 @@ def test_ranks_that_do_not_increase_are_refused(sched):
 
 def test_divergent_is_not_resummed():
     # Richardson on 1 + 6n with ratio 2 would "converge" to 1; the raw
-    # growth check must block that.
+    # values' observed order, -1, must block that.
     sched = list(DEFAULT_SCHEDULE)
     vals = [1.0 + 6.0 * n for n in sched]
-    assert looks_divergent(vals)
     assert extract_limit(vals, sched, tol=1e-9) is None
 
 
@@ -114,9 +113,8 @@ def test_power_law_fit():
     vals = [2.0 * math.sqrt(n) for n in sched]
     fit = power_law_exponent(sched, vals)
     assert fit is not None
-    p, r2, sign = fit
+    p, sign = fit
     assert abs(p - 0.5) < 1e-6
-    assert r2 > 0.999
     assert sign == 1.0
 
 
@@ -131,7 +129,7 @@ def test_power_law_negative_sign():
     vals = [-3.0 * n for n in sched]
     fit = power_law_exponent(sched, vals)
     assert fit is not None
-    assert fit[2] == -1.0
+    assert fit[1] == -1.0
 
 
 def test_overflowing_table_gives_no_infinite_limit():
@@ -145,26 +143,3 @@ def test_overflowing_table_gives_no_infinite_limit():
     limit, err = extract_limit(vals, sched, tol=1e-9)
     assert math.isfinite(err)
     assert abs(limit - limit_true) <= 1e-12 * limit_true
-
-
-def _looks_divergent_on_arrays(values):
-    # The same growth check in numpy, as a reference for the float loop.
-    v = np.asarray(values, dtype=float)
-    if len(v) < 5:
-        return False
-    tail = v[-5:]
-    # Increments of floats near the ends of the range overflow to inf; the
-    # comparisons below take inf and nan as they are.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        inc = np.abs(np.diff(tail))
-        if np.any(inc == 0.0):
-            return False
-        ratios = inc[1:] / inc[:-1]
-    growing_mag = np.all(np.abs(tail[1:]) >= np.abs(tail[:-1]))
-    return bool(np.all(ratios >= 0.95) and growing_mag and abs(v[-1]) > abs(v[-5]))
-
-
-@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
-                          st.sampled_from([0.0, 1.0, -1.0, 2.0])), max_size=12))
-def test_growth_check_matches_its_array_form(values):
-    assert looks_divergent(values) == _looks_divergent_on_arrays(values)

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltacalc.errors import RankEvaluationError
+from deltacalc.vintegral import reduce_sequence
 from deltacalc.vnum import (
+    DEFAULT_SCHEDULE,
     NumberClass,
     VirtualNumber,
     classify,
@@ -80,8 +82,8 @@ SLOW_SCHEDULES = [list(range(10, 100, 10)), [3 * k * k for k in range(2, 11)]]
     (lambda n: 1.0 / n, NumberClass.INFINITESIMAL),
 ])
 def test_classify_on_schedules_with_step_ratios_under_1_5(sched, seq, expected):
-    # The growth floor (1 + r) / 2 stays above 1 however close to 1 the
-    # step ratio r is, so a bounded sequence is not read as infinite.
+    # The observed order solves for each step's own rank ratio, however
+    # close to 1, so a bounded sequence is not read as infinite.
     assert classify(from_sequence(seq), schedule=sched) is expected
 
 
@@ -153,3 +155,26 @@ def test_rank_must_be_positive_integer():
         partial().value_at(0)
     with pytest.raises(ValueError):
         partial().value_at(2.5)
+
+
+#: The three schedules of `test_classify_and_reduce_sequence_agree`.
+AGREEMENT_SCHEDULES = [list(DEFAULT_SCHEDULE), list(range(10, 100, 10)),
+                       [3 * k * k for k in range(2, 11)]]
+
+#: The class each verdict of `reduce_sequence` must come with.
+VERDICT_CLASSES = {
+    "irreducible": {NumberClass.INFINITE},
+    "reduced": {NumberClass.FINITE_APPRECIABLE, NumberClass.INFINITESIMAL},
+    "undetermined": {NumberClass.INDETERMINATE},
+}
+
+
+@pytest.mark.parametrize("sched", AGREEMENT_SCHEDULES, ids=["2^k", "10..90", "3k^2"])
+@pytest.mark.parametrize("seq", [
+    lambda n: n**0.3, lambda n: n**0.5, math.log, lambda n: 2.0 + 1.0 / n,
+    lambda n: 1.0 / math.sqrt(n)], ids=["n^0.3", "n^0.5", "log n", "2+1/n", "1/sqrt(n)"])
+def test_classify_and_reduce_sequence_agree(seq, sched):
+    # A virtual number and an integral's ranks are read by one rule: the
+    # paper's three classes and the engine's three verdicts agree.
+    res = reduce_sequence(sched, lambda ranks: [seq(n) for n in ranks], tol=1e-9)
+    assert classify(from_sequence(seq), schedule=sched) in VERDICT_CLASSES[res.kind], res
