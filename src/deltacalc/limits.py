@@ -20,8 +20,7 @@ DEFAULT_SCHEDULE = tuple(2**k for k in range(4, 21))
 _SLACK = 0.25
 
 #: Rounding level, in ulps of a sequence's largest magnitude: a value's
-#: rounding, amplified up to about 8-fold by a ratio-2 table of depth <= 8,
-#: and eps * |L|, up to 2 ulps.  An increment within it has settled.
+#: rounding, amplified up to 8-fold by a ratio-2 table, and eps * |L|.
 _ROUNDING_ULPS = 16
 
 
@@ -80,16 +79,19 @@ def _orders(column, ranks, m, floor, count):
     return out
 
 
-def extract_limit(values, schedule, tol=1e-9):
+def extract_limit(values, schedule, tol=1e-9, noise=0.0):
     """(limit, error) of `values` on strictly increasing ranks, or None.
 
     The raw values serve where their last two increments are within tol
     relative to max(1, |limit|).  Else level m of the Richardson table
-    counts while its column shows orders of at least m + 1 - _SLACK on its
-    last three increments.  The limit is the later of the two successive
-    diagonal entries that agree best, up to the levels too short to show
-    an order; the error, within tol, is the tail of the deepest counting
-    level's increments at that order, or their best agreement once settled.
+    counts while its last three increments show orders of at least
+    m + 1 - _SLACK or have settled: within `noise` (the values' relative
+    accuracy, as quadrature's target) or _ROUNDING_ULPS ulps of max|I_n|.
+    The limit is the later of the two diagonal entries that agree best, up
+    to the levels too short to show an order (a 3-entry column shows one).
+    The error, within tol, is the deepest counting level's tail bound plus
+    the limit's distance from it; once settled, the best agreement, but at
+    least that level's last increment.
     """
     if not all(map(operator.lt, schedule, schedule[1:])):
         raise ValueError(f"ranks must be strictly increasing, got {list(schedule)}")
@@ -109,7 +111,7 @@ def extract_limit(values, schedule, tol=1e-9):
     big = max(map(abs, v))
     unit = 2.0 ** (math.frexp(big)[1] - 1)
     columns = richardson_table([x / unit for x in v], schedule)
-    floor = _ROUNDING_ULPS * math.ulp(big / unit)
+    floor = max(_ROUNDING_ULPS * math.ulp(big / unit), noise * big / unit)
     deepest = depth = -1  # the deepest level that counts; depth adds those too short
     for m, column in enumerate(columns):
         orders = _orders(column, schedule, m, floor, 2)
@@ -127,8 +129,7 @@ def extract_limit(values, schedule, tol=1e-9):
     err, limit = min([(abs(b[-1] - a[-1]), b[-1])
                       for a, b in zip(columns, columns[1:depth + 1])] + [(bound, last[-1])],
                      key=operator.itemgetter(0))
-    if inc > floor:  # else settled at rounding level, where err can read 0
-        err = bound
+    err = max(err, inc) if inc <= floor else bound + abs(limit - last[-1])
     limit, err = limit * unit, err * unit
     # Where the table on the values as they are could overflow (r * I_n -
     # I_m past the float max), only the scaling gives an answer, and a

@@ -88,24 +88,20 @@ def reduce_sequence(schedule, value_fn, tol):
     `value_fn` takes a tuple of ranks and returns their I_n.  Its first
     call gets the first _MIN_PROBES ranks, which are always taken, since
     `extract_limit` is not consulted before them; each later call gets one
-    rank.  Once the probes agree under extrapolation the remaining
-    (costlier, higher-rank) quadratures are skipped, and a later rank that
-    quadrature refuses ends the schedule; else `power_law_exponent` tells
-    an irreducible sequence from an undetermined one.
+    rank.  Once the probes agree under extrapolation (to quadrature's
+    relative target) the remaining (costlier, higher-rank) quadratures are
+    skipped; else `power_law_exponent` tells irreducible from undetermined.
     """
     values = list(value_fn(tuple(schedule[:_MIN_PROBES])))
     while True:
-        lim = extract_limit(values, schedule[:len(values)], tol=tol)
+        lim = extract_limit(values, schedule[:len(values)], tol, _QUAD_OPTS["epsrel"])
         if lim is not None:
             return IntegralResult("reduced", value=float(lim[0]),
                                   error_estimate=float(lim[1]),
                                   rank_values=tuple(zip(schedule, values)))
         if len(values) == len(schedule):
             break
-        try:
-            values.extend(value_fn((schedule[len(values)],)))
-        except QuadratureError:
-            break
+        values.extend(value_fn((schedule[len(values)],)))
     pairs = tuple(zip(schedule, values))
     fit = power_law_exponent(schedule, values)
     if fit is None:

@@ -156,22 +156,24 @@ _TOL_SMALL = 1e-6
 def classify(v, schedule=DEFAULT_SCHEDULE):
     """Classify a virtual number by the rule `reduce_sequence` reads an
     integral's ranks by.  FiniteAppreciable: the probes extrapolate to a
-    limit of at least _TOL_SMALL.  Infinitesimal: to a smaller one, with
-    magnitudes non-increasing over the last 4 probes.  Infinite: the
-    sequence diverges like a power of n (`power_law_exponent`).  Anything
-    else is Indeterminate.  Ranks that do not increase are refused.
+    limit of at least _TOL_SMALL.  Infinitesimal: magnitudes non-increasing
+    over the last 4 probes, with a smaller limit or, where a decay slower
+    than the table's orders (1e-3/sqrt(n)) shows none, a last probe below
+    _TOL_SMALL.  Infinite: it diverges like a power of n.  Anything else is
+    Indeterminate.  Ranks that do not increase are refused.
     """
     schedule = list(schedule)
     vals = v.values(schedule)
     limit = extract_limit(vals, schedule, tol=max(_TOL_SMALL * 1e-3, 1e-12))
-    if limit is None:
-        diverges = power_law_exponent(schedule, vals) is not None
-        return NumberClass.INFINITE if diverges else NumberClass.INDETERMINATE
-    if abs(limit[0]) >= _TOL_SMALL:
+    if limit is not None and abs(limit[0]) >= _TOL_SMALL:
         return NumberClass.FINITE_APPRECIABLE
     tail = [abs(x) for x in vals[-4:]]
-    shrinking = all(b <= a for a, b in zip(tail, tail[1:]))
-    return NumberClass.INFINITESIMAL if shrinking else NumberClass.INDETERMINATE
+    if all(b <= a for a, b in zip(tail, tail[1:])) and \
+            (limit is not None or tail[-1] < _TOL_SMALL):
+        return NumberClass.INFINITESIMAL
+    if limit is None and power_law_exponent(schedule, vals) is not None:
+        return NumberClass.INFINITE
+    return NumberClass.INDETERMINATE
 
 
 def shadow(v, schedule=DEFAULT_SCHEDULE, tol=1e-9):

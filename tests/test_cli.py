@@ -695,6 +695,9 @@ def test_odd_smooth_summand_cancels_pair_by_pair():
 
 def test_oscillating_tail_is_within_err_or_not_reduced():
     status, out, err = run(["integrate", "cos(x)/(1+x^2)", "--json"])
+    if status == 1:  # a rank that quadrature refuses: not Reduced either
+        assert json.loads(err)["error"] == "engine", err
+        return
     assert status == 0, err
     payload = json.loads(out)
     truth = math.pi / math.e

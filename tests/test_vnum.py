@@ -92,6 +92,14 @@ def test_shadow_on_non_uniform_schedules(sched):
     assert abs(shadow(from_sequence(lambda n: 2.0 + 1.0 / n), schedule=sched) - 2.0) < 1e-12
 
 
+def test_slow_decay_below_the_small_magnitude_is_infinitesimal():
+    # A support radius that shrinks like n^-0.5 shows no order of the
+    # table, so no limit; its magnitudes, below _TOL_SMALL and shrinking,
+    # still make it infinitesimal, as check_dirac's condition (iii) needs.
+    v = from_sequence(lambda n: 1e-3 / math.sqrt(n))
+    assert classify(v) is NumberClass.INFINITESIMAL
+
+
 def test_classify_alternating_is_indeterminate():
     # A power-of-two schedule would see (-1)^n as constant; probe on
     # consecutive ranks instead.
