@@ -8,6 +8,7 @@ plain RealFunction or a delta-expression AST.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import operator
@@ -357,12 +358,12 @@ def _diff(node):
                         else (b, 1.0))
                 num = _sub(_mul(d(a), v), _mul(_mul(Num(p), a), d(v)))
                 return Bin("/", num, Bin("^", v, Num(p + 1.0)))
+            if n.op == "^" and isinstance(b, Num):
+                return _mul(_mul(b, Bin("^", a, Num(b.value - 1.0))), d(a))
             if n.op == "^":
-                if not isinstance(b, Num):
-                    raise ExpressionError(
-                        "exponent must be a numeric constant for differentiation")
-                k = b.value
-                return _mul(_mul(Num(k), Bin("^", a, Num(k - 1.0))), d(a))
+                # a^b (b' log a + b a'/a)
+                da, term = d(a), _mul(d(b), Call("log", a))
+                return _mul(n, term if _is_zero(da) else _add(term, Bin("/", _mul(b, da), a)))
         if isinstance(n, Call):
             inner = d(n.arg)
             if n.name == "sin":
@@ -373,6 +374,8 @@ def _diff(node):
                 return _mul(Call("exp", n.arg), inner)
             if n.name == "atan":
                 return Bin("/", inner, _add(_ONE, Bin("^", n.arg, Num(2.0))))
+            if n.name == "log":
+                return _mul(inner, Bin("/", _ONE, n.arg))
             if n.name == "abs":
                 raise ExpressionError("abs(...) is not differentiable at 0")
         raise ExpressionError(f"cannot differentiate {type(n).__name__}")
@@ -417,23 +420,30 @@ def _array_power(a, k):
 # (_array_power); its last bits depend on the CPU loops numpy dispatches
 # to.  A tree with a power whose exponent is not an integer constant runs
 # on floats alone, an array point by point: on floats a negative base then
-# gives a complex value, which abs() may make real again.
+# gives a complex value, which abs() may make real again, as `log` of a
+# negative number does.  `log` is no function of the language: only the
+# derivative of a power whose exponent varies holds it.
+def _log(a):
+    if a == 0:
+        raise ZeroDivisionError("log of zero")
+    return cmath.log(a) if a < 0 else math.log(a)
+
+
 _SCALAR_NAMES = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "atan": math.atan,
-                 "abs": abs, "pw": operator.pow}
+                 "abs": abs, "log": _log, "pw": operator.pow}
 _ARRAY_NAMES = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "atan": np.arctan,
-                "abs": np.abs, "pw": _array_power}
+                "abs": np.abs, "log": np.log, "pw": _array_power}
 
 
 class _Shape:
     """A delta-free tree as the source of `make(c0, c1, ...)` and the
     numbers to call it with, in one walk, which also records whether the
-    tree holds an abs call (`abs`), a power whose exponent is not a number
-    (`power`), or one whose exponent is not an integer constant
-    (`pointwise`)."""
+    tree holds an abs call (`abs`) or a power whose exponent is not an
+    integer constant (`pointwise`)."""
 
     def __init__(self, node):
         self.lines, self.names, self.params, self.values = [], {}, {}, []
-        self.abs = self.power = self.pointwise = False
+        self.abs = self.pointwise = False
         result = self._emit(node)
         self.source = "".join([
             f"def make({', '.join(self.params.values())}):\n    def f(x):\n",
@@ -466,9 +476,8 @@ class _Shape:
         elif isinstance(node, Bin):
             a, b = self._emit(node.left), self._emit(node.right)
             expr = f"pw({a}, {b})" if node.op == "^" else f"{a} {node.op} {b}"
-            if node.op == "^" and not isinstance(node.right, Num):
-                self.power = self.pointwise = True
-            elif node.op == "^" and not float(node.right.value).is_integer():
+            if node.op == "^" and not (isinstance(node.right, Num)
+                                       and float(node.right.value).is_integer()):
                 self.pointwise = True
         else:
             raise ExpressionError(f"cannot evaluate {type(node).__name__}")
@@ -557,14 +566,15 @@ def _derivative_rule(node, label):
 
 
 def to_real_function(node):
-    """Compile a delta-free tree to a RealFunction with symbolic derivatives
-    of every order, each derived and compiled on its first call.
+    """Compile a delta-free tree to a RealFunction: C^0 if it holds an abs
+    call, else with symbolic derivatives of every order, each derived and
+    compiled on its first call.
 
     The function and its derivatives take a float or an ndarray; on a float,
-    division by zero, overflow and complex values raise ExpressionError.
-    A tree with a power whose exponent is not an integer constant is
-    evaluated point by point on floats, on an ndarray too, and a point
-    where that raises ExpressionError or ValueError reads nan.
+    division by zero, log of zero, overflow and complex values raise
+    ExpressionError.  A tree with a power whose exponent is not an integer
+    constant is evaluated point by point on floats, on an ndarray too, and
+    a point where that raises ExpressionError or ValueError reads nan.
     """
     return _real_function(node)
 
@@ -578,10 +588,7 @@ def _real_function(node):
     fn = _function(shape, label)
     if shape.abs:
         return RealFunction(fn, smoothness=0, label=label)
-    # _diff differentiates every tree free of abs and of powers whose
-    # exponent is not a number, and what it emits is such a tree again.
-    if shape.power:
-        return RealFunction(fn, smoothness=C_INF, label=label)
+    # _diff differentiates every tree free of abs into such a tree again.
     return RealFunction(fn, smoothness=C_INF, label=label,
                         nth_deriv=_derivative_rule(node, label))
 

@@ -751,8 +751,7 @@ def _substitution(d, g, s, key):
                 if past and glo < shi and ghi > slo and not slo <= glo <= ghi <= shi:
                     cert.require()
     recs = (cert.roots if isinstance(d, DiracKernel) and isinstance(g, RealFunction)
-            and g.smoothness >= 1 and (g.nth_deriv is not None or g.derivs)
-            and cert.verdict != "violated" else ())
+            and g.rule_order >= 1 and cert.verdict != "violated" else ())
     exact = s.straddles([rec.a for rec in recs] + [x for _n, a, b in key for x in (a, b)])
     held, lo = {}, s.ends(exact)[0]  # piece index -> its certified root (None: two)
     for rec in recs:

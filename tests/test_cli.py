@@ -118,10 +118,105 @@ def test_quotient_derivatives_stay_finite_at_high_order(g, n):
 
 
 def test_difference_of_a_difference_is_refused():
-    # x^x has no derivative rule: one difference serves order 1 only.
-    status, out, err = run(["simplify", "x^x*ddelta(x-1,2)"])
-    assert status == 1 and out == ""
-    assert "error (engine)" in err and "order 2" in err
+    # A library function with no derivative rule: one difference serves
+    # order 1 only.
+    from deltacalc.errors import SmoothnessError
+    from deltacalc.rewrite import DeltaTerm, ProductTerm, simplify
+    from deltacalc.vfun import RealFunction
+
+    f = RealFunction(lambda x: x ** x, label="x^x")
+    terms = simplify(ProductTerm(f, DeltaTerm(1, 1.0))).terms
+    assert [(round(c, 6), k) for c, k, _a in terms] == [(-1.0, 0), (1.0, 1)]
+    with pytest.raises(SmoothnessError, match="order 2"):
+        simplify(ProductTerm(f, DeltaTerm(2, 1.0)))
+
+
+def test_variable_exponent_has_every_order():
+    # x^x at 1 and its derivatives there, 1, 1 and 2, in the binomial rule.
+    mpmath = pytest.importorskip("mpmath")
+    payload = _simplify_json("x^x*ddelta(x-1,2)")
+    assert payload["strength"] == {"order": 2}
+    want = [float(mpmath.diff(lambda t: t ** t, 1, 2 - i)) * (-1) ** i * math.comb(2, i)
+            for i in range(3)]
+    assert [(t["k"], t["a"]) for t in payload["terms"]] == [(0, 1), (1, 1), (2, 1)]
+    assert all(abs(t["c"] - c) <= 1e-12 for t, c in zip(payload["terms"], want))
+
+
+def test_variable_exponent_composite_reads_symbolic_slope():
+    # delta(2^x - 3) = delta(x - log2 3) / (3 ln 2), g' from its rule.
+    (term,) = _simplify_json("delta(2^x-3)")["terms"]
+    truth = 1.0 / (3.0 * math.log(2.0))
+    assert abs(term["c"] - truth) <= 4 * math.ulp(truth)
+
+
+@pytest.mark.parametrize("text, truth", [("x^x*ddelta(x-1,2)", 2.0),
+                                         ("x^(1+x)*ddelta(x-1,1)", -2.0)])
+def test_variable_exponent_weight_sifts_within_err(text, truth):
+    status, out, err = run(["integrate", text, "--json"])
+    assert status == 0, err
+    payload = json.loads(out)
+    assert payload["variant"] == "reduced", payload
+    assert abs(payload["value"] - truth) <= payload["error"], payload
+
+
+def test_exponential_weight_sifts_at_order_3():
+    # The third derivative of 2^x is (ln 2)^3 2^x: -(ln 2)^3 sqrt(2) at 0.5.
+    # The value lies 3.4 ulps from it with an err of 1 ulp: the err of a
+    # settled table does not count the rounding of the rank values.
+    truth = -math.log(2.0) ** 3 * math.sqrt(2.0)
+    status, out, err = run(["integrate", "2^x*ddelta(x-0.5,3)", "--json"])
+    assert status == 0, err
+    payload = json.loads(out)
+    assert payload["variant"] == "reduced", payload
+    assert abs(payload["value"] - truth) <= payload["error"] + 4 * math.ulp(truth), payload
+
+
+@pytest.fixture
+def weighted_kernel_orders(monkeypatch):
+    """The order of each kernel that profile_integral integrates against a
+    weight: one of order >= 1 is the n^k path, n^k p^(k)(u) w(a + u/n)."""
+    from deltacalc import vintegral
+
+    orders, real = [], vintegral.profile_integral
+
+    def recorded(d, ranks, a, weight, *bounds):
+        if weight is not None:
+            orders.append(d.order)
+        return real(d, ranks, a, weight, *bounds)
+
+    monkeypatch.setattr(vintegral, "profile_integral", recorded)
+    return orders
+
+
+@pytest.mark.parametrize("argv", [
+    ["x^x*ddelta(x-1,2)"], ["2^x*ddelta(x-0.5,3)"],
+    ["x^(1+x)*ddelta(x-1,1)", "--kernel", "plus"], ["x^1.5*ddelta(x-2,2)"],
+])
+def test_weights_with_rules_take_no_n_power_path(argv, weighted_kernel_orders):
+    status, _out, err = run(["integrate", *argv])
+    assert status == 0, err
+    assert weighted_kernel_orders and max(weighted_kernel_orders) == 0
+
+
+def test_battery_members_take_no_n_power_path(bump, weighted_kernel_orders):
+    import deltacalc as dc
+
+    for f in dc.sift_battery():
+        assert dc.sift_derivative(bump, 3, f, a=0.3).reduced, f.label
+    assert weighted_kernel_orders and max(weighted_kernel_orders) == 0
+
+
+@pytest.mark.parametrize("kernel, truth", [("bump", 0.0), ("plus", -1.0)])
+def test_abs_weight_keeps_the_n_power_path(kernel, truth, weighted_kernel_orders):
+    status, out, err = run(["integrate", "abs(x)*ddelta(x,1)", "--kernel", kernel, "--json"])
+    assert status == 0, err
+    payload = json.loads(out)
+    assert payload["variant"] == "reduced" and abs(payload["value"] - truth) <= 1e-15
+    assert 1 in weighted_kernel_orders
+    status, out, err = run(["integrate", "abs(x)*ddelta(x,2)", "--json"])
+    payload = json.loads(out)
+    assert (payload["variant"], payload["exponent"]) == ("irreducible", 1), payload
+    assert 2 in weighted_kernel_orders
 
 
 @pytest.mark.parametrize("text, want", [
@@ -129,7 +224,8 @@ def test_difference_of_a_difference_is_refused():
     ("delta(abs(x)-1)", "1·δ(x+1) + 1·δ(x−1)   [strong]"),
 ])
 def test_one_difference_still_serves(text, want):
-    # Order 1 of x^x, and the root slopes of the C^0 abs(x)-1.
+    # Order 1 of x^x, by its rule, and the root slopes of the C^0
+    # abs(x)-1, by one difference.
     status, out, err = run(["simplify", text])
     assert status == 0, err
     assert out.strip() == want

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -138,6 +139,8 @@ def _more_corpus():
         for arg in ("x", "2*x", "x^2", "x-1", "-x", "x/3", "sin(x)"):
             out.append(f"{f}({arg})")
             out.append(f"{f}({arg})+1")
+    # Powers whose exponent varies: their derivatives hold log.
+    out += ["x^x", "2^x", "x^(1+x)", "exp(x)^sin(x)", "(x^2+1)^x"]
     return out
 
 
@@ -316,11 +319,28 @@ def test_quotient_rule_reads_no_zero_subtrahend():
 
 def test_smoothness_comes_from_the_compiling_walk():
     f = to_real_function(parse("x^x"))
-    assert f.smoothness == math.inf and f.nth_deriv is None
-    # d/dx x^x = x^x (ln x + 1): 1 at x = 1, by the difference quotient.
-    assert abs(f.deriv_value(1, 1.0) - 1.0) < 1e-8
+    assert f.smoothness == math.inf and f.nth_deriv is not None
+    # d/dx x^x = x^x (ln x + 1): exactly 1 at x = 1, by its rule.
+    assert f.deriv_value(1, 1.0) == 1.0
     assert to_real_function(parse("x^x*abs(x)")).smoothness == 0
     assert to_real_function(parse("x^2*x^3")).nth_deriv is not None
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_derivatives_fail_where_their_tree_fails(k):
+    # x^x raises at -0.5 (a complex value), and so does its derivative,
+    # which takes log(-0.5); at 0 log has its pole.  No raw ValueError
+    # from math.log leaves the function; on an array both points read nan.
+    f = to_real_function(parse("x^x"))
+    df = f.derivative(k)
+    with pytest.raises(ExpressionError, match="not real"):
+        f(-0.5)
+    with pytest.raises(ExpressionError, match="not real"):
+        df(-0.5)
+    with pytest.raises(ExpressionError, match="log of zero"):
+        df(0.0)
+    values = df(np.array([-0.5, 0.0, 1.0]))
+    assert np.isnan(values[:2]).all() and values[2] == float(k)
 
 
 def test_shape_cache_is_bounded():
@@ -445,11 +465,19 @@ def test_lift_keeps_factor_derivatives():
 from deltacalc.errors import DeltaCalcError  # noqa: E402
 from deltacalc.exprlang import _diff  # noqa: E402
 
+
+def _ref_log(v):
+    # As `**` on floats: complex below 0; and a pole at 0.
+    if v == 0:
+        raise ZeroDivisionError("log of zero")
+    return cmath.log(v) if v < 0 else math.log(v)
+
+
 _REF_CALLS = {"sin": math.sin, "cos": math.cos, "exp": math.exp,
-              "atan": math.atan, "abs": abs}
+              "atan": math.atan, "abs": abs, "log": _ref_log}
 _REF_SLOPES = {"sin": math.cos, "cos": lambda v: -math.sin(v), "exp": math.exp,
                "atan": lambda v: 1.0 / (1.0 + v * v),
-               "abs": lambda v: 1.0}
+               "abs": lambda v: 1.0, "log": lambda v: 1.0 / v}
 _POINTS = (-2.3, -0.7, 0.0, 0.4, 1.0, 3.1)
 
 
