@@ -361,8 +361,15 @@ def _diff(node):
             if n.op == "^" and isinstance(b, Num):
                 return _mul(_mul(b, Bin("^", a, Num(b.value - 1.0))), d(a))
             if n.op == "^":
+                da, db = d(a), d(b)
+                # A structural zero base is 0 wherever it is defined; a
+                # constant exponent takes the power rule, defined at a = 0.
+                if _is_zero(a):
+                    return _ZERO
+                if _is_zero(db):
+                    return _mul(_mul(b, Bin("^", a, _sub(b, _ONE))), da)
                 # a^b (b' log a + b a'/a)
-                da, term = d(a), _mul(d(b), Call("log", a))
+                term = _mul(db, Call("log", a))
                 return _mul(n, term if _is_zero(da) else _add(term, Bin("/", _mul(b, da), a)))
         if isinstance(n, Call):
             inner = d(n.arg)

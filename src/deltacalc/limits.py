@@ -9,6 +9,7 @@ like n^-alpha; anything else, log growth among it, is undetermined.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
@@ -28,13 +29,29 @@ def richardson_table(values, ranks):
     """Columns of the Richardson table on distinct `ranks`: column m
     eliminates 1/n^m, each entry by its own ratio r = n_{i+m} / n_i
     (Neville's form).  On ratio-2 ranks r is exactly 2^m."""
+    return _table(values, _ratios(tuple(ranks)))
+
+
+def _table(values, ratios):
+    """`richardson_table` on the ranks whose `_ratios` are given."""
     level = list(values)
     columns = [level]
-    for m in range(1, min(len(values) - 1, 8) + 1):
-        level = [((r := q / p) * b - a) / (r - 1.0)
-                 for a, b, p, q in zip(level, level[1:], ranks, ranks[m:])]
+    for m in range(1, min(len(level) - 1, 8) + 1):
+        level = [(r * b - a) / s for a, b, (r, s, _h) in
+                 zip(level, level[1:], ratios[m] if m < len(ratios) else ())]
         columns.append(level)
     return columns
+
+
+@functools.lru_cache(maxsize=64)
+def _ratios(ranks):
+    """Per column m of the table on the tuple `ranks`, each entry's ratio
+    r = n_{i+m} / n_i, r - 1, and log(r) / m, the log-spacing of the ranks
+    that column m - 1's entries stand for: computed once per schedule,
+    whose prefixes every reduction reads again."""
+    return [[(r, r - 1.0, math.log(r) / m if m else 0.0)
+             for r in (q / p for p, q in zip(ranks, ranks[m:]))]
+            for m in range(min(len(ranks), 10))]
 
 
 def _order(ratio, h1, h2):
@@ -65,17 +82,22 @@ def _order(ratio, h1, h2):
     return alpha
 
 
-def _orders(column, ranks, m, floor, count):
-    """Orders of the last `count` pairs of increments of column m, whose
-    entry i stands for the geometric mean of ranks i..i+m: inf where the
-    later is within `floor` (settled), -inf where the pair has no order."""
+def _orders(column, steps, floor, count):
+    """Orders of the last `count` pairs of increments of a column m of the
+    table, whose entry i stands for the geometric mean of ranks i..i+m and
+    whose `steps` are column m + 1 of `_ratios`: inf where the later is
+    within `floor` (settled), -inf where the pair has no order."""
     out = []
     for i in range(max(len(column) - 2 - count, 0), len(column) - 2):
-        d0, d1 = column[i + 1] - column[i], column[i + 2] - column[i + 1]
-        out.append(math.inf if abs(d1) <= floor else
-                   -math.inf if abs(d0) <= floor or (d0 > 0.0) != (d1 > 0.0) else
-                   _order(d0 / d1, math.log(ranks[i + m + 1] / ranks[i]) / (m + 1),
-                          math.log(ranks[i + m + 2] / ranks[i + 1]) / (m + 1)))
+        a, b, c = column[i:i + 3]
+        d0, d1 = b - a, c - b
+        if abs(d1) <= floor:
+            out.append(math.inf)
+        elif abs(d0) <= floor or (d0 > 0.0) != (d1 > 0.0):
+            out.append(-math.inf)
+        else:
+            h1, h2 = steps[i][2], steps[i + 1][2]
+            out.append(math.log(d0 / d1) / h1 if h1 == h2 else _order(d0 / d1, h1, h2))
     return out
 
 
@@ -110,11 +132,12 @@ def extract_limit(values, schedule, tol=1e-9, noise=0.0):
     # the sequence's own units.
     big = max(map(abs, v))
     unit = 2.0 ** (math.frexp(big)[1] - 1)
-    columns = richardson_table([x / unit for x in v], schedule)
+    ratios = _ratios(tuple(schedule))
+    columns = _table([x / unit for x in v], ratios)
     floor = max(_ROUNDING_ULPS * math.ulp(big / unit), noise * big / unit)
     deepest = depth = -1  # the deepest level that counts; depth adds those too short
     for m, column in enumerate(columns):
-        orders = _orders(column, schedule, m, floor, 2)
+        orders = _orders(column, ratios[m + 1] if m + 1 < len(ratios) else (), floor, 2)
         if orders and min(orders) < m + 1 - _SLACK:
             break
         depth, deepest = m, m if orders else deepest
@@ -149,7 +172,8 @@ def power_law_exponent(schedule, values):
     v = [float(x) for x in values]
     if len(v) < 5 or not all(map(math.isfinite, v)):
         return None
-    orders = _orders(v, schedule, 0, _ROUNDING_ULPS * math.ulp(max(map(abs, v))), 3)
+    floor = _ROUNDING_ULPS * math.ulp(max(map(abs, v)))
+    orders = _orders(v, _ratios(tuple(schedule))[1], floor, 3)
     if all(map(math.isfinite, orders)) and max(orders) - min(orders) <= _SLACK \
             and orders[-1] <= -_SLACK:
         return -orders[-1], 1.0 if v[-1] > 0 else -1.0

@@ -22,6 +22,7 @@ from .vintegral import (  # noqa: F401
     _total,
     compose,
     convolve,
+    first_batch,
     integrate_rank,
     reduce_bound,
     reduce_integral,
@@ -436,13 +437,25 @@ def check_equivalence(lhs, rhs, kernel=None, battery=None, tol=1e-7,
     def verdict(*args, **kw):
         return EquivalenceVerdict(*args, skipped=tuple(skipped), **kw)
 
+    # Each side's first ranks against the whole battery, in one stacked
+    # pass on first use; the two sides share their node arrays.
+    shared = {}
+    first = functools.cache(lambda i: first_batch(bound(i), battery, schedule, tol, shared))
+
+    def reduced(i, j, f):
+        """Side i against battery member j, f: off the first batch where it
+        settles, else reduced weight by weight."""
+        res = first(i)[j]
+        return res if res is not None else reduce_bound(bound(i), f, -math.inf, math.inf,
+                                                        schedule, tol)
+
     max_dev = 0.0
-    for f in battery:
+    for j, f in enumerate(battery):
         try:
-            left = reduce_bound(bound(0), f, -math.inf, math.inf, schedule, tol)
+            left = reduced(0, j, f)
             if not left.reduced:
                 return verdict("irreducible_side", side="lhs", witness=f.label)
-            right = reduce_bound(bound(1), f, -math.inf, math.inf, schedule, tol)
+            right = reduced(1, j, f)
         except (ArithmeticError, DeltaCalcError):
             if points is None:
                 points = _delta_points(bound(0) + bound(1))

@@ -35,6 +35,7 @@ __all__ = [
     "integrate_rank",
     "profile_integral",
     "reduce_bound",
+    "first_batch",
     "reduce_integral",
     "sift",
     "sift_derivative",
@@ -94,11 +95,9 @@ def reduce_sequence(schedule, value_fn, tol):
     """
     values = list(value_fn(tuple(schedule[:_MIN_PROBES])))
     while True:
-        lim = extract_limit(values, schedule[:len(values)], tol, _QUAD_OPTS["epsrel"])
-        if lim is not None:
-            return IntegralResult("reduced", value=float(lim[0]),
-                                  error_estimate=float(lim[1]),
-                                  rank_values=tuple(zip(schedule, values)))
+        res = _settled(values, schedule[:len(values)], tol)
+        if res is not None:
+            return res
         if len(values) == len(schedule):
             break
         values.extend(value_fn((schedule[len(values)],)))
@@ -107,6 +106,16 @@ def reduce_sequence(schedule, value_fn, tol):
     if fit is None:
         return IntegralResult("undetermined", rank_values=pairs)
     return IntegralResult("irreducible", exponent=fit[0], sign=fit[1], rank_values=pairs)
+
+
+def _settled(values, ranks, tol):
+    """The reduced result of I_n = `values` on `ranks`, or None where
+    `extract_limit` does not settle it."""
+    lim = extract_limit(values, ranks, tol, _QUAD_OPTS["epsrel"])
+    if lim is None:
+        return None
+    return IntegralResult("reduced", value=float(lim[0]), error_estimate=float(lim[1]),
+                          rank_values=tuple(zip(ranks, values)))
 
 
 def _total(values):
@@ -165,6 +174,77 @@ def _totals(atoms, lo, hi, ranks):
             raise QuadratureError(f"at rank n={n}, the integral is not finite: "
                                   f"{total}", rank=n)
     return totals
+
+
+def first_batch(bound, weights, schedule, tol, shared):
+    """`reduce_bound(bound, w, -inf, inf, schedule, tol)` for each weight w
+    of `weights` (RealFunctions) that the first _MIN_PROBES ranks settle,
+    else None, from one stacked pass.  Every entry is None unless `bound`
+    holds only atoms of order 0 on order-0 profile kernels whose support
+    each of those ranks holds.  The nodes x = shift + u/n of those ranks
+    are built once per (cuts, shift), and each weight and each atom's
+    factor is evaluated on them once: `shared` keeps x and the weights'
+    values on it for the next bound.  Each rule sum of all (weight, rank)
+    rows of an atom is one contraction.  A weight whose rules a rank does
+    not accept, or whose totals are not all finite, is left to
+    `reduce_bound`."""
+    ranks = tuple(schedule[:_MIN_PROBES])
+    reach = min(ranks, default=0) ** 2  # u = n(x - shift) on the whole line
+    if not bound or not all(isinstance(d, DiracKernel) and d.order == 0
+                            and getattr(atom, "order", 0) == 0
+                            and -reach <= d.profile_support[0] <= d.profile_support[1] <= reach
+                            for _c, _f, atom, d, _s in bound):
+        return [None] * len(weights)
+    ok, columns = True, []
+    for c, f, _atom, d, shift in bound:
+        cuts = _cuts(d, *d.profile_support)
+        u, w_coarse, w_fine = _fixed_nodes(cuts)
+        m = w_coarse.size
+        if (cuts, shift) not in shared:
+            x = shift + u / np.array(ranks, dtype=float)[:, None]
+            shared[(cuts, shift)] = x, *_on_nodes(weights, x, m)
+        x, values, magnitude = shared[(cuts, shift)]
+        with np.errstate(all="ignore"):
+            # The profile times the atom's factor, one row per rank.
+            g = np.broadcast_to(_profile_on_nodes(d.profile, cuts)
+                                * (1.0 if f is None else _values(f.fn, x)), x.shape)
+            coarse = _contract(values[..., :m], w_coarse * g[:, :m])
+            fine = _contract(values[..., m:], w_fine * g[:, m:])
+            resabs = _contract(magnitude, w_fine * np.abs(g[:, m:]))
+            ok = ok & _accepted(coarse, fine, resabs).all(axis=0)
+        columns.append(c * fine)
+    # Left to right, as `_total` adds the atoms' columns.
+    totals = functools.reduce(operator.add, columns)
+    ok = ok & np.isfinite(totals).all(axis=0)
+    return [_settled(v, ranks, tol) if good else None
+            for v, good in zip(totals.T.tolist(), ok.tolist())]
+
+
+def _contract(values, w):
+    """The sums over k of values[i, r, k] w[r, k], one row per rank r and
+    column per weight i: one batched matrix product, of each rank's
+    (weight, node) block and its rule weights, on views of `values`."""
+    return np.matmul(values.transpose(1, 0, 2), w[..., None])[..., 0]
+
+
+def _values(fn, x):
+    """fn on the 2-D nodes x, as `_u_rule` evaluates a weight."""
+    return array_values(fn, x.ravel()).reshape(x.shape)
+
+
+def _on_nodes(weights, x, m):
+    """The weights on the 2-D nodes x, one (weight, rank) row per weight
+    and rank, and |those values| past the first m nodes of each row.  A
+    weight whose evaluation raises an error that `check_equivalence` may
+    skip reads nan, so that `reduce_bound` raises it in its turn."""
+    values = np.empty((len(weights), *x.shape))
+    with np.errstate(all="ignore"):
+        for row, w in zip(values, weights):
+            try:
+                row[...] = _values(w.fn, x)
+            except (ArithmeticError, DeltaCalcError):
+                row[...] = math.nan
+    return values, np.abs(values[..., m:])
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +440,7 @@ def _u_rule(d, cuts, x, scale, weight, jac=None, anchor=None):
     if anchor is not None:
         x = np.concatenate((x, np.full((len(x), 1), anchor)), axis=1)
     with np.errstate(all="ignore"):
-        wv = (np.ones_like(x) if weight is None
-              else array_values(weight, x.ravel()).reshape(x.shape))
+        wv = np.ones_like(x) if weight is None else _values(weight, x)
         pj = p if jac is None else p * jac
         values = magnitude = pj * wv[:, :u.size]
         if anchor is not None:

@@ -343,6 +343,21 @@ def test_derivatives_fail_where_their_tree_fails(k):
     assert np.isnan(values[:2]).all() and values[2] == float(k)
 
 
+def test_constant_exponent_that_is_not_a_number_takes_the_power_rule():
+    # x^(1+1) is defined at 0, and so is its derivative 2x: no division by
+    # the base, on floats and on arrays.
+    df = to_real_function(parse("x^(1+1)")).derivative(1)
+    assert df(0.0) == 0.0 and df(0.5) == 1.0
+    assert df(np.array([0.0, 0.5])).tolist() == [0.0, 1.0]
+
+
+def test_zero_base_differentiates_to_zero():
+    # 0^x is 0 for x > 0: its derivative takes no log of 0.
+    df = to_real_function(parse("0^x")).derivative(1)
+    assert df(0.5) == 0.0 and df(2.0) == 0.0
+    assert df(np.array([0.5, 2.0])).tolist() == [0.0, 0.0]
+
+
 def test_shape_cache_is_bounded():
     from deltacalc.exprlang import _factories
 

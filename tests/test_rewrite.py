@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from deltacalc.errors import DeltaCalcError, ExpressionError, RewriteError, SmoothnessError
+from deltacalc.exprlang import parse, to_real_function
 from deltacalc.limits import DEFAULT_SCHEDULE
 from deltacalc.rewrite import (
     STRONG,
@@ -396,11 +397,150 @@ def test_deviation_that_is_not_a_number_is_decisive(bump, monkeypatch):
     from deltacalc import rewrite
     from deltacalc.vintegral import IntegralResult
 
+    # The first batch settles no member, so each is reduced weight by weight.
+    monkeypatch.setattr(rewrite, "first_batch", lambda _bound, weights, *a: [None] * len(weights))
     monkeypatch.setattr(rewrite, "reduce_bound",
                         lambda *a, **k: IntegralResult("reduced", value=math.inf))
     verdict = check_equivalence(DeltaTerm(), DeltaTerm(), kernel=bump,
                                 battery=[const_function(1.0, label="1")])
     assert verdict.variant == "distinct"
+
+
+# -- the stacked first batch against the single-weight path ----------------
+
+def _single_weight_verdict(lhs, rhs, kernel, battery=None, tol=1e-7, order=None,
+                           schedule=DEFAULT_SCHEDULE):
+    """check_equivalence's verdict rule with each side reduced against each
+    member by `reduce_bound` alone, and the largest |value| read (at least
+    1), the scale of the values' rounding."""
+    from deltacalc.rewrite import EquivalenceVerdict, _bind, _delta_points, _finite_at
+    from deltacalc.roots import WINDOW
+    from deltacalc.vintegral import reduce_bound
+
+    battery = standard_battery() if battery is None else battery
+    if order is not None:
+        battery = [f for f in battery if f.smoothness >= order]
+    bound = [_bind(side, kernel, WINDOW) for side in (lhs, rhs)]
+    skipped, max_dev, scale = [], 0.0, 1.0
+
+    def verdict(*args, **kw):
+        return EquivalenceVerdict(*args, skipped=tuple(skipped), **kw), scale
+
+    for f in battery:
+        try:
+            left = reduce_bound(bound[0], f, -math.inf, math.inf, schedule, tol)
+            if not left.reduced:
+                return verdict("irreducible_side", side="lhs", witness=f.label)
+            right = reduce_bound(bound[1], f, -math.inf, math.inf, schedule, tol)
+        except (ArithmeticError, DeltaCalcError):
+            if all(_finite_at(f, a) for a in _delta_points(bound[0] + bound[1])):
+                raise
+            skipped.append(f.label)
+            continue
+        if not right.reduced:
+            return verdict("irreducible_side", side="rhs", witness=f.label)
+        scale = max(scale, abs(left.value), abs(right.value))
+        dev = abs(left.value - right.value)
+        if not dev <= 10.0 * tol * max(1.0, abs(left.value), abs(right.value)):
+            return verdict("distinct", witness=f.label, lhs_value=left.value,
+                           rhs_value=right.value)
+        max_dev = max(max_dev, dev)
+    return verdict("consistent_equivalent", battery_size=len(battery) - len(skipped),
+                   max_deviation=max_dev)
+
+
+def _compiled(text):
+    return to_real_function(parse(text))
+
+
+def _sifted(a):
+    """f(x) delta(x - a) and f(a) delta(x - a), f a compiled weight."""
+    f = _compiled("cos(1.3*x+0.2)*exp(-0.1*x)")
+    return ProductTerm(f, DeltaTerm(0, a)), ScaleTerm(f(a), DeltaTerm(0, a))
+
+
+#: (id, kernel fixture, lhs and rhs, check_equivalence's keyword arguments).
+_PARITY = [
+    *[(f"sifted-{k}", k, lambda: _sifted(0.37), {}) for k in
+      ("bump", "square", "plus", "minus", "mix")],
+    ("distinct", "bump", lambda: (DeltaTerm(0, 0.0), DeltaTerm(0, 1.0)), {}),
+    ("irreducible-side", "square",
+     lambda: (CompTerm(_rf(lambda x: x * x, lambda x: 2.0 * x, label="x^2")),
+              SmoothTerm(const_function(0.0, label="0"))), {}),
+    ("skipped-at-710", "bump", lambda: (DeltaTerm(0, 710.0), DeltaTerm(0, 710.0)), {}),
+    ("sum-side", "bump",
+     lambda: (SumTerm((DeltaTerm(0, 1.0), DeltaTerm(0, -1.0))),
+              SumTerm((DeltaTerm(0, -1.0), ScaleTerm(1.0, DeltaTerm(0, 1.0))))), {}),
+    ("composite-side", "bump",
+     lambda: (CompTerm(_compiled("2*x")), ScaleTerm(0.5, DeltaTerm())),
+     {"schedule": SHORT_SCHEDULE}),
+    ("ddelta-side", "bump",
+     lambda: (ProductTerm(_compiled("x*x"), DeltaTerm(1, 0.5)),
+              SumTerm((ScaleTerm(-1.0, DeltaTerm(0, 0.5)), ScaleTerm(0.25, DeltaTerm(1, 0.5))))),
+     {"schedule": SHORT_SCHEDULE}),
+    ("order-1", "bump", lambda: _sifted(-0.8), {"order": 1}),
+    ("sift-battery", "square", lambda: _sifted(1.2), {"battery": sift_battery()}),
+]
+
+
+@pytest.mark.parametrize("kernel, sides, kwargs", [c[1:] for c in _PARITY],
+                         ids=[c[0] for c in _PARITY])
+def test_stacked_pass_has_the_single_weight_verdict(kernel, sides, kwargs, request):
+    # The same verdict, witness, side, battery and skipped members; the
+    # values within 1e-13 of the largest |value| read: stacking the rows
+    # moves a rule sum's last bits, no more.
+    kern = request.getfixturevalue(kernel)
+    lhs, rhs = sides()
+    got = check_equivalence(lhs, rhs, kernel=kern, **kwargs)
+    want, scale = _single_weight_verdict(lhs, rhs, kern, **kwargs)
+    assert (got.variant, got.witness, got.side, got.battery_size, got.skipped) == \
+        (want.variant, want.witness, want.side, want.battery_size, want.skipped)
+    for name in ("lhs_value", "rhs_value", "max_deviation"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert abs(a - b) <= 1e-13 * scale, name
+
+
+def _counted(battery):
+    """The battery with each member's fn wrapped, as perfbench/tracer.py
+    wraps it, and the number of array calls each member takes."""
+    import collections
+    import dataclasses
+
+    calls = collections.Counter()
+
+    def wrap(f):
+        def fn(x, inner=f.fn, label=f.label):
+            if isinstance(x, np.ndarray):
+                calls[label] += 1
+            return inner(x)
+        return dataclasses.replace(f, fn=fn)
+
+    return [wrap(f) for f in battery], calls
+
+
+@pytest.mark.parametrize("shift, unsettled", [(0.37, []), (710.0, ["exp(+x)"])])
+def test_first_batch_evaluates_each_member_once(bump, monkeypatch, shift, unsettled):
+    # Both order-0 sides at one shift share one node array: each member
+    # is evaluated on it once, not once per side, and only the members the
+    # batch does not settle (exp(+x), not finite at 710) are reduced
+    # weight by weight, where exp(+x) is skipped.
+    from deltacalc import rewrite
+
+    battery, calls = _counted(standard_battery())
+    reduced = []
+    single = rewrite.reduce_bound
+    monkeypatch.setattr(rewrite, "reduce_bound",
+                        lambda bound, f, *a: reduced.append(f.label) or single(bound, f, *a))
+    lhs, rhs = _sifted(shift) if shift < 1 else (DeltaTerm(0, shift), DeltaTerm(0, shift))
+    verdict = check_equivalence(lhs, rhs, kernel=bump, battery=battery)
+    assert verdict.consistent and verdict.skipped == tuple(unsettled)
+    assert reduced == unsettled
+    # Once in the batch; an unsettled member again on reduce_bound's ranks.
+    assert {label: calls[label] for label in unsettled} == {label: 3 for label in unsettled}
+    assert {f.label: calls[f.label] for f in battery if f.label not in unsettled} == \
+        {f.label: 1 for f in battery if f.label not in unsettled}
 
 
 def test_batteries_sizes():

@@ -2,11 +2,17 @@
 
 Builds the sift and compose query streams of `perfbench/workloads.py` at
 seeds 1, 9001, 3, 6 and 20, two cycles each (1,890 queries), runs each
-query in-process through `deltacalc.cli.run_command`, and prints
+query in-process through `deltacalc.cli.run_command`, and prints one line
 
-    <workload>-<seed>-<qid> <exit code> <sha256 of stdout + stderr> <argv>
+    <workload>-<seed>-<qid> <exit code> <sha256 of stdout + stderr>
+        <kind> [<name>=<number> ...] <argv>
 
-so that two checkouts' answers can be compared line by line with `diff`:
+where kind is the JSON answer's variant ("normal_form" for a simplify
+answer, "probe" for a kernel probe, "-" where the answer is no JSON) and
+the numbers are its `value`, `error`, `exponent` and `max_deviation`, the
+probe's per kernel, at %.17g: a line that differs shows how far each
+number moved.  Two checkouts' answers can be compared line by line with
+`diff`:
 
     PYTHONPATH=src python3 tools/answers.py > answers.txt
 """
@@ -15,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import shlex
 import sys
 from pathlib import Path
@@ -26,6 +33,9 @@ import workloads  # noqa: E402
 from deltacalc.cli import run_command  # noqa: E402
 
 SEEDS = (1, 9001, 3, 6, 20)
+
+#: The keys of the numbers an answer's line prints.
+NUMBERS = ("value", "error", "exponent", "max_deviation")
 
 
 def queries(workload, seed):
@@ -45,13 +55,42 @@ def answer(argv):
     return status, out.getvalue() + err.getvalue()
 
 
+def summary(text):
+    """The kind and the numbers (NUMBERS, in the order the JSON answer in
+    `text` holds them, nested ones too) of one answer."""
+    try:
+        payload = json.loads(text.partition("\n")[0])
+    except ValueError:
+        return "-"
+    if not isinstance(payload, dict):
+        return "-"
+    kind = payload.get("variant") or ("normal_form" if "terms" in payload else
+                                      "probe" if "outcomes" in payload else "-")
+    found = []
+
+    def walk(node):
+        if isinstance(node, dict):
+            for key, item in node.items():
+                if key in NUMBERS and isinstance(item, (int, float)):
+                    found.append(f"{key}={item:.17g}")
+                else:
+                    walk(item)
+        elif isinstance(node, list):
+            for item in node:
+                walk(item)
+
+    walk(payload)
+    return " ".join([kind, *found])
+
+
 def main():
     for workload in ("sift", "compose"):
         for seed in SEEDS:
             for q in queries(workload, seed):
                 status, text = answer(q.argv)
                 digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-                print(f"{workload}-{seed}-{q.qid} {status} {digest} {shlex.join(q.argv)}")
+                print(f"{workload}-{seed}-{q.qid} {status} {digest} {summary(text)} "
+                      f"{shlex.join(q.argv)}")
 
 
 if __name__ == "__main__":
