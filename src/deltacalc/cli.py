@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ConfigError, DeltaCalcError, ParseError
 from .exprlang import parse_expression
 from .rewrite import (
-    SmoothTerm,
     check_equivalence,
     kernel_dependence_probe,
     reduce_expr_integral,
@@ -187,8 +186,6 @@ def _integral_human(res):
 
 def _cmd_integrate(args, cfg, out):
     expr = parse_expression(args.expression)
-    if isinstance(expr, RealFunction):
-        expr = SmoothTerm(expr)
     kernel = cfg.make_kernel()
     if not all(math.isfinite(b) for b in (args.lower, args.upper) if b is not None):
         raise ValueError("constant bound must be finite")
@@ -208,10 +205,6 @@ def _cmd_integrate(args, cfg, out):
 def _cmd_equiv(args, cfg, out):
     lhs = parse_expression(args.lhs)
     rhs = parse_expression(args.rhs)
-    if isinstance(lhs, RealFunction):
-        lhs = SmoothTerm(lhs)
-    if isinstance(rhs, RealFunction):
-        rhs = SmoothTerm(rhs)
     kernel = cfg.make_kernel()
     verdict = check_equivalence(lhs, rhs, kernel=kernel,
                                 battery=cfg.make_battery(), order=args.order,
@@ -305,8 +298,6 @@ def _cmd_trace(args, cfg, out):
         rows = [(float(x), ev(float(x))) for x in xs]
         header = "x,value"
     else:
-        if isinstance(expr, RealFunction):
-            expr = SmoothTerm(expr)
         res = reduce_expr_integral(expr, kernel=kernel, schedule=cfg.schedule,
                                    tol=cfg.tolerance, window=cfg.scan_window)
         rows = list(res.rank_values)

@@ -56,30 +56,27 @@ def _ratios(ranks):
 
 def _order(ratio, h1, h2):
     """The alpha at which n^-alpha has successive increments in `ratio` on
-    ranks log-spaced by h1 then h2: the root of g = log(expm1(alpha h1) /
-    -expm1(-alpha h2) / ratio), whose slope moves monotonically from h2 to
-    h1.  So past the first, Newton steps from log(ratio) / h1, the root on
-    geometric ranks (h1 == h2), go one way until rounding stops them."""
+    ranks log-spaced by h1 then h2: log(ratio) / h1 on geometric ranks
+    (h1 == h2), else the root, by bisection, of the increasing g = alpha h
+    + log(m1 / m2) - log(ratio), with h = h1 above 0 and h2 below and m_i =
+    1 - e^(-|alpha| h_i) in [0, 1] (m1 / m2 is h1 / h2 at alpha 0 to
+    rounding).  As |log(m1 / m2)| <= |log(h1 / h2)|, g changes sign on the
+    bracket."""
     target = math.log(ratio)
     if h1 == h2:
         return target / h1
+    spread = math.log(h1 / h2)
 
-    def step(alpha):
-        # m_i = 1 - e^(-|alpha| h_i) lies in [0, 1]: nothing overflows.
+    def g(alpha):
         m1, m2 = -math.expm1(-abs(alpha) * h1), -math.expm1(-abs(alpha) * h2)
-        if not m1 * m2:  # alpha is 0 to rounding
-            return (math.log(h1 / h2) - target) * 2.0 / (h1 + h2)
-        d = h1 / m1 - h1 - h2 / m2 + h2
-        h, slope = (h1, h1 + d) if alpha > 0.0 else (h2, h2 - d)
-        return (alpha * h - target + math.log(m1 / m2)) / slope
+        return (alpha * (h1 if alpha > 0.0 else h2) - target
+                + (math.log(m1 / m2) if m1 * m2 else spread))
 
-    alpha = target / h1
-    alpha -= step(alpha)
-    first = s = step(alpha)
-    while s and (s > 0.0) == (first > 0.0) and alpha - s != alpha:
-        alpha -= s
-        s = step(alpha)
-    return alpha
+    bound = (abs(target) + abs(spread)) / min(h1, h2) + 1.0
+    lo, hi = -bound, bound
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if g(mid) > 0.0 else (mid, hi)
+    return mid
 
 
 def _orders(column, steps, floor, count):

@@ -325,7 +325,10 @@ def evaluate_normal_form(nf, f):
 
 def _bind(expr, kernel, window):
     """Each (c, factor, atom) of _atoms(expr) with the rank family it is
-    integrated on (`_family`) and that family's shift."""
+    integrated on (`_family`) and that family's shift; a delta-free
+    RealFunction is one smooth summand."""
+    if isinstance(expr, RealFunction):
+        expr = SmoothTerm(expr)
     return [(c, f, atom, _family(atom, kernel, window), getattr(atom, "shift", 0.0))
             for c, f, atom in _atoms(expr)]
 

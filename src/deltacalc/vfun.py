@@ -289,7 +289,8 @@ class DiracKernel(VirtualFunction):
     fixed-node quadrature: the support's ends and middle, u = 0, and any
     `cuts` given (a mixture passes its parts' edges).  `derivative(k)` is built once per order and
     kept on the kernel, so its profile, the key of the node-value cache in
-    vintegral, is the same object at every rank.
+    vintegral, is the same object at every rank; its `base` is the first
+    kernel of the chain it was taken of (None on a kernel built directly).
     """
 
     def __init__(self, profile, profile_support, name, params=None, order=0, cuts=()):
@@ -302,6 +303,7 @@ class DiracKernel(VirtualFunction):
         self.profile_cuts = tuple(sorted(
             {lo, hi} | {float(c) for c in (0.0, 0.5 * (lo + hi), *cuts) if lo < c < hi}))
         self._derivatives = {}
+        self.base = None
 
         super().__init__(
             lambda n, x, p=profile, k=self.order: n ** (k + 1) * p(n * x),
@@ -323,6 +325,7 @@ class DiracKernel(VirtualFunction):
             self._derivatives[order] = DiracKernel(
                 profile, self.profile_support, f"{self.name}^({order})", self.params,
                 order=self.order + order, cuts=self.profile_cuts)
+            self._derivatives[order].base = self.base or self
         return self._derivatives[order]
 
 

@@ -138,15 +138,20 @@ def reduce_bound(bound, weight, lo, hi, schedule, tol):
     a RealFunction or None (1), weight a RealFunction, a bare callable (no
     derivative rule) or None (1), and family None is 0.  Of atom (a
     `rewrite` term, or None) only its `order` is read, 0 where it has none.
+    A kernel's derivative of order j (a family with a `base`) is that base
+    kernel at atom order k + j, so one rule serves every order of d^(k).
     A rank whose total is not finite is refused.  An atom of order k >= 1
-    not integrated `by_parts` caps the schedule (`derivative_schedule`); at
-    order 0, as `reduce_integral` and `sift` pass, it is used as given."""
+    not integrated `by_parts` caps the schedule (`derivative_schedule`)."""
     if weight is not None and not isinstance(weight, RealFunction):
         weight = RealFunction(weight)  # a bare callable: no derivative rule
     # Each atom's weight: its factor times the caller's.
-    atoms = [(c, weight if f is None else f if weight is None else f.times(weight),
-              getattr(atom, "order", 0), family, shift)
-             for c, f, atom, family, shift in bound]
+    atoms = []
+    for c, f, atom, family, shift in bound:
+        k, base = getattr(atom, "order", 0), getattr(family, "base", None)
+        if base is not None:  # a kernel's derivative: its base kernel's atom
+            k, family = k + family.order - base.order, base
+        atoms.append((c, weight if f is None else f if weight is None else f.times(weight),
+                      k, family, shift))
     # Only derivative kernels integrated as they are cap the schedule.
     capped = max([k for _c, w, k, fam, _s in atoms if not by_parts(fam, k, w)], default=0)
     return reduce_sequence(derivative_schedule(schedule, capped),
@@ -207,7 +212,7 @@ def first_batch(bound, weights, schedule, tol, shared):
         with np.errstate(all="ignore"):
             # The profile times the atom's factor, one row per rank.
             g = np.broadcast_to(_profile_on_nodes(d.profile, cuts)
-                                * (1.0 if f is None else _values(f.fn, x)), x.shape)
+                                * (1.0 if f is None else array_values(f.fn, x)), x.shape)
             coarse = _contract(values[..., :m], w_coarse * g[:, :m])
             fine = _contract(values[..., m:], w_fine * g[:, m:])
             resabs = _contract(magnitude, w_fine * np.abs(g[:, m:]))
@@ -227,11 +232,6 @@ def _contract(values, w):
     return np.matmul(values.transpose(1, 0, 2), w[..., None])[..., 0]
 
 
-def _values(fn, x):
-    """fn on the 2-D nodes x, as `_u_rule` evaluates a weight."""
-    return array_values(fn, x.ravel()).reshape(x.shape)
-
-
 def _on_nodes(weights, x, m):
     """The weights on the 2-D nodes x, one (weight, rank) row per weight
     and rank, and |those values| past the first m nodes of each row.  A
@@ -241,7 +241,7 @@ def _on_nodes(weights, x, m):
     with np.errstate(all="ignore"):
         for row, w in zip(values, weights):
             try:
-                row[...] = _values(w.fn, x)
+                row[...] = array_values(w.fn, x)
             except (ArithmeticError, DeltaCalcError):
                 row[...] = math.nan
     return values, np.abs(values[..., m:])
@@ -440,7 +440,7 @@ def _u_rule(d, cuts, x, scale, weight, jac=None, anchor=None):
     if anchor is not None:
         x = np.concatenate((x, np.full((len(x), 1), anchor)), axis=1)
     with np.errstate(all="ignore"):
-        wv = np.ones_like(x) if weight is None else _values(weight, x)
+        wv = np.ones_like(x) if weight is None else array_values(weight, x)
         pj = p if jac is None else p * jac
         values = magnitude = pj * wv[:, :u.size]
         if anchor is not None:
@@ -464,8 +464,6 @@ def _fixed_rule(d, ranks, a, weight, ulo, uhi):
     # Over the whole support the integral of p = p0^(k), k >= 1, is 0, so
     # w(a) may be subtracted: that removes the n^k growth of the rounding.
     cancel = k > 0 and (ulo, uhi) == d.profile_support
-    if cancel and weight is None:
-        return [0.0] * len(ranks)
     cuts = _cuts(d, ulo, uhi)
     x = a + _fixed_nodes(cuts)[0] / np.array(ranks, dtype=float)[:, None]
     return _u_rule(d, cuts, x, [_scale(n, k) for n in ranks], weight,
@@ -592,8 +590,9 @@ def profile_integral(d, ranks, a, weight, ulo=-math.inf, uhi=math.inf):
 def reduce_integral(vf, lo=-math.inf, hi=math.inf, schedule=DEFAULT_SCHEDULE,
                     tol=1e-9, weight=None):
     """Compute the rank sequence I_n and reduce it to an IntegralResult:
-    vf is one atom of order 0 on `reduce_bound`, which refuses a rank whose
-    total is not finite and uses the schedule it is given."""
+    vf is one atom of order 0 on `reduce_bound` (a kernel's derivative, an
+    atom of its base kernel), which refuses a rank whose total is not
+    finite."""
     return reduce_bound([(1.0, None, None, vf, 0.0)], weight, lo, hi, schedule, tol)
 
 
@@ -603,9 +602,10 @@ def reduce_integral(vf, lo=-math.inf, hi=math.inf, schedule=DEFAULT_SCHEDULE,
 
 def sift(d, f, a=0.0, schedule=DEFAULT_SCHEDULE, tol=1e-9):
     """Reduce the integral of d_n(x - a) f(x) over the whole line; equals
-    f(a) for valid inputs.  d shifted to a is one atom of order 0 on
-    `reduce_bound`, as in `reduce_integral`; `integrate_rank` takes a
-    profile kernel in u = n(x - a).
+    f(a) for valid inputs, and (-1)^k f^(k)(a) for d a kernel's order-k
+    derivative.  d shifted to a is one atom of order 0 on `reduce_bound`,
+    as in `reduce_integral`; `integrate_rank` takes a profile kernel in
+    u = n(x - a).
     """
     return reduce_bound([(1.0, None, None, d, float(a))], f, -math.inf, math.inf,
                         schedule, tol)
@@ -716,8 +716,7 @@ def _contraction(f1, c1, f2, c2):
             for i in range(0, rows.size, step):
                 r, h = rows[i:i + step], half[i:i + step]
                 t = mid[i:i + step, None] + h[:, None] * nodes
-                values = (array_values(f1, (flat[r, None] - t).ravel())
-                          * array_values(f2, t.ravel())).reshape(t.shape)
+                values = array_values(f1, flat[r, None] - t) * array_values(f2, t)
                 for total, part in zip(sums, _rule_sums(values, w_coarse, w_fine, r.size, h)):
                     total += np.bincount(r, part, flat.size)
             ok = _accepted(*sums)
@@ -950,7 +949,7 @@ def _nodes(g, fn, key, cuts, rows):
     t = _fixed_nodes(cuts)[0] / n
     x = _solve(fn, t, root + t / slope, slope)
     with np.errstate(all="ignore"):
-        dg = array_values(g.derivative(1).fn, x.ravel()).reshape(x.shape)
+        dg = array_values(g.derivative(1).fn, x)
         jac = 1.0 / np.abs(dg)
         good = (lo <= x) & (x <= hi) & (dg * slope > 0.0) & (jac < math.inf)
     return x, jac, good.all(axis=1).tolist()
@@ -968,7 +967,7 @@ def _solve(fn, t, x, slope):
     x0 = r0 = None
     with np.errstate(all="ignore"):
         for _ in range(_SOLVE_STEPS):
-            r = array_values(fn, x.ravel()).reshape(x.shape) - t
+            r = array_values(fn, x) - t
             q = slope if x0 is None else slope * np.fmin(np.fmax(
                 (r - r0) / ((x - x0) * slope), 0.5), 2.0)
             step = np.where(done, 0.0, r / q)

@@ -143,3 +143,24 @@ def test_overflowing_table_gives_no_infinite_limit():
     limit, err = extract_limit(vals, sched, tol=1e-9)
     assert math.isfinite(err)
     assert abs(limit - limit_true) <= 1e-12 * limit_true
+
+
+def test_log_growth_on_ranks_that_are_not_geometric_is_undetermined():
+    # The observed order of increments on Fibonacci ranks is found by
+    # bisection; Newton's slope there was 0 and raised ZeroDivisionError.
+    from deltacalc.vintegral import reduce_sequence
+    from deltacalc.vnum import NumberClass, classify, from_sequence
+
+    ranks = [1, 2, 3, 5, 8, 13, 21, 34]
+    res = reduce_sequence(ranks, lambda r: [math.log(n) for n in r], 1e-9)
+    assert res.kind == "undetermined" and [n for n, _v in res.rank_values] == ranks
+    assert classify(from_sequence(math.log), schedule=ranks) is NumberClass.INDETERMINATE
+
+
+@pytest.mark.parametrize("alpha", [-3.0, -0.5, 0.25, 1.0, 2.0, 4.5])
+def test_order_on_unequal_spacings_is_the_power_it_came_from(alpha):
+    # Increments of n^-alpha on ranks 1, 2, 3: their ratio gives alpha back.
+    from deltacalc.limits import _order
+
+    d0, d1 = 2.0 ** -alpha - 1.0, 3.0 ** -alpha - 2.0 ** -alpha
+    assert abs(_order(d0 / d1, math.log(2.0), math.log(1.5)) - alpha) <= 1e-13

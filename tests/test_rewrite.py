@@ -696,3 +696,20 @@ def test_probe_passes_quadratic(bump, square, mix):
 def test_probe_needs_two_kernels(bump):
     with pytest.raises(ValueError):
         kernel_dependence_probe(X2M4, [bump])
+
+
+def test_a_delta_free_function_is_one_smooth_summand(bump):
+    # A RealFunction is bound as SmoothTerm(f): the same result, where it
+    # could not be flattened before.
+    f = to_real_function(parse("exp(-x*x)"))
+    got = reduce_expr_integral(f, kernel=bump)
+    want = reduce_expr_integral(SmoothTerm(f), kernel=bump)
+    assert got == want and got.reduced and abs(got.value - math.sqrt(math.pi)) <= 1e-9
+    g = to_real_function(parse("0"))
+    assert reduce_expr_integral(g, kernel=bump) == reduce_expr_integral(SmoothTerm(g),
+                                                                        kernel=bump)
+    battery = sift_battery()[:6]  # to sin(2x): no exponential overflows past x ~ 709
+    for lhs, rhs in ((f, DeltaTerm(0, 0.0)), (DeltaTerm(0, 0.0), f), (f, f)):
+        wrap = [SmoothTerm(e) if isinstance(e, RealFunction) else e for e in (lhs, rhs)]
+        assert (check_equivalence(lhs, rhs, kernel=bump, battery=battery)
+                == check_equivalence(*wrap, kernel=bump, battery=battery))
