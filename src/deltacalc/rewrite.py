@@ -22,11 +22,11 @@ from .vintegral import (  # noqa: F401
     _total,
     compose,
     convolve,
-    first_batch,
     integrate_rank,
     reduce_bound,
     reduce_integral,
     reduce_sequence,
+    reductions,
 )
 
 __all__ = [
@@ -425,7 +425,8 @@ def check_equivalence(lhs, rhs, kernel=None, battery=None, tol=1e-7,
     side or any deviation beyond 10*tol relative to max(1, |lhs|, |rhs|)
     is decisive the other way.  A member whose integrals fail and that is
     not finite at some point where a delta term sits (exp(x) past x ~ 709)
-    is skipped and named in the verdict's `skipped`.
+    is skipped and named in the verdict's `skipped`.  A side's first ranks
+    against every member are one stacked pass (`reductions`).
     """
     battery = standard_battery() if battery is None else battery
     if order is not None:
@@ -434,31 +435,21 @@ def check_equivalence(lhs, rhs, kernel=None, battery=None, tol=1e-7,
         raise ValueError("battery must be nonempty")
     points = None
     skipped = []
-    # Each side is bound to its rank families once, on first use.
+    # Each side is bound and its reductions built once, on first use.
     bound = functools.cache(lambda i: _bind((lhs, rhs)[i], kernel, window))
+    reduced = functools.cache(lambda i: reductions(bound(i), battery, -math.inf, math.inf,
+                                                   schedule, tol))
 
     def verdict(*args, **kw):
         return EquivalenceVerdict(*args, skipped=tuple(skipped), **kw)
 
-    # Each side's first ranks against the whole battery, in one stacked
-    # pass on first use; the two sides share their node arrays.
-    shared = {}
-    first = functools.cache(lambda i: first_batch(bound(i), battery, schedule, tol, shared))
-
-    def reduced(i, j, f):
-        """Side i against battery member j, f: off the first batch where it
-        settles, else reduced weight by weight."""
-        res = first(i)[j]
-        return res if res is not None else reduce_bound(bound(i), f, -math.inf, math.inf,
-                                                        schedule, tol)
-
     max_dev = 0.0
     for j, f in enumerate(battery):
         try:
-            left = reduced(0, j, f)
+            left = reduced(0)[j]()
             if not left.reduced:
                 return verdict("irreducible_side", side="lhs", witness=f.label)
-            right = reduced(1, j, f)
+            right = reduced(1)[j]()
         except (ArithmeticError, DeltaCalcError):
             if points is None:
                 points = _delta_points(bound(0) + bound(1))

@@ -1,10 +1,10 @@
 """The reduced-integral engine.
 
-Virtual integrals are realized per rank (bounds are floats; in
-`integrate_rank` alone an infinite bound becomes shift -/+ n), the rank
-sequence I_n is recorded, and the observed order of its increments
-(`limits`) makes the result a real limit ("reduced"), a divergence like
-n^p ("irreducible"), or Undetermined.
+Virtual integrals are realized per rank against one weight or a stack
+(bounds are floats; in `_rank_integrals` alone an infinite bound becomes
+shift -/+ n), the rank sequence I_n is recorded, and the observed order
+of its increments (`limits`) makes the result a real limit ("reduced"), a
+divergence like n^p ("irreducible"), or Undetermined.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ __all__ = [
     "integrate_rank",
     "profile_integral",
     "reduce_bound",
-    "first_batch",
+    "reductions",
     "reduce_integral",
     "sift",
     "sift_derivative",
@@ -95,9 +95,11 @@ def reduce_sequence(schedule, value_fn, tol):
     """
     values = list(value_fn(tuple(schedule[:_MIN_PROBES])))
     while True:
-        res = _settled(values, schedule[:len(values)], tol)
-        if res is not None:
-            return res
+        ranks = schedule[:len(values)]
+        lim = extract_limit(values, ranks, tol, _QUAD_OPTS["epsrel"])
+        if lim is not None:
+            return IntegralResult("reduced", value=float(lim[0]), error_estimate=float(lim[1]),
+                                  rank_values=tuple(zip(ranks, values)))
         if len(values) == len(schedule):
             break
         values.extend(value_fn((schedule[len(values)],)))
@@ -106,16 +108,6 @@ def reduce_sequence(schedule, value_fn, tol):
     if fit is None:
         return IntegralResult("undetermined", rank_values=pairs)
     return IntegralResult("irreducible", exponent=fit[0], sign=fit[1], rank_values=pairs)
-
-
-def _settled(values, ranks, tol):
-    """The reduced result of I_n = `values` on `ranks`, or None where
-    `extract_limit` does not settle it."""
-    lim = extract_limit(values, ranks, tol, _QUAD_OPTS["epsrel"])
-    if lim is None:
-        return None
-    return IntegralResult("reduced", value=float(lim[0]), error_estimate=float(lim[1]),
-                          rank_values=tuple(zip(ranks, values)))
 
 
 def _total(values):
@@ -132,119 +124,75 @@ def _total(values):
 
 
 def reduce_bound(bound, weight, lo, hi, schedule, tol):
-    """The one reduction path: reduce the integral over [lo, hi] of the sum,
-    over `bound`'s (c, factor, atom, family, shift), of c * factor * weight
-    times the rank family at `shift`, through `reduce_sequence`.  factor is
-    a RealFunction or None (1), weight a RealFunction, a bare callable (no
-    derivative rule) or None (1), and family None is 0.  Of atom (a
-    `rewrite` term, or None) only its `order` is read, 0 where it has none.
-    A kernel's derivative of order j (a family with a `base`) is that base
-    kernel at atom order k + j, so one rule serves every order of d^(k).
-    A rank whose total is not finite is refused.  An atom of order k >= 1
-    not integrated `by_parts` caps the schedule (`derivative_schedule`)."""
-    if weight is not None and not isinstance(weight, RealFunction):
-        weight = RealFunction(weight)  # a bare callable: no derivative rule
-    # Each atom's weight: its factor times the caller's.
+    """The one reduction path: `reductions` of the one weight."""
+    return reductions(bound, [weight], lo, hi, schedule, tol)[0]()
+
+
+def reductions(bound, weights, lo, hi, schedule, tol):
+    """Per weight, a function of no argument that reduces the integral over
+    [lo, hi] of the sum, over `bound`'s (c, factor, atom, family, shift), of
+    c * factor * weight times the rank family at `shift`, through
+    `reduce_sequence`.  factor is a RealFunction or None (1), a weight a
+    RealFunction, a bare callable (no derivative rule) or None, family None
+    is 0, and of atom (a `rewrite` term, or None) only its `order` is read.
+    A kernel's derivative of order j (a family with a `base`) is its base
+    kernel at atom order k + j.  A rank whose total is not finite is
+    refused.  An atom of order k >= 1 not `by_parts` caps the schedule
+    (`derivative_schedule`).  The first ranks of the weights with one cap
+    are one stack (`_totals`), taken on first use; the rest one by one."""
+    weights = [w if w is None or isinstance(w, RealFunction) else RealFunction(w)
+               for w in weights]
     atoms = []
     for c, f, atom, family, shift in bound:
         k, base = getattr(atom, "order", 0), getattr(family, "base", None)
         if base is not None:  # a kernel's derivative: its base kernel's atom
             k, family = k + family.order - base.order, base
-        atoms.append((c, weight if f is None else f if weight is None else f.times(weight),
-                      k, family, shift))
-    # Only derivative kernels integrated as they are cap the schedule.
-    capped = max([k for _c, w, k, fam, _s in atoms if not by_parts(fam, k, w)], default=0)
-    return reduce_sequence(derivative_schedule(schedule, capped),
-                           functools.partial(_totals, atoms, lo, hi), tol)
+        atoms.append((c, f, k, family, shift))
+    caps = [max([k for _c, f, k, fam, _s in atoms if k and not by_parts(
+        fam, k, w if f is None else f if w is None else f.times(w))], default=0) for w in weights]
+    stacks = {}  # cap -> {weight index: its first ranks' totals, or None}
+
+    def reduce(j):
+        def values(r):  # the first call asks for the first ranks, a later one for one
+            if len(r) > 1 and caps[j] not in stacks:
+                stack = [i for i, c in enumerate(caps) if c == caps[j]]
+                stacks[caps[j]] = dict(zip(stack, _totals(atoms, [weights[i] for i in stack],
+                                                          lo, hi, r)))
+            return len(r) > 1 and stacks[caps[j]][j] or _totals(atoms, [weights[j]], lo, hi, r)[0]
+        return reduce_sequence(derivative_schedule(schedule, caps[j]), values, tol)
+
+    return [functools.partial(reduce, j) for j in range(len(weights))]
 
 
-def _totals(atoms, lo, hi, ranks):
-    """`reduce_bound`'s I_n at `ranks`: the sum over its (c, weight, k,
-    family, shift) `atoms`.  A module function, not a closure that calls
-    itself, so that no reference cycle keeps the families alive."""
+def _totals(atoms, weights, lo, hi, ranks):
+    """`reductions`' I_n at `ranks` per weight: the sum over the (c, factor,
+    k, family, shift) `atoms` of c times the atom's `delta_integral`.  One
+    weight raises the error of the lowest rank that fails (of the first
+    atom at it), or of a total that is not finite; in a stack such a
+    weight reads None, and all do where the stack raises."""
     try:
-        columns = [[c * v for v in ([0.0] * len(ranks) if family is None else
-                                    delta_integral(family, k, lo, hi, ranks, w, shift))]
-                   for c, w, k, family, shift in atoms]
-    except DeltaCalcError:
-        if len(ranks) == 1 or len(atoms) == 1:
+        columns = [[[c * v for v in row] for row in (
+                        [[0.0] * len(ranks)] * len(weights) if family is None else
+                        delta_integral(family, k, lo, hi, ranks, weights, shift, f))]
+                   for c, f, k, family, shift in atoms]
+    except Exception as exc:
+        if len(weights) > 1:
+            return [None] * len(weights)
+        if not isinstance(exc, DeltaCalcError) or len(ranks) == 1 or len(atoms) == 1:
             raise
         # Rank by rank, atom by atom: the first to fail names the error.
         for n in ranks:
-            _totals(atoms, lo, hi, (n,))
+            _totals(atoms, weights, lo, hi, (n,))
         raise
-    totals = [_total(column) for column in zip(*columns)]
-    for n, total in zip(ranks, totals):
-        if not math.isfinite(total):
-            raise QuadratureError(f"at rank n={n}, the integral is not finite: "
-                                  f"{total}", rank=n)
-    return totals
-
-
-def first_batch(bound, weights, schedule, tol, shared):
-    """`reduce_bound(bound, w, -inf, inf, schedule, tol)` for each weight w
-    of `weights` (RealFunctions) that the first _MIN_PROBES ranks settle,
-    else None, from one stacked pass.  Every entry is None unless `bound`
-    holds only atoms of order 0 on order-0 profile kernels whose support
-    each of those ranks holds.  The nodes x = shift + u/n of those ranks
-    are built once per (cuts, shift), and each weight and each atom's
-    factor is evaluated on them once: `shared` keeps x and the weights'
-    values on it for the next bound.  Each rule sum of all (weight, rank)
-    rows of an atom is one contraction.  A weight whose rules a rank does
-    not accept, or whose totals are not all finite, is left to
-    `reduce_bound`."""
-    ranks = tuple(schedule[:_MIN_PROBES])
-    reach = min(ranks, default=0) ** 2  # u = n(x - shift) on the whole line
-    if not bound or not all(isinstance(d, DiracKernel) and d.order == 0
-                            and getattr(atom, "order", 0) == 0
-                            and -reach <= d.profile_support[0] <= d.profile_support[1] <= reach
-                            for _c, _f, atom, d, _s in bound):
-        return [None] * len(weights)
-    ok, columns = True, []
-    for c, f, _atom, d, shift in bound:
-        cuts = _cuts(d, *d.profile_support)
-        u, w_coarse, w_fine = _fixed_nodes(cuts)
-        m = w_coarse.size
-        if (cuts, shift) not in shared:
-            x = shift + u / np.array(ranks, dtype=float)[:, None]
-            shared[(cuts, shift)] = x, *_on_nodes(weights, x, m)
-        x, values, magnitude = shared[(cuts, shift)]
-        with np.errstate(all="ignore"):
-            # The profile times the atom's factor, one row per rank.
-            g = np.broadcast_to(_profile_on_nodes(d.profile, cuts)
-                                * (1.0 if f is None else array_values(f.fn, x)), x.shape)
-            coarse = _contract(values[..., :m], w_coarse * g[:, :m])
-            fine = _contract(values[..., m:], w_fine * g[:, m:])
-            resabs = _contract(magnitude, w_fine * np.abs(g[:, m:]))
-            ok = ok & _accepted(coarse, fine, resabs).all(axis=0)
-        columns.append(c * fine)
-    # Left to right, as `_total` adds the atoms' columns.
-    totals = functools.reduce(operator.add, columns)
-    ok = ok & np.isfinite(totals).all(axis=0)
-    return [_settled(v, ranks, tol) if good else None
-            for v, good in zip(totals.T.tolist(), ok.tolist())]
-
-
-def _contract(values, w):
-    """The sums over k of values[i, r, k] w[r, k], one row per rank r and
-    column per weight i: one batched matrix product, of each rank's
-    (weight, node) block and its rule weights, on views of `values`."""
-    return np.matmul(values.transpose(1, 0, 2), w[..., None])[..., 0]
-
-
-def _on_nodes(weights, x, m):
-    """The weights on the 2-D nodes x, one (weight, rank) row per weight
-    and rank, and |those values| past the first m nodes of each row.  A
-    weight whose evaluation raises an error that `check_equivalence` may
-    skip reads nan, so that `reduce_bound` raises it in its turn."""
-    values = np.empty((len(weights), *x.shape))
-    with np.errstate(all="ignore"):
-        for row, w in zip(values, weights):
-            try:
-                row[...] = array_values(w.fn, x)
-            except (ArithmeticError, DeltaCalcError):
-                row[...] = math.nan
-    return values, np.abs(values[..., m:])
+    out = []
+    for j in range(len(weights)):
+        rows = [atom[j] for atom in columns]
+        totals = rows[0] if len(rows) == 1 else [_total(column) for column in zip(*rows)]
+        if not all(map(math.isfinite, totals)) and len(weights) == 1:
+            n, t = next((n, t) for n, t in zip(ranks, totals) if not math.isfinite(t))
+            raise QuadratureError(f"at rank n={n}, the integral is not finite: {t}", rank=n)
+        out.append(totals if all(map(math.isfinite, totals)) else None)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +238,14 @@ def _quad_piece(f, a, b, points=None):
 
 
 def integrate_rank(vf, lo, hi, ranks, weight=None, shift=0.0):
-    """Rank-n integrals of f_n(x - shift) * weight(x) over [lo, hi], one per
-    rank n of the tuple `ranks`.
+    """`_rank_integrals` of one weight: one integral per rank."""
+    return _rank_integrals(vf, lo, hi, ranks, [weight], shift)[0]
+
+
+def _rank_integrals(vf, lo, hi, ranks, weights, shift=0.0, factor=None):
+    """Rank-n integrals of f_n(x - shift) * factor(x) * w(x) over [lo, hi],
+    for each w of `weights` (callables or None, 1; `factor` too): a list
+    per weight, one integral per rank n of the tuple `ranks`.
 
     This is the one place that realises an infinite bound, as the offset
     -/+ n from the shift, so a kernel's support lies inside the bounds at
@@ -301,8 +255,12 @@ def integrate_rank(vf, lo, hi, ranks, weight=None, shift=0.0):
     by piece over the monotone pieces of g, in u = n g(x) or in x
     (`_substituted`), and any other virtual function in x on its octave
     panels about the shift (`_octaves`), cut to its declared support: all
-    on the fixed rules and the adaptive rule (`_refined`).  The ranks are
-    taken in order: the lowest that fails raises its error."""
+    on the fixed rules and the adaptive rule (`_refined`), each weight once
+    on nodes built once (`_weigh`).  One weight takes the ranks in order,
+    the lowest that fails raising its error; in a stack it reads nan."""
+    if len(weights) == 1 and factor is not None:  # one weight: as RealFunction.times
+        weights, factor = [factor if weights[0] is None else
+                           lambda x, f=factor, w=weights[0]: f(x) * w(x)], None
     # Reversed bounds (or nan) are refused; a finite bound beyond one
     # rank's window only empties that rank.
     if not (lo <= hi and lo < math.inf and hi > -math.inf):
@@ -311,17 +269,19 @@ def integrate_rank(vf, lo, hi, ranks, weight=None, shift=0.0):
     offsets = [(-float(n) if lo == -math.inf else lo - shift,
                 float(n) if hi == math.inf else hi - shift) for n in ranks]
     if isinstance(vf, DiracKernel):
-        return profile_integral(vf, ranks, shift, weight,
-                                [n * da for n, (da, _db) in zip(ranks, offsets)],
-                                [n * db for n, (_da, db) in zip(ranks, offsets)])
+        return _profile_integrals(vf, ranks, shift, weights, factor,
+                                  [n * da for n, (da, _db) in zip(ranks, offsets)],
+                                  [n * db for n, (_da, db) in zip(ranks, offsets)])
     if isinstance(vf, Composite):
         if shift:
             raise ValueError(f"a composite takes no shift (shift {shift:g})")
-        return _substituted(vf, ranks, offsets, weight)
+        return _substituted(vf, ranks, offsets, weights, factor)
     if shift:
         vf = vf.translate(shift)
-    return [_regions_integral(vf, n, weight, *_octaves(vf, n, shift, shift + da, shift + db))
-            for n, (da, db) in zip(ranks, offsets)]
+    columns = [_regions_integral(vf, n, weights, factor,
+                                 *_octaves(vf, n, shift, shift + da, shift + db))
+               for n, (da, db) in zip(ranks, offsets)]
+    return [[column[j] for column in columns] for j in range(len(weights))]
 
 
 def _octaves(vf, n, c, a, b):
@@ -396,57 +356,70 @@ def _profile_on_nodes(profile, cuts):
 
 def _accepted(coarse, fine, resabs):
     """Where the finer fixed rule's value may stand for adaptive quad's, on
-    floats or elementwise on arrays: all finite, and both rules within
-    quad's own target of each other, with its rounding floor relative to
+    floats or elementwise on arrays: both finite, and within quad's own
+    target of each other, or within its rounding floor relative to a finite
     `resabs`, the integral of |integrand| (where quad stops with a roundoff
     warning).  Operators only: on floats, numpy calls would add a tenth to
     a profile rank's cost.  Call it under np.errstate(all="ignore")."""
-    total, diff = coarse + fine + resabs, abs(fine - coarse)
-    # total - total is 0 where the three are finite and their sum is.
+    total, diff, floor = coarse + fine, abs(fine - coarse), 50.0 * _EPS * resabs
+    # t - t is 0 where t is finite: the two rules' sum, and the floor.
     return (total - total == 0) & ((diff <= _QUAD_OPTS["epsabs"])
                                    | (diff <= _QUAD_OPTS["epsrel"] * abs(fine))
-                                   | (diff <= 50.0 * _EPS * resabs))
+                                   | (diff <= floor) & (floor - floor == 0))
 
 
-def _rule_sums(values, w_coarse, w_fine, rows, scale=None, magnitude=None):
-    """Both fixed rules on `values`, each summed per row as a dot product
-    times that row's `scale` (default 1): lists of the coarse rule's, the
-    fine rule's and the fine rule's on |magnitude| (default: |values|), the
-    three that `_accepted` takes.  A row is a panel where `values` is laid
-    out as _panel_rules lays out its nodes, or a row of a 2-D `values`,
-    each row all of the rules' nodes.  Call it under
+def _rule_sums(values, w_coarse, w_fine, rows, scale=1.0, magnitude=None):
+    """Both fixed rules on `values`, a stack of integrands, one per weight,
+    each summed per row as one matmul of a (1, node) row and a (node, 1)
+    rule, the bits of the row alone, times that row's `scale`: (weight,
+    row) arrays of the coarse rule's, the fine rule's and the fine rule's
+    on |magnitude| (default: |values|), the three that `_accepted` takes.
+    A row is a panel where an integrand is laid out as _panel_rules lays
+    out its nodes, or a row of a 2-D integrand.  Call it under
     np.errstate(all="ignore")."""
     m = w_coarse.size
     magnitude = values if magnitude is None else magnitude
     pairs = ((w_coarse, values[..., :m]), (w_fine, values[..., m:]),
              (w_fine, np.abs(magnitude[..., m:])))
-    scale = [1.0] * rows if scale is None else scale
     sums = []
     for w, v in pairs:
-        v = v.reshape(rows, 1, -1)
-        dots = (v @ w.reshape(-1, v.shape[-1], 1)).ravel().tolist()
-        sums.append([c * s for c, s in zip(scale, dots)])
+        v = v.reshape(len(v), rows, 1, -1)
+        sums.append((v @ w.reshape(-1, v.shape[-1], 1))[..., 0, 0] * scale)
     return sums
 
 
-def _u_rule(d, cuts, x, scale, weight, jac=None, anchor=None):
-    """n^k * integral of p(u) jac(u) w(x(u)) du on _fixed_nodes(cuts), p d's
-    order-k profile and jac None 1, for each row of nodes x(u) and its n^k
-    in `scale`: the fine rule's value, None where the rules disagree or a
-    value is not finite.  `anchor` a subtracts w(a) from w; the rounding
-    floor stays that of p * jac * w."""
+def _weigh(weights, factor, x):
+    """`weights` (callables, None for 1) times `factor` (None for 1) on the
+    nodes x, a (weight, *x.shape) stack.  Call it under np.errstate."""
+    rows = [np.ones_like(x) if w is None else array_values(w, x) for w in weights]
+    out = rows[0][None] if len(rows) == 1 else np.stack(rows)
+    return out if factor is None else array_values(factor, x) * out
+
+
+#: Weights a fixed rule takes at a time: their integrands stay in cache.
+_CHUNK = 4
+_last_stack = [None, None]  # (key, values): the last stack `_fixed_rule` evaluated
+
+
+def _u_rule(d, cuts, wv, scale, jac=None, anchored=False, fv=None):
+    """n^k * integral of p(u) jac(u) f(x(u)) w(x(u)) du on _fixed_nodes(cuts),
+    p d's order-k profile and jac None 1, for each (weight, row) of w in
+    `wv`, f in `fv` (None for 1) and each row's n^k in `scale`: per weight,
+    the fine rule's value per row, nan where the rules disagree or a value
+    is not finite.  `anchored`: the last node of a row is a, and f w at a
+    is subtracted from f w.  Call it under np.errstate(all="ignore")."""
     u, w_coarse, w_fine = _fixed_nodes(cuts)
-    p = _profile_on_nodes(d.profile, cuts)
-    if anchor is not None:
-        x = np.concatenate((x, np.full((len(x), 1), anchor)), axis=1)
-    with np.errstate(all="ignore"):
-        wv = np.ones_like(x) if weight is None else array_values(weight, x)
-        pj = p if jac is None else p * jac
-        values = magnitude = pj * wv[:, :u.size]
-        if anchor is not None:
-            values = pj * (wv[:, :u.size] - wv[:, -1:])
-        coarse, fine, resabs = _rule_sums(values, w_coarse, w_fine, len(x), scale, magnitude)
-        return [v if _accepted(c, v, r) else None for c, v, r in zip(coarse, fine, resabs)]
+    p, scale, out = _profile_on_nodes(d.profile, cuts), np.array(scale), []
+    pj = p if jac is None else p * jac
+    for chunk in (wv[i:i + _CHUNK] for i in range(0, len(wv), _CHUNK)):
+        chunk = chunk if fv is None else fv * chunk
+        values = magnitude = pj * chunk[..., :u.size]
+        if anchored:
+            values = pj * (chunk[..., :u.size] - chunk[..., -1:])
+        sums = _rule_sums(values, w_coarse, w_fine, len(scale), scale, magnitude)
+        out += [[v if _accepted(c, v, r) else math.nan for c, v, r in zip(*rows)]
+                for rows in zip(*(s.tolist() for s in sums))]
+    return out
 
 
 def _scale(n, k):
@@ -457,17 +430,26 @@ def _scale(n, k):
         return math.inf
 
 
-def _fixed_rule(d, ranks, a, weight, ulo, uhi):
-    """_u_rule in u = n(x - a) over [ulo, uhi], for each rank n of `ranks`:
-    one value per rank, or None."""
+def _fixed_rule(d, ranks, a, weights, ulo, uhi, factor=None):
+    """_u_rule in u = n(x - a) over [ulo, uhi], for each of `weights` times
+    `factor` and each rank n of `ranks`.  A stack of several weights is kept
+    until read: the two sides of an equivalence at one shift share it."""
     k = d.order
     # Over the whole support the integral of p = p0^(k), k >= 1, is 0, so
     # w(a) may be subtracted: that removes the n^k growth of the rounding.
     cancel = k > 0 and (ulo, uhi) == d.profile_support
     cuts = _cuts(d, ulo, uhi)
     x = a + _fixed_nodes(cuts)[0] / np.array(ranks, dtype=float)[:, None]
-    return _u_rule(d, cuts, x, [_scale(n, k) for n in ranks], weight,
-                   anchor=a if cancel else None)
+    if cancel:
+        x = np.concatenate((x, np.full((len(x), 1), a)), axis=1)
+    key = len(weights) > 1 and (cuts, float(a).hex(), tuple(ranks), cancel, tuple(weights))
+    with np.errstate(all="ignore"):
+        hit = key and _last_stack[0] == key  # read once, by the other side, then freed
+        wv = _last_stack[1] if hit else _weigh(weights, None, x)
+        if key:
+            _last_stack[:] = (None, None) if hit else (key, wv)
+        return _u_rule(d, cuts, wv, [_scale(n, k) for n in ranks], anchored=cancel,
+                       fv=None if factor is None else array_values(factor, x))
 
 
 #: Levels of halving, and panels halved at most at one level, that the
@@ -492,7 +474,8 @@ def _refined(f, lo, hi, points):
     for _level in range(_REFINE_LEVELS):
         x, w_coarse, w_fine = _panel_rules(lo, hi)
         with np.errstate(all="ignore"):
-            coarse, fine, resabs = _rule_sums(array_values(f, x), w_coarse, w_fine, lo.size)
+            coarse, fine, resabs = (s[0].tolist() for s in _rule_sums(
+                array_values(f, x)[None], w_coarse, w_fine, lo.size))
             ok = [_accepted(*row) for row in zip(coarse, fine, resabs)]
         if not all(map(math.isfinite, coarse + fine + resabs)):
             break
@@ -511,54 +494,66 @@ def _refined(f, lo, hi, points):
     return _quad_piece(f, a, b, points)
 
 
-def _regions_integral(vf, n, weight, panels, inner=()):
-    """The integral of f_n * weight over the disjoint `panels`, summed in order.
+def _regions_integral(vf, n, weights, factor, panels, inner=()):
+    """The integral of f_n * factor * w over the disjoint `panels`, summed in
+    order, for each w of `weights` (`_rank_integrals`).
 
-    Both fixed rules are mapped onto every panel, and f_n * weight is
-    evaluated in one array call on all the nodes and the points `inner`,
-    cuts that no node meets: where it is not finite at one, the rank is
-    refused.  A panel whose two rules disagree, or give a value that is not
-    finite, goes to the adaptive rule (`_refined`).
+    Both fixed rules are mapped onto every panel, and f_n and each weight
+    (`_weigh`) are evaluated in one array call on all the nodes and the
+    points `inner`, cuts that no node meets: where an integrand is not
+    finite at one, the rank is refused.  A panel whose two rules disagree,
+    or give a value that is not finite, goes to the adaptive rule
+    (`_refined`); in a stack, it and a refused rank read nan.
     """
     if not panels:
-        return 0.0
-    f = lambda x: vf.rank_eval(n, x) * (1.0 if weight is None else weight(x))
+        return [0.0] * len(weights)
     x, w_coarse, w_fine = _panel_rules(*np.array(panels).T)
+    nodes = np.concatenate((x, inner))
     with np.errstate(all="ignore"):
-        values = array_values(f, np.concatenate((x, inner)))
-        coarse, fine, resabs = _rule_sums(values[:x.size], w_coarse, w_fine, len(panels))
-        accepted = [_accepted(*row) for row in zip(coarse, fine, resabs)]
-    for t, v in zip(inner, values[x.size:].tolist()):
+        values = array_values(lambda t: vf.rank_eval(n, t), nodes) * _weigh(weights, factor, nodes)
+        coarse, fine, resabs = _rule_sums(values[:, :x.size], w_coarse, w_fine, len(panels))
+        accepted = _accepted(coarse, fine, resabs)
+    if len(weights) > 1:  # every panel accepted, and finite at every cut
+        ok = accepted.all(axis=1) & np.isfinite(values[:, x.size:]).all(axis=1)
+        return [sum(row) if good else math.nan for row, good in zip(fine.tolist(), ok.tolist())]
+    for t, v in zip(inner, values[0, x.size:].tolist()):
         if not math.isfinite(v):
             raise QuadratureError(f"at rank n={n}, the integrand is {v} at the cut x={t:g}",
                                   rank=n)
-    return sum(v if ok else _refined(f, np.array([p]), np.array([q]), None)
-               for v, ok, (p, q) in zip(fine, accepted, panels))
+    w = weights[0]
+    f = lambda x: vf.rank_eval(n, x) * (1.0 if w is None else w(x))
+    return [sum(v if ok else _refined(f, np.array([p]), np.array([q]), None)
+                for v, ok, (p, q) in zip(fine[0].tolist(), accepted[0].tolist(), panels))]
 
 
 def profile_integral(d, ranks, a, weight, ulo=-math.inf, uhi=math.inf):
-    """Rank-n integrals of d_n(x - a) w(x) for the profile kernel d, one per
-    rank n of the tuple `ranks`.
+    """`_profile_integrals` of one weight: one integral per rank."""
+    return _profile_integrals(d, ranks, a, [weight], None, ulo, uhi)[0]
+
+
+def _profile_integrals(d, ranks, a, weights, factor=None, ulo=-math.inf, uhi=math.inf):
+    """Rank-n integrals of d_n(x - a) factor(x) w(x) for the profile kernel
+    d, for each w of `weights` (`_rank_integrals`), per rank n of `ranks`.
 
     With u = n(x - a) each is n^k * integral of p(u) w(a + u/n) over the
     profile support cut to [ulo, uhi] (floats, or one per rank), where p is
     d's order-k profile, so the quadrature nodes depend on neither n nor w.
     Two Gauss-Legendre rules on the panels between d.profile_cuts (u = 0,
-    the middle of the support) are evaluated in one array call for all the
-    ranks that share their cut support.  Where they disagree on a rank,
-    the adaptive rule (`_refined`) halves the panels that disagree, with
-    quad's targets on n^k p(u) w(a + u/n); where a value is not finite or
-    its budget is spent, one quad call over the rank's u range, split at
-    0, decides it.  The ranks are taken in order: the lowest that
-    fails raises its error.  `weight` None integrates the kernel alone.
-    """
+    the middle of the support) are evaluated in one array call per weight
+    for all the ranks that share their cut support (`_fixed_rule`).  Where
+    they disagree on a rank of one weight alone, the adaptive rule
+    (`_refined`) halves the panels that disagree, with quad's targets on
+    n^k p(u) w(a + u/n); where a value is not finite or its budget is
+    spent, one quad call over the rank's u range, split at 0, decides it
+    (in a stack, it reads nan).  The ranks are taken in order: the lowest
+    that fails raises its error."""
     plo, phi = d.profile_support
     ulo, uhi = ([b] * len(ranks) if np.ndim(b) == 0 else b for b in (ulo, uhi))
     bounds = [(max(plo, lo), min(phi, hi)) for lo, hi in zip(ulo, uhi)]
     # The first rank that is refused, where w would be read at one point
     # and a derivative kernel give 0; no later rank is evaluated.
     refused = next((i for i, (n, (lo, hi)) in enumerate(zip(ranks, bounds))
-                    if lo < hi and d.order and weight is not None
+                    if lo < hi and d.order and (factor, *weights) != (None, None)
                     and a + lo / n == a + hi / n), len(ranks))
     groups = {}
     for i in range(refused):
@@ -566,25 +561,24 @@ def profile_integral(d, ranks, a, weight, ulo=-math.inf, uhi=math.inf):
             groups.setdefault(bounds[i], []).append(i)
     fixed = {}
     for (lo, hi), rows in groups.items():
-        fixed.update(zip(rows, _fixed_rule(d, [ranks[i] for i in rows], a, weight, lo, hi)))
+        fixed.update(zip(rows, zip(*_fixed_rule(d, [ranks[i] for i in rows], a, weights,
+                                                lo, hi, factor))))
     values = []
     for i, (n, (lo, hi)) in enumerate(zip(ranks, bounds)):
-        if hi <= lo:
-            values.append(0.0)
-        elif i == refused:
+        if i == refused:
             raise QuadratureError(f"at rank n={n}, every node a + u/n of a derivative "
                                   f"kernel rounds to its shift a={a:g}", rank=n)
-        elif fixed[i] is not None:
-            values.append(fixed[i])
-        else:
-            prof, scale, cuts = d.profile, _scale(n, d.order), _cuts(d, lo, hi)
-            g = lambda u: scale * prof(u) * (1.0 if weight is None else weight(a + u / n))
+        row = fixed[i] if lo < hi else [0.0] * len(weights)
+        if len(weights) == 1 and row[0] != row[0]:  # nan: the fixed rules disagree
+            prof, scale, cuts, w = d.profile, _scale(n, d.order), _cuts(d, lo, hi), weights[0]
+            g = lambda u: scale * prof(u) * (1.0 if w is None else w(a + u / n))
             try:
-                values.append(_refined(g, np.array(cuts[:-1]), np.array(cuts[1:]), [0.0]))
+                row = [_refined(g, np.array(cuts[:-1]), np.array(cuts[1:]), [0.0])]
             except QuadratureError as exc:
                 raise QuadratureError(f"at rank n={n}, kernel {d.name!r} of order {d.order}: "
                                       f"{exc}", rank=n, diagnostics=exc.diagnostics) from exc
-    return values
+        values.append(row)
+    return [list(column) for column in zip(*values)] or [[] for _ in weights]
 
 
 def reduce_integral(vf, lo=-math.inf, hi=math.inf, schedule=DEFAULT_SCHEDULE,
@@ -604,7 +598,7 @@ def sift(d, f, a=0.0, schedule=DEFAULT_SCHEDULE, tol=1e-9):
     """Reduce the integral of d_n(x - a) f(x) over the whole line; equals
     f(a) for valid inputs, and (-1)^k f^(k)(a) for d a kernel's order-k
     derivative.  d shifted to a is one atom of order 0 on `reduce_bound`,
-    as in `reduce_integral`; `integrate_rank` takes a profile kernel in
+    as in `reduce_integral`; `_rank_integrals` takes a profile kernel in
     u = n(x - a).
     """
     return reduce_bound([(1.0, None, None, d, float(a))], f, -math.inf, math.inf,
@@ -636,29 +630,37 @@ def by_parts(d, k, weight):
             and (weight is None or weight.rule_order >= k))
 
 
-def delta_integral(d, k, lo, hi, ranks, weight, a):
-    """Rank-n integrals of d_n^(k)(x - a) F(x) over [lo, hi], one per rank n
-    of `ranks`, for F the RealFunction `weight` (None for 1).  Where
-    `by_parts`, (-1)^k times the order-0 integral of d_n(x - a) F^(k)(x),
-    plus sum_{j<k} (-1)^j [d_n^(k-1-j)(x - a) F^(j)(x)] at each finite bound
-    inside supp d_n(x - a), with no n^k; else d's order-k derivative (d, any
-    virtual function, at k = 0) as it is (`integrate_rank`)."""
-    if not by_parts(d, k, weight):
-        return integrate_rank(d.derivative(k) if k else d, lo, hi, ranks,
-                              None if weight is None else weight.fn, a)
-    # F = 1 has F^(k) = 0; (-1)^k * 0.0 + 0.0 is 0.0, not -0.0.
-    dk, F = ((np.zeros_like, lambda j, _x: float(j == 0)) if weight is None
-             else (weight.derivative(k).fn, weight.deriv_value))
-    values = [(-1.0) ** k * v + 0.0 for v in integrate_rank(d, lo, hi, ranks, dk, a)]
-    plo, phi = d.profile_support
-    for i, n in enumerate(ranks):
-        for x, side in ((lo, -1.0), (hi, 1.0)):
-            u = n * (x - a)  # +-inf at an infinite bound
-            if plo < u < phi:
-                values[i] += side * sum((-1.0) ** j * _scale(n, d.order + k - j)
-                                        * d.derivative(k - 1 - j).profile(u) * F(j, x)
-                                        for j in range(k))
-    return values
+def delta_integral(d, k, lo, hi, ranks, weights, a, factor=None):
+    """Rank-n integrals of d_n^(k)(x - a) F(x) over [lo, hi], F = factor * w
+    for each w of `weights` (RealFunctions or None, 1), per rank n of
+    `ranks`.  Where `by_parts`, (-1)^k times the order-0 integral of
+    d_n(x - a) F^(k)(x), plus sum_{j<k} (-1)^j [d_n^(k-1-j)(x - a) F^(j)(x)]
+    at each finite bound inside supp d_n(x - a), with no n^k; else d's
+    order-k derivative (d, any virtual function, at k = 0) as it is."""
+    if not k:  # nothing is taken by parts
+        return _rank_integrals(d, lo, hi, ranks, [getattr(w, "fn", None) for w in weights], a,
+                               getattr(factor, "fn", None))
+    Fs = [w if factor is None else factor if w is None else factor.times(w) for w in weights]
+    out, plain = {}, [j for j, F in enumerate(Fs) if not by_parts(d, k, F)]
+    if plain:
+        out.update(zip(plain, _rank_integrals(d.derivative(k), lo, hi, ranks, [
+            getattr(weights[j], "fn", None) for j in plain], a, getattr(factor, "fn", None))))
+    parted = [j for j in range(len(weights)) if j not in plain]
+    # F = 1 has F^(k) = 0.
+    dks = [np.zeros_like if Fs[j] is None else Fs[j].derivative(k).fn for j in parted]
+    for j, values in zip(parted, _rank_integrals(d, lo, hi, ranks, dks, a) if dks else ()):
+        F = (lambda i, _x: float(i == 0)) if Fs[j] is None else Fs[j].deriv_value
+        plo, phi = d.profile_support
+        # (-1)^k * 0.0 + 0.0 is 0.0, not -0.0.
+        values = out[j] = [(-1.0) ** k * v + 0.0 for v in values]
+        for i, n in enumerate(ranks):
+            for x, side in ((lo, -1.0), (hi, 1.0)):
+                u = n * (x - a)  # +-inf at an infinite bound
+                if plo < u < phi:
+                    values[i] += side * sum((-1.0) ** m * _scale(n, d.order + k - m)
+                                            * d.derivative(k - 1 - m).profile(u) * F(m, x)
+                                            for m in range(k))
+    return [out[j] for j in range(len(weights))]
 
 
 def sift_derivative(d, k, f, a=0.0, schedule=DEFAULT_SCHEDULE, tol=1e-9):
@@ -717,8 +719,9 @@ def _contraction(f1, c1, f2, c2):
                 r, h = rows[i:i + step], half[i:i + step]
                 t = mid[i:i + step, None] + h[:, None] * nodes
                 values = array_values(f1, flat[r, None] - t) * array_values(f2, t)
-                for total, part in zip(sums, _rule_sums(values, w_coarse, w_fine, r.size, h)):
-                    total += np.bincount(r, part, flat.size)
+                for total, part in zip(sums, _rule_sums(values[None], w_coarse, w_fine,
+                                                        r.size, h)):
+                    total += np.bincount(r, part[0], flat.size)
             ok = _accepted(*sums)
         out = sums[1]
         for j in np.flatnonzero(~ok):
@@ -978,21 +981,26 @@ def _solve(fn, t, x, slope):
     return np.where(done, x, np.nan)
 
 
-def _substituted(vf, ranks, bounds, weight):
+def _substituted(vf, ranks, bounds, weights, factor=None):
     """The rank integrals of the Composite vf over the bounds (a, b) of each
-    rank on its plan (vf.nodes): in u, by `_u_rule`, the pieces it takes
-    so, and in x, on their panels over the pieces' exact ends, the rest and
-    each piece in u whose two rules disagree."""
+    rank on its plan (vf.nodes), for each of `weights` (`_rank_integrals`):
+    in u, by `_u_rule`, the pieces it takes so, and in x, on their panels
+    over the pieces' exact ends, the rest and, for one weight, each piece
+    in u whose two rules disagree; in a stack such a piece reads nan."""
     key = tuple((n, a, b) for n, (a, b) in zip(ranks, bounds))
     _ok, groups, panels = vf.nodes(key)
-    parts, redo = [[] for _ in ranks], []
+    parts, redo = [[[] for _ in ranks] for _ in weights], []
     for cuts, rows, x, jac in groups:
         scale = [_scale(ranks[j], vf.kernel.order) for j, *_ in rows]
-        for row, v in zip(rows, _u_rule(vf.kernel, cuts, x, scale, weight, jac)):
-            if v is None:
-                redo.append(row)
-            else:
-                parts[row[0]].append(v)
+        with np.errstate(all="ignore"):
+            fines = _u_rule(vf.kernel, cuts, _weigh(weights, factor, x), scale, jac)
+        for column, fine in zip(parts, fines):
+            for row, v in zip(rows, fine):
+                if v == v or len(weights) > 1:
+                    column[row[0]].append(v)
+                else:
+                    redo.append(row)
     more = _panels(vf.kernel, vf.scan.fn, key, _exact_spans(vf.kernel, vf.scan, key, redo))
-    return [sum(vs, _regions_integral(vf, n, weight, [*ps, *qs]))
-            for n, vs, ps, qs in zip(ranks, parts, panels, more)]
+    regions = [_regions_integral(vf, n, weights, factor, [*ps, *qs])
+               for n, ps, qs in zip(ranks, panels, more)]
+    return [[sum(vs, rs[j]) for vs, rs in zip(column, regions)] for j, column in enumerate(parts)]

@@ -173,18 +173,19 @@ def test_exponential_weight_sifts_at_order_3():
 
 @pytest.fixture
 def weighted_kernel_orders(monkeypatch):
-    """The order of each kernel that profile_integral integrates against a
-    weight: one of order >= 1 is the n^k path, n^k p^(k)(u) w(a + u/n)."""
+    """The order of each kernel that a profile kernel's rank integrals take
+    against a weight: one of order >= 1 is the n^k path, n^k p^(k)(u)
+    w(a + u/n)."""
     from deltacalc import vintegral
 
-    orders, real = [], vintegral.profile_integral
+    orders, real = [], vintegral._profile_integrals
 
-    def recorded(d, ranks, a, weight, *bounds):
-        if weight is not None:
+    def recorded(d, ranks, a, weights, factor=None, *bounds):
+        if factor is not None or any(w is not None for w in weights):
             orders.append(d.order)
-        return real(d, ranks, a, weight, *bounds)
+        return real(d, ranks, a, weights, factor, *bounds)
 
-    monkeypatch.setattr(vintegral, "profile_integral", recorded)
+    monkeypatch.setattr(vintegral, "_profile_integrals", recorded)
     return orders
 
 

@@ -394,19 +394,18 @@ def test_math_exp_near_the_float_limit_has_the_verdict_of_np_exp(bump):
 
 def test_deviation_that_is_not_a_number_is_decisive(bump, monkeypatch):
     # Two infinite values differ by nan, which no bound holds.
-    from deltacalc import rewrite
+    from deltacalc import vintegral
     from deltacalc.vintegral import IntegralResult
 
-    # The first batch settles no member, so each is reduced weight by weight.
-    monkeypatch.setattr(rewrite, "first_batch", lambda _bound, weights, *a: [None] * len(weights))
-    monkeypatch.setattr(rewrite, "reduce_bound",
-                        lambda *a, **k: IntegralResult("reduced", value=math.inf))
+    # Every member's reduction, on either side, reads inf.
+    monkeypatch.setattr(vintegral, "reduce_sequence",
+                        lambda *a: IntegralResult("reduced", value=math.inf))
     verdict = check_equivalence(DeltaTerm(), DeltaTerm(), kernel=bump,
                                 battery=[const_function(1.0, label="1")])
     assert verdict.variant == "distinct"
 
 
-# -- the stacked first batch against the single-weight path ----------------
+# -- the stacked first pass against the single-weight path ----------------
 
 def _single_weight_verdict(lhs, rhs, kernel, battery=None, tol=1e-7, order=None,
                            schedule=DEFAULT_SCHEDULE):
@@ -521,26 +520,117 @@ def _counted(battery):
 
 
 @pytest.mark.parametrize("shift, unsettled", [(0.37, []), (710.0, ["exp(+x)"])])
-def test_first_batch_evaluates_each_member_once(bump, monkeypatch, shift, unsettled):
+def test_stacked_pass_evaluates_each_member_once(bump, monkeypatch, shift, unsettled):
     # Both order-0 sides at one shift share one node array: each member
     # is evaluated on it once, not once per side, and only the members the
-    # batch does not settle (exp(+x), not finite at 710) are reduced
-    # weight by weight, where exp(+x) is skipped.
-    from deltacalc import rewrite
+    # stack does not settle (exp(+x), not finite at 710) are taken alone,
+    # where exp(+x) is skipped.
+    from deltacalc import vintegral
 
     battery, calls = _counted(standard_battery())
-    reduced = []
-    single = rewrite.reduce_bound
-    monkeypatch.setattr(rewrite, "reduce_bound",
-                        lambda bound, f, *a: reduced.append(f.label) or single(bound, f, *a))
+    alone = []
+    real = vintegral._totals
+    monkeypatch.setattr(vintegral, "_totals", lambda atoms, weights, *a: (
+        len(weights) == 1 and alone.append(weights[0].label)) or real(atoms, weights, *a))
     lhs, rhs = _sifted(shift) if shift < 1 else (DeltaTerm(0, shift), DeltaTerm(0, shift))
     verdict = check_equivalence(lhs, rhs, kernel=bump, battery=battery)
     assert verdict.consistent and verdict.skipped == tuple(unsettled)
-    assert reduced == unsettled
-    # Once in the batch; an unsettled member again on reduce_bound's ranks.
+    assert alone == unsettled
+    # Once in the stack; a member taken alone again on its own ranks.
     assert {label: calls[label] for label in unsettled} == {label: 3 for label in unsettled}
     assert {f.label: calls[f.label] for f in battery if f.label not in unsettled} == \
         {f.label: 1 for f in battery if f.label not in unsettled}
+
+
+def test_composite_side_takes_one_stacked_rule_per_node_group(bump, monkeypatch):
+    # compose's equiv: the first seven ranks of the composite side, one
+    # node group in u, against all 20 members are one call of the rule in u
+    # on the (member, rank, node) stack, as are the profile side's; no
+    # member takes them alone.
+    from deltacalc import vintegral
+
+    shapes = []
+    real = vintegral._u_rule
+    monkeypatch.setattr(vintegral, "_u_rule", lambda *a, **k: shapes.append(
+        np.shape(a[2])[:-1]) or real(*a, **k))
+    verdict = check_equivalence(CompTerm(_compiled("2*x-1")), ScaleTerm(0.5, DeltaTerm(0, 0.5)),
+                                kernel=bump)
+    assert verdict.consistent and verdict.battery_size == 20
+    assert shapes.count((20, 7)) == 2
+    assert all(shape[-1] < 7 for shape in shapes if shape != (20, 7))
+
+
+def _stack_and_alone(atoms, weights, ranks):
+    """`_totals` of all the weights in one stack, and of each alone (or the
+    error it raises alone)."""
+    from deltacalc import vintegral
+
+    stack = vintegral._totals(atoms, weights, -math.inf, math.inf, ranks)
+    alone = []
+    for w in weights:
+        try:
+            alone.append(vintegral._totals(atoms, [w], -math.inf, math.inf, ranks)[0])
+        except DeltaCalcError as exc:
+            alone.append(exc)
+    return stack, alone
+
+
+def _family_atoms(case, bump):
+    """(atoms of `_totals`, weights) of one rank family against the
+    standard battery."""
+    from deltacalc import rewrite, vintegral
+
+    battery = standard_battery()
+    if case == "profile":
+        return [(1.0, _compiled("cos(1.3*x+0.2)*exp(-0.1*x)"), 0, bump, 0.37)], battery
+    if case == "anchored":
+        return [(1.0, None, 2, bump, 0.3)], [RealFunction(f.fn) for f in battery]
+    if case == "composite-u":
+        return [(1.0, None, 0, vintegral.compose(bump, _compiled("2*x-1")), 0.0)], battery
+    if case == "composite-x":
+        # Compose seed 3's g: its pieces are taken in x at ranks 16 and 32.
+        g = _compiled("-1.0547*(x+2.515)*(x+2.231)")
+        return [(2.0, None, 0, vintegral.compose(bump, g), 0.0)], battery
+    family = rewrite._family(SmoothTerm(_compiled("exp(-x*x)")), None)
+    return [(1.0, None, 0, family, 0.0)], battery
+
+
+@pytest.mark.parametrize("case", ["profile", "anchored", "composite-u", "composite-x",
+                                  "smooth"])
+def test_stacked_rank_values_are_each_weights_alone(case, bump):
+    atoms, weights = _family_atoms(case, bump)
+    ranks = tuple(derivative_schedule(DEFAULT_SCHEDULE, atoms[0][2])[:7])
+    # A member that raises alone reads None in the stack (exp(+x) and
+    # exp(-x) against the smooth summand overflow at |x| = 768); every
+    # other member reads its values alone.
+    stack, alone = _stack_and_alone(atoms, weights, ranks)
+    assert sum(got is None for got in stack) == (2 if case == "smooth" else 0)
+    for f, got, want in zip(weights, stack, alone):
+        if isinstance(want, DeltaCalcError):
+            assert got is None, f.label
+        else:
+            assert [v.hex() for v in got] == [v.hex() for v in want], f.label
+
+
+def test_member_that_raises_leaves_the_stack_as_it_is(bump):
+    # exp(+x) is not finite at 710: in the stack it reads None, every other
+    # member its values alone, and reduced from the stack it raises the
+    # error it raises alone.
+    from deltacalc import vintegral
+
+    battery = standard_battery()
+    j = [f.label for f in battery].index("exp(+x)")
+    stack, alone = _stack_and_alone([(1.0, None, 0, bump, 710.0)], battery, DEFAULT_SCHEDULE[:7])
+    assert stack[j] is None and isinstance(alone[j], DeltaCalcError)
+    for f, got, want in zip(battery, stack, alone):
+        if f.label != "exp(+x)":
+            assert [v.hex() for v in got] == [v.hex() for v in want], f.label
+    bound = [(1.0, None, None, bump, 710.0)]
+    with pytest.raises(DeltaCalcError) as stacked:
+        vintegral.reductions(bound, battery, -math.inf, math.inf, DEFAULT_SCHEDULE, 1e-9)[j]()
+    with pytest.raises(DeltaCalcError) as single:
+        vintegral.reduce_bound(bound, battery[j], -math.inf, math.inf, DEFAULT_SCHEDULE, 1e-9)
+    assert (type(stacked.value), str(stacked.value)) == (type(single.value), str(single.value))
 
 
 def test_batteries_sizes():
