@@ -19,6 +19,7 @@ from .roots import WINDOW, certify_hypotheses, find_simple_roots, scan  # noqa: 
 from .vfun import DiracKernel, RealFunction, VirtualFunction
 # perfbench/tracer.py rebinds integrate_rank and reduce_sequence here.
 from .vintegral import (  # noqa: F401
+    _last_stack,
     _total,
     compose,
     convolve,
@@ -444,32 +445,35 @@ def check_equivalence(lhs, rhs, kernel=None, battery=None, tol=1e-7,
         return EquivalenceVerdict(*args, skipped=tuple(skipped), **kw)
 
     max_dev = 0.0
-    for j, f in enumerate(battery):
-        try:
-            left = reduced(0)[j]()
-            if not left.reduced:
-                return verdict("irreducible_side", side="lhs", witness=f.label)
-            right = reduced(1)[j]()
-        except (ArithmeticError, DeltaCalcError):
-            if points is None:
-                points = _delta_points(bound(0) + bound(1))
-            if all(_finite_at(f, a) for a in points):
-                raise
-            skipped.append(f.label)
-            continue
-        if not right.reduced:
-            return verdict("irreducible_side", side="rhs", witness=f.label)
-        dev = abs(left.value - right.value)
-        # A deviation that is not a number is decisive too.
-        if not dev <= 10.0 * tol * max(1.0, abs(left.value), abs(right.value)):
-            return verdict("distinct", witness=f.label, lhs_value=left.value,
-                           rhs_value=right.value)
-        max_dev = max(max_dev, dev)
-    if len(skipped) == len(battery):
-        raise DeltaCalcError("no test function is finite at the shifts "
-                             + ", ".join(f"{a:g}" for a in sorted(points)))
-    return verdict("consistent_equivalent", battery_size=len(battery) - len(skipped),
-                   max_deviation=max_dev)
+    try:
+        for j, f in enumerate(battery):
+            try:
+                left = reduced(0)[j]()
+                if not left.reduced:
+                    return verdict("irreducible_side", side="lhs", witness=f.label)
+                right = reduced(1)[j]()
+            except (ArithmeticError, DeltaCalcError):
+                if points is None:
+                    points = _delta_points(bound(0) + bound(1))
+                if all(_finite_at(f, a) for a in points):
+                    raise
+                skipped.append(f.label)
+                continue
+            if not right.reduced:
+                return verdict("irreducible_side", side="rhs", witness=f.label)
+            dev = abs(left.value - right.value)
+            # A deviation that is not a number is decisive too.
+            if not dev <= 10.0 * tol * max(1.0, abs(left.value), abs(right.value)):
+                return verdict("distinct", witness=f.label, lhs_value=left.value,
+                               rhs_value=right.value)
+            max_dev = max(max_dev, dev)
+        if len(skipped) == len(battery):
+            raise DeltaCalcError("no test function is finite at the shifts "
+                                 + ", ".join(f"{a:g}" for a in sorted(points)))
+        return verdict("consistent_equivalent", battery_size=len(battery) - len(skipped),
+                       max_deviation=max_dev)
+    finally:
+        _last_stack[:] = (None, None)  # the two sides' shared stack outlives neither
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 Virtual integrals are realized per rank against one weight or a stack
 (bounds are floats; in `_rank_integrals` alone an infinite bound becomes
-shift -/+ n), the rank sequence I_n is recorded, and the observed order
-of its increments (`limits`) makes the result a real limit ("reduced"), a
-divergence like n^p ("irreducible"), or Undetermined.
+shift -/+ n): each rank family builds a plan of nodes, per-node factor and
+rules, and `_execute` weighs, sums and refines it.  The rank sequence I_n
+is recorded, and the observed order of its increments (`limits`) makes it
+a real limit ("reduced"), a divergence like n^p ("irreducible"), or
+Undetermined.
 """
 
 from __future__ import annotations
@@ -249,18 +251,11 @@ def _rank_integrals(vf, lo, hi, ranks, weights, shift=0.0, factor=None):
 
     This is the one place that realises an infinite bound, as the offset
     -/+ n from the shift, so a kernel's support lies inside the bounds at
-    every shift, and the one place that picks how a rank integral is
-    taken: a profile kernel in u = n(x - shift), all ranks at once
-    (`profile_integral`), a composite d_n(g(x)), which takes no shift, piece
-    by piece over the monotone pieces of g, in u = n g(x) or in x
-    (`_substituted`), and any other virtual function in x on its octave
-    panels about the shift (`_octaves`), cut to its declared support: all
-    on the fixed rules and the adaptive rule (`_refined`), each weight once
-    on nodes built once (`_weigh`).  One weight takes the ranks in order,
-    the lowest that fails raising its error; in a stack it reads nan."""
-    if len(weights) == 1 and factor is not None:  # one weight: as RealFunction.times
-        weights, factor = [factor if weights[0] is None else
-                           lambda x, f=factor, w=weights[0]: f(x) * w(x)], None
+    every shift, and that picks the plan `_execute` takes: a profile
+    kernel's rows in u = n(x - shift) (`_profile_integrals`), a composite
+    d_n(g(x)), which takes no shift, piece by piece in u = n g(x) or in x
+    (`_substituted`), and any other virtual function's x panels on its
+    octaves about the shift (`_octaves`), cut to its declared support."""
     # Reversed bounds (or nan) are refused; a finite bound beyond one
     # rank's window only empties that rank.
     if not (lo <= hi and lo < math.inf and hi > -math.inf):
@@ -278,10 +273,9 @@ def _rank_integrals(vf, lo, hi, ranks, weights, shift=0.0, factor=None):
         return _substituted(vf, ranks, offsets, weights, factor)
     if shift:
         vf = vf.translate(shift)
-    columns = [_regions_integral(vf, n, weights, factor,
-                                 *_octaves(vf, n, shift, shift + da, shift + db))
-               for n, (da, db) in zip(ranks, offsets)]
-    return [[column[j] for column in columns] for j in range(len(weights))]
+    blocks = [_panel_rows(vf, n, i, *_octaves(vf, n, shift, shift + da, shift + db))
+              for i, (n, (da, db)) in enumerate(zip(ranks, offsets))]
+    return _execute((ranks, [b for b in blocks if b], None), weights, factor)
 
 
 def _octaves(vf, n, c, a, b):
@@ -388,38 +382,75 @@ def _rule_sums(values, w_coarse, w_fine, rows, scale=1.0, magnitude=None):
     return sums
 
 
-def _weigh(weights, factor, x):
-    """`weights` (callables, None for 1) times `factor` (None for 1) on the
-    nodes x, a (weight, *x.shape) stack.  Call it under np.errstate."""
+def _weigh(weights, x):
+    """`weights` (None for 1) on the nodes x: a (weight, *x.shape) stack."""
     rows = [np.ones_like(x) if w is None else array_values(w, x) for w in weights]
-    out = rows[0][None] if len(rows) == 1 else np.stack(rows)
-    return out if factor is None else array_values(factor, x) * out
+    return rows[0][None] if len(rows) == 1 else np.stack(rows)
 
 
 #: Weights a fixed rule takes at a time: their integrands stay in cache.
 _CHUNK = 4
-_last_stack = [None, None]  # (key, values): the last stack `_fixed_rule` evaluated
+_last_stack = [None, None]  # (key, values): the last stack of several weights evaluated
 
 
-def _u_rule(d, cuts, wv, scale, jac=None, anchored=False, fv=None):
-    """n^k * integral of p(u) jac(u) f(x(u)) w(x(u)) du on _fixed_nodes(cuts),
-    p d's order-k profile and jac None 1, for each (weight, row) of w in
-    `wv`, f in `fv` (None for 1) and each row's n^k in `scale`: per weight,
-    the fine rule's value per row, nan where the rules disagree or a value
-    is not finite.  `anchored`: the last node of a row is a, and f w at a
-    is subtracted from f w.  Call it under np.errstate(all="ignore")."""
-    u, w_coarse, w_fine = _fixed_nodes(cuts)
-    p, scale, out = _profile_on_nodes(d.profile, cuts), np.array(scale), []
-    pj = p if jac is None else p * jac
-    for chunk in (wv[i:i + _CHUNK] for i in range(0, len(wv), _CHUNK)):
-        chunk = chunk if fv is None else fv * chunk
-        values = magnitude = pj * chunk[..., :u.size]
-        if anchored:
-            values = pj * (chunk[..., :u.size] - chunk[..., -1:])
-        sums = _rule_sums(values, w_coarse, w_fine, len(scale), scale, magnitude)
-        out += [[v if _accepted(c, v, r) else math.nan for c, v, r in zip(*rows)]
-                for rows in zip(*(s.tolist() for s in sums))]
-    return out
+def _execute(plan, weights, factor=None):
+    """The rank integrals of `plan`, (ranks, blocks, more), for each of
+    `weights` times `factor` (callables, None for 1): a list per weight.
+    A block (x, factor, rules, scale, rank of each row, anchored, inner,
+    fallback) is rows of nodes x, a row per rank or composite piece on
+    _fixed_nodes or one rank's panels by _panel_rules, then the shift a if
+    `anchored` (f w there is subtracted) or `inner` cuts; its factor is
+    p(u), p(u)/|g'(x(u))| or f_n(x), its scale each row's n^k.  A weight is
+    evaluated once a block (`_weigh`; a stack of several is kept for the
+    other side of an equivalence), and both rules summed per row, _CHUNK
+    weights at a time.  Here alone a rejected row, or a value at an inner
+    cut that is not finite, is decided: nan in a stack (`reductions` takes
+    that weight alone); for one weight, fallback(row, w, sums), the first
+    to fail raising, or where it is None, the row taken in x on the panels
+    of `more(taken)`.  A rank sums its x panels from 0, then its rows."""
+    ranks, blocks, more = plan
+    if len(weights) == 1 and factor is not None:  # one weight: as RealFunction.times
+        weights, factor = [factor if weights[0] is None else
+                           lambda x, f=factor, w=weights[0]: f(x) * w(x)], None
+    rows, taken, sums = [[[] for _ in ranks] for _ in weights], [], []
+    for i, (x, pf, rules, scale, rank_of, anchored, inner, fallback) in enumerate(blocks):
+        m = rules[0].size + rules[1].size
+        key = len(weights) > 1 and (x.tobytes(), tuple(weights))
+        with np.errstate(all="ignore"):
+            hit = key and _last_stack[0] == key  # read once, by the other side, then freed
+            wv = _last_stack[1] if hit else _weigh(weights, x)
+            if key:
+                _last_stack[:] = (None, None) if hit else (key, wv)
+            fv = None if factor is None else array_values(factor, x)
+            for c in range(0, len(weights), _CHUNK):
+                chunk = wv[c:c + _CHUNK] if fv is None else fv * wv[c:c + _CHUNK]
+                values = magnitude = pf * chunk[..., :pf.shape[-1]]
+                if anchored:
+                    values = pf * (chunk[..., :m] - chunk[..., m:])
+                s = _rule_sums(values[..., :m], *rules, len(rank_of), scale, magnitude[..., :m])
+                sums += [(i, j, row, zip(x[m:].tolist(), values[j - c, m:].tolist()) if inner
+                          else ()) for j, row in enumerate(zip(*(t.tolist() for t in s)), c)]
+    for i, j, row, cuts in sums:
+        *_, rank_of, _anchored, _inner, fallback = blocks[i]
+        bad = next((f"the integrand is {v} at the cut x={t:g}" for t, v in cuts
+                    if not math.isfinite(v)), None)
+        for r, row_sums in enumerate(zip(*row)):
+            v = row_sums[1]
+            if bad or not _accepted(*row_sums):
+                if len(weights) > 1:
+                    v = math.nan
+                elif bad:
+                    n = ranks[rank_of[r]]
+                    raise QuadratureError(f"at rank n={n}, {bad}", rank=n)
+                elif fallback is None:
+                    taken.append((i, r))
+                    continue
+                else:
+                    v = fallback(r, weights[j], row_sums)
+            rows[j][rank_of[r]].append(v)
+    heads = ([[0.0] * len(ranks)] * len(weights) if more is None else
+             _execute((ranks, more(taken), None), weights, factor))
+    return [[sum(r, h) for h, r in zip(*pair)] for pair in zip(heads, rows)]
 
 
 def _scale(n, k):
@@ -430,34 +461,12 @@ def _scale(n, k):
         return math.inf
 
 
-def _fixed_rule(d, ranks, a, weights, ulo, uhi, factor=None):
-    """_u_rule in u = n(x - a) over [ulo, uhi], for each of `weights` times
-    `factor` and each rank n of `ranks`.  A stack of several weights is kept
-    until read: the two sides of an equivalence at one shift share it."""
-    k = d.order
-    # Over the whole support the integral of p = p0^(k), k >= 1, is 0, so
-    # w(a) may be subtracted: that removes the n^k growth of the rounding.
-    cancel = k > 0 and (ulo, uhi) == d.profile_support
-    cuts = _cuts(d, ulo, uhi)
-    x = a + _fixed_nodes(cuts)[0] / np.array(ranks, dtype=float)[:, None]
-    if cancel:
-        x = np.concatenate((x, np.full((len(x), 1), a)), axis=1)
-    key = len(weights) > 1 and (cuts, float(a).hex(), tuple(ranks), cancel, tuple(weights))
-    with np.errstate(all="ignore"):
-        hit = key and _last_stack[0] == key  # read once, by the other side, then freed
-        wv = _last_stack[1] if hit else _weigh(weights, None, x)
-        if key:
-            _last_stack[:] = (None, None) if hit else (key, wv)
-        return _u_rule(d, cuts, wv, [_scale(n, k) for n in ranks], anchored=cancel,
-                       fv=None if factor is None else array_values(factor, x))
-
-
 #: Levels of halving, and panels halved at most at one level, that the
 #: adaptive rule may take before adaptive quad decides.
 _REFINE_LEVELS, _REFINE_PANELS = 12, 16
 
 
-def _refined(f, lo, hi, points):
+def _refined(f, lo, hi, points, first=None):
     """The integral of f over the panels [lo[i], hi[i]] (ndarrays, in
     order, end to end), which the fixed rules reject as a whole, by the
     one adaptive rule: both fixed rules on each panel, and each panel whose
@@ -468,15 +477,17 @@ def _refined(f, lo, hi, points):
     `_accepted`'s rounding floor: the math.fsum of the fine values.  Where
     a value is not finite or the level or panel budget (_REFINE_LEVELS,
     _REFINE_PANELS) is spent, adaptive quad over [lo[0], hi[-1]], split
-    at `points`, decides."""
+    at `points`, decides.  `first`, the panels' three sums, is the first level."""
     a, b = float(lo[0]), float(hi[-1])
     kept = [[], [], []]  # fine sums, differences, |integrand| sums of kept panels
     for _level in range(_REFINE_LEVELS):
-        x, w_coarse, w_fine = _panel_rules(lo, hi)
-        with np.errstate(all="ignore"):
-            coarse, fine, resabs = (s[0].tolist() for s in _rule_sums(
-                array_values(f, x)[None], w_coarse, w_fine, lo.size))
-            ok = [_accepted(*row) for row in zip(coarse, fine, resabs)]
+        if first is None:
+            x, w_coarse, w_fine = _panel_rules(lo, hi)
+            with np.errstate(all="ignore"):
+                first = (s[0].tolist() for s in _rule_sums(
+                    array_values(f, x)[None], w_coarse, w_fine, lo.size))
+        (coarse, fine, resabs), first = first, None
+        ok = [_accepted(*row) for row in zip(coarse, fine, resabs)]
         if not all(map(math.isfinite, coarse + fine + resabs)):
             break
         diff = [abs(v - c) for c, v in zip(coarse, fine)]
@@ -494,36 +505,47 @@ def _refined(f, lo, hi, points):
     return _quad_piece(f, a, b, points)
 
 
-def _regions_integral(vf, n, weights, factor, panels, inner=()):
-    """The integral of f_n * factor * w over the disjoint `panels`, summed in
-    order, for each w of `weights` (`_rank_integrals`).
-
-    Both fixed rules are mapped onto every panel, and f_n and each weight
-    (`_weigh`) are evaluated in one array call on all the nodes and the
-    points `inner`, cuts that no node meets: where an integrand is not
-    finite at one, the rank is refused.  A panel whose two rules disagree,
-    or give a value that is not finite, goes to the adaptive rule
-    (`_refined`); in a stack, it and a refused rank read nan.
-    """
+def _panel_rows(vf, n, i, panels, inner=()):
+    """The block of vf's rank-n x panels (rank index i), or None: f_n on their
+    nodes and `inner` cuts, and `_refined` from a rejected panel's sums."""
     if not panels:
-        return [0.0] * len(weights)
-    x, w_coarse, w_fine = _panel_rules(*np.array(panels).T)
+        return None
+    lo, hi = np.array(panels).T
+    x, w_coarse, w_fine = _panel_rules(lo, hi)
     nodes = np.concatenate((x, inner))
     with np.errstate(all="ignore"):
-        values = array_values(lambda t: vf.rank_eval(n, t), nodes) * _weigh(weights, factor, nodes)
-        coarse, fine, resabs = _rule_sums(values[:, :x.size], w_coarse, w_fine, len(panels))
-        accepted = _accepted(coarse, fine, resabs)
-    if len(weights) > 1:  # every panel accepted, and finite at every cut
-        ok = accepted.all(axis=1) & np.isfinite(values[:, x.size:]).all(axis=1)
-        return [sum(row) if good else math.nan for row, good in zip(fine.tolist(), ok.tolist())]
-    for t, v in zip(inner, values[0, x.size:].tolist()):
-        if not math.isfinite(v):
-            raise QuadratureError(f"at rank n={n}, the integrand is {v} at the cut x={t:g}",
-                                  rank=n)
-    w = weights[0]
-    f = lambda x: vf.rank_eval(n, x) * (1.0 if w is None else w(x))
-    return [sum(v if ok else _refined(f, np.array([p]), np.array([q]), None)
-                for v, ok, (p, q) in zip(fine[0].tolist(), accepted[0].tolist(), panels))]
+        fn = array_values(lambda t: vf.rank_eval(n, t), nodes)
+
+    def fallback(r, w, sums):
+        f = lambda t: vf.rank_eval(n, t) * (1.0 if w is None else w(t))
+        return _refined(f, lo[r:r + 1], hi[r:r + 1], None, [[s] for s in sums])
+
+    return nodes, fn, (w_coarse, w_fine), 1.0, [i] * len(panels), False, len(inner), fallback
+
+
+def _profile_rows(d, ranks, a, rows, ulo, uhi):
+    """The block of d's rows x = a + u/n, n = ranks[i] for i in `rows`, on
+    _fixed_nodes of [ulo, uhi]; the adaptive rule (`_refined`) on n^k p(u)
+    w(a + u/n) for a rejected one.  On the whole support p = p0^(k), k >= 1,
+    integrates to 0, so w(a) is subtracted: no n^k growth of the rounding."""
+    k, prof, ns = d.order, d.profile, [ranks[i] for i in rows]
+    cuts, anchored = _cuts(d, ulo, uhi), k > 0 and (ulo, uhi) == d.profile_support
+    u, w_coarse, w_fine = _fixed_nodes(cuts)
+    x = a + u / np.array(ns, dtype=float)[:, None]
+    if anchored:
+        x = np.concatenate((x, np.full((len(x), 1), a)), axis=1)
+
+    def fallback(r, w, _sums):
+        n, scale = ns[r], _scale(ns[r], k)
+        g = lambda u: scale * prof(u) * (1.0 if w is None else w(a + u / n))
+        try:
+            return _refined(g, np.array(cuts[:-1]), np.array(cuts[1:]), [0.0])
+        except QuadratureError as exc:
+            raise QuadratureError(f"at rank n={n}, kernel {d.name!r} of order {k}: {exc}",
+                                  rank=n, diagnostics=exc.diagnostics) from exc
+
+    return (x, _profile_on_nodes(prof, cuts), (w_coarse, w_fine), [_scale(n, k) for n in ns],
+            rows, anchored, 0, fallback)
 
 
 def profile_integral(d, ranks, a, weight, ulo=-math.inf, uhi=math.inf):
@@ -537,21 +559,13 @@ def _profile_integrals(d, ranks, a, weights, factor=None, ulo=-math.inf, uhi=mat
 
     With u = n(x - a) each is n^k * integral of p(u) w(a + u/n) over the
     profile support cut to [ulo, uhi] (floats, or one per rank), where p is
-    d's order-k profile, so the quadrature nodes depend on neither n nor w.
-    Two Gauss-Legendre rules on the panels between d.profile_cuts (u = 0,
-    the middle of the support) are evaluated in one array call per weight
-    for all the ranks that share their cut support (`_fixed_rule`).  Where
-    they disagree on a rank of one weight alone, the adaptive rule
-    (`_refined`) halves the panels that disagree, with quad's targets on
-    n^k p(u) w(a + u/n); where a value is not finite or its budget is
-    spent, one quad call over the rank's u range, split at 0, decides it
-    (in a stack, it reads nan).  The ranks are taken in order: the lowest
-    that fails raises its error."""
+    d's order-k profile, so the nodes depend on neither n nor w: the ranks
+    that share their cut support are one block (`_profile_rows`) of the
+    plan.  The first rank where w would be read at one point and a
+    derivative kernel give 0 is refused, after the ranks below it."""
     plo, phi = d.profile_support
     ulo, uhi = ([b] * len(ranks) if np.ndim(b) == 0 else b for b in (ulo, uhi))
     bounds = [(max(plo, lo), min(phi, hi)) for lo, hi in zip(ulo, uhi)]
-    # The first rank that is refused, where w would be read at one point
-    # and a derivative kernel give 0; no later rank is evaluated.
     refused = next((i for i, (n, (lo, hi)) in enumerate(zip(ranks, bounds))
                     if lo < hi and d.order and (factor, *weights) != (None, None)
                     and a + lo / n == a + hi / n), len(ranks))
@@ -559,26 +573,12 @@ def _profile_integrals(d, ranks, a, weights, factor=None, ulo=-math.inf, uhi=mat
     for i in range(refused):
         if bounds[i][0] < bounds[i][1]:
             groups.setdefault(bounds[i], []).append(i)
-    fixed = {}
-    for (lo, hi), rows in groups.items():
-        fixed.update(zip(rows, zip(*_fixed_rule(d, [ranks[i] for i in rows], a, weights,
-                                                lo, hi, factor))))
-    values = []
-    for i, (n, (lo, hi)) in enumerate(zip(ranks, bounds)):
-        if i == refused:
-            raise QuadratureError(f"at rank n={n}, every node a + u/n of a derivative "
-                                  f"kernel rounds to its shift a={a:g}", rank=n)
-        row = fixed[i] if lo < hi else [0.0] * len(weights)
-        if len(weights) == 1 and row[0] != row[0]:  # nan: the fixed rules disagree
-            prof, scale, cuts, w = d.profile, _scale(n, d.order), _cuts(d, lo, hi), weights[0]
-            g = lambda u: scale * prof(u) * (1.0 if w is None else w(a + u / n))
-            try:
-                row = [_refined(g, np.array(cuts[:-1]), np.array(cuts[1:]), [0.0])]
-            except QuadratureError as exc:
-                raise QuadratureError(f"at rank n={n}, kernel {d.name!r} of order {d.order}: "
-                                      f"{exc}", rank=n, diagnostics=exc.diagnostics) from exc
-        values.append(row)
-    return [list(column) for column in zip(*values)] or [[] for _ in weights]
+    values = _execute((ranks, [_profile_rows(d, ranks, a, rows, lo, hi)
+                               for (lo, hi), rows in groups.items()], None), weights, factor)
+    if refused < len(ranks):
+        raise QuadratureError(f"at rank n={ranks[refused]}, every node a + u/n of a derivative "
+                              f"kernel rounds to its shift a={a:g}", rank=ranks[refused])
+    return values
 
 
 def reduce_integral(vf, lo=-math.inf, hi=math.inf, schedule=DEFAULT_SCHEDULE,
@@ -982,25 +982,20 @@ def _solve(fn, t, x, slope):
 
 
 def _substituted(vf, ranks, bounds, weights, factor=None):
-    """The rank integrals of the Composite vf over the bounds (a, b) of each
-    rank on its plan (vf.nodes), for each of `weights` (`_rank_integrals`):
-    in u, by `_u_rule`, the pieces it takes so, and in x, on their panels
-    over the pieces' exact ends, the rest and, for one weight, each piece
-    in u whose two rules disagree; in a stack such a piece reads nan."""
+    """The rank integrals of the Composite vf over each rank's bounds (a, b)
+    for each of `weights` on its plan (vf.nodes): its pieces in u, and x
+    panels over exact piece ends for the rest and the rejected pieces."""
     key = tuple((n, a, b) for n, (a, b) in zip(ranks, bounds))
     _ok, groups, panels = vf.nodes(key)
-    parts, redo = [[[] for _ in ranks] for _ in weights], []
-    for cuts, rows, x, jac in groups:
-        scale = [_scale(ranks[j], vf.kernel.order) for j, *_ in rows]
-        with np.errstate(all="ignore"):
-            fines = _u_rule(vf.kernel, cuts, _weigh(weights, factor, x), scale, jac)
-        for column, fine in zip(parts, fines):
-            for row, v in zip(rows, fine):
-                if v == v or len(weights) > 1:
-                    column[row[0]].append(v)
-                else:
-                    redo.append(row)
-    more = _panels(vf.kernel, vf.scan.fn, key, _exact_spans(vf.kernel, vf.scan, key, redo))
-    regions = [_regions_integral(vf, n, weights, factor, [*ps, *qs])
-               for n, ps, qs in zip(ranks, panels, more)]
-    return [[sum(vs, rs[j]) for vs, rs in zip(column, regions)] for j, column in enumerate(parts)]
+    d = vf.kernel
+    with np.errstate(all="ignore"):
+        blocks = [(x, _profile_on_nodes(d.profile, cuts) * jac, _fixed_nodes(cuts)[1:],
+                   [_scale(ranks[j], d.order) for j, _k in rows], [j for j, _k in rows], False,
+                   0, None) for cuts, rows, x, jac in groups]
+
+    def more(taken):
+        spans = _exact_spans(d, vf.scan, key, [groups[i][1][r] for i, r in taken])
+        return [b for j, (n, ps, qs) in enumerate(zip(ranks, panels, _panels(
+            d, vf.scan.fn, key, spans))) if (b := _panel_rows(vf, n, j, [*ps, *qs]))]
+
+    return _execute((ranks, blocks, more), weights, factor)

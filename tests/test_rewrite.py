@@ -544,15 +544,15 @@ def test_stacked_pass_evaluates_each_member_once(bump, monkeypatch, shift, unset
 
 def test_composite_side_takes_one_stacked_rule_per_node_group(bump, monkeypatch):
     # compose's equiv: the first seven ranks of the composite side, one
-    # node group in u, against all 20 members are one call of the rule in u
-    # on the (member, rank, node) stack, as are the profile side's; no
-    # member takes them alone.
+    # node group in u, against all 20 members are one evaluation of the
+    # (member, rank, node) stack, as are the profile side's; no member
+    # takes them alone.
     from deltacalc import vintegral
 
     shapes = []
-    real = vintegral._u_rule
-    monkeypatch.setattr(vintegral, "_u_rule", lambda *a, **k: shapes.append(
-        np.shape(a[2])[:-1]) or real(*a, **k))
+    real = vintegral._weigh
+    monkeypatch.setattr(vintegral, "_weigh", lambda *a: shapes.append(
+        np.shape(out := real(*a))[:-1]) or out)
     verdict = check_equivalence(CompTerm(_compiled("2*x-1")), ScaleTerm(0.5, DeltaTerm(0, 0.5)),
                                 kernel=bump)
     assert verdict.consistent and verdict.battery_size == 20
@@ -591,25 +591,53 @@ def _family_atoms(case, bump):
         # Compose seed 3's g: its pieces are taken in x at ranks 16 and 32.
         g = _compiled("-1.0547*(x+2.515)*(x+2.231)")
         return [(2.0, None, 0, vintegral.compose(bump, g), 0.0)], battery
+    if case == "profile-kinked":
+        # The kink of |x - 0.4| lies inside the support at ranks 16 and 32.
+        return [(1.0, _compiled("abs(x-0.4)"), 0, bump, 0.37)], battery
     family = rewrite._family(SmoothTerm(_compiled("exp(-x*x)")), None)
-    return [(1.0, None, 0, family, 0.0)], battery
+    factor = _compiled("abs(x-0.4)") if case == "smooth-kinked" else None
+    return [(1.0, factor, 0, family, 0.0)], battery
+
+
+#: Members that read None in the stack.  A (member, row) that the fixed
+#: rules reject reads nan in a stack, so that member is taken alone.
+_STACK_NONE = {"smooth": 2, "profile-kinked": 20, "smooth-kinked": 20}
 
 
 @pytest.mark.parametrize("case", ["profile", "anchored", "composite-u", "composite-x",
-                                  "smooth"])
+                                  "smooth", "profile-kinked", "smooth-kinked"])
 def test_stacked_rank_values_are_each_weights_alone(case, bump):
     atoms, weights = _family_atoms(case, bump)
     ranks = tuple(derivative_schedule(DEFAULT_SCHEDULE, atoms[0][2])[:7])
     # A member that raises alone reads None in the stack (exp(+x) and
-    # exp(-x) against the smooth summand overflow at |x| = 768); every
-    # other member reads its values alone.
+    # exp(-x) against the smooth summand overflow at |x| = 768), as does
+    # one with a rejected row; every other member reads its values alone.
     stack, alone = _stack_and_alone(atoms, weights, ranks)
-    assert sum(got is None for got in stack) == (2 if case == "smooth" else 0)
+    assert sum(got is None for got in stack) == _STACK_NONE.get(case, 0)
     for f, got, want in zip(weights, stack, alone):
         if isinstance(want, DeltaCalcError):
             assert got is None, f.label
-        else:
+        elif got is not None:
             assert [v.hex() for v in got] == [v.hex() for v in want], f.label
+
+
+@pytest.mark.parametrize("sides, raises", [
+    # compose's equiv: the profile side's stack is read by no side.
+    (lambda: (CompTerm(_compiled("2*x-1")), ScaleTerm(0.5, DeltaTerm(0, 0.5))), False),
+    (lambda: (DeltaTerm(0, 0.37), DeltaTerm(0, 0.37)), False),
+    # exp(+x) overflows at x = 768 on the summand's octave panels.
+    (lambda: (SumTerm((SmoothTerm(_compiled("exp(-x^2)")), DeltaTerm())),) * 2, True),
+], ids=["composite-profile", "profile-profile", "raises"])
+def test_no_stack_outlives_its_equivalence(sides, raises, bump):
+    from deltacalc import vintegral
+
+    lhs, rhs = sides()
+    if raises:
+        with pytest.raises(DeltaCalcError):
+            check_equivalence(lhs, rhs, kernel=bump)
+    else:
+        assert check_equivalence(lhs, rhs, kernel=bump).consistent
+    assert vintegral._last_stack[0] is None and vintegral._last_stack[1] is None
 
 
 def test_member_that_raises_leaves_the_stack_as_it_is(bump):

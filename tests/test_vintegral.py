@@ -427,7 +427,15 @@ def test_compose_one_sided_kernel(minus):
 from deltacalc import vintegral  # noqa: E402
 from deltacalc.errors import QuadratureError  # noqa: E402
 from deltacalc.rewrite import sift_battery  # noqa: E402
-from deltacalc.vintegral import _fixed_rule, _quad_piece, profile_integral  # noqa: E402
+from deltacalc.vintegral import _quad_piece, profile_integral  # noqa: E402
+
+
+def _fixed_rule(d, ranks, a, weights, ulo, uhi):
+    """The fixed rules' values per weight on the profile rows of `ranks`
+    over [ulo, uhi], nan where they disagree: the plan's one block, executed
+    with a fallback that reads nan."""
+    block = vintegral._profile_rows(d, ranks, a, list(range(len(ranks))), ulo, uhi)
+    return vintegral._execute((ranks, [(*block[:-1], lambda *_: math.nan)], None), weights)
 
 #: Highest rank reduce_expr_integral probes for each derivative order.
 RANK_CAP = {0: DEFAULT_SCHEDULE[-1], 1: 2**12, 2: 2**10}
@@ -572,6 +580,27 @@ def test_refinement_that_spends_its_budget_leaves_quad_to_decide(bump, quad_call
     got = profile_integral(bump, (n,), 0.0, w)[0]
     assert len(quad_calls) == 2
     assert got == spent == _quad_reference(bump, n, 0.0, w, -1.0, 1.0)
+
+
+def test_rejected_x_panel_is_refined_from_its_first_rule_sums(quad_calls):
+    # Rank 16 of |x - 0.3|^1.5 e^(-x^2) on its octave panels: the panel
+    # [0.25, 0.5] holds the kink, and its rules disagree.  The adaptive rule
+    # starts from the panel's sums of the first pass, at its halves: no
+    # array call evaluates the panel's nodes alone a second time, and the
+    # panel keeps the bits it has refined from its own first level.
+    f = to_real_function(parse("abs(x-0.3)^1.5*exp(-x^2)")).fn
+    calls = []
+    vf = dc.VirtualFunction(lambda _n, x: isinstance(x, np.ndarray) and calls.append(x) or f(x))
+    integrate_rank(vf, -math.inf, math.inf, (16,))
+    lo, hi = np.array([0.25]), np.array([0.5])
+    panel, w_coarse, w_fine = vintegral._panel_rules(lo, hi)
+    inside = [x for x in calls if x.min() >= 0.25 and x.max() <= 0.5]
+    assert not quad_calls and inside and inside[0].size == 2 * panel.size
+    assert not any(np.array_equal(x, panel) for x in calls)
+    first = [s[0].tolist() for s in vintegral._rule_sums(f(panel)[None], w_coarse, w_fine, 1)]
+    assert not vintegral._accepted(*(s[0] for s in first))
+    assert (vintegral._refined(f, lo, hi, None, first).hex()
+            == vintegral._refined(f, lo, hi, None).hex())
 
 
 def test_derivative_rank_is_halved_on_arrays(bump, quad_calls, monkeypatch):
@@ -842,13 +871,19 @@ def test_math_only_weight_stays_in_u_on_every_region(bump, quad_calls, monkeypat
     # twin, and no panel is left to x or to quad.
     comp = _composite(bump, "x^3-2*x^2-x+2")
     key = ((64, -64.0, 64.0),)
-    in_u = []
-    real = vintegral._u_rule
-    monkeypatch.setattr(vintegral, "_u_rule",
-                        lambda *a: in_u.extend((out := real(*a))[0]) or out)
+    taken = []
+    real = vintegral._execute
+
+    def execute(plan, *a):  # records the rows the rules in u reject
+        ranks, blocks, more = plan
+        return real(plan if more is None else
+                    (ranks, blocks, lambda t: taken.append(t) or more(t)), *a)
+
+    monkeypatch.setattr(vintegral, "_execute", execute)
     got = integrate_rank(comp, -math.inf, math.inf, (64,), weight=math.cos)[0]
     assert not quad_calls
-    assert comp.nodes(key)[2] == ((),) and len(in_u) == 3 and not any(map(math.isnan, in_u))
+    assert comp.nodes(key)[2] == ((),) and taken == [[]]
+    assert sum(len(rows) for _cuts, rows, _x, _jac in comp.nodes(key)[1]) == 3
     twin = integrate_rank(comp, -math.inf, math.inf, (64,), weight=_per_node(math.cos))[0]
     assert got.hex() == twin.hex()
     want = _quad_panels(comp, 64, _x_panels(_opaque(bump, "x^3-2*x^2-x+2"), key)[0],

@@ -1,10 +1,12 @@
-"""Print one line per benchmark query: its answer's fingerprint.
+"""Print one line per benchmark query, and per fixed query: its answer's
+fingerprint.
 
 Builds the sift and compose query streams of `perfbench/workloads.py` at
-seeds 1, 9001, 3, 6 and 20, two cycles each (1,890 queries), runs each
-query in-process through `deltacalc.cli.run_command`, and prints one line
+seeds 1, 9001, 3, 6 and 20, two cycles each (1,890 queries), and adds the
+fixed queries of FIXED (1,899 in all); runs each query in-process through
+`deltacalc.cli.run_command`, and prints one line
 
-    <workload>-<seed>-<qid> <exit code> <sha256 of stdout + stderr>
+    <workload>-<seed>-<qid> (or fixed-<index>) <exit code> <sha256 of stdout + stderr>
         <kind> [<name>=<number> ...] <argv>
 
 where kind is the JSON answer's variant ("normal_form" for a simplify
@@ -33,6 +35,25 @@ import workloads  # noqa: E402
 from deltacalc.cli import run_command  # noqa: E402
 
 SEEDS = (1, 9001, 3, 6, 20)
+
+#: CLI queries that neither stream makes: a smooth summand, a summand and
+#: a delta in `equiv` (the second reads IrreducibleSide against x^2+5, the
+#: third exits 1 where exp(+x) overflows on the octave panels at x = 768,
+#: after the stacked pass raises and each member is taken alone), the
+#: contraction and mixture kernels, `check-dirac`, a finite bound that cuts
+#: the support, and a composite with a pole.  Their lines read
+#: fixed-<index>.
+FIXED = (
+    ("integrate", "exp(-x^2)+delta(x-0.3)"),
+    ("equiv", "1/(1+x^2)+delta(x)", "1/(1+x^2)+delta(x)", "--battery", "sift"),
+    ("equiv", "exp(-x^2)+delta(x)", "exp(-x^2)+delta(x)"),
+    ("integrate", "cos(x)*delta(x-0.2)", "--kernel", "conv"),
+    ("integrate", "cos(x)*delta(x-0.2)", "--kernel", "mix"),
+    ("check-dirac", "--kernel", "conv"),
+    ("check-dirac", "--kernel", "mix"),
+    ("integrate", "exp(-x)*delta(x-0.01)", "--lower", "0"),
+    ("integrate", "delta(1/(x-1.5)-2)"),
+)
 
 #: The keys of the numbers an answer's line prints.
 NUMBERS = ("value", "error", "exponent", "max_deviation")
@@ -84,13 +105,13 @@ def summary(text):
 
 
 def main():
-    for workload in ("sift", "compose"):
-        for seed in SEEDS:
-            for q in queries(workload, seed):
-                status, text = answer(q.argv)
-                digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-                print(f"{workload}-{seed}-{q.qid} {status} {digest} {summary(text)} "
-                      f"{shlex.join(q.argv)}")
+    rows = [(f"{workload}-{seed}-{q.qid}", q.argv) for workload in ("sift", "compose")
+            for seed in SEEDS for q in queries(workload, seed)]
+    rows += [(f"fixed-{i}", (*argv, "--json")) for i, argv in enumerate(FIXED)]
+    for name, argv in rows:
+        status, text = answer(argv)
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        print(f"{name} {status} {digest} {summary(text)} {shlex.join(argv)}")
 
 
 if __name__ == "__main__":
