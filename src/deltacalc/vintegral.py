@@ -2,8 +2,9 @@
 
 Virtual integrals are realized per rank against one weight or a stack
 (bounds are floats; in `_rank_integrals` alone an infinite bound becomes
-shift -/+ n): each rank family builds a plan of nodes, per-node factor and
-rules, and `_execute` weighs, sums and refines it.  The rank sequence I_n
+shift -/+ n): each rank family builds a plan, blocks of nodes, per-node
+factor, rules and each row's fallback, and `_execute` weighs, sums and
+refines it.  The rank sequence I_n
 is recorded, and the observed order of its increments (`limits`) makes it
 a real limit ("reduced"), a divergence like n^p ("irreducible"), or
 Undetermined.
@@ -275,7 +276,7 @@ def _rank_integrals(vf, lo, hi, ranks, weights, shift=0.0, factor=None):
         vf = vf.translate(shift)
     blocks = [_panel_rows(vf, n, i, *_octaves(vf, n, shift, shift + da, shift + db))
               for i, (n, (da, db)) in enumerate(zip(ranks, offsets))]
-    return _execute((ranks, [b for b in blocks if b], None), weights, factor)
+    return _execute((ranks, [b for b in blocks if b]), weights, factor)
 
 
 def _octaves(vf, n, c, a, b):
@@ -394,25 +395,24 @@ _last_stack = [None, None]  # (key, values): the last stack of several weights e
 
 
 def _execute(plan, weights, factor=None):
-    """The rank integrals of `plan`, (ranks, blocks, more), for each of
-    `weights` times `factor` (callables, None for 1): a list per weight.
-    A block (x, factor, rules, scale, rank of each row, anchored, inner,
-    fallback) is rows of nodes x, a row per rank or composite piece on
-    _fixed_nodes or one rank's panels by _panel_rules, then the shift a if
-    `anchored` (f w there is subtracted) or `inner` cuts; its factor is
-    p(u), p(u)/|g'(x(u))| or f_n(x), its scale each row's n^k.  A weight is
-    evaluated once a block (`_weigh`; a stack of several is kept for the
-    other side of an equivalence), and both rules summed per row, _CHUNK
-    weights at a time.  Here alone a rejected row, or a value at an inner
-    cut that is not finite, is decided: nan in a stack (`reductions` takes
-    that weight alone); for one weight, fallback(row, w, sums), the first
-    to fail raising, or where it is None, the row taken in x on the panels
-    of `more(taken)`.  A rank sums its x panels from 0, then its rows."""
-    ranks, blocks, more = plan
+    """The rank integrals of `plan`, (ranks, blocks), for each of `weights`
+    times `factor` (callables, None for 1): a list per weight.  A block (x,
+    factor, rules, scale, rank of each row, anchored, inner, fallback) is
+    rows of nodes x, a row per rank or composite piece on _fixed_nodes or
+    one rank's panels by _panel_rules, then the shift a if `anchored` (f w
+    there is subtracted) or `inner` cuts; its factor is p(u), p(u)/|g'(x(u))|
+    or f_n(x), its scale each row's n^k.  A weight is evaluated once a block
+    (`_weigh`; a stack of several is kept for the other side of an
+    equivalence), and both rules summed per row, _CHUNK weights at a time.
+    Here alone a rejected row, or a value at an inner cut that is not
+    finite, is decided: nan in a stack (`reductions` takes that weight
+    alone); for one weight, fallback(row, w, sums), the first to fail
+    raising.  A rank sums its rows from 0, in the order of the blocks."""
+    ranks, blocks = plan
     if len(weights) == 1 and factor is not None:  # one weight: as RealFunction.times
         weights, factor = [factor if weights[0] is None else
                            lambda x, f=factor, w=weights[0]: f(x) * w(x)], None
-    rows, taken, sums = [[[] for _ in ranks] for _ in weights], [], []
+    rows, sums = [[[] for _ in ranks] for _ in weights], []
     for i, (x, pf, rules, scale, rank_of, anchored, inner, fallback) in enumerate(blocks):
         m = rules[0].size + rules[1].size
         key = len(weights) > 1 and (x.tobytes(), tuple(weights))
@@ -442,15 +442,10 @@ def _execute(plan, weights, factor=None):
                 elif bad:
                     n = ranks[rank_of[r]]
                     raise QuadratureError(f"at rank n={n}, {bad}", rank=n)
-                elif fallback is None:
-                    taken.append((i, r))
-                    continue
                 else:
                     v = fallback(r, weights[j], row_sums)
             rows[j][rank_of[r]].append(v)
-    heads = ([[0.0] * len(ranks)] * len(weights) if more is None else
-             _execute((ranks, more(taken), None), weights, factor))
-    return [[sum(r, h) for h, r in zip(*pair)] for pair in zip(heads, rows)]
+    return [[sum(r, 0.0) for r in rank_rows] for rank_rows in rows]
 
 
 def _scale(n, k):
@@ -574,7 +569,7 @@ def _profile_integrals(d, ranks, a, weights, factor=None, ulo=-math.inf, uhi=mat
         if bounds[i][0] < bounds[i][1]:
             groups.setdefault(bounds[i], []).append(i)
     values = _execute((ranks, [_profile_rows(d, ranks, a, rows, lo, hi)
-                               for (lo, hi), rows in groups.items()], None), weights, factor)
+                               for (lo, hi), rows in groups.items()]), weights, factor)
     if refused < len(ranks):
         raise QuadratureError(f"at rank n={ranks[refused]}, every node a + u/n of a derivative "
                               f"kernel rounds to its shift a={a:g}", rank=ranks[refused])
@@ -781,7 +776,8 @@ _SOLVE_STEPS, _SOLVE_ULPS = 16, 4
 class Composite(VirtualFunction):
     """The composite virtual function x -> d_n(g(x)) that `compose` builds.
     `nodes(key)` holds the plan of the ranks (n, a, b) of `key`
-    (`_substitution`), cached by value for the weights of one reduction."""
+    (`_substitution`), its pieces in u and each rank's x panels, cached by
+    value for the weights of one reduction."""
 
     def __init__(self, d, g, s):
         self.kernel, self.scan = d, s
@@ -806,23 +802,22 @@ def compose(d, g, window=WINDOW):
 
 def _substitution(d, g, s, key):
     """The plan of the ranks (n, a, b) of `key` over the monotone pieces of
-    g: whether each rank is taken wholly in u = n g(x); groups (cuts, rows,
-    x, jac) of the pieces taken so, a row (rank index, piece index) per
-    rank and piece of [a, b], with x(u) and 1/|g'(x(u))| on
-    _fixed_nodes(cuts); and each rank's x panels (`_panels`) of the rest.
-    A rank past an outside_scan_risk window edge is refused if the values
-    g may take there (cert.edges) enter or leave supp(d_n); where g at the
-    edge lies inside it, the outer piece reaches on to the bound.  In u the
-    integral is n^k that of p(u) w(x(u)) / |g'(x(u))|: a piece is taken so
-    if it holds a root of a certificate that is not violated, g has a
-    symbolic g', n g at both of its ends lies outside the profile support
-    on the side of its sign, and every x(u) converges inside it (`_solve`,
-    in batches of at most _BATCH nodes).  The pieces' ends are the scan's
-    grid-level `splits` until a piece is taken in x or left out, which
-    reads the exact `pieces`, as do all where a split's grid bracket holds
-    a root or a bound.  The grid-level end of a piece taken in u is no
-    farther out in g than the exact one, so the same pieces pass, with the
-    same u range and nodes."""
+    g: groups (cuts, rows, x, jac) of the pieces taken in u = n g(x), a row
+    (rank index, piece index) per rank and piece of [a, b], with x(u) and
+    1/|g'(x(u))| on _fixed_nodes(cuts); and each rank's x panels (`_panels`)
+    of the rest, on their exact ends (`_exact_spans`).  A rank past an
+    outside_scan_risk window edge is refused if the values g may take there
+    (cert.edges) enter or leave supp(d_n); where g at the edge lies inside
+    it, the outer piece reaches on to the bound.  In u the integral is n^k
+    that of p(u) w(x(u)) / |g'(x(u))|: a piece is taken so if it holds a
+    root of a certificate that is not violated, g has a symbolic g', n g at
+    both of its ends lies outside the profile support on the side of its
+    sign, and every x(u) converges inside it (`_solve`, in batches of at
+    most _BATCH nodes).  Each piece is decided once, on the ends the plan
+    starts with: the scan's grid-level `splits`, or its exact `pieces`
+    where a split's grid bracket holds a root or a bound.  The grid-level
+    end of a piece taken in u is no farther out in g than the exact one, so
+    the same pieces pass on either, with the same u range and nodes."""
     cert, (wlo, whi) = s.certificate, s.window
     for n, a, b in key:
         if a < wlo or b > whi:
@@ -841,7 +836,6 @@ def _substitution(d, g, s, key):
 
     groups, x_rows = {}, []
     for j, (n, a, b) in enumerate(key):
-        slo, shi = d.support_interval(n)
         ends = los, his, gls, ghs = _rank_ends(d, s, n, a, b, exact)
         for k in range(bisect.bisect_left(his, a), bisect.bisect_right(los, b)):
             span, rec = _span(s.fn, ends, k, a, b), held.get(k)
@@ -857,13 +851,7 @@ def _substitution(d, g, s, key):
                         groups.setdefault(_cuts(d, ulo, uhi), []).append(
                             (rec, los[k], his[k], (j, k)))
                     continue
-            if not exact:
-                exact = True
-                ends = los, his, gls, ghs = _rank_ends(d, s, n, a, b, exact)
-                span = _span(s.fn, ends, k, a, b)
-            _xl, _xr, gl, gr = span
-            if min(gl, gr) < shi and max(gl, gr) > slo:
-                x_rows.append((j, *span))
+            x_rows.append((j, k))
 
     out = []
     for cuts, members in groups.items():
@@ -871,13 +859,11 @@ def _substitution(d, g, s, key):
         for batch in (members[i:i + size] for i in range(0, len(members), size)):
             x, jac, good = _nodes(g, s.fn, key, cuts, [(row[0], rec, p, q)
                                                        for rec, p, q, row in batch])
-            x_rows += _exact_spans(d, s, key, [row for (*_, row), ok in zip(batch, good)
-                                               if not ok])
+            x_rows += [row for (*_, row), ok in zip(batch, good) if not ok]
             if any(good):
                 out.append((cuts, tuple(row for (*_, row), ok in zip(batch, good) if ok),
                             x[good], jac[good]))
-    panels = _panels(d, s.fn, key, x_rows)
-    return tuple(not ps for ps in panels), tuple(out), tuple(map(tuple, panels))
+    return tuple(out), tuple(map(tuple, _panels(d, s.fn, key, _exact_spans(d, s, key, x_rows))))
 
 
 def _rank_ends(d, s, n, a, b, exact):
@@ -983,19 +969,22 @@ def _solve(fn, t, x, slope):
 
 def _substituted(vf, ranks, bounds, weights, factor=None):
     """The rank integrals of the Composite vf over each rank's bounds (a, b)
-    for each of `weights` on its plan (vf.nodes): its pieces in u, and x
-    panels over exact piece ends for the rest and the rejected pieces."""
+    for each of `weights` on its plan (vf.nodes): each rank's x panels, then
+    its pieces in u, each of which the fixed rules reject taken in x on its
+    exact ends."""
     key = tuple((n, a, b) for n, (a, b) in zip(ranks, bounds))
-    _ok, groups, panels = vf.nodes(key)
-    d = vf.kernel
+    groups, panels = vf.nodes(key)
+    d, s = vf.kernel, vf.scan
+
+    def in_x(rows, r, w, _sums):  # a rejected piece, in x as a one-rank plan
+        j = rows[r][0]
+        block = _panel_rows(vf, ranks[j], 0, _panels(
+            d, s.fn, key, _exact_spans(d, s, key, rows[r:r + 1]))[j])
+        return _execute(((ranks[j],), [block]), [w])[0][0]
+
+    blocks = [b for j, ps in enumerate(panels) if (b := _panel_rows(vf, ranks[j], j, ps))]
     with np.errstate(all="ignore"):
-        blocks = [(x, _profile_on_nodes(d.profile, cuts) * jac, _fixed_nodes(cuts)[1:],
-                   [_scale(ranks[j], d.order) for j, _k in rows], [j for j, _k in rows], False,
-                   0, None) for cuts, rows, x, jac in groups]
-
-    def more(taken):
-        spans = _exact_spans(d, vf.scan, key, [groups[i][1][r] for i, r in taken])
-        return [b for j, (n, ps, qs) in enumerate(zip(ranks, panels, _panels(
-            d, vf.scan.fn, key, spans))) if (b := _panel_rows(vf, n, j, [*ps, *qs]))]
-
-    return _execute((ranks, blocks, more), weights, factor)
+        blocks += [(x, _profile_on_nodes(d.profile, cuts) * jac, _fixed_nodes(cuts)[1:],
+                    [_scale(ranks[j], d.order) for j, _k in rows], [j for j, _k in rows], False,
+                    0, functools.partial(in_x, rows)) for cuts, rows, x, jac in groups]
+    return _execute((ranks, blocks), weights, factor)

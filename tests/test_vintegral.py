@@ -435,7 +435,7 @@ def _fixed_rule(d, ranks, a, weights, ulo, uhi):
     over [ulo, uhi], nan where they disagree: the plan's one block, executed
     with a fallback that reads nan."""
     block = vintegral._profile_rows(d, ranks, a, list(range(len(ranks))), ulo, uhi)
-    return vintegral._execute((ranks, [(*block[:-1], lambda *_: math.nan)], None), weights)
+    return vintegral._execute((ranks, [(*block[:-1], lambda *_: math.nan)]), weights)
 
 #: Highest rank reduce_expr_integral probes for each derivative order.
 RANK_CAP = {0: DEFAULT_SCHEDULE[-1], 1: 2**12, 2: 2**10}
@@ -810,7 +810,7 @@ def _quad_panels(comp, n, panels, weight):
 def _x_panels(comp, key):
     # The x panels of each rank of the plan: of the pieces it takes in x,
     # then of those it takes in u, in the order of its rows.
-    _ok, groups, panels = comp.nodes(key)
+    groups, panels = comp.nodes(key)
     rows = [row for _cuts, rows, _x, _jac in groups for row in rows]
     rows = vintegral._exact_spans(comp.kernel, comp.scan, key, rows)
     more = vintegral._panels(comp.kernel, comp.scan.fn, key, rows)
@@ -841,8 +841,8 @@ def test_region_rule_matches_quad(name, text, bounds, request, quad_calls):
     # the substitution takes the whole rank, it gives the same integral.
     for n, tol in ((16, 1e-12), (64, 1e-12), (4096, 1e-10), (65536, 1e-10)):
         a, b = (-n, n) if bounds is None else bounds
-        panels = comp.nodes(((n, a, b),))[2][0]
-        in_u = subst.nodes(((n, a, b),))[0][0]
+        panels = comp.nodes(((n, a, b),))[1][0]
+        in_u = not subst.nodes(((n, a, b),))[1][0]
         for w in weights:
             got = integrate_rank(comp, lo, hi, (n,), weight=w)[0]
             assert n > 64 or not quad_calls, (n, w)
@@ -861,7 +861,7 @@ def test_region_rules_agree_on_a_mixture(mix, quad_calls):
     comp = _opaque(mix, "x^2-4")
     got = integrate_rank(comp, -64.0, 64.0, (64,), weight=np.cos)[0]
     assert not quad_calls
-    want = _quad_panels(comp, 64, comp.nodes(((64, -64.0, 64.0),))[2][0], np.cos)
+    want = _quad_panels(comp, 64, comp.nodes(((64, -64.0, 64.0),))[1][0], np.cos)
     assert abs(got - sum(want)) <= 1e-12 * sum(max(1.0, abs(v)) for v in want)
 
 
@@ -871,24 +871,68 @@ def test_math_only_weight_stays_in_u_on_every_region(bump, quad_calls, monkeypat
     # twin, and no panel is left to x or to quad.
     comp = _composite(bump, "x^3-2*x^2-x+2")
     key = ((64, -64.0, 64.0),)
-    taken = []
+    called = []
     real = vintegral._execute
 
-    def execute(plan, *a):  # records the rows the rules in u reject
-        ranks, blocks, more = plan
-        return real(plan if more is None else
-                    (ranks, blocks, lambda t: taken.append(t) or more(t)), *a)
+    def execute(plan, *a):  # records the rows whose fallback is called
+        ranks, blocks = plan
+        return real((ranks, [(*b[:-1], lambda r, *f, fb=b[-1]: called.append(r) or fb(r, *f))
+                             for b in blocks]), *a)
 
     monkeypatch.setattr(vintegral, "_execute", execute)
     got = integrate_rank(comp, -math.inf, math.inf, (64,), weight=math.cos)[0]
     assert not quad_calls
-    assert comp.nodes(key)[2] == ((),) and taken == [[]]
-    assert sum(len(rows) for _cuts, rows, _x, _jac in comp.nodes(key)[1]) == 3
+    # No x panel, so every block is in u: no rule in u rejects a piece.
+    assert comp.nodes(key)[1] == ((),) and called == []
+    assert sum(len(rows) for _cuts, rows, _x, _jac in comp.nodes(key)[0]) == 3
     twin = integrate_rank(comp, -math.inf, math.inf, (64,), weight=_per_node(math.cos))[0]
     assert got.hex() == twin.hex()
     want = _quad_panels(comp, 64, _x_panels(_opaque(bump, "x^3-2*x^2-x+2"), key)[0],
                         math.cos)
     assert abs(got - sum(want)) <= 1e-12 * sum(max(1.0, abs(v)) for v in want)
+
+
+def test_rejected_piece_in_u_is_taken_in_x_on_its_own_panels(bump, monkeypatch):
+    # The kink of |x - 2.001| lies 0.001 from the root 2 of x^2 - 4, inside
+    # that piece's u range at every rank: the fixed rules in u reject it,
+    # and its fallback takes it in x on its exact panels.  The piece at -2
+    # stays in u.
+    comp = _composite(bump, "x^2-4")
+    w = to_real_function(parse("abs(x-2.001)")).fn
+    ranks = (16, 32, 64, 128)
+    key = tuple((n, -n, n) for n in ranks)
+    taken = []
+    real = vintegral._execute
+
+    def execute(plan, *a):  # records each u row's fallback and its value
+        if plan[0] != ranks:
+            return real(plan, *a)
+        return real((ranks, [(*b[:-1], lambda r, *f, fb=b[-1]: taken.append(
+            (r, fb(r, *f))) or taken[-1][1]) for b in plan[1]]), *a)
+
+    monkeypatch.setattr(vintegral, "_execute", execute)
+    got = integrate_rank(comp, -math.inf, math.inf, ranks, weight=w)
+    groups, panels = comp.nodes(key)
+    assert panels == ((),) * 4
+    rows = [row for _cuts, rows, _x, _jac in groups for row in rows]
+    assert [rows[r] for r, _v in taken] == [(j, 1) for j in range(4)]
+    assert [r for r, _v in taken] == [1, 3, 5, 7]
+    assert [v.hex() for v in got] == ["0x1.006764adf6965p+0", "0x1.003d11453f8a5p+0",
+                                      "0x1.0029442a26efbp+0", "0x1.0021babd86167p+0"]
+    # Each piece reads quad's value on its exact x panels within 1e-12 of
+    # the rank integral (about 1), but at rank 64: there the adaptive rule
+    # stops on the panel that holds the kink with its differences under
+    # 1e-12 and a true error of 2.2e-12, which is pinned here.
+    for (r, v), n, total in zip(taken, ranks, got):
+        spans = vintegral._exact_spans(comp.kernel, comp.scan, key, [rows[r]])
+        ps = vintegral._panels(comp.kernel, comp.scan.fn, key, spans)[rows[r][0]]
+        miss = abs(v - math.fsum(_quad_panels(comp, n, ps, w)))
+        assert miss <= 1e-12 * total if n != 64 else 2e-12 < miss < 2.5e-12, (n, miss)
+    # The CLI's answer: 0.001/4 + 4.001/4.  Its err is not asserted.
+    out = io.StringIO()
+    assert run_command(["integrate", "abs(x-2.001)*delta(x^2-4)", "--json"], out,
+                       io.StringIO()) == 0
+    assert abs(json.loads(out.getvalue())["value"] - 1.0005) <= 1e-12
 
 
 def test_non_finite_region_weight_raises_like_quad(bump):
@@ -955,7 +999,7 @@ def test_certified_composite_makes_no_bisect_call(monkeypatch, bump):
     comp = _composite(bump, text)
     res = reduce_integral(comp, weight=np.exp)
     ranks = tuple(n for n, _v in res.rank_values)
-    assert all(comp.nodes(tuple((n, -n, n) for n in ranks[:7]))[0])
+    assert all(not ps for ps in comp.nodes(tuple((n, -n, n) for n in ranks[:7]))[1])
     assert not calls and "pieces" not in vars(comp.scan)
     # The x path, which bisects its panel edges, gives the same integrals.
     got = integrate_rank(comp, -math.inf, math.inf, ranks[:7], weight=np.exp)
@@ -988,13 +1032,16 @@ EXACT_CASES = [
 def test_exact_ends_where_the_plan_needs_them(text, ranks, in_u, want, bump):
     comp = _composite(bump, text)
     key = tuple((n, -n, n) for n in ranks)
-    assert comp.nodes(key)[0] == in_u
+    assert tuple(not ps for ps in comp.nodes(key)[1]) == in_u
+    # Each rank's panels are those it has alone: no rank's pieces depend on
+    # another's.
+    assert comp.nodes(key)[1] == tuple(comp.nodes(((n, -n, n),))[1][0] for n in ranks)
     assert "pieces" in vars(comp.scan)
     assert integrate_rank(comp, -math.inf, math.inf, ranks, weight=np.cos) == want
     # The x panels end at the exact ends of the pieces they meet.
     if not all(in_u):
         lo, hi, _glo, _ghi = comp.scan.pieces
-        edges = {x for ps in comp.nodes(key)[2] for p in ps for x in p}
+        edges = {x for ps in comp.nodes(key)[1] for p in ps for x in p}
         assert set(lo[1:] + hi[:-1]) <= edges
 
 
@@ -1010,7 +1057,8 @@ def test_x_path_serves_what_the_substitution_does_not(bump):
                                       [64, 10.11801361235626]]
     comp = _composite(bump, "-1.0547*(x+2.515)*(x+2.231)")
     ranks = (16, 32, 64, 128)
-    assert comp.nodes(tuple((n, -n, n) for n in ranks))[0] == (False, False, True, True)
+    key = tuple((n, -n, n) for n in ranks)
+    assert tuple(not ps for ps in comp.nodes(key)[1]) == (False, False, True, True)
     assert integrate_rank(comp, -math.inf, math.inf, ranks, weight=np.cos)[:3] == [
         -4.262482450076677, -5.775480673618678, -4.9313761313951225]
     res = reduce_integral(dc.compose(bump, lambda x: x * x - 4.0), weight=np.cos)
@@ -1025,8 +1073,9 @@ def test_piece_end_inside_the_support_keeps_the_x_path(bump):
     # both ends lie outside the support, and the substituted rank reads
     # 1/|g'|.
     comp = dc.compose(bump, to_real_function(parse("0.01*(x-1)")), window=(0.0, 2.0))
-    assert comp.nodes(((16, 0.9, 1.1), (4096, 0.9, 1.1)))[0] == (False, True)
-    assert comp.nodes(((16, 0.9, 1.1),))[2][0] == ((0.9, 1.0), (1.0, 1.1))
+    key = ((16, 0.9, 1.1), (4096, 0.9, 1.1))
+    assert tuple(not ps for ps in comp.nodes(key)[1]) == (False, True)
+    assert comp.nodes(((16, 0.9, 1.1),))[1][0] == ((0.9, 1.0), (1.0, 1.1))
     assert integrate_rank(comp, 0.9, 1.1, (16,)) == [2.651194015672525]
     assert abs(integrate_rank(comp, 0.9, 1.1, (4096,))[0] - 100.0) <= 1e-12 * 100.0
 
@@ -1076,7 +1125,7 @@ def test_equiv_solves_the_substitution_once_per_rank_set(monkeypatch, bump):
 
     def plan(d, g, s, key):
         out = real_plan(d, g, s, key)
-        built.append((key, out[0]))
+        built.append((key, tuple(not ps for ps in out[1])))
         return out
 
     monkeypatch.setattr(vintegral, "_substitution", plan)

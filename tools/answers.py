@@ -3,7 +3,7 @@ fingerprint.
 
 Builds the sift and compose query streams of `perfbench/workloads.py` at
 seeds 1, 9001, 3, 6 and 20, two cycles each (1,890 queries), and adds the
-fixed queries of FIXED (1,899 in all); runs each query in-process through
+fixed queries of FIXED (1,903 in all); runs each query in-process through
 `deltacalc.cli.run_command`, and prints one line
 
     <workload>-<seed>-<qid> (or fixed-<index>) <exit code> <sha256 of stdout + stderr>
@@ -41,7 +41,10 @@ SEEDS = (1, 9001, 3, 6, 20)
 #: third exits 1 where exp(+x) overflows on the octave panels at x = 768,
 #: after the stacked pass raises and each member is taken alone), the
 #: contraction and mixture kernels, `check-dirac`, a finite bound that cuts
-#: the support, and a composite with a pole.  Their lines read
+#: the support, a composite with a pole, and the composite paths neither
+#: stream meets: x pieces beside a turn at ranks 16 and 32, a piece in u
+#: that the fixed rules reject, two roots inside one turn's grid bracket
+#: (it reads Undetermined), and a composite's `equiv`.  Their lines read
 #: fixed-<index>.
 FIXED = (
     ("integrate", "exp(-x^2)+delta(x-0.3)"),
@@ -53,6 +56,10 @@ FIXED = (
     ("check-dirac", "--kernel", "mix"),
     ("integrate", "exp(-x)*delta(x-0.01)", "--lower", "0"),
     ("integrate", "delta(1/(x-1.5)-2)"),
+    ("integrate", "cos(x)*delta(-1.0547*(x+2.515)*(x+2.231))"),
+    ("integrate", "abs(x-2.001)*delta(x^2-4)"),
+    ("integrate", "delta((x-0.293)*(x-0.308))"),
+    ("equiv", "delta(x^2-4)", "0.25*delta(x-2)+0.25*delta(x+2)"),
 )
 
 #: The keys of the numbers an answer's line prints.
