@@ -152,6 +152,7 @@ def _json_key(key):
 
 
 def _emit(payload, args, out):
+    """Write a verb's payload: as JSON, or its "human" text."""
     if args.json:
         out.write(_json_text(payload) + "\n")
     else:
@@ -159,10 +160,11 @@ def _emit(payload, args, out):
 
 
 # ---------------------------------------------------------------------------
-# Verbs
+# Verbs: each takes (args, cfg) and returns its payload, which run_command
+# writes with _emit.
 # ---------------------------------------------------------------------------
 
-def _cmd_simplify(args, cfg, out):
+def _cmd_simplify(args, cfg):
     expr = parse_expression(args.expression)
     if isinstance(expr, RealFunction):
         raise DeltaCalcError("expression contains no delta term to simplify")
@@ -171,8 +173,7 @@ def _cmd_simplify(args, cfg, out):
                 else f"order {nf.strength[1]}")
     payload = nf.to_json()
     payload["human"] = f"{nf.render()}   [{strength}]"
-    _emit(payload, args, out)
-    return 0
+    return payload
 
 
 def _integral_human(res):
@@ -184,7 +185,7 @@ def _integral_human(res):
     return "Undetermined"
 
 
-def _cmd_integrate(args, cfg, out):
+def _cmd_integrate(args, cfg):
     expr = parse_expression(args.expression)
     kernel = cfg.make_kernel()
     if not all(math.isfinite(b) for b in (args.lower, args.upper) if b is not None):
@@ -198,11 +199,10 @@ def _cmd_integrate(args, cfg, out):
         _write_trace(args.trace_out, "n,I_n", res.rank_values)
     payload = res.to_json()
     payload["human"] = _integral_human(res)
-    _emit(payload, args, out)
-    return 0
+    return payload
 
 
-def _cmd_equiv(args, cfg, out):
+def _cmd_equiv(args, cfg):
     lhs = parse_expression(args.lhs)
     rhs = parse_expression(args.rhs)
     kernel = cfg.make_kernel()
@@ -223,11 +223,10 @@ def _cmd_equiv(args, cfg, out):
     if verdict.skipped:
         human += f"; skipped, not finite at a shift: {', '.join(verdict.skipped)}"
     payload["human"] = human
-    _emit(payload, args, out)
-    return 0
+    return payload
 
 
-def _cmd_check_dirac(args, cfg, out):
+def _cmd_check_dirac(args, cfg):
     kernel = cfg.make_kernel()
     res = check_dirac(kernel, schedule=cfg.schedule)
     payload = res.to_json()
@@ -239,11 +238,10 @@ def _cmd_check_dirac(args, cfg, out):
             f"{res.support_class.value})")
     else:
         payload["human"] = f"{cfg.kernel}: NOT a Dirac kernel — {res}"
-    _emit(payload, args, out)
-    return 0
+    return payload
 
 
-def _cmd_probe_kernels(args, cfg, out):
+def _cmd_probe_kernels(args, cfg):
     g = parse_expression(args.expression)
     if not isinstance(g, RealFunction):
         raise DeltaCalcError(
@@ -264,8 +262,7 @@ def _cmd_probe_kernels(args, cfg, out):
     lines = [f"{name}: {_integral_human(res)}" for name, res in report.outcomes]
     payload["human"] = f"{report.g_label}: {flag} — {report.reason}\n" + \
         "\n".join("  " + line for line in lines)
-    _emit(payload, args, out)
-    return 0
+    return payload
 
 
 def _write_trace(path, header, rows):
@@ -275,7 +272,7 @@ def _write_trace(path, header, rows):
             fh.write(f"{a:.17g},{b:.17g}\n")
 
 
-def _cmd_trace(args, cfg, out):
+def _cmd_trace(args, cfg):
     if args.at_rank is not None and args.at_rank < 1:
         raise ConfigError(f"--at-rank must be a rank >= 1, not {args.at_rank}")
     if args.points < 1:
@@ -304,13 +301,10 @@ def _cmd_trace(args, cfg, out):
         header = "n,I_n"
     if args.trace_out:
         _write_trace(args.trace_out, header, rows)
-        payload = {"rows": len(rows), "file": args.trace_out,
-                   "human": f"wrote {len(rows)} rows to {args.trace_out}"}
-    else:
-        body = "\n".join(f"{a:.17g},{b:.17g}" for a, b in rows)
-        payload = {"rows": len(rows), "human": header + "\n" + body}
-    _emit(payload, args, out)
-    return 0
+        return {"rows": len(rows), "file": args.trace_out,
+                "human": f"wrote {len(rows)} rows to {args.trace_out}"}
+    body = "\n".join(f"{a:.17g},{b:.17g}" for a, b in rows)
+    return {"rows": len(rows), "human": header + "\n" + body}
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +460,8 @@ def run_command(argv, out=None, err=None):
         return fail(2, "config", exc)
 
     try:
-        return _DISPATCH[args.verb](args, cfg, out)
+        _emit(_DISPATCH[args.verb](args, cfg), args, out)
+        return 0
     except ParseError as exc:
         return fail(2, "parse", exc)
     except ConfigError as exc:

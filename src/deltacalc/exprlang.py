@@ -326,8 +326,8 @@ def _mul(a, b):
 
 
 def _diff(node):
-    """The derivative tree of a delta-free tree; a subtree that `node` holds
-    more than once, as one object, is differentiated once."""
+    """The derivative tree of a tree with no delta and no abs; a subtree that
+    `node` holds more than once, as one object, is differentiated once."""
     done = {}
 
     def d(n):
@@ -383,8 +383,6 @@ def _diff(node):
                 return Bin("/", inner, _add(_ONE, Bin("^", n.arg, Num(2.0))))
             if n.name == "log":
                 return _mul(inner, Bin("/", _ONE, n.arg))
-            if n.name == "abs":
-                raise ExpressionError("abs(...) is not differentiable at 0")
         raise ExpressionError(f"cannot differentiate {type(n).__name__}")
 
     return d(node)

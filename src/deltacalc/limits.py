@@ -56,15 +56,12 @@ def _ratios(ranks):
 
 def _order(ratio, h1, h2):
     """The alpha at which n^-alpha has successive increments in `ratio` on
-    ranks log-spaced by h1 then h2: log(ratio) / h1 on geometric ranks
-    (h1 == h2), else the root, by bisection, of the increasing g = alpha h
-    + log(m1 / m2) - log(ratio), with h = h1 above 0 and h2 below and m_i =
-    1 - e^(-|alpha| h_i) in [0, 1] (m1 / m2 is h1 / h2 at alpha 0 to
-    rounding).  As |log(m1 / m2)| <= |log(h1 / h2)|, g changes sign on the
-    bracket."""
+    ranks log-spaced by h1 != h2 (`_orders` takes geometric ranks inline):
+    the root, by bisection, of the increasing g = alpha h + log(m1 / m2) -
+    log(ratio), with h = h1 above 0 and h2 below and m_i = 1 - e^(-|alpha|
+    h_i) in [0, 1] (m1 / m2 is h1 / h2 at alpha 0 to rounding).  As
+    |log(m1 / m2)| <= |log(h1 / h2)|, g changes sign on the bracket."""
     target = math.log(ratio)
-    if h1 == h2:
-        return target / h1
     spread = math.log(h1 / h2)
 
     def g(alpha):

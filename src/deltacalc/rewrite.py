@@ -515,22 +515,17 @@ def kernel_dependence_probe(g, kernels, schedule=DEFAULT_SCHEDULE, window=WINDOW
         res = reduce_integral(compose(kern, g, window=window),
                               schedule=schedule, tol=1e-9)
         outcomes.append((getattr(kern, "name", kern.label), res))
+    vals = [res.value for _n, res in outcomes]
     if {res.kind for _n, res in outcomes} != {"reduced"}:
         labels = sorted(f"{name}:{res.kind}" for name, res in outcomes)
-        return ProbeReport(
-            getattr(g, "label", "g"), tuple(outcomes), True,
-            "no generic operational rule: outcomes differ in kind "
-            f"({', '.join(labels)})",
-        )
-    vals = [res.value for _n, res in outcomes]
-    if max(vals) - min(vals) > _PROBE_SPREAD:
-        return ProbeReport(
-            getattr(g, "label", "g"), tuple(outcomes), True,
-            "no generic operational rule: reduced values disagree "
-            f"(spread {max(vals) - min(vals):.3g})",
-        )
-    return ProbeReport(getattr(g, "label", "g"), tuple(outcomes), False,
-                       "all kernels agree")
+        reason = f"outcomes differ in kind ({', '.join(labels)})"
+    elif max(vals) - min(vals) > _PROBE_SPREAD:
+        reason = f"reduced values disagree (spread {max(vals) - min(vals):.3g})"
+    else:
+        reason = None
+    return ProbeReport(getattr(g, "label", "g"), tuple(outcomes), reason is not None,
+                       "all kernels agree" if reason is None
+                       else "no generic operational rule: " + reason)
 
 
 # ---------------------------------------------------------------------------

@@ -212,11 +212,9 @@ def quad(f, a, b, **kwargs):
 
 
 def _quad_piece(f, a, b, points=None):
-    """Adaptive quad over [a, b], split at the `points` inside it: the
-    adaptive rule's give-up.  QUADPACK's "probably divergent" (ier = 5)
+    """Adaptive quad over [a, b] (a < b), split at the `points` inside it:
+    the adaptive rule's give-up.  QUADPACK's "probably divergent" (ier = 5)
     returns a finite part, not the integral: a QuadratureError."""
-    if b <= a:
-        return 0.0
     from scipy.integrate import IntegrationWarning
 
     try:
@@ -227,11 +225,8 @@ def _quad_piece(f, a, b, points=None):
             warnings.simplefilter("ignore", IntegrationWarning)
             warnings.filterwarnings("error", "The integral is probably divergent",
                                     IntegrationWarning)
-            if points:
-                pts = sorted(p for p in points if a < p < b)
-                val, err = quad(f, a, b, points=pts or None, **_QUAD_OPTS)
-            else:
-                val, err = quad(f, a, b, **_QUAD_OPTS)
+            val, err = quad(f, a, b, **_QUAD_OPTS,
+                            points=sorted(p for p in points or () if a < p < b) or None)
     except Exception as exc:  # scipy raises on various failures
         raise QuadratureError(f"quadrature failed on [{a:g}, {b:g}]: {exc}") from exc
     if not math.isfinite(val):
@@ -631,10 +626,13 @@ def delta_integral(d, k, lo, hi, ranks, weights, a, factor=None):
     `ranks`.  Where `by_parts`, (-1)^k times the order-0 integral of
     d_n(x - a) F^(k)(x), plus sum_{j<k} (-1)^j [d_n^(k-1-j)(x - a) F^(j)(x)]
     at each finite bound inside supp d_n(x - a), with no n^k; else d's
-    order-k derivative (d, any virtual function, at k = 0) as it is."""
+    order-k derivative (d, any virtual function, at k = 0; only a profile
+    kernel has one at k >= 1) as it is."""
     if not k:  # nothing is taken by parts
         return _rank_integrals(d, lo, hi, ranks, [getattr(w, "fn", None) for w in weights], a,
                                getattr(factor, "fn", None))
+    if not isinstance(d, DiracKernel):
+        raise TypeError(f"order-{k} delta of {d.label!r} requires a profile-based Dirac kernel")
     Fs = [w if factor is None else factor if w is None else factor.times(w) for w in weights]
     out, plain = {}, [j for j, F in enumerate(Fs) if not by_parts(d, k, F)]
     if plain:

@@ -525,6 +525,15 @@ def test_equiv_distinct():
     assert "Distinct" in out
 
 
+def test_equiv_names_the_side_that_does_not_reduce():
+    # delta(x^2) on the square kernel diverges against 1; 0 reduces.
+    status, out, err = run(["equiv", "0", "delta(x^2)", "--kernel", "square", "--json"])
+    assert status == 0, err
+    payload = json.loads(out)
+    assert (payload["variant"], payload["side"], payload["witness"]) == \
+        ("irreducible_side", "rhs", "1")
+
+
 def test_equiv_far_shifted_delta_is_not_zero():
     # Every rank of delta(x-1e19) against 1 reads 1, so 0*x is distinct.
     status, out, err = run(["equiv", "delta(x-1e19)", "0*x", "--json"] + FAST)
@@ -597,6 +606,17 @@ def test_probe_kernels_flags_square_of_x():
     assert status == 0
     payload = json.loads(out)
     assert payload["flagged"] is True
+
+
+def test_probe_kernels_flags_values_that_disagree():
+    # delta(|x|) depends on the kernel: bump reads 1, the one-sided plus 2.
+    status, out, err = run(["probe-kernels", "abs(x)", "--kernels", "bump,plus", "--json"])
+    assert status == 0, err
+    payload = json.loads(out)
+    assert payload["flagged"] is True
+    assert payload["reason"] == "no generic operational rule: reduced values disagree (spread 1)"
+    assert [(o["kernel"], round(o["result"]["value"], 12)) for o in payload["outcomes"]] == \
+        [("bump", 1.0), ("plus", 2.0)]
 
 
 def test_probe_kernels_rejects_delta_argument():
@@ -690,6 +710,19 @@ def test_config_error_exit_2(tmp_path):
     status, _out, err = run(["integrate", "delta(x)", "--config", str(bad)])
     assert status == 2
     assert "config" in err
+    # A config file that cannot be read, and a kernel that has no name.
+    bad.write_text('{"kernel": "nope"}')
+    for path, message in ((tmp_path / "missing.json", "cannot read config"),
+                          (bad, "unknown kernel 'nope'")):
+        status, out, err = run(["integrate", "delta(x)", "--config", str(path)])
+        assert status == 2 and out == ""
+        assert err.startswith("error (config)") and message in err
+    # With --json, the error is one JSON object on stderr.
+    bad.write_text('{"battery": "nope"}')
+    status, out, err = run(["equiv", "delta(x)", "delta(x)", "--config", str(bad), "--json"])
+    assert status == 2 and out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "config" and "unknown battery 'nope'" in payload["message"]
 
 
 @pytest.mark.parametrize("config", [
@@ -1283,6 +1316,11 @@ def test_rank_overflow_is_config_error():
     status, out, _ = run(["integrate", "delta(x)", "--probe-min-exp", "1000",
                           "--probe-max-exp", "1023", "--json"])
     assert status == 0 and abs(json.loads(out)["value"] - 1.0) < 1e-9
+    # A minimum above the maximum leaves no schedule.
+    status, out, err = run(["integrate", "delta(x)", "--probe-min-exp", "10",
+                            "--probe-max-exp", "5"])
+    assert status == 2 and out == ""
+    assert err.startswith("error (config)") and "1 <= min < max" in err
 
 
 def test_leading_minus_expression_follows_double_dash():
@@ -1291,6 +1329,9 @@ def test_leading_minus_expression_follows_double_dash():
     status, out, _ = run(["simplify", "--json", "--", "-delta(x)"])
     assert status == 0
     assert json.loads(out)["terms"] == [{"c": -1.0, "k": 0, "a": 0.0}]
+    # A leading plus is no option, and the expression is unchanged by it.
+    plus = run(["integrate", "+delta(x)"])
+    assert plus[0] == 0 and plus == run(["integrate", "delta(x)"])
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])

@@ -661,6 +661,30 @@ def test_member_that_raises_leaves_the_stack_as_it_is(bump):
     assert (type(stacked.value), str(stacked.value)) == (type(single.value), str(single.value))
 
 
+def test_stack_that_raises_sends_every_member_alone(bump, monkeypatch):
+    # Where the stack's rank integrals raise, every member reads None in it
+    # and reduces alone, as reduce_bound reduces it.
+    from deltacalc import vintegral
+    from deltacalc.errors import QuadratureError
+
+    battery = sift_battery()
+    bound = [(1.0, None, None, bump, 0.3)]
+    args = (-math.inf, math.inf, DEFAULT_SCHEDULE, 1e-9)
+    want = [vintegral.reduce_bound(bound, f, *args) for f in battery]
+    stacks, real = [], vintegral.delta_integral
+
+    def refusing(d, k, lo, hi, ranks, weights, *rest):
+        if len(weights) > 1:
+            stacks.append(len(weights))
+            raise QuadratureError("the stack is refused")
+        return real(d, k, lo, hi, ranks, weights, *rest)
+
+    monkeypatch.setattr(vintegral, "delta_integral", refusing)
+    got = [reduce() for reduce in vintegral.reductions(bound, battery, *args)]
+    assert stacks == [len(battery)]
+    assert [r.to_json() for r in got] == [r.to_json() for r in want]
+
+
 def test_batteries_sizes():
     assert len(standard_battery()) == 20
     assert len(sift_battery()) == 10

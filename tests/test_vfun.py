@@ -117,6 +117,14 @@ def test_eval_at_diagonal(bump):
     v = bump.eval_at(xi)
     assert v.value_at(100) == bump.rank_eval(100, 0.005)
     assert v.value_at(200) > v.value_at(100)
+    # The exported eval_at takes a real number too: n p(0.3 n) is 0 from n = 4.
+    assert dc.classify(dc.eval_at(bump, 0.3)) is dc.NumberClass.INFINITESIMAL
+    half = dc.eval_at(bump, dc.partial() * 0.5)
+    assert [half.value_at(n) for n in dc.DEFAULT_SCHEDULE] == \
+        [n * bump.profile(0.5) for n in dc.DEFAULT_SCHEDULE]
+    assert dc.classify(half) is dc.NumberClass.INFINITE
+    # At 2/n, outside the support [-1/n, 1/n], every rank reads 0.
+    assert dc.classify(dc.eval_at(bump, dc.partial() * 2.0)) is dc.NumberClass.INFINITESIMAL
 
 
 def test_kernel_derivative_shape(bump):

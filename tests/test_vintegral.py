@@ -3,6 +3,8 @@ import gc
 import io
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -304,6 +306,19 @@ def test_sift_derivative_needs_a_profile_kernel():
         dc.sift_derivative(dc.cauchy_psi(), 1, math.sin)
 
 
+@pytest.mark.parametrize("family", [dc.cauchy_psi, dc.point_altered_delta],
+                         ids=["psi", "altered"])
+def test_delta_derivative_needs_a_profile_kernel(family):
+    # Only a profile kernel has a derivative family: a delta of order 1 on
+    # any other is refused as sift_derivative refuses it, naming the family.
+    from deltacalc.rewrite import DeltaTerm, reduce_expr_integral
+
+    d = family()
+    with pytest.raises(TypeError, match=re.escape(
+            f"order-1 delta of '{d.label}' requires a profile-based Dirac kernel")):
+        reduce_expr_integral(DeltaTerm(1, 0.0, kernel=d), weight=RealFunction(math.sin))
+
+
 def test_kernel_smoothness_is_its_profiles(conv):
     # bump * bump is C-inf: its derivatives are contractions of the bump's
     # derivatives with the bump, and no difference quotient is taken.
@@ -371,6 +386,31 @@ def test_convolution_pointwise_identity(bump, conv):
             assert abs(conv.rank_eval(n, float(x)) - direct) < 1e-8
 
 
+def test_contraction_refines_a_kink_between_its_cuts(bump, monkeypatch):
+    # A hat peaked at 0.3, cut at -1, 0, 1 only: the u whose t-panels hold
+    # the kink at t = u - 0.3 go to the adaptive rule, and agree with quad
+    # split at the kink.
+    from scipy.integrate import quad
+
+    refined = []
+    real = vintegral._refined
+    monkeypatch.setattr(vintegral, "_refined", lambda *a: refined.append(a) or real(*a))
+    hat = lambda u: np.maximum(0.0, np.minimum((u + 1.0) / 1.3, (1.0 - u) / 0.7))
+    p = bump.profile
+    us = np.linspace(-1.9, 1.9, 39)
+    got = vintegral._contraction(hat, (-1.0, 0.0, 1.0), p, bump.profile_cuts)(us)
+    assert refined
+    for u, v in zip(us.tolist(), got.tolist()):
+        lo, hi = max(-1.0, u - 1.0), min(1.0, u + 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = quad(lambda t: float(hat(u - t) * p(t)), lo, hi, limit=200,
+                        points=[t for t in (u - 0.3, u, 0.0) if lo < t < hi] or None,
+                        epsabs=1e-15, epsrel=1e-15)[0]
+        # The adaptive rule may stop above its target on a kink.
+        assert abs(v - want) <= 1e-11, (u, v, want)
+
+
 def test_convolution_rejects_discontinuous(square, bump):
     with pytest.raises(SmoothnessError):
         dc.convolve(square, bump)
@@ -413,6 +453,19 @@ def test_compose_tracks_shrinking_regions(bump):
     n = 2**20
     val = integrate_rank(comp, -math.inf, math.inf, (n,))[0]
     assert abs(val - 1.0) < 1e-9
+
+
+def test_compose_cuts_a_family_without_profile_cuts_at_its_support(monkeypatch):
+    # A family with no profile cuts: its x panels are cut where g crosses
+    # the ends of supp(d_n).
+    cut = []
+    real = vintegral._panels
+    monkeypatch.setattr(vintegral, "_panels",
+                        lambda d, fn, key, rows: cut.append(d) or real(d, fn, key, rows))
+    d = dc.point_altered_delta()
+    res = reduce_integral(dc.compose(d, to_real_function(parse("2*x-1"))))
+    assert cut and all(c is d for c in cut)
+    assert res.reduced and abs(res.value - 0.5) <= res.error_estimate, res
 
 
 def test_compose_one_sided_kernel(minus):

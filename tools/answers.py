@@ -3,7 +3,7 @@ fingerprint.
 
 Builds the sift and compose query streams of `perfbench/workloads.py` at
 seeds 1, 9001, 3, 6 and 20, two cycles each (1,890 queries), and adds the
-fixed queries of FIXED (1,903 in all); runs each query in-process through
+fixed queries of FIXED (1,906 in all); runs each query in-process through
 `deltacalc.cli.run_command`, and prints one line
 
     <workload>-<seed>-<qid> (or fixed-<index>) <exit code> <sha256 of stdout + stderr>
@@ -44,8 +44,10 @@ SEEDS = (1, 9001, 3, 6, 20)
 #: the support, a composite with a pole, and the composite paths neither
 #: stream meets: x pieces beside a turn at ranks 16 and 32, a piece in u
 #: that the fixed rules reject, two roots inside one turn's grid bracket
-#: (it reads Undetermined), and a composite's `equiv`.  Their lines read
-#: fixed-<index>.
+#: (it reads Undetermined), and a composite's `equiv`; the kernel probe's
+#: two flagged reasons (outcomes that differ in kind, reduced values that
+#: disagree) and an `equiv` whose rhs is the irreducible side.  Their lines
+#: read fixed-<index>.
 FIXED = (
     ("integrate", "exp(-x^2)+delta(x-0.3)"),
     ("equiv", "1/(1+x^2)+delta(x)", "1/(1+x^2)+delta(x)", "--battery", "sift"),
@@ -60,6 +62,9 @@ FIXED = (
     ("integrate", "abs(x-2.001)*delta(x^2-4)"),
     ("integrate", "delta((x-0.293)*(x-0.308))"),
     ("equiv", "delta(x^2-4)", "0.25*delta(x-2)+0.25*delta(x+2)"),
+    ("probe-kernels", "x^2"),
+    ("probe-kernels", "abs(x)", "--kernels", "bump,plus"),
+    ("equiv", "0", "delta(x^2)", "--kernel", "square"),
 )
 
 #: The keys of the numbers an answer's line prints.
