@@ -25,10 +25,9 @@ class ProfileOverflowError(DeltaCalcError):
 class QuadratureError(DeltaCalcError):
     """Per-rank quadrature failed to converge."""
 
-    def __init__(self, message, rank=None, diagnostics=None):
+    def __init__(self, message, rank=None):
         super().__init__(message)
         self.rank = rank
-        self.diagnostics = diagnostics or {}
 
 
 class RewriteError(DeltaCalcError):

@@ -146,15 +146,19 @@ def const_function(c, label=None):
 # The normalized bump profile
 # ---------------------------------------------------------------------------
 
+def _value(out):
+    """A function's value `out`, an array: a float where it is 0-d (by
+    float(), since a numpy scalar divides by zero without raising)."""
+    return float(out) if out.ndim == 0 else out
+
+
 def _raw_bump(x):
     x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         inside = np.abs(x) < 1.0
         w = np.where(inside, 1.0 - x * x, 1.0)
         out = np.where(inside, np.exp(-1.0 / w), 0.0)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return _value(out)
 
 
 #: 1 / integral of exp(-1/(1-x^2)) over (-1, 1); makes the bump unit-mass.
@@ -199,9 +203,7 @@ def _bump_derivative(k):
             p = _bump(x)
             out = np.where(p > 0.0, np.polynomial.polynomial.polyval(x, q)
                            / (1.0 - x * x) ** (2 * k) * p, 0.0)
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return _value(out)
 
     return dk
 
@@ -271,9 +273,7 @@ class VirtualFunction:
 
 
 def eval_at(vf, xi):
-    if not isinstance(xi, VirtualNumber):
-        xi = VirtualNumber._coerce(xi)
-    return vf.eval_at(xi)
+    return vf.eval_at(VirtualNumber._coerce(xi))
 
 
 # ---------------------------------------------------------------------------
@@ -339,9 +339,7 @@ def square_delta():
     def p(x):
         x = np.asarray(x, dtype=float)
         out = np.where(np.abs(x) < 1.0, 0.5, 0.0)
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return _value(out)
 
     profile = RealFunction(p, smoothness=DISCONTINUOUS, label="square")
     return DiracKernel(profile, (-1.0, 1.0), "square")
@@ -424,9 +422,7 @@ def point_altered_delta(at=7.0, value=3.0):
 
     def ev(n, x, base=base, at=at, value=value):
         out = np.where(x == at, float(value), base.rank_eval(n, x))
-        if out.ndim == 0:
-            return float(out)
-        return out
+        return _value(out)
 
     return VirtualFunction(
         ev,
@@ -442,7 +438,6 @@ def point_altered_delta(at=7.0, value=3.0):
 
 @dataclass(frozen=True)
 class DiracCertificate:
-    nonnegative: bool
     normalization: float
     normalization_error: float
     support_class: NumberClass
@@ -593,7 +588,6 @@ def check_dirac(vf, schedule=DEFAULT_SCHEDULE):
             )
 
     return DiracCertificate(
-        nonnegative=True,
         normalization=result.value,
         normalization_error=result.error_estimate,
         support_class=cls,

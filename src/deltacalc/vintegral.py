@@ -225,13 +225,12 @@ def _quad_piece(f, a, b, points=None):
             warnings.simplefilter("ignore", IntegrationWarning)
             warnings.filterwarnings("error", "The integral is probably divergent",
                                     IntegrationWarning)
-            val, err = quad(f, a, b, **_QUAD_OPTS,
-                            points=sorted(p for p in points or () if a < p < b) or None)
+            val, _ = quad(f, a, b, **_QUAD_OPTS,
+                          points=sorted(p for p in points or () if a < p < b) or None)
     except Exception as exc:  # scipy raises on various failures
         raise QuadratureError(f"quadrature failed on [{a:g}, {b:g}]: {exc}") from exc
     if not math.isfinite(val):
-        raise QuadratureError(f"quadrature diverged on [{a:g}, {b:g}]",
-                              diagnostics={"value": val, "error": err})
+        raise QuadratureError(f"quadrature diverged on [{a:g}, {b:g}]")
     return val
 
 
@@ -532,7 +531,7 @@ def _profile_rows(d, ranks, a, rows, ulo, uhi):
             return _refined(g, np.array(cuts[:-1]), np.array(cuts[1:]), [0.0])
         except QuadratureError as exc:
             raise QuadratureError(f"at rank n={n}, kernel {d.name!r} of order {k}: {exc}",
-                                  rank=n, diagnostics=exc.diagnostics) from exc
+                                  rank=n) from exc
 
     return (x, _profile_on_nodes(prof, cuts), (w_coarse, w_fine), [_scale(n, k) for n in ns],
             rows, anchored, 0, fallback)

@@ -9,6 +9,7 @@ stabilize.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,6 +48,17 @@ class OrderVerdict:
         return self.variant == "holds"
 
 
+def _pointwise(op, reflected=False):
+    """op rank by rank, (a op b)_n = op(a_n, b_n); `reflected` swaps a and b."""
+    def method(self, other):
+        a, b = self, self._coerce(other)
+        if reflected:
+            a, b = b, a
+        return VirtualNumber(lambda n: op(a.value_at(n), b.value_at(n)))
+
+    return method
+
+
 class VirtualNumber:
     """Rank-indexed real sequence. Immutable; values computed lazily."""
 
@@ -57,12 +69,19 @@ class VirtualNumber:
         self.tag = tag
 
     def value_at(self, n):
+        """The value at rank n, refused where it is not a finite real: a
+        division by zero, an overflow, a complex power of a negative base."""
         if not isinstance(n, int) or n < 1:
             raise ValueError(f"rank must be a positive integer, got {n!r}")
-        v = float(self._fn(n))
-        if not math.isfinite(v):
-            raise RankEvaluationError("sequence value is not finite", n)
-        return v
+        try:
+            v = self._fn(n)
+        except ZeroDivisionError:
+            raise RankEvaluationError("division by a rank-zero value", n) from None
+        except OverflowError:
+            v = math.inf
+        if isinstance(v, complex) or not math.isfinite(v):
+            raise RankEvaluationError("sequence value is not a finite real", n)
+        return float(v)
 
     def values(self, schedule=DEFAULT_SCHEDULE):
         return [self.value_at(n) for n in schedule]
@@ -75,48 +94,18 @@ class VirtualNumber:
             return x
         return make_const(float(x))
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        return VirtualNumber(lambda n, a=self, b=other: a.value_at(n) + b.value_at(n))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return VirtualNumber(lambda n, a=self, b=other: a.value_at(n) - b.value_at(n))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return VirtualNumber(lambda n, a=self, b=other: a.value_at(n) * b.value_at(n))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-
-        def quot(n, a=self, b=other):
-            d = b.value_at(n)
-            if d == 0.0:
-                raise RankEvaluationError("division by a rank-zero value", n)
-            return a.value_at(n) / d
-
-        return VirtualNumber(quot)
-
-    def __rtruediv__(self, other):
-        return self._coerce(other) / self
+    __add__, __radd__ = _pointwise(operator.add), _pointwise(operator.add, True)
+    __sub__, __rsub__ = _pointwise(operator.sub), _pointwise(operator.sub, True)
+    __mul__, __rmul__ = _pointwise(operator.mul), _pointwise(operator.mul, True)
+    __truediv__ = _pointwise(operator.truediv)
+    __rtruediv__ = _pointwise(operator.truediv, True)
+    __pow__ = _pointwise(operator.pow)
 
     def __neg__(self):
         return VirtualNumber(lambda n, a=self: -a.value_at(n))
 
     def __abs__(self):
         return VirtualNumber(lambda n, a=self: abs(a.value_at(n)))
-
-    def __pow__(self, k):
-        k = int(k)
-        return VirtualNumber(lambda n, a=self: a.value_at(n) ** k)
 
     def __repr__(self):
         if self.tag == "const":
@@ -190,13 +179,8 @@ def shadow(v, schedule=DEFAULT_SCHEDULE, tol=1e-9):
     return res[0]
 
 
-_RELATIONS = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    "=": lambda a, b: a == b,
-    ">=": lambda a, b: a >= b,
-    ">": lambda a, b: a > b,
-}
+_RELATIONS = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
+              ">=": operator.ge, ">": operator.gt}
 
 
 #: The shortest stable suffix on which `eventually_compare` decides.

@@ -600,6 +600,19 @@ def test_check_dirac_accepts(kernel):
     assert payload["kernel"]["name"] in (kernel, "mixture")
 
 
+def test_check_dirac_names_the_condition_a_kernel_fails(monkeypatch):
+    from deltacalc import bump_delta, cli
+
+    monkeypatch.setitem(cli.KERNELS, "bump", lambda: bump_delta().derivative(1))
+    status, out, _ = run(["check-dirac"] + FAST)
+    assert status == 0
+    assert out.startswith("bump: NOT a Dirac kernel — condition (i) violated: negative value")
+    status, out, _ = run(["check-dirac", "--json"] + FAST)
+    payload = json.loads(out)
+    assert status == 0 and payload["valid"] is False and payload["condition"] == "i"
+    assert payload["kernel"]["name"] == "bump^(1)"
+
+
 def test_probe_kernels_flags_square_of_x():
     status, out, _ = run(["probe-kernels", "x^2",
                           "--kernels", "minus,square", "--json"] + FAST)
@@ -1373,6 +1386,10 @@ def test_expression_in_exponent_form_after_a_minus_is_still_a_usage_error():
     status, out, err = run(["integrate", "-1e3"])
     assert status == 2 and out == ""
     assert "error (usage): the following arguments are required: expression" in err
+    # A float option followed by a non-number that starts with "-" is not joined.
+    status, out, err = run(["integrate", "delta(x)", "--lower", "-x"])
+    assert status == 2 and out == ""
+    assert "error (usage): argument --lower: expected one argument" in err
 
 
 #: The sifted values of the two cases below.

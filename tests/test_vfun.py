@@ -100,6 +100,8 @@ def test_shifted_supports(plus, minus):
     assert minus.support_interval(8) == (-3.0 / 8.0, -1.0 / 8.0)
     assert plus.rank_eval(8, 2.0 / 8.0) > 0.0
     assert plus.rank_eval(8, 0.0) == 0.0
+    with pytest.raises(ValueError, match="direction must be"):
+        dc.shifted_delta("x")
 
 
 def test_translate(bump):
@@ -179,6 +181,10 @@ def test_mixture_rejects_non_dirac(bump):
     bad = dc.cauchy_psi()
     with pytest.raises(TypeError):
         dc.mixture(bump, bad)
+    # A profile kernel that fails the certificate check is refused too.
+    with pytest.raises(ValueError, match=r"operand 'bump\^\(1\)' is not a Dirac kernel: "
+                                         r"condition \(i\) violated"):
+        dc.mixture(bump, bump.derivative(1))
 
 
 # -- the certificate check -------------------------------------------------
@@ -195,9 +201,19 @@ def test_check_dirac_accepts_square(square):
 
 
 def test_check_dirac_rejects_cauchy_psi():
-    res = check_dirac(dc.cauchy_psi())
+    psi = dc.cauchy_psi()
+    res = check_dirac(psi)
     assert isinstance(res, DiracFailure)
     assert res.condition == "iii"
+    assert psi.support_radius(4) is None and psi.support_radius_sequence() is None
+    assert repr(psi) == "<VirtualFunction psi>"
+    # A unit-mass pulse of fixed width declares a support, but its radius
+    # is not infinitesimal.
+    pulse = dc.VirtualFunction(lambda n, x: np.where(np.abs(x) < 1.0, 0.5, 0.0),
+                               support=lambda n: (-1.0, 1.0), smoothness=-1)
+    res = check_dirac(pulse)
+    assert res.condition == "iii"
+    assert res.detail == "support radius sequence classifies as finite_appreciable"
 
 
 def test_check_dirac_rejects_point_altered():
@@ -304,6 +320,13 @@ def test_convolution_json_round_trip(conv):
 def test_unknown_kernel_record_rejected():
     with pytest.raises(ValueError):
         kernel_from_json({"name": "nope"})
+
+
+def test_kernel_json_names_a_finite_smoothness():
+    from deltacalc.vfun import DiracKernel, _BUMP_PROFILE
+
+    c2 = RealFunction(_BUMP_PROFILE.fn, smoothness=2, label="c2")
+    assert kernel_to_json(DiracKernel(c2, (-1.0, 1.0), "c2"))["smoothness"] == "C^2"
 
 
 # -- closed-form bump derivatives and array evaluation -----------------------

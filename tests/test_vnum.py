@@ -55,8 +55,14 @@ def test_division_by_rank_zero_raises():
     den = from_sequence(lambda n: 0.0 if n == 3 else 1.0)
     q = num / den
     assert q.value_at(2) == 1.0
-    with pytest.raises(RankEvaluationError):
+    with pytest.raises(RankEvaluationError, match="division by a rank-zero value"):
         q.value_at(3)
+    # A value that is not finite, or that overflows, is refused at its rank.
+    with pytest.raises(RankEvaluationError, match="not a finite real") as info:
+        from_sequence(lambda n: math.inf if n == 5 else 1.0).value_at(5)
+    assert info.value.rank == 5
+    with pytest.raises(RankEvaluationError, match="not a finite real"):
+        (omega() ** 1000).value_at(2**20)
 
 
 def test_classify_partial_is_infinitesimal():
@@ -150,12 +156,29 @@ def test_eventually_compare_undetermined():
     v = from_sequence(lambda n: (-1.0) ** n)
     verdict = eventually_compare(v, make_const(0.0), "<", schedule=range(1, 10))
     assert verdict.variant == "undetermined"
+    with pytest.raises(ValueError, match="unknown relation '!='"):
+        eventually_compare(v, make_const(0.0), "!=")
 
 
 def test_pow_and_abs():
     v = from_sequence(lambda n: -2.0)
     assert abs(v).value_at(4) == 2.0
     assert (v**3).value_at(4) == -8.0
+    # A real exponent is taken as it is: 4^2.5 = 32.
+    assert (omega() ** 2.5).value_at(4) == 32.0
+    # The real cube root of -8 is a complex power in floats: refused.
+    with pytest.raises(RankEvaluationError, match="not a finite real") as info:
+        (make_const(-8.0) ** (1 / 3)).value_at(2)
+    assert info.value.rank == 2
+    # n^-0.5 is infinitesimal, though slower than the table's orders.
+    assert classify(partial() ** 0.5) is not NumberClass.FINITE_APPRECIABLE
+    # A virtual exponent is taken rank by rank, with float's bits.
+    e = (1 + partial()) ** omega()
+    assert all(e.value_at(n) == (1 + 1 / n) ** n for n in (1, 2, 3, *DEFAULT_SCHEDULE))
+    # A sequence's own division by zero is refused at its rank.
+    with pytest.raises(RankEvaluationError, match="division by a rank-zero value") as info:
+        from_sequence(lambda n: 1 / (n - 3)).value_at(3)
+    assert info.value.rank == 3
 
 
 def test_rank_must_be_positive_integer():
@@ -163,6 +186,14 @@ def test_rank_must_be_positive_integer():
         partial().value_at(0)
     with pytest.raises(ValueError):
         partial().value_at(2.5)
+    with pytest.raises(ValueError, match="constant must be finite"):
+        make_const(math.inf)
+
+
+def test_repr_names_a_constant_a_tag_or_a_sequence():
+    assert repr(make_const(2.5)) == "VirtualNumber(const 2.5)"
+    assert repr(omega()) == "VirtualNumber(<omega>)"
+    assert repr(from_sequence(lambda n: 1.0)) == "VirtualNumber(<sequence>)"
 
 
 #: The three schedules of `test_classify_and_reduce_sequence_agree`.

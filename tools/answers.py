@@ -17,10 +17,26 @@ number moved.  Two checkouts' answers can be compared line by line with
 `diff`:
 
     PYTHONPATH=src python3 tools/answers.py > answers.txt
+
+or judged against another checkout's file:
+
+    PYTHONPATH=src python3 tools/answers.py --against base-answers.txt
+
+which puts each pair of lines (same id) in one class: identical; error
+only (every other number has the same bits, an `error` moved); within
+(each moved value or exponent by at most the base line's `error` beside
+it, and each moved `max_deviation` at most 1e-6 on both sides, where the
+default `equiv` tolerance cannot flip); outside (a number moved by more);
+verdict (the exit code, the kind, the argv or a normal form's digest
+changed, a number appeared or went, every number kept its bits while the
+text changed, or the id is on one side only).  It prints the count per
+class and per verb, then every outside and verdict pair.
 """
 
 from __future__ import annotations
 
+import argparse
+import collections
 import hashlib
 import io
 import json
@@ -70,6 +86,14 @@ FIXED = (
 #: The keys of the numbers an answer's line prints.
 NUMBERS = ("value", "error", "exponent", "max_deviation")
 
+#: The classes of a judged pair of lines, and the verbs they are counted by.
+CLASSES = ("identical", "error only", "within", "outside", "verdict")
+VERBS = ("equiv", "integrate", "simplify", "probe-kernels", "check-dirac")
+
+#: Below this, on both sides, a moved `max_deviation` cannot flip the
+#: default `equiv` verdict.
+DEVIATION_WITHIN = 1e-6
+
 
 def queries(workload, seed):
     """The first two cycles of the workload's stream at `seed`."""
@@ -116,14 +140,88 @@ def summary(text):
     return " ".join([kind, *found])
 
 
-def main():
+def lines():
+    """One answer line per query, in the streams' order, then FIXED."""
     rows = [(f"{workload}-{seed}-{q.qid}", q.argv) for workload in ("sift", "compose")
             for seed in SEEDS for q in queries(workload, seed)]
     rows += [(f"fixed-{i}", (*argv, "--json")) for i, argv in enumerate(FIXED)]
     for name, argv in rows:
         status, text = answer(argv)
         digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-        print(f"{name} {status} {digest} {summary(text)} {shlex.join(argv)}")
+        yield f"{name} {status} {digest} {summary(text)} {shlex.join(argv)}"
+
+
+def parse(line):
+    """((exit code, kind, argv), digest, numbers) of an answer line, the
+    numbers a list of (key, text)."""
+    _name, status, digest, kind, *rest = line.split(" ")
+    numbers = []
+    while rest and rest[0].partition("=")[0] in NUMBERS:
+        key, _, text = rest.pop(0).partition("=")
+        numbers.append((key, text))
+    return (status, kind, " ".join(rest)), digest, numbers
+
+
+def judge(base, head):
+    """The class of a pair of answer lines with the same id."""
+    if base == head:
+        return "identical"
+    b_head, b_digest, b_nums = parse(base)
+    h_head, h_digest, h_nums = parse(head)
+    if b_head != h_head or [k for k, _ in b_nums] != [k for k, _ in h_nums] or \
+            (b_head[1] == "normal_form" and b_digest != h_digest):
+        return "verdict"
+    moved = [i for i, (a, b) in enumerate(zip(b_nums, h_nums)) if a != b]
+    if not moved:
+        return "verdict"
+    values = [i for i in moved if b_nums[i][0] != "error"]
+    if not values:
+        return "error only"
+    for i in values:
+        key, x, y = b_nums[i][0], float(b_nums[i][1]), float(h_nums[i][1])
+        if key == "max_deviation":
+            ok = max(x, y) <= DEVIATION_WITHIN
+        else:
+            err = b_nums[i + 1][1] if i + 1 < len(b_nums) and b_nums[i + 1][0] == "error" else 0
+            ok = abs(y - x) <= float(err)
+        if not ok:
+            return "outside"
+    return "within"
+
+
+def report(base_lines, head_lines, out=sys.stdout):
+    """Print the class counts, per verb, of the pairs of lines with the same
+    id, then every outside and verdict pair."""
+    base = {line.split(" ", 1)[0]: line for line in base_lines}
+    head = {line.split(" ", 1)[0]: line for line in head_lines}
+    counts, shown = collections.Counter(), []
+    for name in [*head, *(n for n in base if n not in head)]:
+        b, h = base.get(name), head.get(name)
+        cls = judge(b, h) if b and h else "verdict"
+        verb = parse(b or h)[0][2].partition(" ")[0]
+        counts[cls, verb] += 1
+        counts[cls, "all"] += 1
+        if cls in ("outside", "verdict"):
+            shown.append((cls, b, h))
+    print(f"{'class':<12} {'all':>5} " + " ".join(f"{v:>13}" for v in VERBS), file=out)
+    for cls in CLASSES:
+        print(f"{cls:<12} {counts[cls, 'all']:>5} "
+              + " ".join(f"{counts[cls, v]:>13}" for v in VERBS), file=out)
+    for cls, b, h in shown:
+        print(f"{cls}:\n  - {b or '(none)'}\n  + {h or '(none)'}", file=out)
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
+    parser.add_argument("--against", metavar="FILE",
+                        help="judge each answer against FILE's line of the same id")
+    args = parser.parse_args()
+    if args.against is None:
+        for line in lines():
+            print(line)
+        return
+    with open(args.against, encoding="utf-8") as f:
+        report(f.read().splitlines(), list(lines()))
 
 
 if __name__ == "__main__":
